@@ -22,6 +22,7 @@ from .experiments import (
     DEFAULT_DT_LIST,
     DEFAULT_H_LIST,
     ExperimentConfig,
+    _fmt,
     fem_error_experiment,
     modeling_error_tables,
     stability_report,
@@ -101,10 +102,6 @@ def _out_dir(args) -> str:
     return out
 
 
-def _num(x: float) -> str:
-    return repr(float(x))
-
-
 def _write_csv(path: str, comment_lines: list[str], header: str, rows: list[str]) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -180,7 +177,7 @@ def _cmd_table2(args) -> int:
 def _cmd_spectrum(args) -> int:
     spectrum = discrete_spectrum(FemMesh(args.n), args.beta, args.k_series)
     lam_frac = fractional_eigenvalues(args.beta, args.n)
-    rows = [",".join([str(j + 1), _num(spectrum.eigenvalues[j]), _num(lam_frac[j])])
+    rows = [",".join([str(j + 1), _fmt(spectrum.eigenvalues[j]), _fmt(lam_frac[j])])
             for j in range(args.n)]
     out = _out_dir(args)
     path = os.path.join(out, f"spectrum_n{args.n}_beta{args.beta:g}.csv")
@@ -193,9 +190,9 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_stability(args) -> int:
     rep = stability_report(FracOrders(args.alpha, args.beta))
-    rows = [f"decay,{_num(t)},{_num(v)}"
+    rows = [f"decay,{_fmt(t)},{_fmt(v)}"
             for t, v in zip(rep["decay_t"], rep["decay_values"])]
-    rows += [f"continuity,{_num(t)},{_num(v)}"
+    rows += [f"continuity,{_fmt(t)},{_fmt(v)}"
              for t, v in zip(rep["continuity_t"], rep["continuity_errors"])]
     out = _out_dir(args)
     path = os.path.join(out, f"stability_alpha{args.alpha:g}_beta{args.beta:g}.csv")

@@ -15,6 +15,7 @@ so results are byte-reproducible for any worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
@@ -134,7 +135,9 @@ def compute_rates(errors, resolutions) -> np.ndarray:
     return np.log(errors[:-1] / errors[1:]) / np.log(resolutions[:-1] / resolutions[1:])
 
 
+@functools.cache
 def _build_tag() -> str:
+    """`git describe` of the source tree, computed once per process."""
     here = os.path.dirname(os.path.abspath(__file__))
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],

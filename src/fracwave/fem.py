@@ -30,7 +30,7 @@ from scipy.special import zeta
 from .errors import DomainError
 from .mittag_leffler import kernel_weights
 from .noise import NoisePaths, NoiseSpec
-from .spectral import SQRT2, FracOrders, fractional_eigenvalues
+from .spectral import SQRT2, FracOrders, _grid_index, fractional_eigenvalues
 
 __all__ = [
     "FemMesh",
@@ -164,19 +164,39 @@ def _alias_setup(mesh: FemMesh, beta: float):
 
 
 def _alias_class_sums(mesh: FemMesh, beta: float, k_series: int) -> np.ndarray:
-    """sum of k^(2 beta - 4) over k <= k_series in each alias class 1..N."""
+    """sum of k^(2 beta - 4) over k <= k_series in each alias class 1..N.
+
+    Class m holds the modes k = +-m mod 2P.  Each class is summed
+    sequentially in long double, starting from zero and adding one float64
+    term k^(2 beta - 4) at a time in ascending k, so the result does not
+    depend on how the modes are blocked.  The terms of a block of modes are
+    laid out on a zero-padded (rows x 2P) residue grid, k = row*2P + column;
+    interleaving columns m and 2P - m row by row lists class m in ascending
+    k, so a running `np.add.accumulate` down each class, carried from chunk
+    to chunk, is that sequential sum (adding a padding zero is exact).  A
+    pairwise `np.add.reduce` would not be.
+    """
     n = mesh.n_interior
     p = n + 1
+    period = 2 * p
     expo = 2.0 * beta - 4.0
-    sums = np.zeros(n, dtype=np.longdouble)
+    rows = max(1, (1 << 14) // n)  # grid rows per fold: ~2^15 long-double terms
+    fold = np.zeros((2 * rows + 1, n), dtype=np.longdouble)  # row 0 carries the sums
     block = 1 << 20
     for lo in range(1, k_series + 1, block):
-        k = np.arange(lo, min(lo + block, k_series + 1))
-        mm = k % (2 * p)
-        m = np.where(mm <= p, mm, 2 * p - mm)
-        keep = (m >= 1) & (m <= n)
-        np.add.at(sums, m[keep] - 1, k[keep].astype(float) ** expo)
-    return sums
+        hi = min(lo + block, k_series + 1)
+        r0, r1 = lo // period, (hi - 1) // period + 1
+        grid = np.zeros((r1 - r0) * period)
+        grid[lo - r0 * period:hi - r0 * period] = np.arange(lo, hi).astype(float) ** expo
+        grid = grid.reshape(r1 - r0, period)
+        for i in range(0, r1 - r0, rows):
+            part = grid[i:i + rows]
+            acc = fold[:2 * part.shape[0] + 1]
+            acc[1::2] = part[:, 1:p]  # k = m mod 2P, m = 1..N
+            acc[2::2] = part[:, :p:-1]  # k = 2P - m mod 2P
+            np.add.accumulate(acc, axis=0, out=acc)
+            fold[0] = acc[-1]
+    return fold[0].copy()
 
 
 def _alias_tail_sums(mesh: FemMesh, beta: float, k_series: int) -> np.ndarray:
@@ -330,13 +350,6 @@ def l2_error_cross(u_coeffs: np.ndarray, field: FemField, spectrum: DiscreteSpec
     if err2 < -1e-14:
         raise DomainError(f"l2_error_cross: squared distance {err2} below rounding floor")
     return math.sqrt(max(err2, 0.0))
-
-
-def _grid_index(t: float, dt: float) -> int:
-    idx = int(round(t / dt))
-    if idx < 1 or abs(t - idx * dt) > 1e-9 * max(1.0, abs(t)):
-        raise DomainError(f"t = {t} is not a positive node of the dt = {dt} grid")
-    return idx
 
 
 def fem_solution(orders: FracOrders, spectrum: DiscreteSpectrum, v1h: FemField,

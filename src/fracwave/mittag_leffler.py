@@ -43,7 +43,9 @@ _MAX_CONTOUR_NODES = 2_000
 # -ln of the quadrature error target, relative to the contour peak e^mu,
 # plus a fixed allowance for integrand growth near singularity preimages.
 _LOG_TARGET = 39.14 + 3.91
-_CHUNK = 16_384
+# Arguments per block of the contour sum; the (block x nodes) scratch stays in
+# cache.  Each argument's node sum is one row reduction, whatever the block.
+_CHUNK = 1_024
 
 
 def _validate_params(alpha: float, beta: float, where: str = "ml") -> None:
@@ -172,12 +174,20 @@ def _contour_values(alpha: float, beta: float, z: np.ndarray, positive: bool) ->
     wr_ai = wr * ai
 
     out = np.empty_like(z)
+    # Im( w / (sa - z) ) = (wi*dr - wr*ai) / (dr^2 + ai^2), dr = ar - z, summed
+    # over nodes; z is real.  Computed in place in two preallocated buffers.
+    num = np.empty((min(_CHUNK, z.size), ar.size))
+    den = np.empty_like(num)
     for lo in range(0, z.size, _CHUNK):
         zc = z[lo : lo + _CHUNK, None]
-        dr = ar[None, :] - zc
-        # Im( w / (sa - z) ) accumulated over nodes; z is real
-        vals = ((wi * dr - wr_ai) / (dr * dr + ai2)).sum(axis=1)
-        out[lo : lo + _CHUNK] = (h / math.pi) * vals
+        dr, sq = num[: zc.shape[0]], den[: zc.shape[0]]
+        np.subtract(ar, zc, out=dr)
+        np.multiply(dr, dr, out=sq)
+        sq += ai2
+        dr *= wi
+        dr -= wr_ai
+        dr /= sq
+        out[lo : lo + _CHUNK] = (h / math.pi) * dr.sum(axis=1)
 
     if residues:
         if positive:

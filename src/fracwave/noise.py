@@ -121,7 +121,11 @@ def generate(spec: NoiseSpec, seed: int, max_entries: int = _DEFAULT_ENTRY_CAP) 
 
     Entry (k-1, i) ~ N(0, dt_fine), independent across modes and steps.
     Mode k uses a Philox stream keyed by (seed, k); rows are therefore
-    reproducible and unchanged when K_modes grows.
+    reproducible and unchanged when K_modes grows.  The per-mode streams
+    come from one Philox whose state is reset for each mode to key
+    (seed, k), a zero counter and an empty buffer; this is bitwise equal to
+    drawing from a freshly constructed generator per mode, without paying
+    for a construction per mode.
     """
     if spec.K_modes * spec.N_fine > max_entries:
         raise ResourceLimitError(
@@ -130,9 +134,14 @@ def generate(spec: NoiseSpec, seed: int, max_entries: int = _DEFAULT_ENTRY_CAP) 
     seed = int(seed) & _MASK64
     root = np.sqrt(spec.dt_fine)
     out = np.empty((spec.K_modes, spec.N_fine))
+    bitgen = np.random.Philox(key=np.array([seed, 1], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state  # zero counter, empty buffer; the setter copies it
+    key = fresh["state"]["key"]
     for k in range(1, spec.K_modes + 1):
-        gen = np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
-        out[k - 1] = gen.standard_normal(spec.N_fine)
+        key[1] = k
+        bitgen.state = fresh
+        gen.standard_normal(out=out[k - 1])
     out *= root
     out.flags.writeable = False
     return NoisePaths(increments=out, dt=spec.dt_fine, seed=seed)

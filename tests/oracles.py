@@ -4,9 +4,17 @@ The Mittag-Leffler series is re-summed here in `decimal.Decimal` arithmetic
 with a Spouge approximation of the Gamma function, giving a second
 extended-precision route (different arithmetic backend, different Gamma
 algorithm) against which the mpmath-based oracle is cross-checked.
+
+The straightforward first implementations of three hot kernels are kept
+here as bit-identity oracles for their faster rewrites: the scatter-add
+alias-class sums, noise generation with a fresh Philox per mode, and the
+unchunked contour quadrature sum.
 """
 
+import math
 from decimal import Decimal, getcontext
+
+import numpy as np
 
 # 70-digit constants
 _PI = Decimal("3.141592653589793238462643383279502884197169399375105820974944592307816")
@@ -71,3 +79,59 @@ def decimal_ml_series(alpha: float, beta: float, z: float, n_terms: int = 400,
         total += power / decimal_gamma(alpha_d * k + beta_d, prec)
         power *= z_d
     return total
+
+
+def alias_class_sums_scatter(n: int, beta: float, k_series: int) -> np.ndarray:
+    """sum of k^(2 beta - 4) over k <= k_series in each alias class 1..n.
+
+    Scatter-adds the terms of 2^20-mode blocks into a long-double
+    accumulator with `np.add.at`, which adds them one at a time in order.
+    """
+    p = n + 1
+    expo = 2.0 * beta - 4.0
+    sums = np.zeros(n, dtype=np.longdouble)
+    block = 1 << 20
+    for lo in range(1, k_series + 1, block):
+        k = np.arange(lo, min(lo + block, k_series + 1))
+        mm = k % (2 * p)
+        m = np.where(mm <= p, mm, 2 * p - mm)
+        keep = (m >= 1) & (m <= n)
+        np.add.at(sums, m[keep] - 1, k[keep].astype(float) ** expo)
+    return sums
+
+
+def philox_increments(k_modes: int, n_steps: int, dt: float, seed: int) -> np.ndarray:
+    """Increment matrix from a freshly constructed Philox per mode k, key (seed, k)."""
+    out = np.empty((k_modes, n_steps))
+    for k in range(1, k_modes + 1):
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
+        out[k - 1] = gen.standard_normal(n_steps)
+    out *= np.sqrt(dt)
+    return out
+
+
+def contour_sum_unchunked(alpha: float, beta: float, z: np.ndarray, positive: bool,
+                          params) -> np.ndarray:
+    """Parabolic-contour quadrature plus residues, all arguments at once.
+
+    params = (mu, h, n_side, take_residues) as the package chooses them for
+    the bucket of z; the node sum for each z is one row reduction.
+    """
+    mu, h, n_side, residues = params
+    r = np.abs(z) ** (1.0 / alpha)
+    u = h * np.arange(n_side + 1)
+    s = mu * (1.0 + 1j * u) ** 2
+    w = np.exp(s) * s ** (alpha - beta) * (2.0 * mu * 1j * (1.0 + 1j * u))
+    w[0] *= 0.5
+    sa = s**alpha
+    wr, wi = w.real.copy(), w.imag.copy()
+    ar, ai = sa.real.copy(), sa.imag.copy()
+    dr = ar[None, :] - z[:, None]
+    out = (h / math.pi) * ((wi * dr - wr * ai) / (dr * dr + ai * ai)).sum(axis=1)
+    if residues:
+        if positive:
+            out += (1.0 / alpha) * r ** (1.0 - beta) * np.exp(r)
+        else:
+            pole = r * np.exp(1j * math.pi / alpha)
+            out += (2.0 / alpha) * (pole ** (1.0 - beta) * np.exp(pole)).real
+    return out
