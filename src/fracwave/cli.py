@@ -23,6 +23,7 @@ from .experiments import (
     DEFAULT_H_LIST,
     ExperimentConfig,
     _fmt,
+    _write_lines,
     fem_error_experiment,
     modeling_error_tables,
     stability_report,
@@ -103,14 +104,29 @@ def _out_dir(args) -> str:
 
 
 def _write_csv(path: str, comment_lines: list[str], header: str, rows: list[str]) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        for line in comment_lines:
-            fh.write(f"# {line}\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
-    os.replace(tmp, path)
+    _write_lines(path, [f"# {line}" for line in comment_lines] + [header] + rows)
+
+
+def _workers(args, cfg: dict) -> int:
+    """--threads, else the config's `threads`; 0 or unset means every core.
+
+    A negative --threads is a usage error at parse time (`_nonnegative_int`); a
+    negative config value is a domain error, raised before any work starts.
+    """
+    threads = int(cfg.get("threads", 0))
+    if threads < 0:
+        raise DomainError(f"config threads must be >= 0 (got {threads})")
+    return args.threads or threads or (os.cpu_count() or 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer (got {text!r})")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (got {value})")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +148,7 @@ def _cmd_table1(args) -> int:
     k_modes = int(_setting(args, cfg_file, "k_modes", 1000))
     n_cutoff = int(_setting(args, cfg_file, "n_cutoff", k_modes))
     dt_list = tuple(float(x) for x in _setting(args, cfg_file, "dt_list", DEFAULT_DT_LIST))
-    threads = args.threads or int(cfg_file.get("threads", 0)) or (os.cpu_count() or 1)
+    threads = _workers(args, cfg_file)
 
     base = ExperimentConfig(orders=FracOrders(alphas[0], beta), m_traj=m_traj,
                             base_seed=seed, n_fine=n_fine, k_modes=k_modes,
@@ -158,7 +174,7 @@ def _cmd_table2(args) -> int:
     n_cutoff = int(_setting(args, cfg_file, "n_cutoff", k_modes))
     h_list = tuple(float(x) for x in _setting(args, cfg_file, "h_list", DEFAULT_H_LIST))
     k_series = int(_setting(args, cfg_file, "fem_k_series", 10**6))
-    threads = args.threads or int(cfg_file.get("threads", 0)) or (os.cpu_count() or 1)
+    threads = _workers(args, cfg_file)
 
     n_steps = round(1.0 / dt)
     cfgs = [ExperimentConfig(orders=FracOrders(alpha, beta), m_traj=m_traj,
@@ -221,7 +237,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--seed", type=int, dest="seed")
         p.add_argument("--out", help="output directory (default $FRACWAVE_OUT or .)")
-        p.add_argument("--threads", type=int)
+        p.add_argument("--threads", type=_nonnegative_int,
+                       help="workers for set-up and trajectories (default: all cores)")
         p.add_argument("--m-traj", type=int, dest="m_traj")
 
     p_t1 = sub.add_parser("table1", help="modeling error vs time step")

@@ -28,7 +28,8 @@ from . import __version__
 from .errors import DomainError
 from .fem import FemMesh, discrete_spectrum, sine_products
 from .mittag_leffler import kernel_weights, ml_values
-from .noise import NoiseSpec, generate, coarsen, inverse_cubic_sigma, trajectory_seed
+from .noise import (NoiseSpec, _coarsen_rows, _ModeStreams, coarsen, generate,
+                    inverse_cubic_sigma, trajectory_seed)
 from .spectral import (
     FracOrders,
     convolution_weights,
@@ -168,32 +169,102 @@ def _table_from_samples(samples: np.ndarray, resolutions, meta: dict) -> RateTab
 # ---------------------------------------------------------------------------
 
 _CTX: dict = {}
+#: Modes per block of a modeling-error trajectory: a 64 x 1000 block of
+#: increments and its products stay in cache while every alpha and coarse
+#: grid is applied to it.
+_BLOCK_MODES = 64
+
+
+def _pool_map(fn, items, n_workers: int) -> list:
+    """[fn(x) for x in items], on min(n_workers, len(items), cores) fork workers.
+
+    Runs in this process when that cap is <= 1.  Results come back in item
+    order whatever the worker count.
+    """
+    items = list(items)
+    n_workers = min(n_workers, len(items), os.cpu_count() or 1)
+    if n_workers <= 1:
+        return [fn(x) for x in items]
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(processes=n_workers) as pool:
+        return pool.map(fn, items, chunksize=1)
+
+
+def _weights_job(job: tuple) -> np.ndarray:
+    """One `convolution_weights` call; module-level so a pool can send it."""
+    orders, spec, dt, steps, rule, truncated = job
+    return convolution_weights(orders, spec, dt, steps, rule=rule, truncated=truncated)
+
+
+def _modeling_weights(cfg: ExperimentConfig, alphas, rule: str, n_workers: int):
+    """(w_ref, w_coarse): per alpha the fine left-rule grid and the coarse grids.
+
+    One `convolution_weights` call per (alpha, grid), spread over workers;
+    each call is the one a serial run makes, so the weights are the same bits.
+    """
+    spec = cfg.noise_spec()
+    jobs = []
+    for alpha in alphas:
+        orders = FracOrders(alpha, cfg.orders.beta)
+        jobs.append((orders, spec, cfg.dt_fine, cfg.n_fine, "left", False))
+        for dt in cfg.dt_list:
+            jobs.append((orders, spec, dt, cfg.coarse_steps(dt)[0], rule, True))
+    grids = _pool_map(_weights_job, jobs, n_workers)
+    per_alpha = 1 + len(cfg.dt_list)
+    w_ref = grids[::per_alpha]
+    w_coarse = [grids[a * per_alpha + 1 : (a + 1) * per_alpha] for a in range(len(alphas))]
+    return w_ref, w_coarse
 
 
 def _modeling_traj(l: int) -> np.ndarray:
+    """Squared errors of one trajectory, shape (n_alpha, n_dt), in mode blocks.
+
+    Modes are drawn, scaled and coarsened _BLOCK_MODES rows at a time, and
+    every weight grid is applied to the block while it is in cache.  Each
+    row's weighted sum is one contiguous row reduction, as in the whole
+    matrix, and coarse increments are ascending per-entry sums, so the
+    per-mode sums carry the bits of the unblocked computation.  The final
+    hom + sum, difference and fold over all modes are unchanged.
+    """
     c = _CTX
     spec = c["spec"]
     seed = trajectory_seed(c["base_seed"], l)
-    paths = generate(spec, seed)
-    out = np.empty((len(c["alphas"]), len(c["factors"])))
-    coarse = [coarsen(paths, f) for f in c["factors"]]
-    for a, alpha in enumerate(c["alphas"]):
-        ref = c["hom"][a] + (c["w_ref"][a] * paths.increments).sum(axis=1)
-        for j, cp in enumerate(coarse):
-            un = c["hom"][a] + (c["w_coarse"][a][j] * cp.increments).sum(axis=1)
-            diff = ref - un
+    n_alpha, n_dt = len(c["alphas"]), len(c["factors"])
+    k_modes, n_steps = spec.K_modes, spec.N_fine
+    ref = np.empty((n_alpha, k_modes))
+    un = np.empty((n_alpha, n_dt, k_modes))
+    streams = _ModeStreams(seed)
+    root = np.sqrt(spec.dt_fine)
+    # C-contiguous block buffers: fine increments, and per coarse grid its
+    # increments and products (a factor of 1 reuses the fine ones).
+    fine = np.empty((min(_BLOCK_MODES, k_modes), n_steps))
+    prod = np.empty_like(fine)
+    coarse = [None if f == 1 else np.empty((fine.shape[0], n_steps // f))
+              for f in c["factors"]]
+    cprod = [prod if cb is None else np.empty_like(cb) for cb in coarse]
+    for lo in range(0, k_modes, _BLOCK_MODES):
+        hi = min(lo + _BLOCK_MODES, k_modes)
+        xb = fine[: hi - lo]
+        streams.draw(lo + 1, xb, root)
+        p = prod[: hi - lo]
+        for a in range(n_alpha):
+            np.multiply(c["w_ref"][a][lo:hi], xb, out=p)
+            ref[a, lo:hi] = p.sum(axis=1)
+        for j, f in enumerate(c["factors"]):
+            cb = xb if f == 1 else _coarsen_rows(xb, f, out=coarse[j][: hi - lo])
+            p = cprod[j][: hi - lo]
+            for a in range(n_alpha):
+                np.multiply(c["w_coarse"][a][j][lo:hi], cb, out=p)
+                un[a, j, lo:hi] = p.sum(axis=1)
+    out = np.empty((n_alpha, n_dt))
+    for a in range(n_alpha):
+        r = c["hom"][a] + ref[a]
+        for j in range(n_dt):
+            diff = r - (c["hom"][a] + un[a, j])
             out[a, j] = float(np.einsum("k,k->", diff, diff))
     if not np.isfinite(out).all():
         raise DomainError(f"non-finite error in trajectory {l} (seed {seed})")
     return out
-
-
-def _run_indexed(fn, count: int, n_workers: int) -> list:
-    if n_workers <= 1:
-        return [fn(i) for i in range(count)]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=n_workers) as pool:
-        return list(pool.imap(fn, range(count), chunksize=8))
 
 
 def _modeling_samples_multi(cfg: ExperimentConfig, alphas, rule: str,
@@ -201,29 +272,19 @@ def _modeling_samples_multi(cfg: ExperimentConfig, alphas, rule: str,
     """Per-trajectory squared L2 errors, shape (m_traj, len(alphas), n_dt).
 
     One noise draw per trajectory feeds every alpha column and every coarse
-    grid, so all comparisons are coupled to the same Brownian paths.
+    grid, so all comparisons are coupled to the same Brownian paths.  The
+    weight grids and then the trajectories are spread over n_workers.
     """
-    spec = cfg.noise_spec()
     v1 = parabola_coeffs(cfg.k_modes)
     v2 = ramp_coeffs(cfg.k_modes)
-    hom, w_ref, w_coarse, factors = [], [], [], []
-    for dt in cfg.dt_list:
-        factors.append(cfg.coarse_steps(dt)[1])
-    for alpha in alphas:
-        orders = FracOrders(alpha, cfg.orders.beta)
-        hom.append(homogeneous_solution(orders, v1, v2, cfg.T))
-        w_ref.append(convolution_weights(orders, spec, cfg.dt_fine, cfg.n_fine,
-                                         rule="left", truncated=False))
-        per_dt = []
-        for dt in cfg.dt_list:
-            steps, _ = cfg.coarse_steps(dt)
-            per_dt.append(convolution_weights(orders, spec, dt, steps, rule=rule,
-                                              truncated=True))
-        w_coarse.append(per_dt)
+    hom = [homogeneous_solution(FracOrders(alpha, cfg.orders.beta), v1, v2, cfg.T)
+           for alpha in alphas]
+    w_ref, w_coarse = _modeling_weights(cfg, alphas, rule, n_workers)
     _CTX.clear()
-    _CTX.update(spec=spec, base_seed=cfg.base_seed, alphas=list(alphas),
-                factors=factors, hom=hom, w_ref=w_ref, w_coarse=w_coarse)
-    rows = _run_indexed(_modeling_traj, cfg.m_traj, n_workers)
+    _CTX.update(spec=cfg.noise_spec(), base_seed=cfg.base_seed, alphas=list(alphas),
+                factors=[cfg.coarse_steps(dt)[1] for dt in cfg.dt_list],
+                hom=hom, w_ref=w_ref, w_coarse=w_coarse)
+    rows = _pool_map(_modeling_traj, range(cfg.m_traj), n_workers)
     _CTX.clear()
     return np.stack(rows, axis=0)
 
@@ -332,7 +393,7 @@ def fem_error_samples(cfg: ExperimentConfig, n_workers: int = 1) -> np.ndarray:
     _CTX.clear()
     _CTX.update(spec=spec, base_seed=cfg.base_seed, factor=factor, hom=hom,
                 w_n=w_n, sig=sig, meshes=meshes)
-    rows = _run_indexed(_fem_traj, cfg.m_traj, n_workers)
+    rows = _pool_map(_fem_traj, range(cfg.m_traj), n_workers)
     _CTX.clear()
     return np.stack(rows, axis=0)
 
@@ -404,6 +465,12 @@ def write_rate_table(table: RateTable, filename) -> None:
         rate = "" if i == 0 or not np.isfinite(table.rates[i]) else _fmt(table.rates[i])
         lines.append(",".join([_fmt(table.resolutions[i]), _fmt(table.errors[i]),
                                rate, _fmt(table.stderrs[i])]))
+    _write_lines(filename, lines)
+
+
+def _write_lines(filename, lines: list[str]) -> None:
+    """Write newline-terminated lines through a temporary file and os.replace,
+    so a reader never sees a partly written file."""
     tmp = str(filename) + ".tmp"
     with open(tmp, "w") as fh:
         fh.write("\n".join(lines) + "\n")

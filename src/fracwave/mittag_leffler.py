@@ -176,6 +176,8 @@ def _contour_values(alpha: float, beta: float, z: np.ndarray, positive: bool) ->
     out = np.empty_like(z)
     # Im( w / (sa - z) ) = (wi*dr - wr*ai) / (dr^2 + ai^2), dr = ar - z, summed
     # over nodes; z is real.  Computed in place in two preallocated buffers.
+    # The residue term is elementwise, so adding it chunk by chunk gives the
+    # bits of adding it to the whole bucket, without bucket-sized temporaries.
     num = np.empty((min(_CHUNK, z.size), ar.size))
     den = np.empty_like(num)
     for lo in range(0, z.size, _CHUNK):
@@ -187,14 +189,15 @@ def _contour_values(alpha: float, beta: float, z: np.ndarray, positive: bool) ->
         dr *= wi
         dr -= wr_ai
         dr /= sq
-        out[lo : lo + _CHUNK] = (h / math.pi) * dr.sum(axis=1)
-
-    if residues:
-        if positive:
-            out += (1.0 / alpha) * r ** (1.0 - beta) * np.exp(r)
-        else:
-            pole = r * np.exp(1j * math.pi / alpha)
-            out += (2.0 / alpha) * (pole ** (1.0 - beta) * np.exp(pole)).real
+        oc = out[lo : lo + _CHUNK]
+        oc[:] = (h / math.pi) * dr.sum(axis=1)
+        if residues:
+            rc = r[lo : lo + _CHUNK]
+            if positive:
+                oc += (1.0 / alpha) * rc ** (1.0 - beta) * np.exp(rc)
+            else:
+                pole = rc * np.exp(1j * math.pi / alpha)
+                oc += (2.0 / alpha) * (pole ** (1.0 - beta) * np.exp(pole)).real
     return out
 
 

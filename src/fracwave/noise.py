@@ -116,33 +116,61 @@ class NoisePaths:
         return self.increments.shape[1]
 
 
+class _ModeStreams:
+    """Per-mode normal streams of one trajectory: mode k is keyed (seed, k).
+
+    One Philox serves every mode; before each row its state is reset to key
+    (seed, k), a zero counter and an empty buffer.  This is bitwise equal to
+    drawing from a freshly constructed generator per mode, without paying
+    for a construction per mode.
+    """
+
+    def __init__(self, seed: int):
+        self._bitgen = np.random.Philox(key=np.array([seed, 1], dtype=np.uint64))
+        self._gen = np.random.Generator(self._bitgen)
+        self._fresh = self._bitgen.state  # the setter copies it
+        self._key = self._fresh["state"]["key"]
+
+    def draw(self, first_mode: int, out: np.ndarray, scale: float) -> None:
+        """Fill row i of the C-contiguous `out` with mode first_mode + i, times scale.
+
+        Each entry is one draw times one multiply, so a block of rows holds
+        exactly the bits of the same rows of a whole-matrix draw.
+        """
+        for i, row in enumerate(out):
+            self._key[1] = first_mode + i
+            self._bitgen.state = self._fresh
+            self._gen.standard_normal(out=row)
+        out *= scale
+
+
+def _coarsen_rows(rows: np.ndarray, factor: int, out: np.ndarray) -> np.ndarray:
+    """out <- sums of `factor` consecutive columns of each row, in ascending order.
+
+    Every output entry is its own chain of adds, so coarsening a block of
+    rows gives the bits of the same rows of the whole matrix.
+    """
+    grouped = rows.reshape(rows.shape[0], rows.shape[1] // factor, factor)
+    np.copyto(out, grouped[:, :, 0])
+    for j in range(1, factor):
+        out += grouped[:, :, j]
+    return out
+
+
 def generate(spec: NoiseSpec, seed: int, max_entries: int = _DEFAULT_ENTRY_CAP) -> NoisePaths:
     """Draw the fine-grid increment matrix for one trajectory.
 
     Entry (k-1, i) ~ N(0, dt_fine), independent across modes and steps.
     Mode k uses a Philox stream keyed by (seed, k); rows are therefore
-    reproducible and unchanged when K_modes grows.  The per-mode streams
-    come from one Philox whose state is reset for each mode to key
-    (seed, k), a zero counter and an empty buffer; this is bitwise equal to
-    drawing from a freshly constructed generator per mode, without paying
-    for a construction per mode.
+    reproducible and unchanged when K_modes grows (see `_ModeStreams`).
     """
     if spec.K_modes * spec.N_fine > max_entries:
         raise ResourceLimitError(
             f"noise matrix {spec.K_modes}x{spec.N_fine} exceeds cap of {max_entries} entries"
         )
     seed = int(seed) & _MASK64
-    root = np.sqrt(spec.dt_fine)
     out = np.empty((spec.K_modes, spec.N_fine))
-    bitgen = np.random.Philox(key=np.array([seed, 1], dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    fresh = bitgen.state  # zero counter, empty buffer; the setter copies it
-    key = fresh["state"]["key"]
-    for k in range(1, spec.K_modes + 1):
-        key[1] = k
-        bitgen.state = fresh
-        gen.standard_normal(out=out[k - 1])
-    out *= root
+    _ModeStreams(seed).draw(1, out, np.sqrt(spec.dt_fine))
     out.flags.writeable = False
     return NoisePaths(increments=out, dt=spec.dt_fine, seed=seed)
 
@@ -160,10 +188,8 @@ def coarsen(paths: NoisePaths, factor: int) -> NoisePaths:
         )
     if factor == 1:
         return paths
-    grouped = paths.increments.reshape(paths.n_modes, paths.n_steps // factor, factor)
-    acc = grouped[:, :, 0].copy()
-    for j in range(1, factor):
-        acc += grouped[:, :, j]
+    acc = _coarsen_rows(paths.increments, factor,
+                        np.empty((paths.n_modes, paths.n_steps // factor)))
     acc.flags.writeable = False
     return NoisePaths(increments=acc, dt=paths.dt * factor, seed=paths.seed)
 

@@ -3,12 +3,24 @@
 import numpy as np
 import pytest
 
-from fracwave import mittag_leffler
+from fracwave import experiments, mittag_leffler
+from fracwave.experiments import (
+    ExperimentConfig,
+    _modeling_samples_multi,
+    _modeling_weights,
+    modeling_error_samples,
+)
 from fracwave.fem import FemMesh, _alias_class_sums
 from fracwave.mittag_leffler import _CHUNK, _contour_params, ml_values
-from fracwave.noise import NoiseSpec, generate, inverse_cubic_sigma
+from fracwave.noise import NoiseSpec, generate, inverse_cubic_sigma, trajectory_seed
+from fracwave.spectral import FracOrders
 
-from oracles import alias_class_sums_scatter, contour_sum_unchunked, philox_increments
+from oracles import (
+    alias_class_sums_scatter,
+    contour_sum_unchunked,
+    modeling_traj_unblocked,
+    philox_increments,
+)
 
 MESH_SIZES = (1, 2, 9, 99, 400)
 BETAS = (0.55, 0.75, 1.0)
@@ -76,3 +88,46 @@ def test_contour_sum_matches_unchunked(alpha, monkeypatch):
         assert np.isfinite(fast).all()
         assert np.array_equal(fast, slow)
 
+
+
+# Modeling-error trajectories.  K = 37 is below one 64-mode block, 64 is
+# exactly one block and 100 ends in a partial block; n_fine = 200 makes the
+# fine row sums longer than numpy's 128-term pairwise leaf, and the coarse
+# factors 40, 20, 8, 5, 1 include the uncoarsened grid.
+ALPHAS = (1.25, 1.5, 1.95)
+
+
+def _modeling_cfg(k_modes, n_cutoff, seed):
+    return ExperimentConfig(orders=FracOrders(1.5, 0.75), m_traj=3, base_seed=seed,
+                            n_fine=200, k_modes=k_modes, n_cutoff=n_cutoff,
+                            dt_list=(1 / 5, 1 / 10, 1 / 25, 1 / 40, 1 / 200), h_list=())
+
+
+def _unblocked(l):
+    ctx = experiments._CTX
+    return modeling_traj_unblocked(ctx, trajectory_seed(ctx["base_seed"], l))
+
+
+@pytest.mark.parametrize("k_modes, n_cutoff", [(37, 37), (64, 64), (100, 100), (100, 57)])
+@pytest.mark.parametrize("rule", ("exact", "left"))
+@pytest.mark.parametrize("seed", (1, (1 << 64) - 1))
+def test_modeling_traj_matches_unblocked(k_modes, n_cutoff, rule, seed, monkeypatch):
+    cfg = _modeling_cfg(k_modes, n_cutoff, seed)
+    single = modeling_error_samples(cfg, rule=rule)
+    multi = _modeling_samples_multi(cfg, ALPHAS, rule, 1)
+    monkeypatch.setattr(experiments, "_modeling_traj", _unblocked)
+    assert np.array_equal(single, modeling_error_samples(cfg, rule=rule))
+    assert np.array_equal(multi, _modeling_samples_multi(cfg, ALPHAS, rule, 1))
+    assert (multi[:, :, 0] > 0.0).all()  # not trivially equal
+
+
+def test_modeling_weights_independent_of_workers():
+    cfg = _modeling_cfg(100, 57, 1)
+    serial = _modeling_weights(cfg, ALPHAS, "exact", 1)
+    pooled = _modeling_weights(cfg, ALPHAS, "exact", 2)
+    for w1, w2 in zip(serial[0], pooled[0]):
+        assert np.array_equal(w1, w2)
+    for per_dt1, per_dt2 in zip(serial[1], pooled[1]):
+        assert len(per_dt1) == len(per_dt2) == len(cfg.dt_list)
+        for w1, w2 in zip(per_dt1, per_dt2):
+            assert np.array_equal(w1, w2)

@@ -87,6 +87,28 @@ def test_invalid_config_writes_no_partial_output(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command, target", [("table1", "modeling_error_tables"),
+                                             ("table2", "fem_error_experiment")])
+def test_worker_count_checked_before_any_work(tmp_path, capsys, monkeypatch, command, target):
+    import fracwave.cli as cli
+
+    workers = []
+    monkeypatch.setattr(cli, target, lambda *a, n_workers: workers.append(n_workers) or {})
+    code, _, err = run([command, "--threads", "-1", "--out", str(tmp_path)], capsys)
+    assert code == 1 and "--threads" in err
+    neg = tmp_path / "neg.cfg"
+    neg.write_text("threads = -2\n")
+    code, _, err = run([command, "--config", str(neg), "--out", str(tmp_path)], capsys)
+    assert code == 2 and "threads" in err
+    assert workers == []
+    zero = tmp_path / "zero.cfg"
+    zero.write_text("threads = 0\nbeta_list = []\n")
+    code, _, _ = run([command, "--config", str(zero), "--threads", "0", "--out", str(tmp_path)],
+                     capsys)
+    assert code == 0
+    assert workers == ([os.cpu_count() or 1] if command == "table1" else [])
+
+
 def _tiny_cfg(tmp_path):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from fracwave.errors import DomainError
 from fracwave.experiments import (
     ExperimentConfig,
+    _pool_map,
     compute_rates,
     fem_error_experiment,
     fem_error_samples,
@@ -63,6 +66,56 @@ def test_modeling_error_reproducible_and_worker_invariant():
     np.testing.assert_array_equal(s_a, s_b)
     s_c = modeling_error_samples(cfg, n_workers=3)
     np.testing.assert_array_equal(s_a, s_c)
+
+
+class _RecordingContext:
+    """Stands in for a multiprocessing context: its Pool records the worker
+    count and the function, and maps in this process."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def Pool(self, processes):
+        calls = self.calls
+
+        class _Pool:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                calls.append((processes, fn.__name__))
+                return [fn(x) for x in items]
+
+        return _Pool()
+
+
+def test_pool_map_caps_workers_without_starting_processes(monkeypatch):
+    calls = []
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: _RecordingContext(calls))
+    assert _pool_map(abs, range(3), 10**5) == [0, 1, 2]
+    cap = min(3, os.cpu_count() or 1)
+    assert calls == ([(cap, "abs")] if cap > 1 else [])
+
+    calls.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert _pool_map(abs, range(-3, 0), 10**5) == [3, 2, 1]
+    assert _pool_map(abs, range(5), 0) == list(range(5))
+    assert _pool_map(abs, range(5), -4) == list(range(5))
+    assert calls == [(3, "abs")]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _pool_map(abs, range(5), 10**5)
+    assert calls[-1] == (2, "abs")
+
+    # one trajectory: the weight grids go through the pool, the trajectory does not
+    calls.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    cfg = _cfg(m_traj=1)
+    samples = modeling_error_samples(cfg, n_workers=10**5)
+    assert samples.shape == (1, len(cfg.dt_list))
+    assert calls == [(1 + len(cfg.dt_list), "_weights_job")]
 
 
 def test_rectangle_rule_degeneration_is_exact_zero():
