@@ -88,13 +88,23 @@ def _parse_config(path: str) -> dict:
     return out
 
 
-def _setting(args, cfg: dict, key: str, default):
+def _floats(value) -> list[float]:
+    return [float(x) for x in value]
+
+
+def _setting(args, cfg: dict, key: str, default, convert):
+    """The flag, else the config value, else default, passed through convert.
+
+    A value convert rejects (`m_traj = "ten"`, `seed = [1, 2]`,
+    `k_modes = inf`) is a domain error that names the key, raised while the
+    settings are read, before any work starts.
+    """
     flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return cfg[key]
-    return default
+    value = flag if flag is not None else cfg.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"config {key}: invalid value {value!r}") from None
 
 
 def _out_dir(args) -> str:
@@ -113,10 +123,10 @@ def _workers(args, cfg: dict) -> int:
     A negative --threads is a usage error at parse time (`_nonnegative_int`); a
     negative config value is a domain error, raised before any work starts.
     """
-    threads = int(cfg.get("threads", 0))
+    threads = _setting(args, cfg, "threads", 0, int)
     if threads < 0:
         raise DomainError(f"config threads must be >= 0 (got {threads})")
-    return args.threads or threads or (os.cpu_count() or 1)
+    return threads or (os.cpu_count() or 1)
 
 
 def _nonnegative_int(text: str) -> int:
@@ -140,14 +150,14 @@ def _cmd_ml(args) -> int:
 
 def _cmd_table1(args) -> int:
     cfg_file = _parse_config(args.config) if args.config else {}
-    alphas = [float(a) for a in _setting(args, cfg_file, "alpha_list", DEFAULT_ALPHAS)]
-    beta = float(_setting(args, cfg_file, "beta", 0.75))
-    m_traj = int(_setting(args, cfg_file, "m_traj", 1000))
-    seed = int(_setting(args, cfg_file, "seed", DEFAULT_SEED))
-    n_fine = int(_setting(args, cfg_file, "n_fine", 1000))
-    k_modes = int(_setting(args, cfg_file, "k_modes", 1000))
-    n_cutoff = int(_setting(args, cfg_file, "n_cutoff", k_modes))
-    dt_list = tuple(float(x) for x in _setting(args, cfg_file, "dt_list", DEFAULT_DT_LIST))
+    alphas = _setting(args, cfg_file, "alpha_list", DEFAULT_ALPHAS, _floats)
+    beta = _setting(args, cfg_file, "beta", 0.75, float)
+    m_traj = _setting(args, cfg_file, "m_traj", 1000, int)
+    seed = _setting(args, cfg_file, "seed", DEFAULT_SEED, int)
+    n_fine = _setting(args, cfg_file, "n_fine", 1000, int)
+    k_modes = _setting(args, cfg_file, "k_modes", 1000, int)
+    n_cutoff = _setting(args, cfg_file, "n_cutoff", k_modes, int)
+    dt_list = tuple(_setting(args, cfg_file, "dt_list", DEFAULT_DT_LIST, _floats))
     threads = _workers(args, cfg_file)
 
     base = ExperimentConfig(orders=FracOrders(alphas[0], beta), m_traj=m_traj,
@@ -165,15 +175,15 @@ def _cmd_table1(args) -> int:
 
 def _cmd_table2(args) -> int:
     cfg_file = _parse_config(args.config) if args.config else {}
-    alpha = float(_setting(args, cfg_file, "alpha", 1.5))
-    betas = [float(b) for b in _setting(args, cfg_file, "beta_list", DEFAULT_BETAS)]
-    dt = float(_setting(args, cfg_file, "dt", 0.01))
-    m_traj = int(_setting(args, cfg_file, "m_traj", 500))
-    seed = int(_setting(args, cfg_file, "seed", DEFAULT_SEED))
-    k_modes = int(_setting(args, cfg_file, "k_modes", 1000))
-    n_cutoff = int(_setting(args, cfg_file, "n_cutoff", k_modes))
-    h_list = tuple(float(x) for x in _setting(args, cfg_file, "h_list", DEFAULT_H_LIST))
-    k_series = int(_setting(args, cfg_file, "fem_k_series", 10**6))
+    alpha = _setting(args, cfg_file, "alpha", 1.5, float)
+    betas = _setting(args, cfg_file, "beta_list", DEFAULT_BETAS, _floats)
+    dt = _setting(args, cfg_file, "dt", 0.01, float)
+    m_traj = _setting(args, cfg_file, "m_traj", 500, int)
+    seed = _setting(args, cfg_file, "seed", DEFAULT_SEED, int)
+    k_modes = _setting(args, cfg_file, "k_modes", 1000, int)
+    n_cutoff = _setting(args, cfg_file, "n_cutoff", k_modes, int)
+    h_list = tuple(_setting(args, cfg_file, "h_list", DEFAULT_H_LIST, _floats))
+    k_series = _setting(args, cfg_file, "fem_k_series", 10**6, int)
     threads = _workers(args, cfg_file)
 
     n_steps = round(1.0 / dt)

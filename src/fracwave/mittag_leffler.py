@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 
-import mpmath as mp
 import numpy as np
 from scipy.special import rgamma
 
@@ -43,9 +42,11 @@ _MAX_CONTOUR_NODES = 2_000
 # -ln of the quadrature error target, relative to the contour peak e^mu,
 # plus a fixed allowance for integrand growth near singularity preimages.
 _LOG_TARGET = 39.14 + 3.91
-# Arguments per block of the contour sum; the (block x nodes) scratch stays in
-# cache.  Each argument's node sum is one row reduction, whatever the block.
-_CHUNK = 1_024
+# Arguments per block of the contour sum: each group of eight nodes is a few
+# vector operations over the block, whose (8 x block) scratch stays in cache.
+_BLOCK = 8_192
+# numpy's pairwise_sum adds rows of up to this many terms in 8 accumulators.
+_PW_LEAF = 128
 
 
 def _validate_params(alpha: float, beta: float, where: str = "ml") -> None:
@@ -158,46 +159,125 @@ def _contour_params(alpha: float, r_lo: float, r_hi: float, positive: bool):
     return mu, h, n_side, residues
 
 
-def _contour_values(alpha: float, beta: float, z: np.ndarray, positive: bool) -> np.ndarray:
-    """Quadrature + residues for a bucket of z with |z| > 1 and one sign."""
-    r = np.abs(z) ** (1.0 / alpha)
-    mu, h, n_side, residues = _contour_params(alpha, float(r.min()), float(r.max()), positive)
+def _node_coefficients(alpha: float, beta: float, mu: float, h: float, n_side: int):
+    """Per-node (ar, ai^2, wi, wr*ai) of the symmetrized trapezoid sum, as columns.
 
+    Node u_k = k*h on s(u) = mu*(1+iu)^2 has weight w = e^s s^(alpha-beta) s'(u)
+    (halved at u = 0) and pole factor s^alpha = ar + i*ai; each array has shape
+    (n_side + 1, 1), so a slice of nodes broadcasts against a block of z.
+    """
     u = h * np.arange(n_side + 1)
     s = mu * (1.0 + 1j * u) ** 2
     w = np.exp(s) * s ** (alpha - beta) * (2.0 * mu * 1j * (1.0 + 1j * u))
     w[0] *= 0.5  # u = 0 node counted once in the symmetrized sum
     sa = s**alpha
-    wr, wi = w.real.copy(), w.imag.copy()
-    ar, ai = sa.real.copy(), sa.imag.copy()
-    ai2 = ai * ai
-    wr_ai = wr * ai
+    ai = sa.imag
+    return tuple(c[:, None].copy() for c in (sa.real, ai * ai, w.imag, w.real * ai))
+
+
+def _node_terms(coef, lo: int, hi: int, z: np.ndarray, d: np.ndarray, q: np.ndarray):
+    """Im( w / (sa - z) ) for nodes lo..hi-1 and a block of real z, into d[:hi-lo].
+
+    With dr = ar - z the term is (dr*wi - wr*ai) / (dr^2 + ai^2); each step is
+    one rounding, the same sequence a (z x nodes) array expression makes.
+    """
+    ar, ai2, wi, wr_ai = coef
+    d, q = d[: hi - lo], q[: hi - lo]
+    np.subtract(ar[lo:hi], z, out=d)
+    np.square(d, out=q)  # d*d, correctly rounded; twice as fast as multiply(d, d)
+    q += ai2[lo:hi]
+    d *= wi[lo:hi]
+    d -= wr_ai[lo:hi]
+    d /= q
+    return d
+
+
+def _pairwise_node_sum(coef, lo: int, n: int, z: np.ndarray, d, q, acc) -> np.ndarray:
+    """Sum of the terms of nodes lo..lo+n-1, per z, in numpy's pairwise order.
+
+    numpy sums a contiguous row of n doubles with `pairwise_sum`: below 8
+    terms one by one from 0.0; up to 128 terms in 8 strided accumulators,
+    folded as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the n % 8 rest one by
+    one; above 128 it splits at n/2 rounded down to a multiple of 8 and adds
+    the two halves.  Here a row of acc is one accumulator for a whole block
+    of z, so every z gets the same additions in the same order as
+    `terms.sum(axis=1)`.  d, q and acc are (8, len(z)) scratch arrays.
+    """
+    if n < 8:
+        res = np.zeros(z.size)
+        for row in _node_terms(coef, lo, lo + n, z, d, q):
+            res += row
+        return res
+    if n > _PW_LEAF:
+        n2 = n // 2
+        n2 -= n2 % 8
+        res = _pairwise_node_sum(coef, lo, n2, z, d, q, acc)
+        res += _pairwise_node_sum(coef, lo + n2, n - n2, z, d, q, acc)
+        return res
+    stop = lo + n - n % 8
+    _node_terms(coef, lo, lo + 8, z, acc, q)
+    for k in range(lo + 8, stop, 8):
+        acc += _node_terms(coef, k, k + 8, z, d, q)
+    acc[0::2] += acc[1::2]
+    acc[0::4] += acc[2::4]
+    res = acc[0] + acc[4]
+    for row in _node_terms(coef, stop, lo + n, z, d, q):
+        res += row
+    return res
+
+
+def _contour_values(alpha: float, beta: float, z: np.ndarray, r: np.ndarray,
+                    positive: bool) -> np.ndarray:
+    """Quadrature + residues for a bucket of z with |z| > 1 and one sign.
+
+    r = |z|^(1/alpha) is the pole radius of each z.  Arguments go in blocks of
+    _BLOCK; within a block the loop runs over the contour nodes, eight at a
+    time, and `_pairwise_node_sum` adds each argument's node terms in the
+    order of numpy's pairwise `sum(axis=1)` over a row of them.  So the
+    result has the bits of the (arguments x nodes) array expression, kept in
+    `tests/oracles.py`, for as long as numpy's pairwise leaf stays at 128
+    terms in 8 accumulators; `tests/test_bit_identity.py` checks both.
+
+    For z < 0 the residue of the conjugate poles p = r e^(+-i pi/alpha) is
+    (2/alpha) Re(p^(1-beta) e^p), of modulus at most
+    B = (2/alpha) r^(1-beta) e^(r cos(pi/alpha)).  Where 2B < |oc| 2^-55,
+    which is below spacing(|oc|)/4, the computed residue (within a factor 2
+    of B after rounding) is less than half the gap below or above the
+    quadrature value oc, so round-to-nearest leaves oc unchanged and the
+    residue is not computed.  The test is made in logarithms, with
+    r^(1-beta) at its bucket maximum, so an underflowed exponential cannot
+    fake a small bound; oc == 0 always takes the residue (ln 0 = -inf).
+    """
+    mu, h, n_side, residues = _contour_params(alpha, float(r.min()), float(r.max()), positive)
+    coef = _node_coefficients(alpha, beta, mu, h, n_side)
+    n_nodes = n_side + 1
+    if residues and not positive:
+        pole_dir = np.exp(1j * math.pi / alpha)
+        # ln(2 * (2/alpha) * r^(1-beta) * 2^55), r^(1-beta) at its largest in the bucket
+        r_top = float(r.min() if beta > 1.0 else r.max())
+        ln_bound = math.log(4.0 / alpha) + (1.0 - beta) * math.log(r_top) + 55.0 * math.log(2.0)
 
     out = np.empty_like(z)
-    # Im( w / (sa - z) ) = (wi*dr - wr*ai) / (dr^2 + ai^2), dr = ar - z, summed
-    # over nodes; z is real.  Computed in place in two preallocated buffers.
-    # The residue term is elementwise, so adding it chunk by chunk gives the
-    # bits of adding it to the whole bucket, without bucket-sized temporaries.
-    num = np.empty((min(_CHUNK, z.size), ar.size))
-    den = np.empty_like(num)
-    for lo in range(0, z.size, _CHUNK):
-        zc = z[lo : lo + _CHUNK, None]
-        dr, sq = num[: zc.shape[0]], den[: zc.shape[0]]
-        np.subtract(ar, zc, out=dr)
-        np.multiply(dr, dr, out=sq)
-        sq += ai2
-        dr *= wi
-        dr -= wr_ai
-        dr /= sq
-        oc = out[lo : lo + _CHUNK]
-        oc[:] = (h / math.pi) * dr.sum(axis=1)
-        if residues:
-            rc = r[lo : lo + _CHUNK]
-            if positive:
-                oc += (1.0 / alpha) * rc ** (1.0 - beta) * np.exp(rc)
-            else:
-                pole = rc * np.exp(1j * math.pi / alpha)
-                oc += (2.0 / alpha) * (pole ** (1.0 - beta) * np.exp(pole)).real
+    width = min(_BLOCK, z.size)
+    d, q, acc = (np.empty((8, width)) for _ in range(3))
+    for lo in range(0, z.size, _BLOCK):
+        zb, rb = z[lo : lo + _BLOCK], r[lo : lo + _BLOCK]
+        k = zb.size
+        oc = out[lo : lo + k]
+        node_sum = _pairwise_node_sum(coef, 0, n_nodes, zb, d[:, :k], q[:, :k], acc[:, :k])
+        node_sum += 0.0  # numpy's reduction starts from 0.0: a -0.0 sum becomes +0.0
+        np.multiply(h / math.pi, node_sum, out=oc)
+        if not residues:
+            continue
+        if positive:
+            oc += (1.0 / alpha) * rb ** (1.0 - beta) * np.exp(rb)
+            continue
+        with np.errstate(divide="ignore"):
+            keep = rb * pole_dir.real + ln_bound >= np.log(np.abs(oc))
+        sel = np.flatnonzero(keep)
+        if sel.size:
+            pole = rb[sel] * pole_dir
+            oc[sel] += (2.0 / alpha) * (pole ** (1.0 - beta) * np.exp(pole)).real
     return out
 
 
@@ -211,6 +291,13 @@ def ml_values(alpha: float, beta: float, z) -> np.ndarray:
     Accurate to ~1e-13 relative error for z in [-30, 1] and to ~1e-12
     absolute error on the rest of the negative axis; for z > 1 the value is
     dominated by the exponential residue term and keeps relative accuracy.
+
+    Contour arguments are grouped by sign and by floor(log2 |z|^(1/alpha)),
+    with one stable argsort; each group shares one contour.  The contour
+    kernel runs node-major, summing in numpy's pairwise order, and skips the
+    negative-axis residues too small to change a bit of the quadrature value
+    (see `_contour_values`); the values are those of the straightforward
+    (arguments x nodes) evaluation, bit for bit.
     """
     _validate_params(alpha, beta)
     z = np.ascontiguousarray(z, dtype=float)
@@ -243,16 +330,24 @@ def ml_values(alpha: float, beta: float, z) -> np.ndarray:
         out[small] = _series_values(alpha, beta, z[small])
 
     for positive in (False, True):
-        side = (z < -_SERIES_RADIUS) if not positive else (z > _SERIES_RADIUS)
-        if not side.any():
+        side = np.flatnonzero(z > _SERIES_RADIUS if positive else z < -_SERIES_RADIUS)
+        if not side.size:
             continue
-        idx = np.nonzero(side)[0]
-        zs = z[idx]
+        zs = z[side]
         r = np.abs(zs) ** (1.0 / alpha)
-        buckets = np.floor(np.log2(r)).astype(int)
-        for b in np.unique(buckets):
-            sel = idx[buckets == b]
-            out[sel] = _contour_values(alpha, beta, z[sel], positive)
+        # bucket id floor(log2 r): 0..1024 for finite r, 1025 for r = inf
+        ids = np.log2(r)
+        np.floor(ids, out=ids)
+        np.minimum(ids, 1025.0, out=ids)
+        ids = ids.astype(np.int16)
+        counts = np.bincount(ids)
+        order = np.argsort(ids, kind="stable")
+        del ids
+        start = 0
+        for count in counts[counts > 0].tolist():
+            sel = order[start : start + count]
+            out[side[sel]] = _contour_values(alpha, beta, zs[sel], r[sel], positive)
+            start += count
     return out
 
 
@@ -262,6 +357,8 @@ def ml(alpha: float, beta: float, z: float) -> float:
 
 
 def _ml_series_mpf(alpha, beta, z, tol, digits):
+    import mpmath as mp  # only the oracle needs it; importing costs every process ~30 ms
+
     with mp.workdps(digits):
         zz = mp.mpf(z)
         total = mp.mpf(0)

@@ -9,11 +9,11 @@ For |z| >= 1e3 on the negative axis, `ml_asymptotic_mp` is a third,
 mpmath route: the residues of the conjugate pole pair plus the optimally
 truncated inverse-power series.
 
-The straightforward first implementations of four hot kernels are kept
+The straightforward first implementations of the hot kernels are kept
 here as bit-identity oracles for their faster rewrites: the scatter-add
 alias-class sums, noise generation with a fresh Philox per mode, the
-unchunked contour quadrature sum, and the whole-matrix modeling-error
-trajectory.
+unchunked contour quadrature sum, the argument-major chunked contour kernel
+with its per-bucket masks, and the whole-matrix modeling-error trajectory.
 """
 
 import math
@@ -21,6 +21,8 @@ from decimal import Decimal, getcontext
 
 import mpmath as mp
 import numpy as np
+
+from fracwave import mittag_leffler
 
 # 70-digit constants
 _PI = Decimal("3.141592653589793238462643383279502884197169399375105820974944592307816")
@@ -140,6 +142,84 @@ def contour_sum_unchunked(alpha: float, beta: float, z: np.ndarray, positive: bo
         else:
             pole = r * np.exp(1j * math.pi / alpha)
             out += (2.0 / alpha) * (pole ** (1.0 - beta) * np.exp(pole)).real
+    return out
+
+
+#: The package's evaluator, kept before any test replaces it.
+ML_VALUES = mittag_leffler.ml_values
+
+
+def contour_values_chunked(alpha: float, beta: float, z: np.ndarray, positive: bool) -> np.ndarray:
+    """Quadrature + residues for a bucket of z, argument-major in 1024-row chunks.
+
+    Each chunk's (arguments x nodes) terms are one array, summed with
+    sum(axis=1), and every argument of a residue bucket gets its residue.
+    """
+    chunk = 1_024
+    r = np.abs(z) ** (1.0 / alpha)
+    mu, h, n_side, residues = mittag_leffler._contour_params(
+        alpha, float(r.min()), float(r.max()), positive)
+
+    u = h * np.arange(n_side + 1)
+    s = mu * (1.0 + 1j * u) ** 2
+    w = np.exp(s) * s ** (alpha - beta) * (2.0 * mu * 1j * (1.0 + 1j * u))
+    w[0] *= 0.5
+    sa = s**alpha
+    wr, wi = w.real.copy(), w.imag.copy()
+    ar, ai = sa.real.copy(), sa.imag.copy()
+    ai2 = ai * ai
+    wr_ai = wr * ai
+
+    out = np.empty_like(z)
+    num = np.empty((min(chunk, z.size), ar.size))
+    den = np.empty_like(num)
+    for lo in range(0, z.size, chunk):
+        zc = z[lo : lo + chunk, None]
+        dr, sq = num[: zc.shape[0]], den[: zc.shape[0]]
+        np.subtract(ar, zc, out=dr)
+        np.multiply(dr, dr, out=sq)
+        sq += ai2
+        dr *= wi
+        dr -= wr_ai
+        dr /= sq
+        oc = out[lo : lo + chunk]
+        oc[:] = (h / math.pi) * dr.sum(axis=1)
+        if residues:
+            rc = r[lo : lo + chunk]
+            if positive:
+                oc += (1.0 / alpha) * rc ** (1.0 - beta) * np.exp(rc)
+            else:
+                pole = rc * np.exp(1j * math.pi / alpha)
+                oc += (2.0 / alpha) * (pole ** (1.0 - beta) * np.exp(pole)).real
+    return out
+
+
+def ml_values_bucketed(alpha: float, beta: float, z, contour=contour_values_chunked) -> np.ndarray:
+    """E_{alpha,beta}(z) with the contour part bucketed by np.unique and masks.
+
+    Elementary (alpha, beta) pairs go to the package unchanged; otherwise
+    |z| <= 1 takes the package's series and each bucket of equal
+    floor(log2 |z|^(1/alpha)) and sign goes through `contour`.
+    """
+    z = np.ascontiguousarray(z, dtype=float)
+    if (alpha == 1.0 and beta in (1.0, 2.0)) or (alpha == 2.0 and beta == round(beta)
+                                                 and 1 <= beta <= 6):
+        return ML_VALUES(alpha, beta, z)
+    out = np.empty_like(z)
+    small = np.abs(z) <= 1.0
+    if small.any():
+        out[small] = mittag_leffler._series_values(alpha, beta, z[small])
+    for positive in (False, True):
+        side = (z < -1.0) if not positive else (z > 1.0)
+        if not side.any():
+            continue
+        idx = np.nonzero(side)[0]
+        zs = z[idx]
+        r = np.abs(zs) ** (1.0 / alpha)
+        buckets = np.floor(np.log2(r)).astype(int)
+        for b in np.unique(buckets):
+            sel = idx[buckets == b]
+            out[sel] = contour(alpha, beta, z[sel], positive)
     return out
 
 

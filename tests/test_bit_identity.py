@@ -11,13 +11,21 @@ from fracwave.experiments import (
     modeling_error_samples,
 )
 from fracwave.fem import FemMesh, _alias_class_sums
-from fracwave.mittag_leffler import _CHUNK, _contour_params, ml_values
+from fracwave.mittag_leffler import (
+    _BLOCK,
+    _PW_LEAF,
+    _contour_params,
+    _contour_values,
+    _pairwise_node_sum,
+    ml_values,
+)
 from fracwave.noise import NoiseSpec, generate, inverse_cubic_sigma, trajectory_seed
 from fracwave.spectral import FracOrders
 
 from oracles import (
     alias_class_sums_scatter,
     contour_sum_unchunked,
+    ml_values_bucketed,
     modeling_traj_unblocked,
     philox_increments,
 )
@@ -65,29 +73,125 @@ def _unchunked(alpha, beta, z, positive):
     return contour_sum_unchunked(alpha, beta, z, positive, params)
 
 
+def _random_coefficients(rng, n):
+    """Node columns (ar, ai^2, wi, wr*ai) of both signs over six decades, so
+    that the order of the additions shows in the last bits."""
+    def col(lo, hi, signed=True):
+        mag = 10.0 ** rng.uniform(lo, hi, (n, 1))
+        return mag * rng.choice((-1.0, 1.0), (n, 1)) if signed else mag
+    return col(-3, 3), col(-2, 2, signed=False), col(-3, 3), col(-3, 3)
+
+
+def test_pairwise_node_sum_matches_row_sum():
+    rng = np.random.default_rng(11)
+    z = -np.geomspace(1.5, 1e4, 37)
+    d, q, acc = (np.empty((8, z.size)) for _ in range(3))
+    order_sensitive = 0
+    for n in [*range(1, 301), 4 * _PW_LEAF + 265]:
+        coef = _random_coefficients(rng, n)
+        ar, ai2, wi, wr_ai = (c[:, 0] for c in coef)
+        dr = ar - z[:, None]
+        terms = (dr * wi - wr_ai) / (dr * dr + ai2)
+        want = terms.sum(axis=1)
+        got = _pairwise_node_sum(coef, 0, n, z, d, q, acc)
+        assert np.array_equal(got, want), n
+        order_sensitive += not np.array_equal(np.cumsum(terms, axis=1)[:, -1], want)
+    assert order_sensitive > 100  # a left-to-right sum would fail most counts
+
+
 def _mixed_sign_arguments(alpha, rng):
-    """Shuffled z of both signs: two contour buckets of 3 chunks and a partial
-    one each, plus a spread over the other buckets (positive z kept where
-    e^r is finite)."""
-    n_big = 3 * _CHUNK + 17
-    neg_r = np.concatenate([rng.uniform(8.0, 16.0, n_big), np.geomspace(1.01, 3.0e3, 250)])
-    pos_r = np.concatenate([rng.uniform(2.0, 4.0, n_big), np.geomspace(1.01, 300.0, 250)])
+    """Shuffled z of both signs: one contour bucket per side of 3 blocks and
+    a partial one, a dense spread over the other buckets (positive z kept
+    where e^r is finite), and r within a few ulps of the bucket edges 2^k."""
+    n_big = 3 * _BLOCK + 17
+    edges = (np.ldexp(1.0, np.arange(1, 9))[:, None] * (1.0 + 2.0**-52 * np.arange(-4, 5))).ravel()
+    neg_r = np.concatenate([rng.uniform(8.0, 16.0, n_big), np.geomspace(1.01, 3.0e3, 2000), edges])
+    pos_r = np.concatenate([rng.uniform(2.0, 4.0, n_big), np.geomspace(1.01, 300.0, 250), edges])
     return rng.permutation(np.concatenate([-neg_r**alpha, pos_r**alpha]))
 
 
-@pytest.mark.parametrize("alpha", (1.1, 1.5, 1.75))
-def test_contour_sum_matches_unchunked(alpha, monkeypatch):
+def _negative_residue_sides(alpha, beta, z, values):
+    """(skippable, needed): counts of residue-bucket z < 0 whose residue is
+    below |E| 2^-56 and whose residue is above spacing(|E|)."""
+    r = np.abs(z) ** (1.0 / alpha)
+    neg = z < -1.0
+    skippable = needed = 0
+    for b in np.unique(np.floor(np.log2(r[neg]))):
+        sel = neg & (np.floor(np.log2(r)) == b)
+        if not _contour_params(alpha, r[sel].min(), r[sel].max(), False)[3]:
+            continue
+        pole = r[sel] * np.exp(1j * np.pi / alpha)
+        res = np.abs((2.0 / alpha) * (pole ** (1.0 - beta) * np.exp(pole)).real)
+        skippable += (res < np.abs(values[sel]) * 2.0**-56).sum()
+        needed += (res > np.spacing(np.abs(values[sel]))).sum()
+    return skippable, needed
+
+
+@pytest.mark.parametrize("alpha", (1.1, 1.5, 1.75, 1.95))
+def test_contour_sum_matches_unchunked(alpha):
     rng = np.random.default_rng(7)
     z = _mixed_sign_arguments(alpha, rng)
-    assert (z < -1).sum() > 3 * _CHUNK and (z > 1).sum() > 3 * _CHUNK
+    assert (z < -1).sum() > 3 * _BLOCK and (z > 1).sum() > 3 * _BLOCK
+    r = np.abs(z) ** (1.0 / alpha)
+    nodes = {_contour_params(alpha, r[sel].min(), r[sel].max(), positive)[2] + 1
+             for positive, side in ((False, z < -1), (True, z > 1))
+             for b in np.unique(np.floor(np.log2(r[side])))
+             for sel in [side & (np.floor(np.log2(r)) == b)]}
+    assert min(nodes) <= _PW_LEAF < max(nodes)  # pairwise leaf and split both run
     for beta in (1.0, 2.0, alpha, alpha + 1.0):
         fast = ml_values(alpha, beta, z)
-        monkeypatch.setattr(mittag_leffler, "_contour_values", _unchunked)
-        slow = ml_values(alpha, beta, z)
-        monkeypatch.undo()
         assert np.isfinite(fast).all()
-        assert np.array_equal(fast, slow)
+        assert np.array_equal(fast, ml_values_bucketed(alpha, beta, z))
+        assert np.array_equal(fast, ml_values_bucketed(alpha, beta, z, contour=_unchunked))
+        skippable, needed = _negative_residue_sides(alpha, beta, z, fast)
+        assert skippable > 0 and needed > 0
 
+
+@pytest.mark.parametrize("alpha, beta, k", [(1.1, 1.1, 9), (1.5, 0.5, 10), (1.95, 1.0, 14)])
+def test_zero_quadrature_keeps_negligible_residue(alpha, beta, k, monkeypatch):
+    """Where the quadrature sum is 0 the residue is added however small: the
+    bucket [2^k, 2^(k+1)) takes residues from far below |E| 2^-56 down to
+    subnormals and 0."""
+    r = np.linspace(2.0**k, 2.0 ** (k + 1), 4097)[:-1]
+    z = -(r**alpha)
+    pole = r * np.exp(1j * np.pi / alpha)
+    want = 0.0 + (2.0 / alpha) * (pole ** (1.0 - beta) * np.exp(pole)).real
+    assert (want == 0.0).any() and (want != 0.0).any()
+    assert (np.abs(want[want != 0.0]) < np.finfo(float).tiny).any()
+    monkeypatch.setattr(mittag_leffler, "_pairwise_node_sum",
+                        lambda coef, lo, n, zb, *scratch: np.zeros(zb.size))
+    assert np.array_equal(_contour_values(alpha, beta, z, r, False), want)
+
+
+def test_all_negative_zero_terms_sum_to_positive_zero(monkeypatch):
+    """numpy's row sum starts from 0.0, so node terms that are all -0.0 give +0.0."""
+    alpha, beta = 0.8, 1.0  # no residues on the negative axis
+    z = -np.geomspace(1.5, 1.9, 20)
+    r = np.abs(z) ** (1.0 / alpha)
+    n = _contour_params(alpha, r.min(), r.max(), False)[2] + 1
+    zeros = np.zeros((n, 1))
+    monkeypatch.setattr(mittag_leffler, "_node_coefficients",
+                        lambda *a: (np.full((n, 1), -1e6), zeros + 1.0, zeros, zeros))
+    dr = -1e6 - z[:, None]
+    assert np.signbit(dr * 0.0 - 0.0).all()  # every term is -0.0
+    out = _contour_values(alpha, beta, z, r, False)
+    assert (out == 0.0).all() and not np.signbit(out).any()
+
+
+def test_modeling_weights_match_bucketed_oracle(monkeypatch):
+    cfg = _modeling_cfg(200, 200, 1)
+    alphas = (1.1, 1.25, 1.5, 1.75, 1.95, 2.0)
+    fast = _modeling_weights(cfg, alphas, "exact", 1)
+    calls = []
+    monkeypatch.setattr(mittag_leffler, "ml_values",
+                        lambda a, b, z: calls.append(a) or ml_values_bucketed(a, b, z))
+    slow = _modeling_weights(cfg, alphas, "exact", 1)
+    assert len(calls) == len(alphas) * (1 + len(cfg.dt_list))
+    for w1, w2 in zip(fast[0], slow[0]):
+        assert np.array_equal(w1, w2)
+    for per_dt1, per_dt2 in zip(fast[1], slow[1]):
+        for w1, w2 in zip(per_dt1, per_dt2):
+            assert np.array_equal(w1, w2)
 
 
 # Modeling-error trajectories.  K = 37 is below one 64-mode block, 64 is

@@ -109,6 +109,59 @@ def test_worker_count_checked_before_any_work(tmp_path, capsys, monkeypatch, com
     assert workers == ([os.cpu_count() or 1] if command == "table1" else [])
 
 
+@pytest.mark.parametrize("command, target", [("table1", "modeling_error_tables"),
+                                             ("table2", "fem_error_experiment")])
+def test_threads_flag_zero_overrides_config(tmp_path, capsys, monkeypatch, command, target):
+    import fracwave.cli as cli
+
+    workers = []
+    monkeypatch.setattr(cli, target, lambda *a, n_workers: workers.append(n_workers) or {})
+    monkeypatch.setattr(cli, "write_rate_table", lambda *a: None)
+    one = tmp_path / "one.cfg"
+    one.write_text("threads = 1\nbeta_list = [0.8]\nm_traj = 2\n")
+    code, _, _ = run([command, "--config", str(one), "--threads", "0", "--out", str(tmp_path)],
+                     capsys)
+    assert code == 0
+    assert workers == [os.cpu_count() or 1]
+    code, _, _ = run([command, "--config", str(one), "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert workers[1:] == [1]
+
+
+@pytest.mark.parametrize("command, target", [("table1", "modeling_error_tables"),
+                                             ("table2", "fem_error_experiment")])
+@pytest.mark.parametrize("line, key", [('m_traj = "ten"', "m_traj"), ("seed = [1, 2]", "seed"),
+                                       ("n_cutoff = [1, 2]", "n_cutoff"),
+                                       ("k_modes = inf", "k_modes"), ('threads = "x"', "threads")])
+def test_wrong_type_config_value_is_domain_error(tmp_path, capsys, monkeypatch, command, target,
+                                                 line, key):
+    import fracwave.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, target, lambda *a, **k: calls.append(a) or {})
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "never"
+    code, _, err = run([command, "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and key in err
+    assert calls == [] and not out.exists()
+
+
+def test_cli_import_leaves_out_mpmath():
+    import subprocess
+    import sys
+
+    import fracwave
+
+    src = os.path.dirname(os.path.dirname(fracwave.__file__))
+    probe = "import sys, fracwave.cli; print('mpmath' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
+
+
 def _tiny_cfg(tmp_path):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(
