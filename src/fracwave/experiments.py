@@ -26,12 +26,14 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError
-from .fem import FemMesh, discrete_spectrum, sine_products
-from .mittag_leffler import kernel_weights, ml_values
+from .fem import FemMesh, _cross_error_sq, _fem_apply, discrete_spectrum, sine_products
+from .mittag_leffler import ml_values
 from .noise import (NoiseSpec, _coarsen_rows, _ModeStreams, coarsen, generate,
                     inverse_cubic_sigma, trajectory_seed)
 from .spectral import (
     FracOrders,
+    _homogeneous,
+    _time_weights,
     convolution_weights,
     fractional_eigenvalues,
     homogeneous_solution,
@@ -168,7 +170,6 @@ def _table_from_samples(samples: np.ndarray, resolutions, meta: dict) -> RateTab
 # modeling error: reference vs regularized solution under time coarsening
 # ---------------------------------------------------------------------------
 
-_CTX: dict = {}
 #: Modes per block of a modeling-error trajectory: a 64 x 1000 block of
 #: increments and its products stay in cache while every alpha and coarse
 #: grid is applied to it.
@@ -179,21 +180,31 @@ def _pool_map(fn, items, n_workers: int) -> list:
     """[fn(x) for x in items], on min(n_workers, len(items), cores) fork workers.
 
     Runs in this process when that cap is <= 1.  Results come back in item
-    order whatever the worker count.
+    order whatever the worker count.  fn reaches the workers as an
+    initializer argument, which a forked worker inherits without pickling,
+    so fn may be any callable, bound to arrays of any size; only the items
+    and the results are pickled.
     """
     items = list(items)
     n_workers = min(n_workers, len(items), os.cpu_count() or 1)
     if n_workers <= 1:
         return [fn(x) for x in items]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=n_workers) as pool:
-        return pool.map(fn, items, chunksize=1)
+    with ctx.Pool(processes=n_workers, initializer=_set_worker_fn, initargs=(fn,)) as pool:
+        return pool.map(_call_worker_fn, items, chunksize=1)
 
 
-def _weights_job(job: tuple) -> np.ndarray:
-    """One `convolution_weights` call; module-level so a pool can send it."""
-    orders, spec, dt, steps, rule, truncated = job
-    return convolution_weights(orders, spec, dt, steps, rule=rule, truncated=truncated)
+_worker_fn = None  # the callable of `_pool_map`, set only inside its workers
+
+
+def _set_worker_fn(fn) -> None:
+    """Pool initializer: keeps the callable of `_pool_map` in the worker."""
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_worker_fn(x):
+    return _worker_fn(x)
 
 
 def _modeling_weights(cfg: ExperimentConfig, alphas, rule: str, n_workers: int):
@@ -209,15 +220,20 @@ def _modeling_weights(cfg: ExperimentConfig, alphas, rule: str, n_workers: int):
         jobs.append((orders, spec, cfg.dt_fine, cfg.n_fine, "left", False))
         for dt in cfg.dt_list:
             jobs.append((orders, spec, dt, cfg.coarse_steps(dt)[0], rule, True))
-    grids = _pool_map(_weights_job, jobs, n_workers)
+    grids = _pool_map(lambda job: convolution_weights(*job), jobs, n_workers)
     per_alpha = 1 + len(cfg.dt_list)
     w_ref = grids[::per_alpha]
     w_coarse = [grids[a * per_alpha + 1 : (a + 1) * per_alpha] for a in range(len(alphas))]
     return w_ref, w_coarse
 
 
-def _modeling_traj(l: int) -> np.ndarray:
+def _modeling_traj(spec: NoiseSpec, base_seed: int, factors: list, hom: list,
+                   w_ref: list, w_coarse: list, l: int) -> np.ndarray:
     """Squared errors of one trajectory, shape (n_alpha, n_dt), in mode blocks.
+
+    Per alpha a, hom[a] + w_ref[a] applied to the fine increments is the
+    reference and hom[a] + w_coarse[a][j] applied to sums of factors[j] is
+    the regularized solution.
 
     Modes are drawn, scaled and coarsened _BLOCK_MODES rows at a time, and
     every weight grid is applied to the block while it is in cache.  Each
@@ -226,10 +242,8 @@ def _modeling_traj(l: int) -> np.ndarray:
     per-mode sums carry the bits of the unblocked computation.  The final
     hom + sum, difference and fold over all modes are unchanged.
     """
-    c = _CTX
-    spec = c["spec"]
-    seed = trajectory_seed(c["base_seed"], l)
-    n_alpha, n_dt = len(c["alphas"]), len(c["factors"])
+    seed = trajectory_seed(base_seed, l)
+    n_alpha, n_dt = len(hom), len(factors)
     k_modes, n_steps = spec.K_modes, spec.N_fine
     ref = np.empty((n_alpha, k_modes))
     un = np.empty((n_alpha, n_dt, k_modes))
@@ -240,7 +254,7 @@ def _modeling_traj(l: int) -> np.ndarray:
     fine = np.empty((min(_BLOCK_MODES, k_modes), n_steps))
     prod = np.empty_like(fine)
     coarse = [None if f == 1 else np.empty((fine.shape[0], n_steps // f))
-              for f in c["factors"]]
+              for f in factors]
     cprod = [prod if cb is None else np.empty_like(cb) for cb in coarse]
     for lo in range(0, k_modes, _BLOCK_MODES):
         hi = min(lo + _BLOCK_MODES, k_modes)
@@ -248,19 +262,19 @@ def _modeling_traj(l: int) -> np.ndarray:
         streams.draw(lo + 1, xb, root)
         p = prod[: hi - lo]
         for a in range(n_alpha):
-            np.multiply(c["w_ref"][a][lo:hi], xb, out=p)
+            np.multiply(w_ref[a][lo:hi], xb, out=p)
             ref[a, lo:hi] = p.sum(axis=1)
-        for j, f in enumerate(c["factors"]):
+        for j, f in enumerate(factors):
             cb = xb if f == 1 else _coarsen_rows(xb, f, out=coarse[j][: hi - lo])
             p = cprod[j][: hi - lo]
             for a in range(n_alpha):
-                np.multiply(c["w_coarse"][a][j][lo:hi], cb, out=p)
+                np.multiply(w_coarse[a][j][lo:hi], cb, out=p)
                 un[a, j, lo:hi] = p.sum(axis=1)
     out = np.empty((n_alpha, n_dt))
     for a in range(n_alpha):
-        r = c["hom"][a] + ref[a]
+        r = hom[a] + ref[a]
         for j in range(n_dt):
-            diff = r - (c["hom"][a] + un[a, j])
+            diff = r - (hom[a] + un[a, j])
             out[a, j] = float(np.einsum("k,k->", diff, diff))
     if not np.isfinite(out).all():
         raise DomainError(f"non-finite error in trajectory {l} (seed {seed})")
@@ -280,13 +294,10 @@ def _modeling_samples_multi(cfg: ExperimentConfig, alphas, rule: str,
     hom = [homogeneous_solution(FracOrders(alpha, cfg.orders.beta), v1, v2, cfg.T)
            for alpha in alphas]
     w_ref, w_coarse = _modeling_weights(cfg, alphas, rule, n_workers)
-    _CTX.clear()
-    _CTX.update(spec=cfg.noise_spec(), base_seed=cfg.base_seed, alphas=list(alphas),
-                factors=[cfg.coarse_steps(dt)[1] for dt in cfg.dt_list],
-                hom=hom, w_ref=w_ref, w_coarse=w_coarse)
-    rows = _pool_map(_modeling_traj, range(cfg.m_traj), n_workers)
-    _CTX.clear()
-    return np.stack(rows, axis=0)
+    factors = [cfg.coarse_steps(dt)[1] for dt in cfg.dt_list]
+    traj = functools.partial(_modeling_traj, cfg.noise_spec(), cfg.base_seed, factors,
+                             hom, w_ref, w_coarse)
+    return np.stack(_pool_map(traj, range(cfg.m_traj), n_workers), axis=0)
 
 
 def modeling_error_samples(cfg: ExperimentConfig, rule: str = "exact",
@@ -298,9 +309,8 @@ def modeling_error_samples(cfg: ExperimentConfig, rule: str = "exact",
 def modeling_error_experiment(cfg: ExperimentConfig, rule: str = "exact",
                               n_workers: int = 1) -> RateTable:
     """Root-mean-squared modeling errors and rates over cfg.dt_list."""
-    samples = modeling_error_samples(cfg, rule=rule, n_workers=n_workers)
-    meta = _meta(cfg, extra={"rule": rule})
-    return _table_from_samples(samples, cfg.dt_list, meta)
+    alpha = cfg.orders.alpha
+    return modeling_error_tables(cfg, [alpha], rule=rule, n_workers=n_workers)[alpha]
 
 
 def modeling_error_tables(cfg: ExperimentConfig, alphas, rule: str = "exact",
@@ -332,22 +342,16 @@ def _meta(cfg: ExperimentConfig, extra: dict | None = None) -> dict:
 # Galerkin error: spectral regularized solution vs FEM approximation
 # ---------------------------------------------------------------------------
 
-def _fem_traj(l: int) -> np.ndarray:
-    c = _CTX
-    seed = trajectory_seed(c["base_seed"], l)
-    paths = coarsen(generate(c["spec"], seed), c["factor"])
-    forced = c["sig"] * paths.increments  # sigma_k(t_i) * increment
-    un = c["hom"] + (c["w_n"] * paths.increments).sum(axis=1)
-    un_sq = float(np.einsum("k,k->", un, un))
-    out = np.empty(len(c["meshes"]))
-    for j, mh in enumerate(c["meshes"]):
-        y = np.einsum("kj,ki->ji", mh["products"], forced)
-        cj = mh["hom"] + (mh["w_time"] * y).sum(axis=1)
-        w = np.einsum("k,kj->j", un, mh["products"])
-        err2 = un_sq - 2.0 * float(np.einsum("j,j->", cj, w)) + float(np.einsum("j,j->", cj, cj))
-        if err2 < -1e-14:
-            raise DomainError(f"fem error squared {err2} below rounding floor")
-        out[j] = max(err2, 0.0)
+def _fem_traj(spec: NoiseSpec, base_seed: int, factor: int, hom: np.ndarray,
+             w_n: np.ndarray, sig: np.ndarray, meshes: list, l: int) -> np.ndarray:
+    """Squared L2 FEM errors of one trajectory, one per mesh: hom and w_n give
+    the spectral solution, each mesh is (products, hom, time weights)."""
+    seed = trajectory_seed(base_seed, l)
+    paths = coarsen(generate(spec, seed), factor)
+    forced = sig * paths.increments  # sigma_k(t_i) * increment
+    un = hom + (w_n * paths.increments).sum(axis=1)
+    out = np.array([_cross_error_sq(un, _fem_apply(products, mhom, wt, forced), products)
+                    for products, mhom, wt in meshes])
     if not np.isfinite(out).all():
         raise DomainError(f"non-finite error in trajectory {l} (seed {seed})")
     return out
@@ -358,6 +362,8 @@ def fem_error_samples(cfg: ExperimentConfig, n_workers: int = 1) -> np.ndarray:
 
     Runs at the single coarse step cfg.dt_list[0]; the same increments feed
     the spectral solution and, through the mode projections, every mesh.
+    Each mesh is built once, and applied per trajectory, by the code of
+    `fem_solution` and `l2_error_cross`.
     """
     if len(cfg.dt_list) != 1:
         raise DomainError("fem_error_samples: configure exactly one dt in dt_list")
@@ -369,12 +375,7 @@ def fem_error_samples(cfg: ExperimentConfig, n_workers: int = 1) -> np.ndarray:
     v2 = ramp_coeffs(cfg.k_modes)
     hom = homogeneous_solution(orders, v1, v2, cfg.T)
     w_n = convolution_weights(orders, spec, dt, steps, rule="exact", truncated=True)
-
-    left_edges = dt * np.arange(steps)
-    sig = spec.sigma_matrix(left_edges, truncated=True)
-    tau_all = cfg.T - dt * np.arange(steps + 1)
-    tau_all[-1] = 0.0
-    t_grid = np.asarray([cfg.T])
+    sig = spec.sigma_matrix(dt * np.arange(steps), truncated=True)
 
     meshes = []
     for h in cfg.h_list:
@@ -382,20 +383,13 @@ def fem_error_samples(cfg: ExperimentConfig, n_workers: int = 1) -> np.ndarray:
         spectrum = discrete_spectrum(FemMesh(n), orders.beta, cfg.fem_k_series)
         products = sine_products(spectrum, cfg.k_modes)  # (e_k, e_j^h), (K, N)
         lamh = spectrum.eigenvalues
-        fem_hom = (kernel_weights(orders.alpha, "init_value", lamh, t_grid)[:, 0]
-                   * np.einsum("k,kj->j", v1, products)
-                   + kernel_weights(orders.alpha, "init_velocity", lamh, t_grid)[:, 0]
-                   * np.einsum("k,kj->j", v2, products))
-        prim = kernel_weights(orders.alpha, "impulse_primitive", lamh, tau_all)
-        w_time = (prim[:, :-1] - prim[:, 1:]) / dt
-        meshes.append({"products": products, "hom": fem_hom, "w_time": w_time})
+        fem_hom = _homogeneous(orders.alpha, lamh, cfg.T, np.einsum("k,kj->j", v1, products),
+                               np.einsum("k,kj->j", v2, products))
+        meshes.append((products, fem_hom,
+                       _time_weights(orders.alpha, lamh, 1.0, cfg.T, dt, steps, "exact")))
 
-    _CTX.clear()
-    _CTX.update(spec=spec, base_seed=cfg.base_seed, factor=factor, hom=hom,
-                w_n=w_n, sig=sig, meshes=meshes)
-    rows = _pool_map(_fem_traj, range(cfg.m_traj), n_workers)
-    _CTX.clear()
-    return np.stack(rows, axis=0)
+    traj = functools.partial(_fem_traj, spec, cfg.base_seed, factor, hom, w_n, sig, meshes)
+    return np.stack(_pool_map(traj, range(cfg.m_traj), n_workers), axis=0)
 
 
 def fem_error_experiment(cfg: ExperimentConfig, n_workers: int = 1) -> RateTable:

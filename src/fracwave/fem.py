@@ -28,9 +28,9 @@ from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.special import zeta
 
 from .errors import DomainError
-from .mittag_leffler import kernel_weights
 from .noise import NoisePaths, NoiseSpec
-from .spectral import SQRT2, FracOrders, _grid_index, fractional_eigenvalues
+from .spectral import (SQRT2, FracOrders, _grid_index, _homogeneous, _time_weights,
+                       fractional_eigenvalues)
 
 __all__ = [
     "FemMesh",
@@ -113,9 +113,7 @@ def hat_sine_product(mesh: FemMesh, i: int, k: int) -> float:
         raise IndexError(f"hat_sine_product: node index {i} out of range")
     if k < 1:
         raise IndexError(f"hat_sine_product: mode {k} out of range")
-    h = mesh.h
-    kph = k * math.pi * h
-    return SQRT2 * 2.0 * (1.0 - math.cos(kph)) * math.sin(kph * i) / (h * (k * math.pi) ** 2)
+    return float(_hat_sine_block(mesh, k, k)[0, i - 1])
 
 
 def hat_sine_matrix(mesh: FemMesh, k_max: int) -> np.ndarray:
@@ -153,14 +151,17 @@ def mass_matrix(mesh: FemMesh) -> np.ndarray:
     return (mesh.h / 6.0) * m
 
 
-def _alias_setup(mesh: FemMesh, beta: float):
-    """Per-class prefactor and sine table shared by assembly paths."""
-    n = mesh.n_interior
-    p = n + 1
+def _alias_setup(mesh: FemMesh, beta: float) -> np.ndarray:
+    """Per-class prefactor shared by assembly paths."""
     h = mesh.h
-    m = np.arange(1, n + 1, dtype=float)
-    prefac = 8.0 * math.pi ** (2.0 * beta - 4.0) * (1.0 - np.cos(m * math.pi * h)) ** 2 / h**2
-    return p, prefac
+    m = np.arange(1, mesh.n_interior + 1, dtype=float)
+    return 8.0 * math.pi ** (2.0 * beta - 4.0) * (1.0 - np.cos(m * math.pi * h)) ** 2 / h**2
+
+
+def _dst_matrix(mesh: FemMesh) -> np.ndarray:
+    """DST-I matrix sin(pi h m i) for m, i = 1..N."""
+    m = np.arange(1, mesh.n_interior + 1)
+    return np.sin(math.pi * mesh.h * np.outer(m, m))
 
 
 def _alias_class_sums(mesh: FemMesh, beta: float, k_series: int) -> np.ndarray:
@@ -224,13 +225,12 @@ def fractional_stiffness(mesh: FemMesh, beta: float, k_series: int = DEFAULT_K_S
         raise DomainError(f"fractional_stiffness: need 0 < beta <= 1 (got {beta})")
     if k_series < 1:
         raise DomainError("fractional_stiffness: k_series must be >= 1")
-    _, prefac = _alias_setup(mesh, beta)
+    prefac = _alias_setup(mesh, beta)
     sums = _alias_class_sums(mesh, beta, k_series).astype(float)
     if tail:
         sums = sums + _alias_tail_sums(mesh, beta, k_series)
     w = prefac * sums
-    smat = np.sin(math.pi * mesh.h * np.outer(np.arange(1, mesh.n_interior + 1),
-                                              np.arange(1, mesh.n_interior + 1)))
+    smat = _dst_matrix(mesh)
     a = (smat * w) @ smat.T
     return 0.5 * (a + a.T)
 
@@ -265,7 +265,6 @@ def eigenvalues_from_series(spectrum: DiscreteSpectrum) -> np.ndarray:
     mesh, beta = spectrum.mesh, spectrum.beta
     n = mesh.n_interior
     c = spectrum.eigenvectors
-    h = mesh.h
     acc = np.zeros(n)
     block = 1 << 17
     for lo in range(1, spectrum.k_series + 1, block):
@@ -273,10 +272,8 @@ def eigenvalues_from_series(spectrum: DiscreteSpectrum) -> np.ndarray:
         k = np.arange(lo, hi + 1, dtype=float)
         inner = _hat_sine_block(mesh, lo, hi) @ c
         acc += np.einsum("k,kj->j", (k * math.pi) ** (2.0 * beta), inner**2)
-    _, prefac = _alias_setup(mesh, beta)
-    wtail = prefac * _alias_tail_sums(mesh, beta, spectrum.k_series)
-    smat = np.sin(math.pi * h * np.outer(np.arange(1, n + 1), np.arange(1, n + 1)))
-    proj = smat.T @ c
+    wtail = _alias_setup(mesh, beta) * _alias_tail_sums(mesh, beta, spectrum.k_series)
+    proj = _dst_matrix(mesh).T @ c
     acc += np.einsum("m,mj->j", wtail, proj**2)
     return acc
 
@@ -344,12 +341,18 @@ def l2_error_cross(u_coeffs: np.ndarray, field: FemField, spectrum: DiscreteSpec
     """
     u_coeffs = np.asarray(u_coeffs, dtype=float)
     c = to_eigen(spectrum, field).values
-    cross = sine_products(spectrum, u_coeffs.size)
-    w = np.einsum("k,kj->j", u_coeffs, cross)
-    err2 = float(np.sum(u_coeffs**2) - 2.0 * np.dot(c, w) + np.sum(c**2))
+    return math.sqrt(_cross_error_sq(u_coeffs, c, sine_products(spectrum, u_coeffs.size)))
+
+
+def _cross_error_sq(u: np.ndarray, c: np.ndarray, products: np.ndarray) -> float:
+    """||u - v||^2 = ||u||^2 - 2 c.w + ||c||^2, w_j = sum_k u_k (e_k, e_j^h),
+    for sine coefficients u and eigen coefficients c of v."""
+    w = np.einsum("k,kj->j", u, products)
+    err2 = (float(np.einsum("k,k->", u, u)) - 2.0 * float(np.einsum("j,j->", c, w))
+            + float(np.einsum("j,j->", c, c)))
     if err2 < -1e-14:
-        raise DomainError(f"l2_error_cross: squared distance {err2} below rounding floor")
-    return math.sqrt(max(err2, 0.0))
+        raise DomainError(f"squared L2 error {err2} below rounding floor")
+    return max(err2, 0.0)
 
 
 def fem_solution(orders: FracOrders, spectrum: DiscreteSpectrum, v1h: FemField,
@@ -365,27 +368,18 @@ def fem_solution(orders: FracOrders, spectrum: DiscreteSpectrum, v1h: FemField,
     """
     if spec.K_modes != paths.n_modes:
         raise DomainError("fem_solution: paths/spec mode counts differ")
-    idx = _grid_index(t, paths.dt)
-    if idx > paths.n_steps:
-        raise DomainError(f"fem_solution: t = {t} beyond the path horizon")
+    idx = _grid_index(t, paths)
     lamh = spectrum.eigenvalues
-    tgrid = np.asarray([t])
-    hom = (kernel_weights(orders.alpha, "init_value", lamh, tgrid)[:, 0]
-           * to_eigen(spectrum, v1h).values
-           + kernel_weights(orders.alpha, "init_velocity", lamh, tgrid)[:, 0]
-           * to_eigen(spectrum, v2h).values)
+    hom = _homogeneous(orders.alpha, lamh, t, to_eigen(spectrum, v1h).values,
+                       to_eigen(spectrum, v2h).values)
+    wt = _time_weights(orders.alpha, lamh, 1.0, t, paths.dt, idx, rule)
+    products = sine_products(spectrum, spec.K_modes)
+    sig = spec.sigma_matrix(paths.dt * np.arange(idx), truncated=True)
+    return FemField(_fem_apply(products, hom, wt, sig * paths.increments[:, :idx]), "eigen")
 
-    left_edges = paths.dt * np.arange(idx)
-    sig = spec.sigma_matrix(left_edges, truncated=True)
-    forced = np.einsum("kj,ki->ji", sine_products(spectrum, spec.K_modes),
-                       sig * paths.increments[:, :idx])
-    if rule == "exact":
-        tau_all = t - paths.dt * np.arange(idx + 1)
-        tau_all[-1] = 0.0
-        prim = kernel_weights(orders.alpha, "impulse_primitive", lamh, tau_all)
-        wt = (prim[:, :-1] - prim[:, 1:]) / paths.dt
-    elif rule == "left":
-        wt = kernel_weights(orders.alpha, "impulse", lamh, t - left_edges)
-    else:
-        raise DomainError(f"fem_solution: unknown rule {rule!r}")
-    return FemField(hom + (wt * forced).sum(axis=1), "eigen")
+
+def _fem_apply(products: np.ndarray, hom: np.ndarray, wt: np.ndarray,
+               forced: np.ndarray) -> np.ndarray:
+    """Apply step of `fem_solution`: hom_j + sum_i wt[j, i] sum_k (e_k, e_j^h)
+    forced[k, i], with forced = sigma_k(t_i) times the increments."""
+    return hom + (wt * np.einsum("kj,ki->ji", products, forced)).sum(axis=1)

@@ -288,6 +288,8 @@ def _contour_values(alpha: float, beta: float, z: np.ndarray, r: np.ndarray,
 def ml_values(alpha: float, beta: float, z) -> np.ndarray:
     """Evaluate E_{alpha,beta} on an array of finite real arguments.
 
+    The result has the shape of z, except that a scalar z gives shape (1,).
+
     Accurate to ~1e-13 relative error for z in [-30, 1] and to ~1e-12
     absolute error on the rest of the negative axis; for z > 1 the value is
     dominated by the exponential residue term and keeps relative accuracy.
@@ -301,29 +303,29 @@ def ml_values(alpha: float, beta: float, z) -> np.ndarray:
     """
     _validate_params(alpha, beta)
     z = np.ascontiguousarray(z, dtype=float)
-    if z.ndim == 0:
-        z = z[None]
+    shape = z.shape or (1,)
+    z = z.ravel()
     if not np.isfinite(z).all():
         raise DomainError("ml: argument z must be finite")
     out = np.empty_like(z)
 
     if alpha == 1.0 and beta == 1.0:
         np.exp(z, out=out)
-        return out
+        return out.reshape(shape)
     if alpha == 1.0 and beta == 2.0:
         nz = z != 0.0
         out[nz] = np.expm1(z[nz]) / z[nz]
         out[~nz] = 1.0
-        return out
+        return out.reshape(shape)
     if alpha == 2.0 and beta == round(beta) and 1 <= beta <= 6:
         small = np.abs(z) <= _SERIES_RADIUS
         bi = int(round(beta))
         if bi <= 3:
-            return _alpha2_integer_beta(bi, z)
+            return _alpha2_integer_beta(bi, z).reshape(shape)
         # upward recurrence is unstable near 0; keep the series there
         out[small] = _series_values(alpha, beta, z[small])
         out[~small] = _alpha2_integer_beta(bi, z[~small])
-        return out
+        return out.reshape(shape)
 
     small = np.abs(z) <= _SERIES_RADIUS
     if small.any():
@@ -348,7 +350,7 @@ def ml_values(alpha: float, beta: float, z) -> np.ndarray:
             sel = order[start : start + count]
             out[side[sel]] = _contour_values(alpha, beta, zs[sel], r[sel], positive)
             start += count
-    return out
+    return out.reshape(shape)
 
 
 def ml(alpha: float, beta: float, z: float) -> float:
@@ -405,21 +407,14 @@ def ml_series_hp(alpha: float, beta: float, z: float, tol: float = 1e-30,
 #:   init_velocity      t E_{a,2}(-lam t^a)      (initial velocity)
 #:   impulse            t^(a-1) E_{a,a}(-lam t^a)
 #:   impulse_primitive  t^a E_{a,a+1}(-lam t^a)  (antiderivative of impulse)
-KERNEL_KINDS = ("init_value", "init_velocity", "impulse", "impulse_primitive")
-
-_KERNEL_SECOND_PARAM = {
-    "init_value": lambda a: 1.0,
-    "init_velocity": lambda a: 2.0,
-    "impulse": lambda a: a,
-    "impulse_primitive": lambda a: a + 1.0,
+#: Each kind maps alpha to (second ML parameter, power of t).
+_KERNEL_PARAMS = {
+    "init_value": lambda a: (1.0, 0.0),
+    "init_velocity": lambda a: (2.0, 1.0),
+    "impulse": lambda a: (a, a - 1.0),
+    "impulse_primitive": lambda a: (a + 1.0, a),
 }
-
-_KERNEL_TIME_POWER = {
-    "init_value": lambda a: 0.0,
-    "init_velocity": lambda a: 1.0,
-    "impulse": lambda a: a - 1.0,
-    "impulse_primitive": lambda a: a,
-}
+KERNEL_KINDS = tuple(_KERNEL_PARAMS)
 
 
 def kernel_weights(alpha: float, kind: str, lam: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -438,11 +433,9 @@ def kernel_weights(alpha: float, kind: str, lam: np.ndarray, tau: np.ndarray) ->
     if (tau < 0).any():
         raise DomainError("kernel_weights: times must be >= 0")
 
-    beta = _KERNEL_SECOND_PARAM[kind](alpha)
-    power = _KERNEL_TIME_POWER[kind](alpha)
+    beta, power = _KERNEL_PARAMS[kind](alpha)
     targ = tau**alpha
-    zgrid = -np.outer(lam, targ)
-    evals = ml_values(alpha, beta, zgrid.ravel()).reshape(zgrid.shape)
+    evals = ml_values(alpha, beta, -np.outer(lam, targ))
     with np.errstate(divide="ignore", invalid="ignore"):
         tfac = np.where(tau > 0.0, tau**power, 1.0 if power == 0.0 else 0.0)
     return evals * tfac[None, :]

@@ -109,10 +109,17 @@ def homogeneous_solution(orders: FracOrders, v1: np.ndarray, v2: np.ndarray,
     if t < 0.0:
         raise DomainError("homogeneous_solution: t must be >= 0")
     lam = fractional_eigenvalues(orders.beta, v1.size)
+    return _homogeneous(orders.alpha, lam, t, v1, v2)
+
+
+def _homogeneous(alpha: float, lam: np.ndarray, t: float, c1: np.ndarray,
+                 c2: np.ndarray) -> np.ndarray:
+    """E_{a,1}(-lam t^a) c1 + t E_{a,2}(-lam t^a) c2: the noise-free
+    propagation of sine modes (lam = (k pi)^(2 b)) or FEM modes (lam_j^h)."""
     tgrid = np.asarray([t])
-    disp = kernel_weights(orders.alpha, "init_value", lam, tgrid)[:, 0]
-    velo = kernel_weights(orders.alpha, "init_velocity", lam, tgrid)[:, 0]
-    return disp * v1 + velo * v2
+    disp = kernel_weights(alpha, "init_value", lam, tgrid)[:, 0]
+    velo = kernel_weights(alpha, "init_velocity", lam, tgrid)[:, 0]
+    return disp * c1 + velo * c2
 
 
 def convolution_weights(orders: FracOrders, spec: NoiseSpec, dt: float,
@@ -134,19 +141,26 @@ def convolution_weights(orders: FracOrders, spec: NoiseSpec, dt: float,
     if t_index < 1:
         raise DomainError("convolution_weights: t_index must be >= 1")
     lam = fractional_eigenvalues(orders.beta, spec.K_modes)
-    t = t_index * dt
-    left_edges = dt * np.arange(t_index)
-    sig = spec.sigma_matrix(left_edges, truncated=truncated)
+    sig = spec.sigma_matrix(dt * np.arange(t_index), truncated=truncated)
+    return _time_weights(orders.alpha, lam, sig, t_index * dt, dt, t_index, rule)
+
+
+def _time_weights(alpha: float, lam: np.ndarray, amp, t: float, dt: float,
+                  n_steps: int, rule: str) -> np.ndarray:
+    """The weights of `convolution_weights` with amplitudes amp, for any lam.
+
+    The exact rule rounds (amp * (G(t - t_i) - G(t - t_{i+1}))) / dt in that
+    order, so amp = 1.0 gives the bits of the plain kernel differences / dt.
+    """
     if rule == "left":
-        tau = t - left_edges
-        kern = kernel_weights(orders.alpha, "impulse", lam, tau)
-        return sig * kern
+        tau = t - dt * np.arange(n_steps)
+        return amp * kernel_weights(alpha, "impulse", lam, tau)
     if rule == "exact":
-        tau_all = t - dt * np.arange(t_index + 1)
+        tau_all = t - dt * np.arange(n_steps + 1)
         tau_all[-1] = 0.0  # guard rounding at the evaluation node
-        prim = kernel_weights(orders.alpha, "impulse_primitive", lam, tau_all)
-        return sig * (prim[:, :-1] - prim[:, 1:]) / dt
-    raise DomainError(f"convolution_weights: unknown rule {rule!r}")
+        prim = kernel_weights(alpha, "impulse_primitive", lam, tau_all)
+        return amp * (prim[:, :-1] - prim[:, 1:]) / dt
+    raise DomainError(f"unknown time-weight rule {rule!r}")
 
 
 def stochastic_convolution(orders: FracOrders, spec: NoiseSpec, paths: NoisePaths,
@@ -162,10 +176,13 @@ def stochastic_convolution(orders: FracOrders, spec: NoiseSpec, paths: NoisePath
     return (w * paths.increments[:, :t_index]).sum(axis=1)
 
 
-def _grid_index(t: float, dt: float) -> int:
-    idx = int(round(t / dt))
-    if idx < 1 or abs(t - idx * dt) > 1e-9 * max(1.0, abs(t)):
-        raise DomainError(f"t = {t} is not a positive node of the dt = {dt} grid")
+def _grid_index(t: float, paths: NoisePaths) -> int:
+    """Index of t on the grid of paths, which must hold it."""
+    idx = int(round(t / paths.dt))
+    if idx < 1 or abs(t - idx * paths.dt) > 1e-9 * max(1.0, abs(t)):
+        raise DomainError(f"t = {t} is not a positive node of the dt = {paths.dt} grid")
+    if idx > paths.n_steps:
+        raise DomainError(f"t = {t} is beyond the path horizon")
     return idx
 
 
@@ -176,9 +193,7 @@ def reference_solution(orders: FracOrders, v1: np.ndarray, v2: np.ndarray,
     Homogeneous evolution of (v1, v2) plus the left-point Ito sum of the
     impulse kernel against the full (untruncated) noise amplitudes.
     """
-    idx = _grid_index(t, paths.dt)
-    if idx > paths.n_steps:
-        raise DomainError(f"reference_solution: t = {t} beyond the path horizon")
+    idx = _grid_index(t, paths)
     hom = homogeneous_solution(orders, v1, v2, t)
     conv = stochastic_convolution(orders, spec, paths, idx, rule="left",
                                   truncated=False)

@@ -234,22 +234,21 @@ def coarsen_increments(inc: np.ndarray, factor: int) -> np.ndarray:
     return acc
 
 
-def modeling_traj_unblocked(ctx: dict, seed: int) -> np.ndarray:
+def modeling_traj_unblocked(spec, factors, homs, w_ref, w_coarse, seed: int) -> np.ndarray:
     """Squared errors (n_alpha, n_dt) of one modeling-error trajectory.
 
-    ctx holds what the package's trajectory kernel reads (spec, factors,
-    hom, w_ref, w_coarse); seed is the trajectory seed.  The whole increment
-    matrix is drawn, every coarse copy is made, and each weight grid is
-    contracted with a full-matrix product and row sum.
+    The arguments are those of the package's trajectory kernel, with the
+    trajectory seed in place of the base seed and trajectory index.  The
+    whole increment matrix is drawn, every coarse copy is made, and each
+    weight grid is contracted with a full-matrix product and row sum.
     """
-    spec = ctx["spec"]
     inc = philox_increments(spec.K_modes, spec.N_fine, spec.dt_fine, seed)
-    coarse = [coarsen_increments(inc, f) for f in ctx["factors"]]
-    out = np.empty((len(ctx["hom"]), len(coarse)))
-    for a, hom in enumerate(ctx["hom"]):
-        ref = hom + (ctx["w_ref"][a] * inc).sum(axis=1)
+    coarse = [coarsen_increments(inc, f) for f in factors]
+    out = np.empty((len(homs), len(coarse)))
+    for a, hom in enumerate(homs):
+        ref = hom + (w_ref[a] * inc).sum(axis=1)
         for j, cp in enumerate(coarse):
-            un = hom + (ctx["w_coarse"][a][j] * cp).sum(axis=1)
+            un = hom + (w_coarse[a][j] * cp).sum(axis=1)
             diff = ref - un
             out[a, j] = float(np.einsum("k,k->", diff, diff))
     return out

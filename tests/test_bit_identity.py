@@ -8,19 +8,24 @@ from fracwave.experiments import (
     ExperimentConfig,
     _modeling_samples_multi,
     _modeling_weights,
+    fem_error_samples,
     modeling_error_samples,
 )
-from fracwave.fem import FemMesh, _alias_class_sums
+from fracwave.fem import (FemField, FemMesh, _alias_class_sums, discrete_spectrum,
+                          fem_solution, l2_error_cross, sine_products)
 from fracwave.mittag_leffler import (
     _BLOCK,
     _PW_LEAF,
     _contour_params,
     _contour_values,
     _pairwise_node_sum,
+    kernel_weights,
     ml_values,
 )
-from fracwave.noise import NoiseSpec, generate, inverse_cubic_sigma, trajectory_seed
-from fracwave.spectral import FracOrders
+from fracwave.noise import NoiseSpec, coarsen, generate, inverse_cubic_sigma, trajectory_seed
+from fracwave.spectral import (FracOrders, convolution_weights, fractional_eigenvalues,
+                               homogeneous_solution, parabola_coeffs, ramp_coeffs,
+                               reference_solution, stochastic_convolution)
 
 from oracles import (
     alias_class_sums_scatter,
@@ -183,8 +188,9 @@ def test_modeling_weights_match_bucketed_oracle(monkeypatch):
     alphas = (1.1, 1.25, 1.5, 1.75, 1.95, 2.0)
     fast = _modeling_weights(cfg, alphas, "exact", 1)
     calls = []
-    monkeypatch.setattr(mittag_leffler, "ml_values",
-                        lambda a, b, z: calls.append(a) or ml_values_bucketed(a, b, z))
+    # kernel_weights passes its 2-D grid; the oracle takes flat arguments
+    monkeypatch.setattr(mittag_leffler, "ml_values", lambda a, b, z: calls.append(a)
+                        or ml_values_bucketed(a, b, z.ravel()).reshape(z.shape))
     slow = _modeling_weights(cfg, alphas, "exact", 1)
     assert len(calls) == len(alphas) * (1 + len(cfg.dt_list))
     for w1, w2 in zip(fast[0], slow[0]):
@@ -207,9 +213,9 @@ def _modeling_cfg(k_modes, n_cutoff, seed):
                             dt_list=(1 / 5, 1 / 10, 1 / 25, 1 / 40, 1 / 200), h_list=())
 
 
-def _unblocked(l):
-    ctx = experiments._CTX
-    return modeling_traj_unblocked(ctx, trajectory_seed(ctx["base_seed"], l))
+def _unblocked(spec, base_seed, factors, hom, w_ref, w_coarse, l):
+    return modeling_traj_unblocked(spec, factors, hom, w_ref, w_coarse,
+                                   trajectory_seed(base_seed, l))
 
 
 @pytest.mark.parametrize("k_modes, n_cutoff", [(37, 37), (64, 64), (100, 100), (100, 57)])
@@ -235,3 +241,76 @@ def test_modeling_weights_independent_of_workers():
         assert len(per_dt1) == len(per_dt2) == len(cfg.dt_list)
         for w1, w2 in zip(per_dt1, per_dt2):
             assert np.array_equal(w1, w2)
+
+
+@pytest.mark.parametrize("rule", ("exact", "left"))
+def test_convolution_weights_rounding_order(rule):
+    """sigma * (kernel differences) / dt and sigma * kernel, rounded in that
+    order: the FEM side shares this code with sigma = 1.0, and sigma *
+    (differences / dt) would move table 1's bits."""
+    spec = NoiseSpec(sigma=inverse_cubic_sigma, n_cutoff=40, K_modes=64, T=1.0, N_fine=200)
+    dt, n = 1 / 40, 40
+    lam = fractional_eigenvalues(0.75, 64)
+    sig = spec.sigma_matrix(dt * np.arange(n), truncated=True)
+    if rule == "exact":
+        tau = 1.0 - dt * np.arange(n + 1)
+        tau[-1] = 0.0
+        prim = kernel_weights(1.5, "impulse_primitive", lam, tau)
+        want = sig * (prim[:, :-1] - prim[:, 1:]) / dt
+    else:
+        want = sig * kernel_weights(1.5, "impulse", lam, 1.0 - dt * np.arange(n))
+    got = convolution_weights(FracOrders(1.5, 0.75), spec, dt, n, rule=rule)
+    assert np.array_equal(got, want)
+
+
+# The experiments against the library solvers: the Monte Carlo samplers
+# must give the bits of `reference_solution`, `homogeneous_solution`,
+# `stochastic_convolution`, `fem_solution` and `l2_error_cross` applied to
+# the same noise, trajectory by trajectory.
+
+@pytest.mark.parametrize("k_modes, n_cutoff, n_fine", [(64, 64, 200), (128, 100, 1000)])
+@pytest.mark.parametrize("rule", ("exact", "left"))
+def test_modeling_samples_equal_library_solvers(k_modes, n_cutoff, n_fine, rule):
+    alphas = (1.1, 1.25, 1.5, 1.75, 2.0)
+    cfg = ExperimentConfig(orders=FracOrders(1.5, 0.75), m_traj=2, base_seed=5,
+                           n_fine=n_fine, k_modes=k_modes, n_cutoff=n_cutoff,
+                           dt_list=(1 / 10, 1 / 20, 1 / 40), h_list=())
+    samples = _modeling_samples_multi(cfg, alphas, rule, 1)
+    spec = cfg.noise_spec()
+    v1, v2 = parabola_coeffs(k_modes), ramp_coeffs(k_modes)
+    for l in range(cfg.m_traj):
+        paths = generate(spec, trajectory_seed(cfg.base_seed, l))
+        for a, alpha in enumerate(alphas):
+            orders = FracOrders(alpha, 0.75)
+            ref = reference_solution(orders, v1, v2, spec, paths, cfg.T)
+            hom = homogeneous_solution(orders, v1, v2, cfg.T)
+            for j, dt in enumerate(cfg.dt_list):
+                steps, factor = cfg.coarse_steps(dt)
+                conv = stochastic_convolution(orders, spec, coarsen(paths, factor), steps,
+                                              rule=rule, truncated=True)
+                diff = ref - (hom + conv)
+                assert samples[l, a, j] == np.einsum("k,k->", diff, diff)
+    assert (samples > 0.0).all()
+
+
+def test_fem_samples_equal_library_solvers():
+    cfg = ExperimentConfig(orders=FracOrders(1.5, 0.8), m_traj=12, base_seed=11,
+                           n_fine=50, k_modes=128, n_cutoff=128,
+                           dt_list=(1 / 50,), h_list=(1 / 5, 1 / 10, 1 / 20),
+                           fem_k_series=20_000)
+    errors = np.sqrt(fem_error_samples(cfg))
+    spec = cfg.noise_spec()
+    v1, v2 = parabola_coeffs(cfg.k_modes), ramp_coeffs(cfg.k_modes)
+    steps, factor = cfg.coarse_steps(cfg.dt_list[0])
+    spectra = [discrete_spectrum(FemMesh(round(1.0 / h) - 1), 0.8, cfg.fem_k_series)
+               for h in cfg.h_list]
+    for l in range(cfg.m_traj):
+        paths = coarsen(generate(spec, trajectory_seed(cfg.base_seed, l)), factor)
+        u = (homogeneous_solution(cfg.orders, v1, v2, cfg.T)
+             + stochastic_convolution(cfg.orders, spec, paths, steps, truncated=True))
+        for j, spectrum in enumerate(spectra):
+            p = sine_products(spectrum, cfg.k_modes)
+            uh = fem_solution(cfg.orders, spectrum, FemField(np.einsum("k,kj->j", v1, p), "eigen"),
+                              FemField(np.einsum("k,kj->j", v2, p), "eigen"), spec, paths, cfg.T)
+            assert l2_error_cross(u, uh, spectrum) == errors[l, j]
+    assert (errors > 0.0).all()

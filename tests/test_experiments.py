@@ -1,13 +1,17 @@
+import functools
 import math
 import multiprocessing
 import os
+import pickle
 
 import numpy as np
 import pytest
 
+from fracwave import experiments
 from fracwave.errors import DomainError
 from fracwave.experiments import (
     ExperimentConfig,
+    _modeling_samples_multi,
     _pool_map,
     compute_rates,
     fem_error_experiment,
@@ -18,7 +22,8 @@ from fracwave.experiments import (
     stability_report,
     write_rate_table,
 )
-from fracwave.spectral import FracOrders
+from fracwave.noise import NoiseSpec, inverse_cubic_sigma
+from fracwave.spectral import FracOrders, convolution_weights
 
 
 def _cfg(**kw):
@@ -70,12 +75,13 @@ def test_modeling_error_reproducible_and_worker_invariant():
 
 class _RecordingContext:
     """Stands in for a multiprocessing context: its Pool records the worker
-    count and the function, and maps in this process."""
+    count and the callable handed to the initializer, runs the initializer
+    and maps in this process."""
 
     def __init__(self, calls):
         self.calls = calls
 
-    def Pool(self, processes):
+    def Pool(self, processes, initializer, initargs):
         calls = self.calls
 
         class _Pool:
@@ -86,7 +92,8 @@ class _RecordingContext:
                 return False
 
             def map(self, fn, items, chunksize=1):
-                calls.append((processes, fn.__name__))
+                calls.append((processes, initargs[0]))
+                initializer(*initargs)
                 return [fn(x) for x in items]
 
         return _Pool()
@@ -95,19 +102,20 @@ class _RecordingContext:
 def test_pool_map_caps_workers_without_starting_processes(monkeypatch):
     calls = []
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: _RecordingContext(calls))
+    monkeypatch.setattr(experiments, "_worker_fn", None)
     assert _pool_map(abs, range(3), 10**5) == [0, 1, 2]
     cap = min(3, os.cpu_count() or 1)
-    assert calls == ([(cap, "abs")] if cap > 1 else [])
+    assert calls == ([(cap, abs)] if cap > 1 else [])
 
     calls.clear()
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert _pool_map(abs, range(-3, 0), 10**5) == [3, 2, 1]
     assert _pool_map(abs, range(5), 0) == list(range(5))
     assert _pool_map(abs, range(5), -4) == list(range(5))
-    assert calls == [(3, "abs")]
+    assert calls == [(3, abs)]
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     _pool_map(abs, range(5), 10**5)
-    assert calls[-1] == (2, "abs")
+    assert calls[-1] == (2, abs)
 
     # one trajectory: the weight grids go through the pool, the trajectory does not
     calls.clear()
@@ -115,7 +123,60 @@ def test_pool_map_caps_workers_without_starting_processes(monkeypatch):
     cfg = _cfg(m_traj=1)
     samples = modeling_error_samples(cfg, n_workers=10**5)
     assert samples.shape == (1, len(cfg.dt_list))
-    assert calls == [(1 + len(cfg.dt_list), "_weights_job")]
+    assert len(calls) == 1 and calls[0][0] == 1 + len(cfg.dt_list)
+    assert getattr(calls[0][1], "func", None) is not experiments._modeling_traj
+
+
+class _Unpicklable:
+    def __init__(self, offset):
+        self.offset = offset
+
+    def __reduce__(self):
+        raise TypeError("this object must not be pickled")
+
+
+def _shifted(holder, x):
+    return x + holder.offset, os.getpid()
+
+
+def test_pool_map_fork_workers_inherit_the_callable(monkeypatch):
+    """Two real fork workers run a callable bound to an object that cannot
+    be pickled: the callable reaches them by inheritance, not by pickle."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    fn = functools.partial(_shifted, _Unpicklable(10))
+    with pytest.raises(TypeError):
+        pickle.dumps(fn)
+    out = _pool_map(fn, range(6), 2)
+    assert [v for v, _ in out] == list(range(10, 16))
+    assert os.getpid() not in {pid for _, pid in out}
+    assert experiments._worker_fn is None  # the parent keeps no worker context
+
+
+@pytest.mark.parametrize("alpha", (1.1, 1.5, 2.0))
+def test_modeling_means_match_exact_means(alpha):
+    """Monte Carlo means of table 1's squared errors against their exact means.
+
+    The homogeneous parts cancel and mode k's error is sum_i D[k, i] xi[k, i]
+    with D = W_ref - repeat(W_coarse, factor), xi ~ N(0, dt_fine) independent,
+    so the mean is dt_fine ||D||_F^2 and the variance 2 sum_k (dt_fine ||D_k||^2)^2.
+    """
+    m_traj, n_fine, k_modes = 200, 200, 64
+    dt_fine = 1.0 / n_fine
+    spec = NoiseSpec(sigma=inverse_cubic_sigma, n_cutoff=k_modes, K_modes=k_modes,
+                     T=1.0, N_fine=n_fine)
+    orders = FracOrders(alpha, 0.75)
+    w_ref = convolution_weights(orders, spec, dt_fine, n_fine, rule="left", truncated=False)
+    for seed in (1, 2, 3):
+        cfg = _cfg(orders=orders, m_traj=m_traj, base_seed=seed)
+        means = _modeling_samples_multi(cfg, [alpha], "exact", 1)[:, 0, :].mean(axis=0)
+        for j, dt in enumerate(cfg.dt_list):
+            steps, factor = cfg.coarse_steps(dt)
+            w_coarse = convolution_weights(orders, spec, dt, steps, rule="exact",
+                                           truncated=True)
+            d = w_ref - np.repeat(w_coarse, factor, axis=1)
+            per_mode = dt_fine * np.einsum("ki,ki->k", d, d)
+            se = math.sqrt(2.0 * np.dot(per_mode, per_mode) / m_traj)
+            assert abs(means[j] - per_mode.sum()) <= 4.0 * se, (seed, dt)
 
 
 def test_rectangle_rule_degeneration_is_exact_zero():

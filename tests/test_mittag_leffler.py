@@ -118,6 +118,18 @@ def test_argument_validation():
         ml_series_hp(1.5, 1.0, -1.0, tol=0.0)
 
 
+@pytest.mark.parametrize("alpha", (1.5, 2.0))
+@pytest.mark.parametrize("beta", (1.0, 2.0, 1.5))
+def test_ml_values_keeps_the_argument_shape(alpha, beta):
+    """A 2-D argument with contour arguments (|z| > 1, both signs) gives
+    the flat call's values, reshaped; a scalar gives shape (1,)."""
+    z = np.array([[-5.0, -3.0, -250.0], [2.0, -0.5, 7.5]])
+    flat = ml_values(alpha, beta, z.ravel())
+    assert np.array_equal(ml_values(alpha, beta, z), flat.reshape(z.shape))
+    assert np.array_equal(ml_values(alpha, beta, z[:, :, None]), flat.reshape(2, 3, 1))
+    assert ml_values(alpha, beta, -5.0).shape == (1,)
+
+
 def test_value_at_zero_is_reciprocal_gamma():
     for beta in (0.3, 1.0, 2.0, -0.5, 3.7):
         assert math.isclose(ml(1.3, beta, 0.0), float(rgamma(beta)),
