@@ -14,6 +14,7 @@ subset) may supply any experiment knob; flags override it.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -24,7 +25,7 @@ from .experiments import (
     ExperimentConfig,
     _fmt,
     _write_lines,
-    fem_error_experiment,
+    fem_error_tables,
     modeling_error_tables,
     stability_report,
     write_rate_table,
@@ -92,6 +93,22 @@ def _floats(value) -> list[float]:
     return [float(x) for x in value]
 
 
+def _grid(value) -> tuple[float, ...]:
+    """A non-empty list of steps or mesh widths; `ExperimentConfig` checks each."""
+    grid = tuple(_floats(value))
+    if not grid:
+        raise ValueError(value)
+    return grid
+
+
+def _step(value) -> float:
+    """A time step whose step count round(1/dt) exists: positive, 1/dt finite."""
+    dt = float(value)
+    if not (dt > 0.0 and math.isfinite(1.0 / dt)):
+        raise ValueError(value)
+    return dt
+
+
 def _setting(args, cfg: dict, key: str, default, convert):
     """The flag, else the config value, else default, passed through convert.
 
@@ -157,15 +174,16 @@ def _cmd_table1(args) -> int:
     n_fine = _setting(args, cfg_file, "n_fine", 1000, int)
     k_modes = _setting(args, cfg_file, "k_modes", 1000, int)
     n_cutoff = _setting(args, cfg_file, "n_cutoff", k_modes, int)
-    dt_list = tuple(_setting(args, cfg_file, "dt_list", DEFAULT_DT_LIST, _floats))
+    dt_list = _setting(args, cfg_file, "dt_list", DEFAULT_DT_LIST, _grid)
     threads = _workers(args, cfg_file)
 
-    base = ExperimentConfig(orders=FracOrders(alphas[0], beta), m_traj=m_traj,
-                            base_seed=seed, n_fine=n_fine, k_modes=k_modes,
+    # modeling_error_tables reads only beta from the base orders
+    base = ExperimentConfig(orders=FracOrders((alphas or DEFAULT_ALPHAS)[0], beta),
+                            m_traj=m_traj, base_seed=seed, n_fine=n_fine, k_modes=k_modes,
                             n_cutoff=n_cutoff, dt_list=dt_list, h_list=())
     for alpha in alphas:
         FracOrders(alpha, beta)  # validate the whole sweep before any work
-    tables = modeling_error_tables(base, alphas, n_workers=threads)
+    tables = modeling_error_tables(base, alphas, n_workers=threads) if alphas else {}
     out = _out_dir(args)
     for alpha, table in tables.items():
         write_rate_table(table, os.path.join(out, f"table1_alpha{alpha:g}.csv"))
@@ -177,26 +195,27 @@ def _cmd_table2(args) -> int:
     cfg_file = _parse_config(args.config) if args.config else {}
     alpha = _setting(args, cfg_file, "alpha", 1.5, float)
     betas = _setting(args, cfg_file, "beta_list", DEFAULT_BETAS, _floats)
-    dt = _setting(args, cfg_file, "dt", 0.01, float)
+    dt = _setting(args, cfg_file, "dt", 0.01, _step)
     m_traj = _setting(args, cfg_file, "m_traj", 500, int)
     seed = _setting(args, cfg_file, "seed", DEFAULT_SEED, int)
     k_modes = _setting(args, cfg_file, "k_modes", 1000, int)
     n_cutoff = _setting(args, cfg_file, "n_cutoff", k_modes, int)
-    h_list = tuple(_setting(args, cfg_file, "h_list", DEFAULT_H_LIST, _floats))
+    h_list = _setting(args, cfg_file, "h_list", DEFAULT_H_LIST, _grid)
     k_series = _setting(args, cfg_file, "fem_k_series", 10**6, int)
     threads = _workers(args, cfg_file)
 
-    n_steps = round(1.0 / dt)
-    cfgs = [ExperimentConfig(orders=FracOrders(alpha, beta), m_traj=m_traj,
-                             base_seed=seed, n_fine=n_steps, k_modes=k_modes,
-                             n_cutoff=n_cutoff, dt_list=(dt,), h_list=h_list,
-                             fem_k_series=k_series)
-            for beta in betas]
+    # fem_error_tables reads only alpha from the base orders
+    base = ExperimentConfig(orders=FracOrders(alpha, (betas or DEFAULT_BETAS)[0]),
+                            m_traj=m_traj, base_seed=seed, n_fine=round(1.0 / dt),
+                            k_modes=k_modes, n_cutoff=n_cutoff, dt_list=(dt,),
+                            h_list=h_list, fem_k_series=k_series)
+    for beta in betas:
+        FracOrders(alpha, beta)  # validate the whole sweep before any work
+    tables = fem_error_tables(base, betas, n_workers=threads) if betas else {}
     out = _out_dir(args)
-    for beta, cfg in zip(betas, cfgs):
-        table = fem_error_experiment(cfg, n_workers=threads)
+    for beta, table in tables.items():
         write_rate_table(table, os.path.join(out, f"table2_beta{beta:g}.csv"))
-    print(f"wrote {len(cfgs)} Galerkin-error tables to {out}")
+    print(f"wrote {len(tables)} Galerkin-error tables to {out}")
     return 0
 
 

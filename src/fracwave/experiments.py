@@ -28,8 +28,8 @@ from . import __version__
 from .errors import DomainError
 from .fem import FemMesh, _cross_error_sq, _fem_apply, discrete_spectrum, sine_products
 from .mittag_leffler import ml_values
-from .noise import (NoiseSpec, _coarsen_rows, _ModeStreams, coarsen, generate,
-                    inverse_cubic_sigma, trajectory_seed)
+from .noise import (_DEFAULT_ENTRY_CAP, NoiseSpec, _coarsen_rows, _ModeStreams, coarsen,
+                    generate, inverse_cubic_sigma, trajectory_seed)
 from .spectral import (
     FracOrders,
     _homogeneous,
@@ -51,6 +51,7 @@ __all__ = [
     "modeling_error_tables",
     "fem_error_samples",
     "fem_error_experiment",
+    "fem_error_tables",
     "stability_report",
     "write_rate_table",
 ]
@@ -66,7 +67,10 @@ class ExperimentConfig:
     dt_list holds the coarse time steps of the modeling-error experiment
     (each must be a multiple of T/n_fine that divides T); h_list holds the
     mesh widths of the Galerkin experiment, which runs at the single time
-    step dt_list[0].
+    step dt_list[0].  Every step and width must be finite and positive, and
+    the k_modes x n_fine noise matrix, like each mesh's k_modes x N mode
+    products, must fit the noise entry cap; a config that breaks any of
+    these is rejected before any work starts.
     """
 
     orders: FracOrders
@@ -87,12 +91,22 @@ class ExperimentConfig:
             raise DomainError("ExperimentConfig: invalid time grid")
         if not (1 <= self.n_cutoff <= self.k_modes):
             raise DomainError("ExperimentConfig: need 1 <= n_cutoff <= k_modes")
+        if self.k_modes * self.n_fine > _DEFAULT_ENTRY_CAP:
+            raise DomainError(f"ExperimentConfig: {self.k_modes} modes x {self.n_fine} steps "
+                              f"exceed the cap of {_DEFAULT_ENTRY_CAP} noise entries")
+        for x in (*self.dt_list, *self.h_list):
+            if not (x > 0.0 and math.isfinite(x) and math.isfinite(1.0 / x)):
+                raise DomainError(f"ExperimentConfig: step or mesh width {x} is not "
+                                  "finite and positive")
         for dt in self.dt_list:
             self.coarse_steps(dt)  # validates divisibility
         for h in self.h_list:
             n = round(1.0 / h) - 1
             if n < 1 or abs(1.0 / (n + 1) - h) > 1e-12:
                 raise DomainError(f"ExperimentConfig: h = {h} is not 1/(N+1) with N >= 1")
+            if self.k_modes * n > _DEFAULT_ENTRY_CAP:
+                raise DomainError(f"ExperimentConfig: h = {h} gives {self.k_modes} x {n} "
+                                  f"mode products, above the cap of {_DEFAULT_ENTRY_CAP}")
 
     @property
     def dt_fine(self) -> float:
@@ -342,61 +356,87 @@ def _meta(cfg: ExperimentConfig, extra: dict | None = None) -> dict:
 # Galerkin error: spectral regularized solution vs FEM approximation
 # ---------------------------------------------------------------------------
 
-def _fem_traj(spec: NoiseSpec, base_seed: int, factor: int, hom: np.ndarray,
-             w_n: np.ndarray, sig: np.ndarray, meshes: list, l: int) -> np.ndarray:
-    """Squared L2 FEM errors of one trajectory, one per mesh: hom and w_n give
-    the spectral solution, each mesh is (products, hom, time weights)."""
+def _fem_traj(spec: NoiseSpec, base_seed: int, factor: int, sig: np.ndarray,
+              columns: list, l: int) -> np.ndarray:
+    """Squared L2 FEM errors of one trajectory, shape (n_beta, n_h).
+
+    One noise draw feeds every beta.  Per beta, columns holds (hom, w_n,
+    meshes): hom and w_n give the spectral solution, and each mesh is
+    (products, hom, time weights).
+    """
     seed = trajectory_seed(base_seed, l)
     paths = coarsen(generate(spec, seed), factor)
     forced = sig * paths.increments  # sigma_k(t_i) * increment
-    un = hom + (w_n * paths.increments).sum(axis=1)
-    out = np.array([_cross_error_sq(un, _fem_apply(products, mhom, wt, forced), products)
+    out = []
+    for hom, w_n, meshes in columns:
+        un = hom + (w_n * paths.increments).sum(axis=1)
+        out.append([_cross_error_sq(un, _fem_apply(products, mhom, wt, forced), products)
                     for products, mhom, wt in meshes])
+    out = np.array(out)
     if not np.isfinite(out).all():
         raise DomainError(f"non-finite error in trajectory {l} (seed {seed})")
     return out
 
 
-def fem_error_samples(cfg: ExperimentConfig, n_workers: int = 1) -> np.ndarray:
-    """Per-trajectory squared L2 FEM errors, shape (m_traj, len(h_list)).
+def _fem_samples_multi(cfg: ExperimentConfig, betas, n_workers: int) -> np.ndarray:
+    """Per-trajectory squared L2 FEM errors, shape (m_traj, len(betas), len(h_list)).
 
-    Runs at the single coarse step cfg.dt_list[0]; the same increments feed
-    the spectral solution and, through the mode projections, every mesh.
-    Each mesh is built once, and applied per trajectory, by the code of
-    `fem_solution` and `l2_error_cross`.
+    Runs at the single coarse step cfg.dt_list[0] and at alpha =
+    cfg.orders.alpha.  One noise draw per trajectory feeds every beta: the
+    same increments drive the spectral solution and, through the mode
+    projections, every mesh.  Each mesh is built once, before any
+    trajectory, and applied per trajectory by the code of `fem_solution` and
+    `l2_error_cross`.
     """
     if len(cfg.dt_list) != 1:
         raise DomainError("fem_error_samples: configure exactly one dt in dt_list")
     dt = cfg.dt_list[0]
     steps, factor = cfg.coarse_steps(dt)
     spec = cfg.noise_spec()
-    orders = cfg.orders
     v1 = parabola_coeffs(cfg.k_modes)
     v2 = ramp_coeffs(cfg.k_modes)
-    hom = homogeneous_solution(orders, v1, v2, cfg.T)
-    w_n = convolution_weights(orders, spec, dt, steps, rule="exact", truncated=True)
     sig = spec.sigma_matrix(dt * np.arange(steps), truncated=True)
-
-    meshes = []
-    for h in cfg.h_list:
-        n = round(1.0 / h) - 1
-        spectrum = discrete_spectrum(FemMesh(n), orders.beta, cfg.fem_k_series)
-        products = sine_products(spectrum, cfg.k_modes)  # (e_k, e_j^h), (K, N)
-        lamh = spectrum.eigenvalues
-        fem_hom = _homogeneous(orders.alpha, lamh, cfg.T, np.einsum("k,kj->j", v1, products),
-                               np.einsum("k,kj->j", v2, products))
-        meshes.append((products, fem_hom,
-                       _time_weights(orders.alpha, lamh, 1.0, cfg.T, dt, steps, "exact")))
-
-    traj = functools.partial(_fem_traj, spec, cfg.base_seed, factor, hom, w_n, sig, meshes)
+    columns = []
+    for beta in betas:
+        orders = FracOrders(cfg.orders.alpha, beta)
+        meshes = []
+        for h in cfg.h_list:
+            n = round(1.0 / h) - 1
+            spectrum = discrete_spectrum(FemMesh(n), beta, cfg.fem_k_series)
+            products = sine_products(spectrum, cfg.k_modes)  # (e_k, e_j^h), (K, N)
+            lamh = spectrum.eigenvalues
+            fem_hom = _homogeneous(orders.alpha, lamh, cfg.T, np.einsum("k,kj->j", v1, products),
+                                   np.einsum("k,kj->j", v2, products))
+            meshes.append((products, fem_hom,
+                           _time_weights(orders.alpha, lamh, 1.0, cfg.T, dt, steps, "exact")))
+        columns.append((homogeneous_solution(orders, v1, v2, cfg.T),
+                        convolution_weights(orders, spec, dt, steps, rule="exact",
+                                            truncated=True),
+                        meshes))
+    traj = functools.partial(_fem_traj, spec, cfg.base_seed, factor, sig, columns)
     return np.stack(_pool_map(traj, range(cfg.m_traj), n_workers), axis=0)
+
+
+def fem_error_samples(cfg: ExperimentConfig, n_workers: int = 1) -> np.ndarray:
+    """Per-trajectory squared L2 FEM errors, shape (m_traj, len(h_list))."""
+    return _fem_samples_multi(cfg, [cfg.orders.beta], n_workers)[:, 0, :]
 
 
 def fem_error_experiment(cfg: ExperimentConfig, n_workers: int = 1) -> RateTable:
     """Root-mean-squared FEM errors and rates over cfg.h_list."""
-    samples = fem_error_samples(cfg, n_workers=n_workers)
-    meta = _meta(cfg, extra={"dt": cfg.dt_list[0]})
-    return _table_from_samples(samples, cfg.h_list, meta)
+    beta = cfg.orders.beta
+    return fem_error_tables(cfg, [beta], n_workers=n_workers)[beta]
+
+
+def fem_error_tables(cfg: ExperimentConfig, betas,
+                     n_workers: int = 1) -> dict[float, RateTable]:
+    """One Galerkin-error table per beta, sharing trajectories and noise."""
+    samples = _fem_samples_multi(cfg, betas, n_workers)
+    tables = {}
+    for b, beta in enumerate(betas):
+        meta = _meta(cfg, extra={"dt": cfg.dt_list[0], "beta": beta})
+        tables[beta] = _table_from_samples(samples[:, b, :], cfg.h_list, meta)
+    return tables
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,9 @@ __all__ = [
 ]
 
 DEFAULT_K_SERIES = 10**6
+#: Modes per block of `_alias_class_sums`: its int, float and residue-grid
+#: temporaries stay near 2 MiB.
+_ALIAS_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -183,9 +186,8 @@ def _alias_class_sums(mesh: FemMesh, beta: float, k_series: int) -> np.ndarray:
     expo = 2.0 * beta - 4.0
     rows = max(1, (1 << 14) // n)  # grid rows per fold: ~2^15 long-double terms
     fold = np.zeros((2 * rows + 1, n), dtype=np.longdouble)  # row 0 carries the sums
-    block = 1 << 20
-    for lo in range(1, k_series + 1, block):
-        hi = min(lo + block, k_series + 1)
+    for lo in range(1, k_series + 1, _ALIAS_BLOCK):
+        hi = min(lo + _ALIAS_BLOCK, k_series + 1)
         r0, r1 = lo // period, (hi - 1) // period + 1
         grid = np.zeros((r1 - r0) * period)
         grid[lo - r0 * period:hi - r0 * period] = np.arange(lo, hi).astype(float) ** expo

@@ -40,7 +40,7 @@ _MAGIC = b"FWNOISE1"
 _DEFAULT_ENTRY_CAP = 1 << 27
 
 
-def inverse_cubic_sigma(k: np.ndarray, t: float) -> np.ndarray:
+def inverse_cubic_sigma(k: np.ndarray, t) -> np.ndarray:
     """sigma_k(t) = 1/k^3, the amplitude family used by the experiments."""
     return 1.0 / np.asarray(k, dtype=float) ** 3
 
@@ -64,12 +64,14 @@ def trajectory_seed(base_seed: int, index: int) -> int:
 class NoiseSpec:
     """Parameters of the discretized noise.
 
-    sigma maps (mode-number array, time) -> amplitude array; modes above
-    n_cutoff are dropped from the truncated amplitude sigma^n used by the
-    regularized problem, while the reference construction keeps all K_modes.
+    sigma maps (mode numbers, times) -> amplitudes and must broadcast: given
+    a mode column of shape (K, 1) and a time row of shape (1, n) it returns
+    an array that broadcasts to (K, n).  Modes above n_cutoff are dropped
+    from the truncated amplitude sigma^n used by the regularized problem,
+    while the reference construction keeps all K_modes.
     """
 
-    sigma: Callable[[np.ndarray, float], np.ndarray]
+    sigma: Callable[[np.ndarray, np.ndarray], np.ndarray]
     n_cutoff: int
     K_modes: int
     T: float
@@ -90,10 +92,14 @@ class NoiseSpec:
         return self.T / self.N_fine
 
     def sigma_matrix(self, times: np.ndarray, truncated: bool) -> np.ndarray:
-        """sigma_k(t_i) on modes 1..K_modes x times; zero rows past n_cutoff."""
+        """sigma_k(t_i) on modes 1..K_modes x times; zero rows past n_cutoff.
+
+        One sigma call on the mode column and the time row.
+        """
         modes = np.arange(1, self.K_modes + 1)
-        cols = [np.asarray(self.sigma(modes, float(t)), dtype=float) for t in times]
-        mat = np.stack(cols, axis=1)
+        times = np.asarray(times, dtype=float)
+        vals = np.asarray(self.sigma(modes[:, None], times[None, :]), dtype=float)
+        mat = np.array(np.broadcast_to(vals, (self.K_modes, times.size)))
         if truncated and self.n_cutoff < self.K_modes:
             mat[self.n_cutoff:, :] = 0.0
         return mat

@@ -11,7 +11,7 @@ import numpy as np
 
 from fracwave.experiments import (
     ExperimentConfig,
-    fem_error_experiment,
+    fem_error_tables,
     modeling_error_samples,
     modeling_error_tables,
     stability_report,
@@ -161,11 +161,12 @@ def test_criterion_6_table2_reproduction():
     t0 = time.perf_counter()
     ok = True
     details = []
-    for beta in (0.6, 0.8, 1.0):
-        cfg = ExperimentConfig(orders=FracOrders(1.5, beta), m_traj=500,
-                               base_seed=ACCEPTANCE_SEED, n_fine=100,
-                               dt_list=(0.01,))
-        table = fem_error_experiment(cfg, n_workers=1)
+    betas = (0.6, 0.8, 1.0)
+    cfg = ExperimentConfig(orders=FracOrders(1.5, betas[0]), m_traj=500,
+                           base_seed=ACCEPTANCE_SEED, n_fine=100, dt_list=(0.01,))
+    tables = fem_error_tables(cfg, betas, n_workers=1)
+    for beta in betas:
+        table = tables[beta]
         rates = table.rates[1:]
         ok_col = bool((rates >= 2.0 * beta - 0.3).all())
         if beta == 1.0:

@@ -11,8 +11,8 @@ from fracwave.experiments import (
     fem_error_samples,
     modeling_error_samples,
 )
-from fracwave.fem import (FemField, FemMesh, _alias_class_sums, discrete_spectrum,
-                          fem_solution, l2_error_cross, sine_products)
+from fracwave.fem import (_ALIAS_BLOCK, FemField, FemMesh, _alias_class_sums,
+                          discrete_spectrum, fem_solution, l2_error_cross, sine_products)
 from fracwave.mittag_leffler import (
     _BLOCK,
     _PW_LEAF,
@@ -37,7 +37,6 @@ from oracles import (
 
 MESH_SIZES = (1, 2, 9, 99, 400)
 BETAS = (0.55, 0.75, 1.0)
-BLOCK = 1 << 20
 
 
 @pytest.mark.parametrize("n", MESH_SIZES)
@@ -52,10 +51,15 @@ def test_alias_class_sums_short_series(n, beta, k_series):
 
 # Long series: every mesh size with every cutoff, cycling beta so that each
 # (cutoff, beta) pair occurs too.  The cutoffs end inside the first, second
-# and fourth 2^20-mode block; N = 1 is where a pairwise fold would differ.
+# and fourth 2^20 modes, which `_alias_class_sums` folds in 16, 17 and 49
+# blocks; N = 1 is where a pairwise fold would differ.
+LONG_CUTOFFS = (10**6, (1 << 20) + 12345, 3 * (1 << 20) + 1)
+
+
 @pytest.mark.parametrize("i, n", list(enumerate(MESH_SIZES)))
-@pytest.mark.parametrize("j, k_series", list(enumerate((10**6, BLOCK + 12345, 3 * BLOCK + 1))))
+@pytest.mark.parametrize("j, k_series", list(enumerate(LONG_CUTOFFS)))
 def test_alias_class_sums_long_series(i, n, j, k_series):
+    assert max(LONG_CUTOFFS) > 16 * _ALIAS_BLOCK
     beta = BETAS[(i + j) % len(BETAS)]
     got = _alias_class_sums(FemMesh(n), beta, k_series)
     assert np.array_equal(got, alias_class_sums_scatter(n, beta, k_series))

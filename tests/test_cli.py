@@ -88,7 +88,7 @@ def test_invalid_config_writes_no_partial_output(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, target", [("table1", "modeling_error_tables"),
-                                             ("table2", "fem_error_experiment")])
+                                             ("table2", "fem_error_tables")])
 def test_worker_count_checked_before_any_work(tmp_path, capsys, monkeypatch, command, target):
     import fracwave.cli as cli
 
@@ -110,7 +110,7 @@ def test_worker_count_checked_before_any_work(tmp_path, capsys, monkeypatch, com
 
 
 @pytest.mark.parametrize("command, target", [("table1", "modeling_error_tables"),
-                                             ("table2", "fem_error_experiment")])
+                                             ("table2", "fem_error_tables")])
 def test_threads_flag_zero_overrides_config(tmp_path, capsys, monkeypatch, command, target):
     import fracwave.cli as cli
 
@@ -129,7 +129,7 @@ def test_threads_flag_zero_overrides_config(tmp_path, capsys, monkeypatch, comma
 
 
 @pytest.mark.parametrize("command, target", [("table1", "modeling_error_tables"),
-                                             ("table2", "fem_error_experiment")])
+                                             ("table2", "fem_error_tables")])
 @pytest.mark.parametrize("line, key", [('m_traj = "ten"', "m_traj"), ("seed = [1, 2]", "seed"),
                                        ("n_cutoff = [1, 2]", "n_cutoff"),
                                        ("k_modes = inf", "k_modes"), ('threads = "x"', "threads")])
@@ -146,6 +146,49 @@ def test_wrong_type_config_value_is_domain_error(tmp_path, capsys, monkeypatch, 
     assert code == 2
     assert err.startswith("error:") and key in err
     assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command, target, line", [
+    ("table1", "modeling_error_tables", "dt_list = [0.0]"),
+    ("table1", "modeling_error_tables", "dt_list = [-0.04]"),
+    ("table1", "modeling_error_tables", "dt_list = [nan]"),
+    ("table1", "modeling_error_tables", "dt_list = [inf]"),
+    ("table1", "modeling_error_tables", "dt_list = []"),
+    ("table1", "modeling_error_tables", "n_fine = 1000000"),
+    ("table2", "fem_error_tables", "dt = 0.0"),
+    ("table2", "fem_error_tables", "dt = 1e-300"),
+    ("table2", "fem_error_tables", "dt = 1e-320"),
+    ("table2", "fem_error_tables", "dt = nan"),
+    ("table2", "fem_error_tables", "dt = inf"),
+    ("table2", "fem_error_tables", "h_list = [0.0]"),
+    ("table2", "fem_error_tables", "h_list = [1e-300]"),
+    ("table2", "fem_error_tables", "h_list = [nan]"),
+    ("table2", "fem_error_tables", "h_list = []"),
+])
+def test_bad_grid_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, target, line):
+    import fracwave.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, target, lambda *a, **k: calls.append(a) or {})
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "never"
+    code, _, err = run([command, "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert calls == [] and not out.exists()
+
+
+def test_empty_alpha_list_runs_nothing(tmp_path, capsys, monkeypatch):
+    import fracwave.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "modeling_error_tables", lambda *a, **k: calls.append(a) or {})
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("alpha_list = []\n")
+    code, out, _ = run(["table1", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+    assert code == 0 and out.startswith("wrote 0 ")
+    assert calls == [] and not any((tmp_path / "o").iterdir())
 
 
 def test_cli_import_leaves_out_mpmath():

@@ -11,18 +11,20 @@ from fracwave import experiments
 from fracwave.errors import DomainError
 from fracwave.experiments import (
     ExperimentConfig,
+    _fem_samples_multi,
     _modeling_samples_multi,
     _pool_map,
     compute_rates,
     fem_error_experiment,
     fem_error_samples,
+    fem_error_tables,
     modeling_error_experiment,
     modeling_error_samples,
     modeling_error_tables,
     stability_report,
     write_rate_table,
 )
-from fracwave.noise import NoiseSpec, inverse_cubic_sigma
+from fracwave.noise import NoiseSpec, generate, inverse_cubic_sigma, trajectory_seed
 from fracwave.spectral import FracOrders, convolution_weights
 
 
@@ -54,6 +56,16 @@ def test_config_validation():
         _cfg(n_cutoff=100, k_modes=64)
     with pytest.raises(DomainError):
         _cfg(h_list=(0.3,))
+
+
+@pytest.mark.parametrize("kw", [dict(dt_list=(0.0,)), dict(dt_list=(-0.1,)),
+                                dict(dt_list=(math.nan,)), dict(dt_list=(math.inf,)),
+                                dict(dt_list=(1e-320,)), dict(h_list=(0.0,)),
+                                dict(h_list=(math.nan,)), dict(h_list=(1e-300,)),
+                                dict(k_modes=1 << 20, n_cutoff=64, n_fine=200)])
+def test_config_rejects_bad_grids(kw):
+    with pytest.raises(DomainError):
+        _cfg(**kw)
 
 
 def test_modeling_error_monotone_and_positive():
@@ -233,6 +245,45 @@ def test_fem_experiment_smoke():
     np.testing.assert_array_equal(s1, s2)
     with pytest.raises(DomainError):
         fem_error_samples(_cfg(h_list=(1 / 5,)))  # needs exactly one dt
+
+
+def _fem_cfg(**kw):
+    base = dict(orders=FracOrders(1.5, 0.8), m_traj=5, base_seed=11, n_fine=50, k_modes=128,
+                n_cutoff=128, dt_list=(1 / 50,), h_list=(1 / 5, 1 / 10, 1 / 20),
+                fem_k_series=20_000)
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
+@pytest.mark.parametrize("n_workers", (1, 2))
+def test_fem_tables_equal_one_beta_runs(n_workers):
+    betas = (0.6, 0.8, 1.0)
+    cfg = _fem_cfg()
+    samples = _fem_samples_multi(cfg, betas, n_workers)
+    tables = fem_error_tables(cfg, betas, n_workers=n_workers)
+    assert samples.shape == (cfg.m_traj, len(betas), len(cfg.h_list))
+    assert list(tables) == list(betas)
+    for b, beta in enumerate(betas):
+        one = _fem_cfg(orders=FracOrders(1.5, beta))
+        assert np.array_equal(samples[:, b, :], fem_error_samples(one))
+        want = fem_error_experiment(one)
+        for key in ("resolutions", "errors", "rates", "stderrs"):
+            assert np.array_equal(getattr(tables[beta], key), getattr(want, key),
+                                  equal_nan=True)
+        assert tables[beta].meta == want.meta
+
+
+def test_fem_tables_draw_each_trajectory_once(monkeypatch):
+    calls = []
+
+    def counting(spec, seed, *a, **k):
+        calls.append(seed)
+        return generate(spec, seed, *a, **k)
+
+    monkeypatch.setattr(experiments, "generate", counting)
+    cfg = _fem_cfg(h_list=(1 / 5,))
+    fem_error_tables(cfg, (0.6, 0.8, 1.0))
+    assert calls == [trajectory_seed(cfg.base_seed, l) for l in range(cfg.m_traj)]
 
 
 def test_stability_report_exponent_and_continuity():

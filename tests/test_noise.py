@@ -150,6 +150,25 @@ def test_sigma_matrix_truncation():
     assert (full[3:, 0] > 0.0).all()
 
 
+def _growing_sigma(k, t):
+    return (1.0 + np.asarray(t, dtype=float)) / np.asarray(k, dtype=float) ** 2
+
+
+@pytest.mark.parametrize("sigma", (inverse_cubic_sigma, _growing_sigma))
+@pytest.mark.parametrize("cutoff", (40, 100))
+@pytest.mark.parametrize("truncated", (True, False))
+def test_sigma_matrix_equals_per_column_calls(sigma, cutoff, truncated):
+    spec = NoiseSpec(sigma=sigma, n_cutoff=cutoff, K_modes=100, T=1.0, N_fine=50)
+    times = 0.02 * np.arange(50)
+    modes = np.arange(1, 101)
+    want = np.stack([np.asarray(sigma(modes, float(t)), dtype=float) for t in times], axis=1)
+    if truncated:
+        want[cutoff:, :] = 0.0
+    got = spec.sigma_matrix(times, truncated=truncated)
+    assert got.shape == (100, 50) and got.flags.writeable
+    assert np.array_equal(got, want)
+
+
 def test_dump_and_load_roundtrip(tmp_path):
     paths = generate(_spec(k=7, n=9), 31)
     fn = tmp_path / "paths.bin"
