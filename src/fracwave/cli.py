@@ -93,6 +93,15 @@ def _floats(value) -> list[float]:
     return [float(x) for x in value]
 
 
+def _sweep(key: str, values: list[float]) -> list[float]:
+    """values, unless two of them name the same output file (`{value:g}`) and
+    so would be computed twice and written once."""
+    names = [f"{v:g}" for v in values]
+    if len(set(names)) < len(names):
+        raise DomainError(f"config {key}: {values} gives two tables the same file name")
+    return values
+
+
 def _grid(value) -> tuple[float, ...]:
     """A non-empty list of steps or mesh widths; `ExperimentConfig` checks each."""
     grid = tuple(_floats(value))
@@ -167,7 +176,7 @@ def _cmd_ml(args) -> int:
 
 def _cmd_table1(args) -> int:
     cfg_file = _parse_config(args.config) if args.config else {}
-    alphas = _setting(args, cfg_file, "alpha_list", DEFAULT_ALPHAS, _floats)
+    alphas = _sweep("alpha_list", _setting(args, cfg_file, "alpha_list", DEFAULT_ALPHAS, _floats))
     beta = _setting(args, cfg_file, "beta", 0.75, float)
     m_traj = _setting(args, cfg_file, "m_traj", 1000, int)
     seed = _setting(args, cfg_file, "seed", DEFAULT_SEED, int)
@@ -194,7 +203,7 @@ def _cmd_table1(args) -> int:
 def _cmd_table2(args) -> int:
     cfg_file = _parse_config(args.config) if args.config else {}
     alpha = _setting(args, cfg_file, "alpha", 1.5, float)
-    betas = _setting(args, cfg_file, "beta_list", DEFAULT_BETAS, _floats)
+    betas = _sweep("beta_list", _setting(args, cfg_file, "beta_list", DEFAULT_BETAS, _floats))
     dt = _setting(args, cfg_file, "dt", 0.01, _step)
     m_traj = _setting(args, cfg_file, "m_traj", 500, int)
     seed = _setting(args, cfg_file, "seed", DEFAULT_SEED, int)

@@ -10,7 +10,8 @@ at a fixed time step.
 
 All randomness is derived from a base seed through a splittable hash, one
 stream per (trajectory, mode); trajectories are aggregated in index order,
-so results are byte-reproducible for any worker count.
+and the modeling-error batches are fixed by trajectory index, so results
+are byte-reproducible for any worker count.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from . import __version__
 from .errors import DomainError
 from .fem import FemMesh, _cross_error_sq, _fem_apply, discrete_spectrum, sine_products
 from .mittag_leffler import ml_values
-from .noise import (_DEFAULT_ENTRY_CAP, NoiseSpec, _coarsen_rows, _ModeStreams, coarsen,
-                    generate, inverse_cubic_sigma, trajectory_seed)
+from .noise import (_DEFAULT_ENTRY_CAP, NoiseSpec, _ModeStreams, coarsen, generate,
+                    inverse_cubic_sigma, trajectory_seed)
 from .spectral import (
     FracOrders,
     _homogeneous,
@@ -184,12 +185,6 @@ def _table_from_samples(samples: np.ndarray, resolutions, meta: dict) -> RateTab
 # modeling error: reference vs regularized solution under time coarsening
 # ---------------------------------------------------------------------------
 
-#: Modes per block of a modeling-error trajectory: a 64 x 1000 block of
-#: increments and its products stay in cache while every alpha and coarse
-#: grid is applied to it.
-_BLOCK_MODES = 64
-
-
 def _pool_map(fn, items, n_workers: int) -> list:
     """[fn(x) for x in items], on min(n_workers, len(items), cores) fork workers.
 
@@ -241,58 +236,70 @@ def _modeling_weights(cfg: ExperimentConfig, alphas, rule: str, n_workers: int):
     return w_ref, w_coarse
 
 
-def _modeling_traj(spec: NoiseSpec, base_seed: int, factors: list, hom: list,
-                   w_ref: list, w_coarse: list, l: int) -> np.ndarray:
-    """Squared errors of one trajectory, shape (n_alpha, n_dt), in mode blocks.
+#: Trajectories per batch of a modeling-error run: batch q holds trajectories
+#: [32 q, min(32 q + 32, m_traj)), so every result depends on the seed, the
+#: trajectory index and m_traj alone, never on the worker count.
+_BATCH = 32
+#: Most modes in one block of a batch: at the paper's shapes a block's draws
+#: (16 x 32 x 1000) and weight differences (16 x 25 x 1000) take 4 and 3 MiB.
+_MODE_BLOCK = 16
 
-    Per alpha a, hom[a] + w_ref[a] applied to the fine increments is the
-    reference and hom[a] + w_coarse[a][j] applied to sums of factors[j] is
-    the regularized solution.
 
-    Modes are drawn, scaled and coarsened _BLOCK_MODES rows at a time, and
-    every weight grid is applied to the block while it is in cache.  Each
-    row's weighted sum is one contiguous row reduction, as in the whole
-    matrix, and coarse increments are ascending per-entry sums, so the
-    per-mode sums carry the bits of the unblocked computation.  The final
-    hom + sum, difference and fold over all modes are unchanged.
+def _block_shape(k_modes: int, batch: int, n_alpha: int, n_dt: int) -> tuple[int, int, int]:
+    """(modes, trajectories, columns) of one block of a modeling-error batch.
+
+    The draw buffer, modes x trajectories x n_fine, stays within one
+    trajectory's K x n_fine noise matrix, and the weight differences,
+    modes x columns x n_fine, within the n_alpha fine weight grids of
+    K x n_fine each.  Trajectories and columns are split only when
+    k_modes is below the batch size or the number of coarse steps.
     """
-    seed = trajectory_seed(base_seed, l)
-    n_alpha, n_dt = len(hom), len(factors)
-    k_modes, n_steps = spec.K_modes, spec.N_fine
-    ref = np.empty((n_alpha, k_modes))
-    un = np.empty((n_alpha, n_dt, k_modes))
-    streams = _ModeStreams(seed)
+    modes = max(1, min(_MODE_BLOCK, k_modes // batch, k_modes // n_dt))
+    return modes, min(batch, k_modes // modes), min(n_alpha * n_dt, n_alpha * k_modes // modes)
+
+
+def _modeling_traj(spec: NoiseSpec, base_seed: int, m_traj: int, factors: list,
+                   w_ref: list, w_coarse: list, first: int) -> np.ndarray:
+    """Squared errors of the batch of trajectories [first, min(first + _BATCH,
+    m_traj)), shape (B, n_alpha, n_dt) for the B trajectories of the batch.
+
+    The homogeneous parts of the reference and the regularized solution
+    cancel exactly, so in column (a, j) mode k's error is the dot product of
+    its fine increments with row k of D = w_ref[a] - repeat(w_coarse[a][j],
+    factors[j]), a difference of weights that does not cancel against the
+    size of the solutions.  Per block of modes, D is built once for the
+    batch, each trajectory's rows are drawn from its own `_ModeStreams`, one
+    matmul per mode gives every (trajectory, column) error, and the squares
+    are added over ascending mode blocks.
+    """
+    seeds = [trajectory_seed(base_seed, l) for l in range(first, min(first + _BATCH, m_traj))]
+    n_dt, n_cols = len(factors), len(w_ref) * len(factors)
+    k_modes, n_fine = spec.K_modes, spec.N_fine
+    mb, tb, cb = _block_shape(k_modes, len(seeds), len(w_ref), n_dt)
+    streams = [_ModeStreams(seed) for seed in seeds]
     root = np.sqrt(spec.dt_fine)
-    # C-contiguous block buffers: fine increments, and per coarse grid its
-    # increments and products (a factor of 1 reuses the fine ones).
-    fine = np.empty((min(_BLOCK_MODES, k_modes), n_steps))
-    prod = np.empty_like(fine)
-    coarse = [None if f == 1 else np.empty((fine.shape[0], n_steps // f))
-              for f in factors]
-    cprod = [prod if cb is None else np.empty_like(cb) for cb in coarse]
-    for lo in range(0, k_modes, _BLOCK_MODES):
-        hi = min(lo + _BLOCK_MODES, k_modes)
-        xb = fine[: hi - lo]
-        streams.draw(lo + 1, xb, root)
-        p = prod[: hi - lo]
-        for a in range(n_alpha):
-            np.multiply(w_ref[a][lo:hi], xb, out=p)
-            ref[a, lo:hi] = p.sum(axis=1)
-        for j, f in enumerate(factors):
-            cb = xb if f == 1 else _coarsen_rows(xb, f, out=coarse[j][: hi - lo])
-            p = cprod[j][: hi - lo]
-            for a in range(n_alpha):
-                np.multiply(w_coarse[a][j][lo:hi], cb, out=p)
-                un[a, j, lo:hi] = p.sum(axis=1)
-    out = np.empty((n_alpha, n_dt))
-    for a in range(n_alpha):
-        r = hom[a] + ref[a]
-        for j in range(n_dt):
-            diff = r - (hom[a] + un[a, j])
-            out[a, j] = float(np.einsum("k,k->", diff, diff))
-    if not np.isfinite(out).all():
-        raise DomainError(f"non-finite error in trajectory {l} (seed {seed})")
-    return out
+    x = np.empty((mb, tb, n_fine))
+    d = np.empty((mb, cb, n_fine))
+    out = np.zeros((len(seeds), n_cols))
+    for lo in range(0, k_modes, mb):
+        hi = min(lo + mb, k_modes)
+        for c0 in range(0, n_cols, cb):
+            db = d[: hi - lo, : min(cb, n_cols - c0)]
+            for i in range(db.shape[1]):
+                a, j = divmod(c0 + i, n_dt)
+                np.subtract(w_ref[a][lo:hi], np.repeat(w_coarse[a][j][lo:hi], factors[j], axis=1),
+                            out=db[:, i])
+            for t0 in range(0, len(seeds), tb):
+                xb = x[: hi - lo, : min(tb, len(seeds) - t0)]
+                for t, stream in enumerate(streams[t0 : t0 + tb]):
+                    stream.draw(lo + 1, xb[:, t], root)
+                err = np.matmul(xb, db.transpose(0, 2, 1))
+                out[t0 : t0 + xb.shape[1], c0 : c0 + db.shape[1]] += np.square(err).sum(axis=0)
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        l = first + int(bad[0])
+        raise DomainError(f"non-finite error in trajectory {l} (seed {seeds[bad[0]]})")
+    return out.reshape(len(seeds), len(w_ref), n_dt)
 
 
 def _modeling_samples_multi(cfg: ExperimentConfig, alphas, rule: str,
@@ -301,17 +308,14 @@ def _modeling_samples_multi(cfg: ExperimentConfig, alphas, rule: str,
 
     One noise draw per trajectory feeds every alpha column and every coarse
     grid, so all comparisons are coupled to the same Brownian paths.  The
-    weight grids and then the trajectories are spread over n_workers.
+    weight grids and then the batches of `_BATCH` trajectories are spread
+    over n_workers.
     """
-    v1 = parabola_coeffs(cfg.k_modes)
-    v2 = ramp_coeffs(cfg.k_modes)
-    hom = [homogeneous_solution(FracOrders(alpha, cfg.orders.beta), v1, v2, cfg.T)
-           for alpha in alphas]
     w_ref, w_coarse = _modeling_weights(cfg, alphas, rule, n_workers)
     factors = [cfg.coarse_steps(dt)[1] for dt in cfg.dt_list]
-    traj = functools.partial(_modeling_traj, cfg.noise_spec(), cfg.base_seed, factors,
-                             hom, w_ref, w_coarse)
-    return np.stack(_pool_map(traj, range(cfg.m_traj), n_workers), axis=0)
+    batch = functools.partial(_modeling_traj, cfg.noise_spec(), cfg.base_seed, cfg.m_traj,
+                              factors, w_ref, w_coarse)
+    return np.concatenate(_pool_map(batch, range(0, cfg.m_traj, _BATCH), n_workers), axis=0)
 
 
 def modeling_error_samples(cfg: ExperimentConfig, rule: str = "exact",

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.special import zeta
 
 from .errors import DomainError
@@ -244,6 +243,8 @@ def discrete_spectrum(mesh: FemMesh, beta: float, k_series: int = DEFAULT_K_SERI
     The pencil is reduced by the Cholesky factor of the tridiagonal mass
     matrix and solved densely; eigenvalues come out ascending and simple.
     """
+    from scipy.linalg import eigh  # LAPACK loads only where used; table 1 never needs it
+
     a = fractional_stiffness(mesh, beta, k_series, tail=tail)
     m = mass_matrix(mesh)
     lam, vec = eigh(a, m)
@@ -304,6 +305,8 @@ def project_l2(spectrum: DiscreteSpectrum, coeffs: np.ndarray) -> FemField:
     against each discrete eigenfunction vanishes up to the truncation of
     the supplied expansion.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     coeffs = np.asarray(coeffs, dtype=float)
     b = _weighted_hat_sine_sum(spectrum.mesh, coeffs)
     sol = cho_solve(cho_factor(spectrum.mass), b)
@@ -317,6 +320,8 @@ def project_ritz(spectrum: DiscreteSpectrum, coeffs: np.ndarray) -> FemField:
     the discrete fractional Laplacian of the result matches the projected
     fractional Laplacian of the datum.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     coeffs = np.asarray(coeffs, dtype=float)
     lam = fractional_eigenvalues(spectrum.beta, coeffs.size)
     b = _weighted_hat_sine_sum(spectrum.mesh, lam * coeffs)

@@ -138,29 +138,17 @@ class _ModeStreams:
         self._key = self._fresh["state"]["key"]
 
     def draw(self, first_mode: int, out: np.ndarray, scale: float) -> None:
-        """Fill row i of the C-contiguous `out` with mode first_mode + i, times scale.
+        """Fill row i of `out` with mode first_mode + i, times scale.
 
-        Each entry is one draw times one multiply, so a block of rows holds
-        exactly the bits of the same rows of a whole-matrix draw.
+        Each row must be contiguous; the rows may be strided.  Each entry is
+        one draw times one multiply, so a block of rows holds exactly the
+        bits of the same rows of a whole-matrix draw.
         """
         for i, row in enumerate(out):
             self._key[1] = first_mode + i
             self._bitgen.state = self._fresh
             self._gen.standard_normal(out=row)
         out *= scale
-
-
-def _coarsen_rows(rows: np.ndarray, factor: int, out: np.ndarray) -> np.ndarray:
-    """out <- sums of `factor` consecutive columns of each row, in ascending order.
-
-    Every output entry is its own chain of adds, so coarsening a block of
-    rows gives the bits of the same rows of the whole matrix.
-    """
-    grouped = rows.reshape(rows.shape[0], rows.shape[1] // factor, factor)
-    np.copyto(out, grouped[:, :, 0])
-    for j in range(1, factor):
-        out += grouped[:, :, j]
-    return out
 
 
 def generate(spec: NoiseSpec, seed: int, max_entries: int = _DEFAULT_ENTRY_CAP) -> NoisePaths:
@@ -194,8 +182,10 @@ def coarsen(paths: NoisePaths, factor: int) -> NoisePaths:
         )
     if factor == 1:
         return paths
-    acc = _coarsen_rows(paths.increments, factor,
-                        np.empty((paths.n_modes, paths.n_steps // factor)))
+    grouped = paths.increments.reshape(paths.n_modes, paths.n_steps // factor, factor)
+    acc = grouped[:, :, 0].copy()
+    for j in range(1, factor):
+        acc += grouped[:, :, j]
     acc.flags.writeable = False
     return NoisePaths(increments=acc, dt=paths.dt * factor, seed=paths.seed)
 

@@ -12,8 +12,12 @@ truncated inverse-power series.
 The straightforward first implementations of the hot kernels are kept
 here as bit-identity oracles for their faster rewrites: the scatter-add
 alias-class sums, noise generation with a fresh Philox per mode, the
-unchunked contour quadrature sum, the argument-major chunked contour kernel
-with its per-bucket masks, and the whole-matrix modeling-error trajectory.
+unchunked contour quadrature sum, and the argument-major chunked contour
+kernel with its per-bucket masks.
+
+`modeling_traj_longdouble` is an accuracy oracle: table 1's per-trajectory
+squared errors in extended precision, from the package's weights and the
+draws of `philox_increments`.
 """
 
 import math
@@ -22,7 +26,7 @@ from decimal import Decimal, getcontext
 import mpmath as mp
 import numpy as np
 
-from fracwave import mittag_leffler
+from fracwave import experiments, mittag_leffler, noise
 
 # 70-digit constants
 _PI = Decimal("3.141592653589793238462643383279502884197169399375105820974944592307816")
@@ -223,35 +227,40 @@ def ml_values_bucketed(alpha: float, beta: float, z, contour=contour_values_chun
     return out
 
 
-def coarsen_increments(inc: np.ndarray, factor: int) -> np.ndarray:
-    """Whole-matrix coarsening: ascending sums of `factor` consecutive steps."""
-    if factor == 1:
-        return inc
-    grouped = inc.reshape(inc.shape[0], inc.shape[1] // factor, factor)
-    acc = grouped[:, :, 0].copy()
-    for j in range(1, factor):
-        acc += grouped[:, :, j]
-    return acc
+def modeling_traj_longdouble(spec, factors, w_ref, w_coarse, seed: int):
+    """Squared errors of one modeling-error trajectory in long double, and their spreads.
 
-
-def modeling_traj_unblocked(spec, factors, homs, w_ref, w_coarse, seed: int) -> np.ndarray:
-    """Squared errors (n_alpha, n_dt) of one modeling-error trajectory.
-
-    The arguments are those of the package's trajectory kernel, with the
-    trajectory seed in place of the base seed and trajectory index.  The
-    whole increment matrix is drawn, every coarse copy is made, and each
-    weight grid is contracted with a full-matrix product and row sum.
+    Mode k's error in column (a, j) is the dot product of its fine
+    increments with row k of D = w_ref[a] - repeat(w_coarse[a][j], factors[j]).
+    D, the products and every sum are formed in np.longdouble from the given
+    weights and the increments of `philox_increments`.  Returns (errors,
+    spreads), both (n_alpha, n_dt): spreads[a, j] is the 2-norm over modes
+    of sum_i |D_ki x_ki|, the scale of each dot product's rounding in the
+    standard bound (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, section 3.1).
     """
-    inc = philox_increments(spec.K_modes, spec.N_fine, spec.dt_fine, seed)
-    coarse = [coarsen_increments(inc, f) for f in factors]
-    out = np.empty((len(homs), len(coarse)))
-    for a, hom in enumerate(homs):
-        ref = hom + (w_ref[a] * inc).sum(axis=1)
-        for j, cp in enumerate(coarse):
-            un = hom + (w_coarse[a][j] * cp).sum(axis=1)
-            diff = ref - un
-            out[a, j] = float(np.einsum("k,k->", diff, diff))
-    return out
+    inc = philox_increments(spec.K_modes, spec.N_fine, spec.dt_fine, seed).astype(np.longdouble)
+    errors = np.empty((len(w_ref), len(factors)), dtype=np.longdouble)
+    spreads = np.empty_like(errors)
+    for a, wr in enumerate(w_ref):
+        wr = wr.astype(np.longdouble)
+        for j, f in enumerate(factors):
+            terms = (wr - np.repeat(w_coarse[a][j].astype(np.longdouble), f, axis=1)) * inc
+            err, spread = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+            errors[a, j] = (err * err).sum()
+            spreads[a, j] = np.sqrt((spread * spread).sum())
+    return errors, spreads
+
+
+def modeling_oracle(cfg, alphas, rule: str):
+    """`modeling_traj_longdouble` of every trajectory of cfg, from the package's
+    weight grids: (errors, spreads), each (m_traj, n_alpha, n_dt)."""
+    w_ref, w_coarse = experiments._modeling_weights(cfg, alphas, rule, 1)
+    factors = [cfg.coarse_steps(dt)[1] for dt in cfg.dt_list]
+    pairs = [modeling_traj_longdouble(cfg.noise_spec(), factors, w_ref, w_coarse,
+                                      noise.trajectory_seed(cfg.base_seed, l))
+             for l in range(cfg.m_traj)]
+    return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
 
 
 def ml_asymptotic_mp(alpha: float, beta: float, z: float, digits: int = 40) -> float:

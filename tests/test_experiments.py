@@ -27,6 +27,8 @@ from fracwave.experiments import (
 from fracwave.noise import NoiseSpec, generate, inverse_cubic_sigma, trajectory_seed
 from fracwave.spectral import FracOrders, convolution_weights
 
+from oracles import modeling_oracle
+
 
 def _cfg(**kw):
     base = dict(orders=FracOrders(1.5, 0.75), m_traj=6, base_seed=7,
@@ -189,6 +191,50 @@ def test_modeling_means_match_exact_means(alpha):
             per_mode = dt_fine * np.einsum("ki,ki->k", d, d)
             se = math.sqrt(2.0 * np.dot(per_mode, per_mode) / m_traj)
             assert abs(means[j] - per_mode.sum()) <= 4.0 * se, (seed, dt)
+
+
+@pytest.mark.parametrize("m_traj", (1, 31, 32, 33, 65))
+def test_modeling_samples_independent_of_workers(m_traj):
+    """Batches are fixed by trajectory index, so the bits do not depend on
+    the worker count; a full batch of 32 is the same whatever follows it."""
+    cfg = _cfg(m_traj=m_traj, base_seed=3)
+    alphas = (1.25, 2.0)
+    runs = [_modeling_samples_multi(cfg, alphas, "exact", n) for n in (1, 2, 3)]
+    assert runs[0].shape == (m_traj, 2, len(cfg.dt_list))
+    assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
+    if m_traj > 32:
+        first = _modeling_samples_multi(_cfg(m_traj=32, base_seed=3), alphas, "exact", 1)
+        assert np.array_equal(runs[0][:32], first)
+
+
+@pytest.mark.parametrize("k_modes", (1, 2, 16, 1000))
+def test_modeling_block_shape_bounds_scratch(k_modes):
+    """A block's draws stay within one trajectory's K x n_fine noise matrix
+    and its weight differences within the n_alpha fine grids of K x n_fine."""
+    for batch in (1, 7, 32):
+        for n_alpha in (1, 5):
+            for n_dt in (1, 5, 40):
+                modes, trajs, cols = experiments._block_shape(k_modes, batch, n_alpha, n_dt)
+                assert 1 <= modes <= min(k_modes, experiments._MODE_BLOCK)
+                assert 1 <= trajs <= batch and modes * trajs <= k_modes
+                assert 1 <= cols <= n_alpha * n_dt and modes * cols <= n_alpha * k_modes
+    if k_modes == 1000:  # the paper's shapes: one block spans the batch and every column
+        assert experiments._block_shape(1000, 32, 5, 5) == (16, 32, 25)
+    else:  # trajectories or columns are split; the errors stay within the rounding bound
+        alphas = (1.1, 1.25, 1.5, 1.75, 1.95, 2.0)
+        cfg = _cfg(m_traj=33, base_seed=2, k_modes=k_modes, n_cutoff=k_modes,
+                   dt_list=(1 / 5, 1 / 10, 1 / 25, 1 / 40, 1 / 200))
+        samples = _modeling_samples_multi(cfg, alphas, "exact", 1)
+        oracle, spread = modeling_oracle(cfg, alphas, "exact")
+        # With one or two modes no sum over modes averages the rounding of a
+        # single dot product, whose relative error is up to (n_fine + 1) u
+        # times its condition number; so the gate is the standard bound on
+        # each mode's error, gamma * sum_i |D_ki x_ki|, summed over the
+        # squares, plus the rounding of the sum over modes.
+        u = np.finfo(float).eps / 2
+        gamma = (cfg.n_fine + 2) * u
+        bound = 2 * gamma * np.sqrt(oracle) * spread + (gamma * spread) ** 2 + k_modes * u * oracle
+        assert (np.abs(samples - oracle) <= bound).all()
 
 
 def test_rectangle_rule_degeneration_is_exact_zero():
