@@ -22,9 +22,20 @@ except PackageNotFoundError:  # running from a source tree
     __version__ = "0.0.0-dev"
 
 from .errors import ConvergenceError, DomainError, ResourceLimitError
-from .mittag_leffler import ml, ml_series_hp, ml_time_kernel, ml_values
-from .noise import NoisePaths, NoiseSpec
-from .spectral import FracOrders
+
+# The numerical names load their modules, and numpy, on first use, so that
+# `fracwave.cli` can pin BLAS to one thread before numpy is imported.
+_LAZY = {"ml": "mittag_leffler", "ml_series_hp": "mittag_leffler",
+         "ml_time_kernel": "mittag_leffler", "ml_values": "mittag_leffler",
+         "NoisePaths": "noise", "NoiseSpec": "noise", "FracOrders": "spectral"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
 
 __all__ = [
     "__version__",

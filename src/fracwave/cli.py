@@ -18,6 +18,14 @@ import math
 import os
 import sys
 
+# One BLAS thread in every process, set before numpy loads.  --threads is the
+# command's parallelism, and a matrix product that BLAS splits over threads
+# may round differently, so table 1's CSV bytes would otherwise depend on the
+# BLAS thread count.  `import fracwave` does not load numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
 from .errors import ConvergenceError, DomainError
 from .experiments import (
     DEFAULT_DT_LIST,
@@ -93,10 +101,15 @@ def _floats(value) -> list[float]:
     return [float(x) for x in value]
 
 
-def _sweep(key: str, values: list[float]) -> list[float]:
-    """values, unless two of them name the same output file (`{value:g}`) and
-    so would be computed twice and written once."""
-    names = [f"{v:g}" for v in values]
+def _table_file(stem: str, value: float) -> str:
+    """The CSV name of a sweep's table at value, such as table1_alpha1.5.csv."""
+    return f"{stem}{value:g}.csv"
+
+
+def _sweep(key: str, stem: str, values: list[float]) -> list[float]:
+    """values, unless two of them name the same table file and so would be
+    computed twice and written once."""
+    names = [_table_file(stem, v) for v in values]
     if len(set(names)) < len(names):
         raise DomainError(f"config {key}: {values} gives two tables the same file name")
     return values
@@ -176,7 +189,8 @@ def _cmd_ml(args) -> int:
 
 def _cmd_table1(args) -> int:
     cfg_file = _parse_config(args.config) if args.config else {}
-    alphas = _sweep("alpha_list", _setting(args, cfg_file, "alpha_list", DEFAULT_ALPHAS, _floats))
+    alphas = _sweep("alpha_list", "table1_alpha",
+                    _setting(args, cfg_file, "alpha_list", DEFAULT_ALPHAS, _floats))
     beta = _setting(args, cfg_file, "beta", 0.75, float)
     m_traj = _setting(args, cfg_file, "m_traj", 1000, int)
     seed = _setting(args, cfg_file, "seed", DEFAULT_SEED, int)
@@ -195,7 +209,7 @@ def _cmd_table1(args) -> int:
     tables = modeling_error_tables(base, alphas, n_workers=threads) if alphas else {}
     out = _out_dir(args)
     for alpha, table in tables.items():
-        write_rate_table(table, os.path.join(out, f"table1_alpha{alpha:g}.csv"))
+        write_rate_table(table, os.path.join(out, _table_file("table1_alpha", alpha)))
     print(f"wrote {len(tables)} modeling-error tables to {out}")
     return 0
 
@@ -203,7 +217,8 @@ def _cmd_table1(args) -> int:
 def _cmd_table2(args) -> int:
     cfg_file = _parse_config(args.config) if args.config else {}
     alpha = _setting(args, cfg_file, "alpha", 1.5, float)
-    betas = _sweep("beta_list", _setting(args, cfg_file, "beta_list", DEFAULT_BETAS, _floats))
+    betas = _sweep("beta_list", "table2_beta",
+                   _setting(args, cfg_file, "beta_list", DEFAULT_BETAS, _floats))
     dt = _setting(args, cfg_file, "dt", 0.01, _step)
     m_traj = _setting(args, cfg_file, "m_traj", 500, int)
     seed = _setting(args, cfg_file, "seed", DEFAULT_SEED, int)
@@ -223,7 +238,7 @@ def _cmd_table2(args) -> int:
     tables = fem_error_tables(base, betas, n_workers=threads) if betas else {}
     out = _out_dir(args)
     for beta, table in tables.items():
-        write_rate_table(table, os.path.join(out, f"table2_beta{beta:g}.csv"))
+        write_rate_table(table, os.path.join(out, _table_file("table2_beta", beta)))
     print(f"wrote {len(tables)} Galerkin-error tables to {out}")
     return 0
 

@@ -227,6 +227,12 @@ def ml_values_bucketed(alpha: float, beta: float, z, contour=contour_values_chun
     return out
 
 
+#: np.longdouble is wider than float64 only where it is the x87 80-bit or a
+#: 128-bit type; where it is float64 (Windows, aarch64 macOS), the long-double
+#: oracle is no more accurate than the kernel it gates.
+LONGDOUBLE_EXTENDED = bool(np.finfo(np.longdouble).eps < np.finfo(np.float64).eps)
+
+
 def modeling_traj_longdouble(spec, factors, w_ref, w_coarse, seed: int):
     """Squared errors of one modeling-error trajectory in long double, and their spreads.
 

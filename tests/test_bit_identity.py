@@ -28,6 +28,7 @@ from fracwave.spectral import (FracOrders, convolution_weights, fractional_eigen
                                reference_solution, stochastic_convolution)
 
 from oracles import (
+    LONGDOUBLE_EXTENDED,
     alias_class_sums_scatter,
     contour_sum_unchunked,
     ml_values_bucketed,
@@ -206,8 +207,9 @@ def test_modeling_weights_match_bucketed_oracle(monkeypatch):
 
 # Modeling-error weights and trajectories.  At 3 trajectories and 5 steps,
 # K = 37, 64 and 100 run in blocks of 7, 12 and 16 modes, each ending in a
-# partial block, and n_cutoff = 57 zeroes the coarse weights of the top modes; n_fine = 200 makes the dot products longer than numpy's
-# 128-term pairwise leaf, and the coarse factors 40, 20, 8, 5, 1 include the
+# partial block, and n_cutoff = 57 zeroes the coarse weights of the top
+# modes; n_fine = 200 makes the dot products longer than numpy's 128-term
+# pairwise leaf, and the coarse factors 40, 20, 8, 5, 1 include the
 # uncoarsened grid.
 ALPHAS = (1.1, 1.25, 1.5, 1.75, 1.95, 2.0)
 
@@ -234,6 +236,11 @@ def _assert_matches_longdouble(cfg, rule):
     assert (samples[:, :, 0] > 0.0).all()  # not trivially equal
 
 
+needs_wide_longdouble = pytest.mark.skipif(
+    not LONGDOUBLE_EXTENDED, reason="np.longdouble is float64 here: the oracle gates nothing")
+
+
+@needs_wide_longdouble
 @pytest.mark.parametrize("k_modes, n_cutoff", [(37, 37), (64, 64), (100, 100), (100, 57)])
 @pytest.mark.parametrize("rule", ("exact", "left"))
 @pytest.mark.parametrize("seed", (1, 5, (1 << 64) - 1))
@@ -242,6 +249,7 @@ def test_modeling_traj_matches_unblocked(k_modes, n_cutoff, rule, seed):
     _assert_matches_longdouble(_modeling_cfg(k_modes, n_cutoff, seed), rule)
 
 
+@needs_wide_longdouble
 @pytest.mark.parametrize("rule", ("exact", "left"))
 @pytest.mark.parametrize("seed", (1, 5, (1 << 64) - 1))
 def test_modeling_traj_matches_unblocked_at_1000_steps(rule, seed):

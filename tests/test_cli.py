@@ -240,16 +240,25 @@ def test_cli_import_leaves_out_scipy_linalg():
     assert _run_python(probe) == "True"
 
 
+def test_cli_import_pins_blas_to_one_thread():
+    """`import fracwave` leaves numpy out, so `fracwave.cli` sets the BLAS
+    thread variables before numpy loads, whatever the environment said."""
+    assert _run_python("import sys, fracwave; print('numpy' in sys.modules)") == "False"
+    probe = ("import os, fracwave.cli; print(os.environ['OPENBLAS_NUM_THREADS'], "
+             "os.environ['OMP_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])")
+    env = {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "2"}
+    assert _run_python(probe, env=env) == "1 1 1"
+
+
 @pytest.mark.parametrize("sweep", [
     "",  # the paper's 5 alphas and 5 steps: 25 columns
-    pytest.param("alpha_list = [1.1, 1.25, 1.5, 1.75, 1.95, 2.0]\n"
-                 "dt_list = [0.2, 0.1, 0.05, 0.04, 0.025, 0.02, 0.01, 0.008, 0.005, 0.004]\n",
-                 marks=pytest.mark.xfail(strict=False, reason=(
-                     "60 columns: OpenBLAS splits each (32 x 1000).(1000 x 60) product over "
-                     "two threads in blocks that change its rounding"))),
+    # 60 columns: without the pin, OpenBLAS splits each (32 x 1000).(1000 x 60)
+    # product over two threads in blocks that change its rounding
+    "alpha_list = [1.1, 1.25, 1.5, 1.75, 1.95, 2.0]\n"
+    "dt_list = [0.2, 0.1, 0.05, 0.04, 0.025, 0.02, 0.01, 0.008, 0.005, 0.004]\n",
 ], ids=["25-columns", "60-columns"])
 def test_table1_csvs_independent_of_blas_threads(tmp_path, sweep):
-    """Byte-identical table-1 CSVs with OpenBLAS on one thread and on two."""
+    """Byte-identical table-1 CSVs with OPENBLAS_NUM_THREADS 1 and 2."""
     cfg = tmp_path / "blas.cfg"
     cfg.write_text("m_traj = 33\nn_fine = 1000\nk_modes = 64\n" + sweep)
     outs = []

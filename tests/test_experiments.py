@@ -27,7 +27,7 @@ from fracwave.experiments import (
 from fracwave.noise import NoiseSpec, generate, inverse_cubic_sigma, trajectory_seed
 from fracwave.spectral import FracOrders, convolution_weights
 
-from oracles import modeling_oracle
+from oracles import LONGDOUBLE_EXTENDED, modeling_oracle
 
 
 def _cfg(**kw):
@@ -220,7 +220,8 @@ def test_modeling_block_shape_bounds_scratch(k_modes):
                 assert 1 <= cols <= n_alpha * n_dt and modes * cols <= n_alpha * k_modes
     if k_modes == 1000:  # the paper's shapes: one block spans the batch and every column
         assert experiments._block_shape(1000, 32, 5, 5) == (16, 32, 25)
-    else:  # trajectories or columns are split; the errors stay within the rounding bound
+    elif LONGDOUBLE_EXTENDED:  # trajectories or columns are split; the errors
+        # stay within the rounding bound of the long-double oracle
         alphas = (1.1, 1.25, 1.5, 1.75, 1.95, 2.0)
         cfg = _cfg(m_traj=33, base_seed=2, k_modes=k_modes, n_cutoff=k_modes,
                    dt_list=(1 / 5, 1 / 10, 1 / 25, 1 / 40, 1 / 200))
