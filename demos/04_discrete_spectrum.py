@@ -35,7 +35,9 @@ print(f"\nbeta = 1, N = {n}: max |eig - closed form| / closed form "
       f"= {np.max(np.abs(spec1.eigenvalues - closed)/closed):.2e}")
 
 # ---------------------------------------------------------------------------
-# L2 projection of a smooth datum converges at second order
+# L2 projection of a smooth datum converges at second order.  A FEM field is
+# its vector of eigen coefficients: project_l2 returns them, and the nodal
+# values are spec.eigenvectors @ them.
 coeffs = parabola_coeffs(4000)
 print("\nprojection error for the parabolic bump 4x(1-x):")
 prev = None

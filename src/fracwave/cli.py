@@ -200,18 +200,11 @@ def _cmd_table1(args) -> int:
     dt_list = _setting(args, cfg_file, "dt_list", DEFAULT_DT_LIST, _grid)
     threads = _workers(args, cfg_file)
 
-    # modeling_error_tables reads only beta from the base orders
-    base = ExperimentConfig(orders=FracOrders((alphas or DEFAULT_ALPHAS)[0], beta),
-                            m_traj=m_traj, base_seed=seed, n_fine=n_fine, k_modes=k_modes,
-                            n_cutoff=n_cutoff, dt_list=dt_list, h_list=())
-    for alpha in alphas:
-        FracOrders(alpha, beta)  # validate the whole sweep before any work
-    tables = modeling_error_tables(base, alphas, n_workers=threads) if alphas else {}
-    out = _out_dir(args)
-    for alpha, table in tables.items():
-        write_rate_table(table, os.path.join(out, _table_file("table1_alpha", alpha)))
-    print(f"wrote {len(tables)} modeling-error tables to {out}")
-    return 0
+    cfg = ExperimentConfig(m_traj=m_traj, base_seed=seed, n_fine=n_fine, k_modes=k_modes,
+                           n_cutoff=n_cutoff, dt_list=dt_list, h_list=())
+    orders = [FracOrders(alpha, beta) for alpha in alphas]
+    tables = modeling_error_tables(cfg, orders, n_workers=threads) if orders else []
+    return _write_tables(args, "table1_alpha", alphas, tables, "modeling-error")
 
 
 def _cmd_table2(args) -> int:
@@ -228,18 +221,20 @@ def _cmd_table2(args) -> int:
     k_series = _setting(args, cfg_file, "fem_k_series", 10**6, int)
     threads = _workers(args, cfg_file)
 
-    # fem_error_tables reads only alpha from the base orders
-    base = ExperimentConfig(orders=FracOrders(alpha, (betas or DEFAULT_BETAS)[0]),
-                            m_traj=m_traj, base_seed=seed, n_fine=round(1.0 / dt),
-                            k_modes=k_modes, n_cutoff=n_cutoff, dt_list=(dt,),
-                            h_list=h_list, fem_k_series=k_series)
-    for beta in betas:
-        FracOrders(alpha, beta)  # validate the whole sweep before any work
-    tables = fem_error_tables(base, betas, n_workers=threads) if betas else {}
+    cfg = ExperimentConfig(m_traj=m_traj, base_seed=seed, n_fine=round(1.0 / dt),
+                           k_modes=k_modes, n_cutoff=n_cutoff, dt_list=(dt,), h_list=h_list,
+                           fem_k_series=k_series)
+    orders = [FracOrders(alpha, beta) for beta in betas]
+    tables = fem_error_tables(cfg, orders, n_workers=threads) if orders else []
+    return _write_tables(args, "table2_beta", betas, tables, "Galerkin-error")
+
+
+def _write_tables(args, stem: str, values: list[float], tables: list, kind: str) -> int:
+    """Write the table of each sweep value to its `_table_file`."""
     out = _out_dir(args)
-    for beta, table in tables.items():
-        write_rate_table(table, os.path.join(out, _table_file("table2_beta", beta)))
-    print(f"wrote {len(tables)} Galerkin-error tables to {out}")
+    for value, table in zip(values, tables):
+        write_rate_table(table, os.path.join(out, _table_file(stem, value)))
+    print(f"wrote {len(tables)} {kind} tables to {out}")
     return 0
 
 

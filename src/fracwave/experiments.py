@@ -48,10 +48,8 @@ __all__ = [
     "RateTable",
     "compute_rates",
     "modeling_error_samples",
-    "modeling_error_experiment",
     "modeling_error_tables",
     "fem_error_samples",
-    "fem_error_experiment",
     "fem_error_tables",
     "stability_report",
     "write_rate_table",
@@ -63,18 +61,20 @@ DEFAULT_H_LIST = (1 / 10, 1 / 25, 1 / 50, 1 / 75, 1 / 100)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared knobs of the Monte Carlo experiments.
+    """Shared knobs of the Monte Carlo experiments.  The fractional orders
+    are not among them: each experiment takes its sweep as a list of
+    `FracOrders`, one per table column.
 
     dt_list holds the coarse time steps of the modeling-error experiment
     (each must be a multiple of T/n_fine that divides T); h_list holds the
     mesh widths of the Galerkin experiment, which runs at the single time
-    step dt_list[0].  Every step and width must be finite and positive, and
-    the k_modes x n_fine noise matrix, like each mesh's k_modes x N mode
-    products, must fit the noise entry cap; a config that breaks any of
-    these is rejected before any work starts.
+    step dt_list[0].  Every step and width must be finite and positive; the
+    k_modes x n_fine noise matrix, each mesh's k_modes x N mode products and
+    N x N dense matrices, and the fem_k_series stiffness series must fit the
+    noise entry cap.  A config that breaks any of these is rejected before
+    any work starts.
     """
 
-    orders: FracOrders
     m_traj: int
     base_seed: int
     T: float = 1.0
@@ -92,6 +92,9 @@ class ExperimentConfig:
             raise DomainError("ExperimentConfig: invalid time grid")
         if not (1 <= self.n_cutoff <= self.k_modes):
             raise DomainError("ExperimentConfig: need 1 <= n_cutoff <= k_modes")
+        if not (1 <= self.fem_k_series <= _DEFAULT_ENTRY_CAP):
+            raise DomainError(f"ExperimentConfig: fem_k_series {self.fem_k_series} is not "
+                              f"in [1, {_DEFAULT_ENTRY_CAP}]")
         if self.k_modes * self.n_fine > _DEFAULT_ENTRY_CAP:
             raise DomainError(f"ExperimentConfig: {self.k_modes} modes x {self.n_fine} steps "
                               f"exceed the cap of {_DEFAULT_ENTRY_CAP} noise entries")
@@ -101,13 +104,11 @@ class ExperimentConfig:
                                   "finite and positive")
         for dt in self.dt_list:
             self.coarse_steps(dt)  # validates divisibility
-        for h in self.h_list:
-            n = round(1.0 / h) - 1
-            if n < 1 or abs(1.0 / (n + 1) - h) > 1e-12:
-                raise DomainError(f"ExperimentConfig: h = {h} is not 1/(N+1) with N >= 1")
-            if self.k_modes * n > _DEFAULT_ENTRY_CAP:
-                raise DomainError(f"ExperimentConfig: h = {h} gives {self.k_modes} x {n} "
-                                  f"mode products, above the cap of {_DEFAULT_ENTRY_CAP}")
+        for h, mesh in zip(self.h_list, self.meshes()):
+            if self.k_modes * mesh.n_interior > _DEFAULT_ENTRY_CAP:
+                raise DomainError(f"ExperimentConfig: h = {h} gives {self.k_modes} x "
+                                  f"{mesh.n_interior} mode products, above the cap of "
+                                  f"{_DEFAULT_ENTRY_CAP}")
 
     @property
     def dt_fine(self) -> float:
@@ -121,6 +122,16 @@ class ExperimentConfig:
         if self.n_fine % steps != 0:
             raise DomainError(f"coarse grid with dt = {dt} does not nest in the fine grid")
         return steps, self.n_fine // steps
+
+    def meshes(self) -> list[FemMesh]:
+        """The mesh of each width in h_list; `FemMesh` bounds its dense matrices."""
+        meshes = []
+        for h in self.h_list:
+            n = round(1.0 / h) - 1
+            if n < 1 or abs(1.0 / (n + 1) - h) > 1e-12:
+                raise DomainError(f"ExperimentConfig: h = {h} is not 1/(N+1) with N >= 1")
+            meshes.append(FemMesh(n))
+        return meshes
 
     def noise_spec(self) -> NoiseSpec:
         return NoiseSpec(sigma=inverse_cubic_sigma, n_cutoff=self.n_cutoff,
@@ -216,24 +227,21 @@ def _call_worker_fn(x):
     return _worker_fn(x)
 
 
-def _modeling_weights(cfg: ExperimentConfig, alphas, rule: str, n_workers: int):
-    """(w_ref, w_coarse): per alpha the fine left-rule grid and the coarse grids.
+def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int):
+    """(w_ref, w_coarse): per entry of orders the fine left-rule grid and
+    the coarse grids.
 
-    One `convolution_weights` call per (alpha, grid), spread over workers;
+    One `convolution_weights` call per (entry, grid), spread over workers;
     each call is the one a serial run makes, so the weights are the same bits.
     """
     spec = cfg.noise_spec()
     jobs = []
-    for alpha in alphas:
-        orders = FracOrders(alpha, cfg.orders.beta)
-        jobs.append((orders, spec, cfg.dt_fine, cfg.n_fine, "left", False))
-        for dt in cfg.dt_list:
-            jobs.append((orders, spec, dt, cfg.coarse_steps(dt)[0], rule, True))
+    for o in orders:
+        jobs.append((o, spec, cfg.dt_fine, cfg.n_fine, "left", False))
+        jobs += [(o, spec, dt, cfg.coarse_steps(dt)[0], rule, True) for dt in cfg.dt_list]
     grids = _pool_map(lambda job: convolution_weights(*job), jobs, n_workers)
-    per_alpha = 1 + len(cfg.dt_list)
-    w_ref = grids[::per_alpha]
-    w_coarse = [grids[a * per_alpha + 1 : (a + 1) * per_alpha] for a in range(len(alphas))]
-    return w_ref, w_coarse
+    per_col = 1 + len(cfg.dt_list)
+    return grids[::per_col], [grids[a + 1 : a + per_col] for a in range(0, len(grids), per_col)]
 
 
 #: Trajectories per batch of a modeling-error run: batch q holds trajectories
@@ -302,58 +310,35 @@ def _modeling_traj(spec: NoiseSpec, base_seed: int, m_traj: int, factors: list,
     return out.reshape(len(seeds), len(w_ref), n_dt)
 
 
-def _modeling_samples_multi(cfg: ExperimentConfig, alphas, rule: str,
-                            n_workers: int) -> np.ndarray:
-    """Per-trajectory squared L2 errors, shape (m_traj, len(alphas), n_dt).
+def modeling_error_samples(cfg: ExperimentConfig, orders, rule: str = "exact",
+                           n_workers: int = 1) -> np.ndarray:
+    """Squared L2 distance reference-vs-regularized per trajectory, shape
+    (m_traj, len(orders), n_dt), column i at the fractional orders orders[i].
 
-    One noise draw per trajectory feeds every alpha column and every coarse
-    grid, so all comparisons are coupled to the same Brownian paths.  The
-    weight grids and then the batches of `_BATCH` trajectories are spread
-    over n_workers.
+    One noise draw per trajectory feeds every column and every coarse grid,
+    so all comparisons are coupled to the same Brownian paths.  The weight
+    grids and then the batches of `_BATCH` trajectories are spread over
+    n_workers.
     """
-    w_ref, w_coarse = _modeling_weights(cfg, alphas, rule, n_workers)
+    w_ref, w_coarse = _modeling_weights(cfg, orders, rule, n_workers)
     factors = [cfg.coarse_steps(dt)[1] for dt in cfg.dt_list]
     batch = functools.partial(_modeling_traj, cfg.noise_spec(), cfg.base_seed, cfg.m_traj,
                               factors, w_ref, w_coarse)
     return np.concatenate(_pool_map(batch, range(0, cfg.m_traj, _BATCH), n_workers), axis=0)
 
 
-def modeling_error_samples(cfg: ExperimentConfig, rule: str = "exact",
-                           n_workers: int = 1) -> np.ndarray:
-    """Squared L2 distance reference-vs-regularized, shape (m_traj, n_dt)."""
-    return _modeling_samples_multi(cfg, [cfg.orders.alpha], rule, n_workers)[:, 0, :]
+def modeling_error_tables(cfg: ExperimentConfig, orders, rule: str = "exact",
+                          n_workers: int = 1) -> list[RateTable]:
+    """Root-mean-squared modeling errors and rates over cfg.dt_list, one
+    table per entry of orders, sharing trajectories and noise."""
+    samples = modeling_error_samples(cfg, orders, rule, n_workers)
+    return [_table_from_samples(samples[:, i, :], cfg.dt_list, _meta(cfg, o, rule=rule))
+            for i, o in enumerate(orders)]
 
 
-def modeling_error_experiment(cfg: ExperimentConfig, rule: str = "exact",
-                              n_workers: int = 1) -> RateTable:
-    """Root-mean-squared modeling errors and rates over cfg.dt_list."""
-    alpha = cfg.orders.alpha
-    return modeling_error_tables(cfg, [alpha], rule=rule, n_workers=n_workers)[alpha]
-
-
-def modeling_error_tables(cfg: ExperimentConfig, alphas, rule: str = "exact",
-                          n_workers: int = 1) -> dict[float, RateTable]:
-    """One modeling-error table per alpha, sharing trajectories and noise."""
-    samples = _modeling_samples_multi(cfg, alphas, rule, n_workers)
-    tables = {}
-    for a, alpha in enumerate(alphas):
-        meta = _meta(cfg, extra={"rule": rule})
-        meta["alpha"] = alpha
-        tables[alpha] = _table_from_samples(samples[:, a, :], cfg.dt_list, meta)
-    return tables
-
-
-def _meta(cfg: ExperimentConfig, extra: dict | None = None) -> dict:
-    meta = {
-        "alpha": cfg.orders.alpha,
-        "beta": cfg.orders.beta,
-        "m_traj": cfg.m_traj,
-        "seed": cfg.base_seed,
-        "build": _build_tag(),
-    }
-    if extra:
-        meta.update(extra)
-    return meta
+def _meta(cfg: ExperimentConfig, orders: FracOrders, **extra) -> dict:
+    return {"alpha": orders.alpha, "beta": orders.beta, "m_traj": cfg.m_traj,
+            "seed": cfg.base_seed, "build": _build_tag(), **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +367,15 @@ def _fem_traj(spec: NoiseSpec, base_seed: int, factor: int, sig: np.ndarray,
     return out
 
 
-def _fem_samples_multi(cfg: ExperimentConfig, betas, n_workers: int) -> np.ndarray:
-    """Per-trajectory squared L2 FEM errors, shape (m_traj, len(betas), len(h_list)).
+def fem_error_samples(cfg: ExperimentConfig, orders, n_workers: int = 1) -> np.ndarray:
+    """Per-trajectory squared L2 FEM errors, shape (m_traj, len(orders), len(h_list)),
+    column i at the fractional orders orders[i].
 
-    Runs at the single coarse step cfg.dt_list[0] and at alpha =
-    cfg.orders.alpha.  One noise draw per trajectory feeds every beta: the
-    same increments drive the spectral solution and, through the mode
-    projections, every mesh.  Each mesh is built once, before any
-    trajectory, and applied per trajectory by the code of `fem_solution` and
-    `l2_error_cross`.
+    Runs at the single coarse step cfg.dt_list[0].  One noise draw per
+    trajectory feeds every column: the same increments drive the spectral
+    solution and, through the mode projections, every mesh.  Each mesh is
+    built once, before any trajectory, and applied per trajectory by the
+    code of `fem_solution` and `l2_error_cross`.
     """
     if len(cfg.dt_list) != 1:
         raise DomainError("fem_error_samples: configure exactly one dt in dt_list")
@@ -401,46 +386,29 @@ def _fem_samples_multi(cfg: ExperimentConfig, betas, n_workers: int) -> np.ndarr
     v2 = ramp_coeffs(cfg.k_modes)
     sig = spec.sigma_matrix(dt * np.arange(steps), truncated=True)
     columns = []
-    for beta in betas:
-        orders = FracOrders(cfg.orders.alpha, beta)
+    for o in orders:
         meshes = []
-        for h in cfg.h_list:
-            n = round(1.0 / h) - 1
-            spectrum = discrete_spectrum(FemMesh(n), beta, cfg.fem_k_series)
+        for mesh in cfg.meshes():
+            spectrum = discrete_spectrum(mesh, o.beta, cfg.fem_k_series)
             products = sine_products(spectrum, cfg.k_modes)  # (e_k, e_j^h), (K, N)
             lamh = spectrum.eigenvalues
-            fem_hom = _homogeneous(orders.alpha, lamh, cfg.T, np.einsum("k,kj->j", v1, products),
+            fem_hom = _homogeneous(o.alpha, lamh, cfg.T, np.einsum("k,kj->j", v1, products),
                                    np.einsum("k,kj->j", v2, products))
             meshes.append((products, fem_hom,
-                           _time_weights(orders.alpha, lamh, 1.0, cfg.T, dt, steps, "exact")))
-        columns.append((homogeneous_solution(orders, v1, v2, cfg.T),
-                        convolution_weights(orders, spec, dt, steps, rule="exact",
-                                            truncated=True),
+                           _time_weights(o.alpha, lamh, 1.0, cfg.T, dt, steps, "exact")))
+        columns.append((homogeneous_solution(o, v1, v2, cfg.T),
+                        convolution_weights(o, spec, dt, steps, rule="exact", truncated=True),
                         meshes))
     traj = functools.partial(_fem_traj, spec, cfg.base_seed, factor, sig, columns)
     return np.stack(_pool_map(traj, range(cfg.m_traj), n_workers), axis=0)
 
 
-def fem_error_samples(cfg: ExperimentConfig, n_workers: int = 1) -> np.ndarray:
-    """Per-trajectory squared L2 FEM errors, shape (m_traj, len(h_list))."""
-    return _fem_samples_multi(cfg, [cfg.orders.beta], n_workers)[:, 0, :]
-
-
-def fem_error_experiment(cfg: ExperimentConfig, n_workers: int = 1) -> RateTable:
-    """Root-mean-squared FEM errors and rates over cfg.h_list."""
-    beta = cfg.orders.beta
-    return fem_error_tables(cfg, [beta], n_workers=n_workers)[beta]
-
-
-def fem_error_tables(cfg: ExperimentConfig, betas,
-                     n_workers: int = 1) -> dict[float, RateTable]:
-    """One Galerkin-error table per beta, sharing trajectories and noise."""
-    samples = _fem_samples_multi(cfg, betas, n_workers)
-    tables = {}
-    for b, beta in enumerate(betas):
-        meta = _meta(cfg, extra={"dt": cfg.dt_list[0], "beta": beta})
-        tables[beta] = _table_from_samples(samples[:, b, :], cfg.h_list, meta)
-    return tables
+def fem_error_tables(cfg: ExperimentConfig, orders, n_workers: int = 1) -> list[RateTable]:
+    """Root-mean-squared FEM errors and rates over cfg.h_list, one table per
+    entry of orders, sharing trajectories and noise."""
+    samples = fem_error_samples(cfg, orders, n_workers)
+    return [_table_from_samples(samples[:, i, :], cfg.h_list, _meta(cfg, o, dt=cfg.dt_list[0]))
+            for i, o in enumerate(orders)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ series-truncation error beyond roundoff.
 
 The discrete solution itself is spectral in the eigenpairs of the pencil
 (A, M): the generalized eigenvectors diagonalize the evolution exactly as
-the sine modes do on the continuous side.
+the sine modes do on the continuous side.  So a member of the FEM space is
+an array of its eigen coefficients c, with nodal values V c for the
+M-orthonormal eigenvectors V, and both projections are diagonal in them.
 """
 
 from __future__ import annotations
@@ -27,13 +29,12 @@ import numpy as np
 from scipy.special import zeta
 
 from .errors import DomainError
-from .noise import NoisePaths, NoiseSpec
+from .noise import _DEFAULT_ENTRY_CAP, NoisePaths, NoiseSpec
 from .spectral import (SQRT2, FracOrders, _grid_index, _homogeneous, _time_weights,
                        fractional_eigenvalues)
 
 __all__ = [
     "FemMesh",
-    "FemField",
     "DiscreteSpectrum",
     "hat_sine_product",
     "hat_sine_matrix",
@@ -42,8 +43,6 @@ __all__ = [
     "discrete_spectrum",
     "eigenvalues_from_series",
     "sine_products",
-    "to_nodal",
-    "to_eigen",
     "project_l2",
     "project_ritz",
     "fem_solution",
@@ -59,13 +58,19 @@ _ALIAS_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class FemMesh:
-    """Uniform mesh with interior nodes x_i = i*h, i = 1..N, h = 1/(N+1)."""
+    """Uniform mesh with interior nodes x_i = i*h, i = 1..N, h = 1/(N+1).
+
+    N is bounded so that its dense N x N matrices fit the noise entry cap.
+    """
 
     n_interior: int
 
     def __post_init__(self):
         if self.n_interior < 1:
             raise DomainError("FemMesh: need at least one interior node")
+        if self.n_interior**2 > _DEFAULT_ENTRY_CAP:
+            raise DomainError(f"FemMesh: {self.n_interior} x {self.n_interior} dense matrices "
+                              f"exceed the cap of {_DEFAULT_ENTRY_CAP} entries")
 
     @property
     def h(self) -> float:
@@ -74,18 +79,6 @@ class FemMesh:
     @property
     def nodes(self) -> np.ndarray:
         return self.h * np.arange(1, self.n_interior + 1)
-
-
-@dataclass(frozen=True)
-class FemField:
-    """A member of the FEM space, as nodal values or eigenbasis coefficients."""
-
-    values: np.ndarray
-    basis: str  # "nodal" | "eigen"
-
-    def __post_init__(self):
-        if self.basis not in ("nodal", "eigen"):
-            raise DomainError(f"FemField: unknown basis {self.basis!r}")
 
 
 @dataclass(frozen=True)
@@ -224,8 +217,8 @@ def fractional_stiffness(mesh: FemMesh, beta: float, k_series: int = DEFAULT_K_S
     """
     if not (0.0 < beta <= 1.0):
         raise DomainError(f"fractional_stiffness: need 0 < beta <= 1 (got {beta})")
-    if k_series < 1:
-        raise DomainError("fractional_stiffness: k_series must be >= 1")
+    if not (1 <= k_series <= _DEFAULT_ENTRY_CAP):
+        raise DomainError(f"fractional_stiffness: k_series must be in [1, {_DEFAULT_ENTRY_CAP}]")
     prefac = _alias_setup(mesh, beta)
     sums = _alias_class_sums(mesh, beta, k_series).astype(float)
     if tail:
@@ -286,68 +279,48 @@ def sine_products(spectrum: DiscreteSpectrum, k_max: int) -> np.ndarray:
     return hat_sine_matrix(spectrum.mesh, k_max) @ spectrum.eigenvectors
 
 
-def to_nodal(spectrum: DiscreteSpectrum, field: FemField) -> FemField:
-    if field.basis == "nodal":
-        return field
-    return FemField(spectrum.eigenvectors @ field.values, "nodal")
+def project_l2(spectrum: DiscreteSpectrum, coeffs: np.ndarray) -> np.ndarray:
+    """L2-orthogonal projection of a sine expansion onto the FEM space, in
+    eigen coefficients: V^T b with b_i = sum_k coeffs_k (phi_i, e_k).
 
-
-def to_eigen(spectrum: DiscreteSpectrum, field: FemField) -> FemField:
-    if field.basis == "eigen":
-        return field
-    return FemField(spectrum.eigenvectors.T @ (spectrum.mass @ field.values), "eigen")
-
-
-def project_l2(spectrum: DiscreteSpectrum, coeffs: np.ndarray) -> FemField:
-    """L2-orthogonal projection of a sine expansion onto the FEM space.
-
-    Solves M c = b with b_i = sum_k coeffs_k (phi_i, e_k); the residual
-    against each discrete eigenfunction vanishes up to the truncation of
-    the supplied expansion.
+    That is V^T M (M^-1 b) for M-orthonormal V; the residual against each
+    discrete eigenfunction vanishes up to the truncation of the expansion.
     """
-    from scipy.linalg import cho_factor, cho_solve
-
-    coeffs = np.asarray(coeffs, dtype=float)
-    b = _weighted_hat_sine_sum(spectrum.mesh, coeffs)
-    sol = cho_solve(cho_factor(spectrum.mass), b)
-    return FemField(sol, "nodal")
+    b = _weighted_hat_sine_sum(spectrum.mesh, np.asarray(coeffs, dtype=float))
+    return spectrum.eigenvectors.T @ b
 
 
-def project_ritz(spectrum: DiscreteSpectrum, coeffs: np.ndarray) -> FemField:
-    """Projection in the fractional energy inner product.
+def project_ritz(spectrum: DiscreteSpectrum, coeffs: np.ndarray) -> np.ndarray:
+    """Projection in the fractional energy inner product, in eigen
+    coefficients: (V^T b) / lam_h with b_i = sum_k lam_k^beta coeffs_k (phi_i, e_k).
 
-    Solves A c = b with b_i = sum_k lam_k^beta coeffs_k (phi_i, e_k), i.e.
-    the discrete fractional Laplacian of the result matches the projected
-    fractional Laplacian of the datum.
+    That is V^T M (A^-1 b), since A^-1 = V diag(1/lam_h) V^T: the discrete
+    fractional Laplacian of the result matches the projected fractional
+    Laplacian of the datum.
     """
-    from scipy.linalg import cho_factor, cho_solve
-
     coeffs = np.asarray(coeffs, dtype=float)
     lam = fractional_eigenvalues(spectrum.beta, coeffs.size)
     b = _weighted_hat_sine_sum(spectrum.mesh, lam * coeffs)
-    sol = cho_solve(cho_factor(spectrum.stiffness), b)
-    return FemField(sol, "nodal")
+    return (spectrum.eigenvectors.T @ b) / spectrum.eigenvalues
 
 
-def discrete_norm(spectrum: DiscreteSpectrum, field: FemField, p: float) -> float:
+def discrete_norm(spectrum: DiscreteSpectrum, c: np.ndarray, p: float) -> float:
     """Weighted eigen-coefficient norm sqrt(sum (lam_j^h)^(p/beta) c_j^2).
 
     Coincides with the L2 norm at p = 0 and the fractional energy seminorm
     at p = beta.
     """
-    c = to_eigen(spectrum, field).values
     return float(np.sqrt(np.sum(spectrum.eigenvalues ** (p / spectrum.beta) * c**2)))
 
 
-def l2_error_cross(u_coeffs: np.ndarray, field: FemField, spectrum: DiscreteSpectrum) -> float:
-    """L2 distance between a sine expansion and a FEM field.
+def l2_error_cross(u_coeffs: np.ndarray, c: np.ndarray, spectrum: DiscreteSpectrum) -> float:
+    """L2 distance between a sine expansion and a FEM field of eigen coefficients c.
 
     Expands ||u - v||^2 with the analytic cross inner products (e_k, e_j^h),
     truncated at the length of u_coeffs.  Tiny negative values from rounding
     clamp to zero; anything below -1e-14 signals inconsistent truncations.
     """
     u_coeffs = np.asarray(u_coeffs, dtype=float)
-    c = to_eigen(spectrum, field).values
     return math.sqrt(_cross_error_sq(u_coeffs, c, sine_products(spectrum, u_coeffs.size)))
 
 
@@ -362,10 +335,11 @@ def _cross_error_sq(u: np.ndarray, c: np.ndarray, products: np.ndarray) -> float
     return max(err2, 0.0)
 
 
-def fem_solution(orders: FracOrders, spectrum: DiscreteSpectrum, v1h: FemField,
-                 v2h: FemField, spec: NoiseSpec, paths: NoisePaths, t: float,
-                 rule: str = "exact") -> FemField:
-    """Galerkin solution at a noise-grid node t, in eigen coefficients.
+def fem_solution(orders: FracOrders, spectrum: DiscreteSpectrum, v1h: np.ndarray,
+                 v2h: np.ndarray, spec: NoiseSpec, paths: NoisePaths, t: float,
+                 rule: str = "exact") -> np.ndarray:
+    """Galerkin solution at a noise-grid node t, in eigen coefficients, from
+    the eigen coefficients v1h and v2h of the initial data.
 
     Each discrete mode evolves by the same Mittag-Leffler factors as a
     continuous mode with eigenvalue lam_j^h; the forcing enters through the
@@ -377,12 +351,11 @@ def fem_solution(orders: FracOrders, spectrum: DiscreteSpectrum, v1h: FemField,
         raise DomainError("fem_solution: paths/spec mode counts differ")
     idx = _grid_index(t, paths)
     lamh = spectrum.eigenvalues
-    hom = _homogeneous(orders.alpha, lamh, t, to_eigen(spectrum, v1h).values,
-                       to_eigen(spectrum, v2h).values)
+    hom = _homogeneous(orders.alpha, lamh, t, v1h, v2h)
     wt = _time_weights(orders.alpha, lamh, 1.0, t, paths.dt, idx, rule)
     products = sine_products(spectrum, spec.K_modes)
     sig = spec.sigma_matrix(paths.dt * np.arange(idx), truncated=True)
-    return FemField(_fem_apply(products, hom, wt, sig * paths.increments[:, :idx]), "eigen")
+    return _fem_apply(products, hom, wt, sig * paths.increments[:, :idx])
 
 
 def _fem_apply(products: np.ndarray, hom: np.ndarray, wt: np.ndarray,

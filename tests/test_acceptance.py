@@ -137,14 +137,13 @@ def test_criterion_4_spectral_definition_consistency():
 def test_criterion_5_table1_reproduction():
     t0 = time.perf_counter()
     alphas = (1.1, 1.25, 1.5, 1.75, 2.0)
-    cfg = ExperimentConfig(orders=FracOrders(1.5, 0.75), m_traj=1000,
-                           base_seed=ACCEPTANCE_SEED)
-    tables = modeling_error_tables(cfg, alphas, n_workers=1)
+    cfg = ExperimentConfig(m_traj=1000, base_seed=ACCEPTANCE_SEED)
+    tables = modeling_error_tables(cfg, [FracOrders(alpha, 0.75) for alpha in alphas],
+                                   n_workers=1)
     elapsed = time.perf_counter() - t0
     ok = True
     details = []
-    for alpha in alphas:
-        table = tables[alpha]
+    for alpha, table in zip(alphas, tables):
         mean_rate = table.mean_rate
         target = float(np.mean(TABLE1_TARGET_RATES[alpha]))
         floor = alpha - 0.75 if alpha <= 1.5 else 0.75
@@ -162,11 +161,9 @@ def test_criterion_6_table2_reproduction():
     ok = True
     details = []
     betas = (0.6, 0.8, 1.0)
-    cfg = ExperimentConfig(orders=FracOrders(1.5, betas[0]), m_traj=500,
-                           base_seed=ACCEPTANCE_SEED, n_fine=100, dt_list=(0.01,))
-    tables = fem_error_tables(cfg, betas, n_workers=1)
-    for beta in betas:
-        table = tables[beta]
+    cfg = ExperimentConfig(m_traj=500, base_seed=ACCEPTANCE_SEED, n_fine=100, dt_list=(0.01,))
+    tables = fem_error_tables(cfg, [FracOrders(1.5, beta) for beta in betas], n_workers=1)
+    for beta, table in zip(betas, tables):
         rates = table.rates[1:]
         ok_col = bool((rates >= 2.0 * beta - 0.3).all())
         if beta == 1.0:
@@ -180,10 +177,9 @@ def test_criterion_6_table2_reproduction():
 
 def test_criterion_7_rectangle_rule_degeneration():
     t0 = time.perf_counter()
-    cfg = ExperimentConfig(orders=FracOrders(1.5, 0.75), m_traj=3,
-                           base_seed=ACCEPTANCE_SEED, n_fine=1000,
+    cfg = ExperimentConfig(m_traj=3, base_seed=ACCEPTANCE_SEED, n_fine=1000,
                            dt_list=(1 / 1000,))
-    samples = modeling_error_samples(cfg, rule="left")
+    samples = modeling_error_samples(cfg, [FracOrders(1.5, 0.75)], rule="left")
     elapsed = time.perf_counter() - t0
     ok = bool((samples == 0.0).all()) and elapsed < 60.0
     _report(7, "rectangle-rule degeneration", ok,

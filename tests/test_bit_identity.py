@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from fracwave import mittag_leffler
-from fracwave.experiments import (ExperimentConfig, _modeling_samples_multi, _modeling_weights,
-                                  fem_error_samples)
-from fracwave.fem import (_ALIAS_BLOCK, FemField, FemMesh, _alias_class_sums,
-                          discrete_spectrum, fem_solution, l2_error_cross, sine_products)
+from fracwave.experiments import (ExperimentConfig, _modeling_weights, fem_error_samples,
+                                  modeling_error_samples)
+from fracwave.fem import (_ALIAS_BLOCK, FemMesh, _alias_class_sums, discrete_spectrum,
+                          fem_solution, l2_error_cross, sine_products)
 from fracwave.mittag_leffler import (
     _BLOCK,
     _PW_LEAF,
@@ -190,14 +190,13 @@ def test_all_negative_zero_terms_sum_to_positive_zero(monkeypatch):
 
 def test_modeling_weights_match_bucketed_oracle(monkeypatch):
     cfg = _modeling_cfg(200, 200, 1)
-    alphas = (1.1, 1.25, 1.5, 1.75, 1.95, 2.0)
-    fast = _modeling_weights(cfg, alphas, "exact", 1)
+    fast = _modeling_weights(cfg, ORDERS, "exact", 1)
     calls = []
     # kernel_weights passes its 2-D grid; the oracle takes flat arguments
     monkeypatch.setattr(mittag_leffler, "ml_values", lambda a, b, z: calls.append(a)
                         or ml_values_bucketed(a, b, z.ravel()).reshape(z.shape))
-    slow = _modeling_weights(cfg, alphas, "exact", 1)
-    assert len(calls) == len(alphas) * (1 + len(cfg.dt_list))
+    slow = _modeling_weights(cfg, ORDERS, "exact", 1)
+    assert len(calls) == len(ORDERS) * (1 + len(cfg.dt_list))
     for w1, w2 in zip(fast[0], slow[0]):
         assert np.array_equal(w1, w2)
     for per_dt1, per_dt2 in zip(fast[1], slow[1]):
@@ -211,11 +210,11 @@ def test_modeling_weights_match_bucketed_oracle(monkeypatch):
 # modes; n_fine = 200 makes the dot products longer than numpy's 128-term
 # pairwise leaf, and the coarse factors 40, 20, 8, 5, 1 include the
 # uncoarsened grid.
-ALPHAS = (1.1, 1.25, 1.5, 1.75, 1.95, 2.0)
+ORDERS = [FracOrders(alpha, 0.75) for alpha in (1.1, 1.25, 1.5, 1.75, 1.95, 2.0)]
 
 
 def _modeling_cfg(k_modes, n_cutoff, seed, n_fine=200):
-    return ExperimentConfig(orders=FracOrders(1.5, 0.75), m_traj=3, base_seed=seed,
+    return ExperimentConfig(m_traj=3, base_seed=seed,
                             n_fine=n_fine, k_modes=k_modes, n_cutoff=n_cutoff,
                             dt_list=(1 / 5, 1 / 10, 1 / 25, 1 / 40, 1 / 200), h_list=())
 
@@ -228,8 +227,8 @@ def _assert_matches_longdouble(cfg, rule):
     at the paper's shapes, and up to 1.6e-12 on the cases of the two tests
     below.
     """
-    samples = _modeling_samples_multi(cfg, ALPHAS, rule, 1)
-    oracle, _ = modeling_oracle(cfg, ALPHAS, rule)
+    samples = modeling_error_samples(cfg, ORDERS, rule, 1)
+    oracle, _ = modeling_oracle(cfg, ORDERS, rule)
     assert samples.shape == oracle.shape
     gap = np.abs(samples.astype(np.longdouble) - oracle)
     assert (gap <= 1e-13 * oracle).all(), float((gap / np.where(oracle > 0, oracle, 1)).max())
@@ -258,8 +257,8 @@ def test_modeling_traj_matches_unblocked_at_1000_steps(rule, seed):
 
 def test_modeling_weights_independent_of_workers():
     cfg = _modeling_cfg(100, 57, 1)
-    serial = _modeling_weights(cfg, ALPHAS, "exact", 1)
-    pooled = _modeling_weights(cfg, ALPHAS, "exact", 2)
+    serial = _modeling_weights(cfg, ORDERS, "exact", 1)
+    pooled = _modeling_weights(cfg, ORDERS, "exact", 2)
     for w1, w2 in zip(serial[0], pooled[0]):
         assert np.array_equal(w1, w2)
     for per_dt1, per_dt2 in zip(serial[1], pooled[1]):
@@ -302,10 +301,10 @@ def test_modeling_samples_equal_library_solvers(k_modes, n_cutoff, n_fine, rule)
     noise and never forms the solutions.
     """
     alphas = (1.1, 1.25, 1.5, 1.75, 2.0)
-    cfg = ExperimentConfig(orders=FracOrders(1.5, 0.75), m_traj=2, base_seed=5,
+    cfg = ExperimentConfig(m_traj=2, base_seed=5,
                            n_fine=n_fine, k_modes=k_modes, n_cutoff=n_cutoff,
                            dt_list=(1 / 10, 1 / 20, 1 / 40), h_list=())
-    samples = _modeling_samples_multi(cfg, alphas, rule, 1)
+    samples = modeling_error_samples(cfg, [FracOrders(alpha, 0.75) for alpha in alphas], rule, 1)
     spec = cfg.noise_spec()
     v1, v2 = parabola_coeffs(k_modes), ramp_coeffs(k_modes)
     for l in range(cfg.m_traj):
@@ -328,11 +327,12 @@ def test_modeling_samples_equal_library_solvers(k_modes, n_cutoff, n_fine, rule)
 # `l2_error_cross` applied to the same noise, trajectory by trajectory.
 
 def test_fem_samples_equal_library_solvers():
-    cfg = ExperimentConfig(orders=FracOrders(1.5, 0.8), m_traj=12, base_seed=11,
+    orders = FracOrders(1.5, 0.8)
+    cfg = ExperimentConfig(m_traj=12, base_seed=11,
                            n_fine=50, k_modes=128, n_cutoff=128,
                            dt_list=(1 / 50,), h_list=(1 / 5, 1 / 10, 1 / 20),
                            fem_k_series=20_000)
-    errors = np.sqrt(fem_error_samples(cfg))
+    errors = np.sqrt(fem_error_samples(cfg, [orders])[:, 0, :])
     spec = cfg.noise_spec()
     v1, v2 = parabola_coeffs(cfg.k_modes), ramp_coeffs(cfg.k_modes)
     steps, factor = cfg.coarse_steps(cfg.dt_list[0])
@@ -340,11 +340,11 @@ def test_fem_samples_equal_library_solvers():
                for h in cfg.h_list]
     for l in range(cfg.m_traj):
         paths = coarsen(generate(spec, trajectory_seed(cfg.base_seed, l)), factor)
-        u = (homogeneous_solution(cfg.orders, v1, v2, cfg.T)
-             + stochastic_convolution(cfg.orders, spec, paths, steps, truncated=True))
+        u = (homogeneous_solution(orders, v1, v2, cfg.T)
+             + stochastic_convolution(orders, spec, paths, steps, truncated=True))
         for j, spectrum in enumerate(spectra):
             p = sine_products(spectrum, cfg.k_modes)
-            uh = fem_solution(cfg.orders, spectrum, FemField(np.einsum("k,kj->j", v1, p), "eigen"),
-                              FemField(np.einsum("k,kj->j", v2, p), "eigen"), spec, paths, cfg.T)
+            uh = fem_solution(orders, spectrum, np.einsum("k,kj->j", v1, p),
+                              np.einsum("k,kj->j", v2, p), spec, paths, cfg.T)
             assert l2_error_cross(u, uh, spectrum) == errors[l, j]
     assert (errors > 0.0).all()

@@ -164,6 +164,8 @@ def test_wrong_type_config_value_is_domain_error(tmp_path, capsys, monkeypatch, 
     ("table2", "fem_error_tables", "h_list = [1e-300]"),
     ("table2", "fem_error_tables", "h_list = [nan]"),
     ("table2", "fem_error_tables", "h_list = []"),
+    ("table2", "fem_error_tables", "fem_k_series = 0"),
+    ("table2", "fem_error_tables", "fem_k_series = 1000000000000"),
 ])
 def test_bad_grid_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, target, line):
     import fracwave.cli as cli
@@ -176,6 +178,27 @@ def test_bad_grid_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command
     code, _, err = run([command, "--config", str(cfg), "--out", str(out)], capsys)
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+    assert calls == [] and not out.exists()
+
+
+def test_dense_mesh_above_cap_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    """A mesh whose N x N matrices exceed the entry cap (here lowered to
+    400, N <= 20) exits 2 before any matrix is built."""
+    import fracwave.cli as cli
+    from fracwave import fem
+
+    calls = []
+    monkeypatch.setattr(fem, "_DEFAULT_ENTRY_CAP", 400)
+    monkeypatch.setattr(fem, "mass_matrix", lambda *a: calls.append("mass"))
+    monkeypatch.setattr(fem, "_dst_matrix", lambda *a: calls.append("dst"))
+    monkeypatch.setattr(cli, "fem_error_tables", lambda *a, **k: calls.append(a) or [])
+    out = tmp_path / "never"
+    code, _, err = run(["spectrum", "--n", "21", "--beta", "0.8", "--out", str(out)], capsys)
+    assert code == 2 and err.startswith("error:")
+    cfg = tmp_path / "mesh.cfg"
+    cfg.write_text("h_list = [0.1, 0.04]\n")
+    code, _, err = run(["table2", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2 and err.startswith("error:")
     assert calls == [] and not out.exists()
 
 
@@ -233,7 +256,7 @@ def test_cli_import_leaves_out_mpmath():
 
 
 def test_cli_import_leaves_out_scipy_linalg():
-    """LAPACK loads only in `discrete_spectrum` and the projections."""
+    """LAPACK loads only in `discrete_spectrum`."""
     assert _run_python("import sys, fracwave.cli; print('scipy.linalg' in sys.modules)") == "False"
     probe = ("import sys; from fracwave.fem import FemMesh, discrete_spectrum; "
              "discrete_spectrum(FemMesh(3), 0.8, 100); print('scipy.linalg' in sys.modules)")

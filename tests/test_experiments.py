@@ -7,18 +7,14 @@ import pickle
 import numpy as np
 import pytest
 
-from fracwave import experiments
+from fracwave import experiments, fem
 from fracwave.errors import DomainError
 from fracwave.experiments import (
     ExperimentConfig,
-    _fem_samples_multi,
-    _modeling_samples_multi,
     _pool_map,
     compute_rates,
-    fem_error_experiment,
     fem_error_samples,
     fem_error_tables,
-    modeling_error_experiment,
     modeling_error_samples,
     modeling_error_tables,
     stability_report,
@@ -30,8 +26,11 @@ from fracwave.spectral import FracOrders, convolution_weights
 from oracles import LONGDOUBLE_EXTENDED, modeling_oracle
 
 
+ORDERS = FracOrders(1.5, 0.75)
+
+
 def _cfg(**kw):
-    base = dict(orders=FracOrders(1.5, 0.75), m_traj=6, base_seed=7,
+    base = dict(m_traj=6, base_seed=7,
                 n_fine=200, k_modes=64, n_cutoff=64,
                 dt_list=(1 / 10, 1 / 20, 1 / 40), h_list=())
     base.update(kw)
@@ -64,14 +63,26 @@ def test_config_validation():
                                 dict(dt_list=(math.nan,)), dict(dt_list=(math.inf,)),
                                 dict(dt_list=(1e-320,)), dict(h_list=(0.0,)),
                                 dict(h_list=(math.nan,)), dict(h_list=(1e-300,)),
-                                dict(k_modes=1 << 20, n_cutoff=64, n_fine=200)])
+                                dict(k_modes=1 << 20, n_cutoff=64, n_fine=200),
+                                dict(fem_k_series=0), dict(fem_k_series=10**12)])
 def test_config_rejects_bad_grids(kw):
     with pytest.raises(DomainError):
         _cfg(**kw)
 
 
+def test_config_bounds_dense_mesh_matrices(monkeypatch):
+    """A mesh whose N x N matrices exceed the entry cap is rejected by the
+    config and by `FemMesh`, before any matrix exists."""
+    monkeypatch.setattr(fem, "_DEFAULT_ENTRY_CAP", 400)
+    assert _cfg(h_list=(1 / 21,)).meshes()[0].n_interior == 20
+    with pytest.raises(DomainError):
+        _cfg(h_list=(1 / 21, 1 / 22))
+    with pytest.raises(DomainError):
+        fem.FemMesh(21)
+
+
 def test_modeling_error_monotone_and_positive():
-    tab = modeling_error_experiment(_cfg(m_traj=16))
+    tab = modeling_error_tables(_cfg(m_traj=16), [ORDERS])[0]
     assert (tab.errors > 0.0).all()
     assert (np.diff(tab.errors) < 0.0).all()
     assert np.isnan(tab.rates[0]) and np.isfinite(tab.rates[1:]).all()
@@ -80,10 +91,10 @@ def test_modeling_error_monotone_and_positive():
 
 def test_modeling_error_reproducible_and_worker_invariant():
     cfg = _cfg()
-    s_a = modeling_error_samples(cfg)
-    s_b = modeling_error_samples(cfg)
+    s_a = modeling_error_samples(cfg, [ORDERS])
+    s_b = modeling_error_samples(cfg, [ORDERS])
     np.testing.assert_array_equal(s_a, s_b)
-    s_c = modeling_error_samples(cfg, n_workers=3)
+    s_c = modeling_error_samples(cfg, [ORDERS], n_workers=3)
     np.testing.assert_array_equal(s_a, s_c)
 
 
@@ -135,8 +146,8 @@ def test_pool_map_caps_workers_without_starting_processes(monkeypatch):
     calls.clear()
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     cfg = _cfg(m_traj=1)
-    samples = modeling_error_samples(cfg, n_workers=10**5)
-    assert samples.shape == (1, len(cfg.dt_list))
+    samples = modeling_error_samples(cfg, [ORDERS], n_workers=10**5)
+    assert samples.shape == (1, 1, len(cfg.dt_list))
     assert len(calls) == 1 and calls[0][0] == 1 + len(cfg.dt_list)
     assert getattr(calls[0][1], "func", None) is not experiments._modeling_traj
 
@@ -181,8 +192,8 @@ def test_modeling_means_match_exact_means(alpha):
     orders = FracOrders(alpha, 0.75)
     w_ref = convolution_weights(orders, spec, dt_fine, n_fine, rule="left", truncated=False)
     for seed in (1, 2, 3):
-        cfg = _cfg(orders=orders, m_traj=m_traj, base_seed=seed)
-        means = _modeling_samples_multi(cfg, [alpha], "exact", 1)[:, 0, :].mean(axis=0)
+        cfg = _cfg(m_traj=m_traj, base_seed=seed)
+        means = modeling_error_samples(cfg, [orders], "exact", 1)[:, 0, :].mean(axis=0)
         for j, dt in enumerate(cfg.dt_list):
             steps, factor = cfg.coarse_steps(dt)
             w_coarse = convolution_weights(orders, spec, dt, steps, rule="exact",
@@ -198,12 +209,12 @@ def test_modeling_samples_independent_of_workers(m_traj):
     """Batches are fixed by trajectory index, so the bits do not depend on
     the worker count; a full batch of 32 is the same whatever follows it."""
     cfg = _cfg(m_traj=m_traj, base_seed=3)
-    alphas = (1.25, 2.0)
-    runs = [_modeling_samples_multi(cfg, alphas, "exact", n) for n in (1, 2, 3)]
+    orders = [FracOrders(1.25, 0.75), FracOrders(2.0, 0.75)]
+    runs = [modeling_error_samples(cfg, orders, "exact", n) for n in (1, 2, 3)]
     assert runs[0].shape == (m_traj, 2, len(cfg.dt_list))
     assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
     if m_traj > 32:
-        first = _modeling_samples_multi(_cfg(m_traj=32, base_seed=3), alphas, "exact", 1)
+        first = modeling_error_samples(_cfg(m_traj=32, base_seed=3), orders, "exact", 1)
         assert np.array_equal(runs[0][:32], first)
 
 
@@ -222,11 +233,11 @@ def test_modeling_block_shape_bounds_scratch(k_modes):
         assert experiments._block_shape(1000, 32, 5, 5) == (16, 32, 25)
     elif LONGDOUBLE_EXTENDED:  # trajectories or columns are split; the errors
         # stay within the rounding bound of the long-double oracle
-        alphas = (1.1, 1.25, 1.5, 1.75, 1.95, 2.0)
+        orders = [FracOrders(a, 0.75) for a in (1.1, 1.25, 1.5, 1.75, 1.95, 2.0)]
         cfg = _cfg(m_traj=33, base_seed=2, k_modes=k_modes, n_cutoff=k_modes,
                    dt_list=(1 / 5, 1 / 10, 1 / 25, 1 / 40, 1 / 200))
-        samples = _modeling_samples_multi(cfg, alphas, "exact", 1)
-        oracle, spread = modeling_oracle(cfg, alphas, "exact")
+        samples = modeling_error_samples(cfg, orders, "exact", 1)
+        oracle, spread = modeling_oracle(cfg, orders, "exact")
         # With one or two modes no sum over modes averages the rounding of a
         # single dot product, whose relative error is up to (n_fine + 1) u
         # times its condition number; so the gate is the standard bound on
@@ -242,16 +253,16 @@ def test_rectangle_rule_degeneration_is_exact_zero():
     # u_n configured to the reference's own rectangle rule on the fine grid
     # with full mode cutoff: per-trajectory squared error is bitwise zero
     cfg = _cfg(m_traj=5, n_fine=100, dt_list=(1 / 100,))
-    samples = modeling_error_samples(cfg, rule="left")
-    assert samples.shape == (5, 1)
+    samples = modeling_error_samples(cfg, [ORDERS], rule="left")
+    assert samples.shape == (5, 1, 1)
     assert (samples == 0.0).all()
 
 
 def test_doubling_trajectories_within_three_stderr():
     cfg_small = _cfg(m_traj=24)
     cfg_big = _cfg(m_traj=48)
-    t_small = modeling_error_experiment(cfg_small)
-    t_big = modeling_error_experiment(cfg_big)
+    t_small = modeling_error_tables(cfg_small, [ORDERS])[0]
+    t_big = modeling_error_tables(cfg_big, [ORDERS])[0]
     for j in range(len(cfg_small.dt_list)):
         gap = abs(t_small.errors[j] - t_big.errors[j])
         assert gap <= 3.0 * (t_small.stderrs[j] + t_big.stderrs[j])
@@ -261,41 +272,65 @@ def test_noise_cutoff_floor():
     # truncating sigma at n = 1 leaves an irreducible modeling-error floor
     # that dominates once the time step is fine enough
     dts = (1 / 10, 1 / 50)
-    full = modeling_error_experiment(_cfg(m_traj=8, dt_list=dts))
-    cut = modeling_error_experiment(_cfg(m_traj=8, n_cutoff=1, dt_list=dts))
+    full = modeling_error_tables(_cfg(m_traj=8, dt_list=dts), [ORDERS])[0]
+    cut = modeling_error_tables(_cfg(m_traj=8, n_cutoff=1, dt_list=dts), [ORDERS])[0]
     assert cut.errors[-1] > 1.7 * full.errors[-1]
     assert cut.errors[0] < 1.5 * full.errors[0]
 
 
 def test_modeling_tables_share_noise_across_alphas():
     cfg = _cfg(m_traj=4)
-    tables = modeling_error_tables(cfg, [1.25, 1.75])
-    assert set(tables) == {1.25, 1.75}
-    single = modeling_error_experiment(
-        _cfg(m_traj=4, orders=FracOrders(1.25, 0.75)))
-    np.testing.assert_allclose(tables[1.25].errors, single.errors, rtol=1e-12)
-    assert tables[1.25].meta["alpha"] == 1.25
-    assert tables[1.75].meta["alpha"] == 1.75
+    tables = modeling_error_tables(cfg, [FracOrders(1.25, 0.75), FracOrders(1.75, 0.75)])
+    assert len(tables) == 2
+    single = modeling_error_tables(_cfg(m_traj=4), [FracOrders(1.25, 0.75)])[0]
+    np.testing.assert_allclose(tables[0].errors, single.errors, rtol=1e-12)
+    assert tables[0].meta["alpha"] == 1.25
+    assert tables[1].meta["alpha"] == 1.75
+
+
+@pytest.mark.parametrize("n_workers", (1, 2))
+def test_modeling_tables_equal_one_order_runs(n_workers):
+    """Each column of a mixed sweep follows its own (alpha, beta): its samples,
+    table and metadata are those of a run at that order alone.
+
+    The column's bits come from a matrix product over every column of a mode
+    block, so they match only where BLAS rounds a column the same whatever
+    the product's width; OpenBLAS does once a block holds 8 trajectories, and
+    16 is one block of 16 here.
+    """
+    orders = [FracOrders(1.5, 0.75), FracOrders(1.5, 0.6), FracOrders(1.25, 0.75)]
+    cfg = _cfg(m_traj=16)
+    samples = modeling_error_samples(cfg, orders, "exact", n_workers)
+    tables = modeling_error_tables(cfg, orders, n_workers=n_workers)
+    assert samples.shape == (cfg.m_traj, len(orders), len(cfg.dt_list))
+    assert len(tables) == len(orders)
+    for i, o in enumerate(orders):
+        assert np.array_equal(samples[:, i], modeling_error_samples(cfg, [o])[:, 0])
+        want = modeling_error_tables(cfg, [o])[0]
+        for key in ("resolutions", "errors", "rates", "stderrs"):
+            assert np.array_equal(getattr(tables[i], key), getattr(want, key), equal_nan=True)
+        assert tables[i].meta == want.meta
 
 
 def test_fem_experiment_smoke():
-    cfg = ExperimentConfig(orders=FracOrders(1.5, 0.8), m_traj=4, base_seed=11,
+    cfg = ExperimentConfig(m_traj=4, base_seed=11,
                            n_fine=50, k_modes=128, n_cutoff=128,
                            dt_list=(1 / 50,), h_list=(1 / 5, 1 / 10, 1 / 20),
                            fem_k_series=20_000)
-    tab = fem_error_experiment(cfg)
+    orders = [FracOrders(1.5, 0.8)]
+    tab = fem_error_tables(cfg, orders)[0]
     assert (tab.errors > 0.0).all()
     assert (np.diff(tab.errors) < 0.0).all()
     assert tab.rates[1:].min() > 2 * 0.8 - 0.3
-    s1 = fem_error_samples(cfg)
-    s2 = fem_error_samples(cfg, n_workers=2)
+    s1 = fem_error_samples(cfg, orders)
+    s2 = fem_error_samples(cfg, orders, n_workers=2)
     np.testing.assert_array_equal(s1, s2)
     with pytest.raises(DomainError):
-        fem_error_samples(_cfg(h_list=(1 / 5,)))  # needs exactly one dt
+        fem_error_samples(_cfg(h_list=(1 / 5,)), orders)  # needs exactly one dt
 
 
 def _fem_cfg(**kw):
-    base = dict(orders=FracOrders(1.5, 0.8), m_traj=5, base_seed=11, n_fine=50, k_modes=128,
+    base = dict(m_traj=5, base_seed=11, n_fine=50, k_modes=128,
                 n_cutoff=128, dt_list=(1 / 50,), h_list=(1 / 5, 1 / 10, 1 / 20),
                 fem_k_series=20_000)
     base.update(kw)
@@ -304,20 +339,22 @@ def _fem_cfg(**kw):
 
 @pytest.mark.parametrize("n_workers", (1, 2))
 def test_fem_tables_equal_one_beta_runs(n_workers):
-    betas = (0.6, 0.8, 1.0)
+    """Each column of a sweep, table 2's betas and a second alpha, follows its
+    own (alpha, beta): its samples, table and metadata are those of a run at
+    that order alone."""
+    orders = [FracOrders(1.5, 0.6), FracOrders(1.5, 0.8), FracOrders(1.5, 1.0),
+              FracOrders(1.25, 0.8)]
     cfg = _fem_cfg()
-    samples = _fem_samples_multi(cfg, betas, n_workers)
-    tables = fem_error_tables(cfg, betas, n_workers=n_workers)
-    assert samples.shape == (cfg.m_traj, len(betas), len(cfg.h_list))
-    assert list(tables) == list(betas)
-    for b, beta in enumerate(betas):
-        one = _fem_cfg(orders=FracOrders(1.5, beta))
-        assert np.array_equal(samples[:, b, :], fem_error_samples(one))
-        want = fem_error_experiment(one)
+    samples = fem_error_samples(cfg, orders, n_workers)
+    tables = fem_error_tables(cfg, orders, n_workers=n_workers)
+    assert samples.shape == (cfg.m_traj, len(orders), len(cfg.h_list))
+    assert len(tables) == len(orders)
+    for i, o in enumerate(orders):
+        assert np.array_equal(samples[:, i, :], fem_error_samples(cfg, [o])[:, 0, :])
+        want = fem_error_tables(cfg, [o])[0]
         for key in ("resolutions", "errors", "rates", "stderrs"):
-            assert np.array_equal(getattr(tables[beta], key), getattr(want, key),
-                                  equal_nan=True)
-        assert tables[beta].meta == want.meta
+            assert np.array_equal(getattr(tables[i], key), getattr(want, key), equal_nan=True)
+        assert tables[i].meta == want.meta
 
 
 def test_fem_tables_draw_each_trajectory_once(monkeypatch):
@@ -329,7 +366,7 @@ def test_fem_tables_draw_each_trajectory_once(monkeypatch):
 
     monkeypatch.setattr(experiments, "generate", counting)
     cfg = _fem_cfg(h_list=(1 / 5,))
-    fem_error_tables(cfg, (0.6, 0.8, 1.0))
+    fem_error_tables(cfg, [FracOrders(1.5, beta) for beta in (0.6, 0.8, 1.0)])
     assert calls == [trajectory_seed(cfg.base_seed, l) for l in range(cfg.m_traj)]
 
 
@@ -344,12 +381,12 @@ def test_stability_report_exponent_and_continuity():
 def test_alpha_ordering_of_mean_rates():
     cfg = _cfg(m_traj=48, n_fine=400, k_modes=128, n_cutoff=128,
                dt_list=(1 / 10, 1 / 20, 1 / 40, 1 / 80))
-    tables = modeling_error_tables(cfg, [1.1, 1.75])
-    assert tables[1.1].mean_rate < tables[1.75].mean_rate
+    tables = modeling_error_tables(cfg, [FracOrders(1.1, 0.75), FracOrders(1.75, 0.75)])
+    assert tables[0].mean_rate < tables[1].mean_rate
 
 
 def test_write_rate_table_format(tmp_path):
-    tab = modeling_error_experiment(_cfg(m_traj=3))
+    tab = modeling_error_tables(_cfg(m_traj=3), [ORDERS])[0]
     path = tmp_path / "table.csv"
     write_rate_table(tab, path)
     lines = path.read_text().splitlines()

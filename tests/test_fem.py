@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fracwave import fem
 from fracwave.errors import DomainError
 from fracwave.fem import (
     DiscreteSpectrum,
-    FemField,
     FemMesh,
     discrete_norm,
     discrete_spectrum,
@@ -21,8 +21,6 @@ from fracwave.fem import (
     project_l2,
     project_ritz,
     sine_products,
-    to_eigen,
-    to_nodal,
 )
 from fracwave.mittag_leffler import ml_time_kernel
 from fracwave.noise import NoisePaths, NoiseSpec, generate, inverse_cubic_sigma
@@ -106,6 +104,19 @@ def test_stiffness_beta1_matches_classical():
     np.testing.assert_array_equal(a, a.T)  # symmetrized exactly
 
 
+def test_stiffness_series_bounded_by_entry_cap(monkeypatch):
+    """A series longer than the entry cap is rejected before any term is summed."""
+    monkeypatch.setattr(fem, "_DEFAULT_ENTRY_CAP", 1000)
+    mesh = FemMesh(3)
+    assert fractional_stiffness(mesh, 0.8, 1000).shape == (3, 3)
+    monkeypatch.setattr(fem, "_alias_class_sums", None)  # any use would raise TypeError
+    for k_series in (0, 1001):
+        with pytest.raises(DomainError):
+            fractional_stiffness(mesh, 0.8, k_series)
+        with pytest.raises(DomainError):
+            discrete_spectrum(mesh, 0.8, k_series)
+
+
 def test_stiffness_truncation_decays_without_tail():
     mesh = FemMesh(5)
     exact = fractional_stiffness(mesh, 1.0, 1000, tail=True)
@@ -148,14 +159,25 @@ def test_spectral_definition_consistency_small():
         assert rel.max() < 1e-10
 
 
-def test_field_roundtrip():
-    spec = discrete_spectrum(FemMesh(9), 0.75, K_FAST)
-    rng = np.random.default_rng(0)
-    nod = rng.standard_normal(9)
-    back = to_nodal(spec, to_eigen(spec, FemField(nod, "nodal")))
-    assert np.abs(back.values - nod).max() < 1e-10
-    with pytest.raises(DomainError):
-        FemField(nod, "pointwise")
+@pytest.mark.parametrize("n", (3, 9, 99, 400))
+@pytest.mark.parametrize("beta", (0.6, 0.75, 1.0))
+def test_projections_match_cholesky_route(n, beta):
+    """The eigen-coordinate projections against the nodal solves they replace:
+    V^T M M^-1 b for L2 and V^T M A^-1 b_lam for Ritz, by Cholesky.  The
+    solve on A loses about cond(A) eps, hence the wider Ritz gate."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    spec = discrete_spectrum(FemMesh(n), beta, K_FAST)
+    coeffs = parabola_coeffs(2000) + np.random.default_rng(n).standard_normal(2000) / (
+        np.arange(1, 2001) ** 2)
+    phi = hat_sine_matrix(spec.mesh, coeffs.size)
+    v, m = spec.eigenvectors, spec.mass
+    old_l2 = v.T @ (m @ cho_solve(cho_factor(m), phi.T @ coeffs))
+    lam = fractional_eigenvalues(beta, coeffs.size)
+    old_ritz = v.T @ (m @ cho_solve(cho_factor(spec.stiffness), phi.T @ (lam * coeffs)))
+    new_l2, new_ritz = project_l2(spec, coeffs), project_ritz(spec, coeffs)
+    assert np.abs(new_l2 - old_l2).max() <= 1e-13 * np.abs(old_l2).max()
+    assert np.abs(new_ritz - old_ritz).max() <= 1e-10 * np.abs(old_ritz).max()
 
 
 def test_projection_reproduces_fem_functions():
@@ -166,7 +188,7 @@ def test_projection_reproduces_fem_functions():
     nod = rng.standard_normal(3)
     coeffs = hat_sine_matrix(mesh, 100_000) @ nod
     proj = project_l2(spec, coeffs)
-    assert np.abs(proj.values - nod).max() < 1e-10
+    assert np.abs(spec.eigenvectors @ proj - nod).max() < 1e-10
 
 
 def test_projection_contractive():
@@ -218,9 +240,9 @@ def test_ritz_commutes_with_fractional_laplacian():
     beta = 0.75
     spec = discrete_spectrum(FemMesh(9), beta, K_FAST)
     coeffs = parabola_coeffs(50_000)
-    lhs = spec.eigenvalues * to_eigen(spec, project_ritz(spec, coeffs)).values
+    lhs = spec.eigenvalues * project_ritz(spec, coeffs)
     powered = fractional_eigenvalues(beta, coeffs.size) * coeffs
-    rhs = to_eigen(spec, project_l2(spec, powered)).values
+    rhs = project_l2(spec, powered)
     assert np.abs(lhs - rhs).max() < 1e-6 * max(1.0, np.abs(rhs).max())
 
 
@@ -228,9 +250,8 @@ def test_discrete_norm_examples():
     spec = discrete_spectrum(FemMesh(9), 0.75, K_FAST)
     e1 = np.zeros(9)
     e1[0] = 1.0
-    f = FemField(e1, "eigen")
-    assert discrete_norm(spec, f, 0.0) == pytest.approx(1.0)
-    assert discrete_norm(spec, f, 0.75) == pytest.approx(math.sqrt(spec.eigenvalues[0]))
+    assert discrete_norm(spec, e1, 0.0) == pytest.approx(1.0)
+    assert discrete_norm(spec, e1, 0.75) == pytest.approx(math.sqrt(spec.eigenvalues[0]))
 
 
 def test_inverse_inequality():
@@ -242,7 +263,7 @@ def test_inverse_inequality():
         spec = discrete_spectrum(FemMesh(n), beta, K_FAST)
         h = spec.mesh.h
         for _ in range(20):
-            chi = FemField(rng.standard_normal(n), "eigen")
+            chi = rng.standard_normal(n)
             ratio = discrete_norm(spec, chi, beta) / discrete_norm(spec, chi, 0.0)
             cs.append(ratio * h**beta)
     assert max(cs) < 3.0  # frozen empirical constant for this mesh family
@@ -252,16 +273,14 @@ def test_l2_error_cross_trivial_cases():
     spec = discrete_spectrum(FemMesh(9), 0.75, K_FAST)
     rng = np.random.default_rng(4)
     nod = rng.standard_normal(9)
-    field = FemField(nod, "nodal")
+    c = spec.eigenvectors.T @ (spec.mass @ nod)  # eigen coefficients of the nodal field
     coeffs = hat_sine_matrix(spec.mesh, 50_000) @ nod
     # the cross formula reduces to the sine-tail mass of the FEM function
-    err = l2_error_cross(coeffs, field, spec)
-    norm_sq = float(to_eigen(spec, field).values @ to_eigen(spec, field).values)
-    tail_sq = norm_sq - float(coeffs @ coeffs)
+    err = l2_error_cross(coeffs, c, spec)
+    tail_sq = float(c @ c) - float(coeffs @ coeffs)
     assert abs(err**2 - tail_sq) < 1e-10
     # u_fem = 0 gives back the spectral norm
-    zero = FemField(np.zeros(9), "eigen")
-    assert l2_error_cross(coeffs, zero, spec) == pytest.approx(
+    assert l2_error_cross(coeffs, np.zeros(9), spec) == pytest.approx(
         float(np.sqrt(coeffs @ coeffs)))
 
 
@@ -274,7 +293,7 @@ def test_l2_error_cross_vs_direct_quadrature():
     proj = project_l2(spec, e1)
     err = l2_error_cross(e1, proj, spec)
     xs = np.linspace(0.0, 1.0, 200_001)
-    nodal = np.concatenate([[0.0], proj.values, [0.0]])
+    nodal = np.concatenate([[0.0], spec.eigenvectors @ proj, [0.0]])
     grid = np.linspace(0.0, 1.0, mesh.n_interior + 2)
     fem_vals = np.interp(xs, grid, nodal)
     diff = math.sqrt(2.0) * np.sin(math.pi * xs) - fem_vals
@@ -291,11 +310,10 @@ def test_fem_solution_single_mode_no_noise():
     paths = NoisePaths(increments=inc, dt=0.25, seed=0)
     e1 = np.zeros(9)
     e1[0] = 1.0
-    zero = FemField(np.zeros(9), "eigen")
-    out = fem_solution(orders, spec, FemField(e1, "eigen"), zero, nspec, paths, 1.0)
+    out = fem_solution(orders, spec, e1, np.zeros(9), nspec, paths, 1.0)
     expected = ml_time_kernel(1.5, float(spec.eigenvalues[0]), 1.0, "init_value")
-    assert out.values[0] == pytest.approx(expected, rel=1e-13)
-    assert np.abs(out.values[1:]).max() == 0.0
+    assert out[0] == pytest.approx(expected, rel=1e-13)
+    assert np.abs(out[1:]).max() == 0.0
 
 
 def test_fem_solution_energy_conservation_classical_wave():
@@ -308,16 +326,16 @@ def test_fem_solution_energy_conservation_classical_wave():
     inc.flags.writeable = False
     paths = NoisePaths(increments=inc, dt=0.25, seed=0)
     rng = np.random.default_rng(8)
-    v1 = FemField(rng.standard_normal(9), "eigen")
-    v2 = FemField(rng.standard_normal(9), "eigen")
+    v1 = rng.standard_normal(9)
+    v2 = rng.standard_normal(9)
     lam = spec.eigenvalues
 
     energies = []
     for t in (0.25, 0.75, 1.5, 2.0):
-        c = fem_solution(orders, spec, v1, v2, nspec, paths, t).values
+        c = fem_solution(orders, spec, v1, v2, nspec, paths, t)
         # cdot from the derivative identities of the two kernels
         sq = np.sqrt(lam)
-        cdot = (-sq * np.sin(sq * t) * v1.values + np.cos(sq * t) * v2.values)
+        cdot = (-sq * np.sin(sq * t) * v1 + np.cos(sq * t) * v2)
         energies.append(float(np.sum(lam * c**2 + cdot**2)))
     energies = np.array(energies)
     assert np.abs(energies - energies[0]).max() < 1e-8 * energies[0]
@@ -331,7 +349,7 @@ def test_fem_matches_spectral_convolution_under_refinement():
     errs = []
     for n in (9, 19, 39):
         spec = discrete_spectrum(FemMesh(n), 0.75, K_FAST)
-        zero = FemField(np.zeros(n), "eigen")
+        zero = np.zeros(n)
         uh = fem_solution(orders, spec, zero, zero, nspec, paths, 1.0)
         errs.append(l2_error_cross(target, uh, spec))
     assert errs[0] > errs[1] > errs[2]
@@ -350,11 +368,11 @@ def test_homogeneous_fem_error_rate():
     for n in (9, 24, 49, 74, 99):
         spec = discrete_spectrum(FemMesh(n), beta, K_FAST)
         prods = sine_products(spec, 4000)
-        v1h = FemField(np.einsum("k,kj->j", coeffs, prods), "eigen")
+        v1h = np.einsum("k,kj->j", coeffs, prods)
         disp = ml_time_kernel
         lam = spec.eigenvalues
         vals = np.array([disp(orders.alpha, float(l), 1.0, "init_value") for l in lam])
-        uh = FemField(vals * v1h.values, "eigen")
+        uh = vals * v1h
         errs.append(l2_error_cross(u_exact, uh, spec))
         hs.append(spec.mesh.h)
     rates = np.log(np.array(errs[:-1]) / np.array(errs[1:])) / np.log(
@@ -367,6 +385,6 @@ def test_grid_mismatch_raises():
     spec = discrete_spectrum(FemMesh(3), 0.75, K_FAST)
     nspec = NoiseSpec(sigma=_unit_sigma, n_cutoff=2, K_modes=2, T=1.0, N_fine=4)
     paths = generate(nspec, 1)
-    zero = FemField(np.zeros(3), "eigen")
+    zero = np.zeros(3)
     with pytest.raises(DomainError):
         fem_solution(orders, spec, zero, zero, nspec, paths, 0.3)
