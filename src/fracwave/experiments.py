@@ -227,6 +227,11 @@ def _call_worker_fn(x):
     return _worker_fn(x)
 
 
+def _require_orders(orders, where: str) -> None:
+    if not len(orders):
+        raise DomainError(f"{where}: the sweep of fractional orders is empty")
+
+
 def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int):
     """(w_ref, w_coarse): per entry of orders the fine left-rule grid and
     the coarse grids.
@@ -320,6 +325,7 @@ def modeling_error_samples(cfg: ExperimentConfig, orders, rule: str = "exact",
     grids and then the batches of `_BATCH` trajectories are spread over
     n_workers.
     """
+    _require_orders(orders, "modeling_error_samples")
     w_ref, w_coarse = _modeling_weights(cfg, orders, rule, n_workers)
     factors = [cfg.coarse_steps(dt)[1] for dt in cfg.dt_list]
     batch = functools.partial(_modeling_traj, cfg.noise_spec(), cfg.base_seed, cfg.m_traj,
@@ -377,6 +383,7 @@ def fem_error_samples(cfg: ExperimentConfig, orders, n_workers: int = 1) -> np.n
     built once, before any trajectory, and applied per trajectory by the
     code of `fem_solution` and `l2_error_cross`.
     """
+    _require_orders(orders, "fem_error_samples")
     if len(cfg.dt_list) != 1:
         raise DomainError("fem_error_samples: configure exactly one dt in dt_list")
     dt = cfg.dt_list[0]

@@ -1,14 +1,17 @@
 """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) on the real axis.
 
-The fast path combines three strategies:
+The fast path combines four strategies:
 
 * power series in double precision for |z| <= 1,
 * exact elementary forms where they exist (alpha = 1 with beta in {1, 2},
   alpha = 2 with integer beta),
-* trapezoidal quadrature of the inverse-Laplace (Bromwich) integral on a
-  left-opening parabola, with the poles of s^(alpha-beta)/(s^alpha - z)
-  either passed on the right of the contour and picked up as residues or
-  left inside the contour mouth, depending on their location.
+* for z < 0 with pole radius |z|^(1/alpha) >= 64 and 1 < alpha < 2, the
+  inverse-power asymptotic series plus the residues of the conjugate poles,
+* elsewhere, trapezoidal quadrature of the inverse-Laplace (Bromwich)
+  integral on a left-opening parabola, with the poles of
+  s^(alpha-beta)/(s^alpha - z) either passed on the right of the contour
+  and picked up as residues or left inside the contour mouth, depending on
+  their location.
 
 A slow arbitrary-precision series (`ml_series_hp`, backed by mpmath) serves
 as the independent test oracle.
@@ -47,6 +50,9 @@ _LOG_TARGET = 39.14 + 3.91
 _BLOCK = 8_192
 # numpy's pairwise_sum adds rows of up to this many terms in 8 accumulators.
 _PW_LEAF = 128
+# Negative-axis buckets from floor(log2 r) = 6 on (pole radius r >= 64) take
+# the asymptotic series when 1 < alpha < 2; it needs 12-20 terms there.
+_ASYMPTOTIC_BUCKET = 6
 
 
 def _validate_params(alpha: float, beta: float, where: str = "ml") -> None:
@@ -226,6 +232,34 @@ def _pairwise_node_sum(coef, lo: int, n: int, z: np.ndarray, d, q, acc) -> np.nd
     return res
 
 
+def _residue_ln_bound(alpha: float, beta: float, r: np.ndarray) -> float:
+    """ln(2 * (2/alpha) * r^(1-beta) * 2^55), r^(1-beta) at its largest over r."""
+    r_top = float(r.min() if beta > 1.0 else r.max())
+    return math.log(4.0 / alpha) + (1.0 - beta) * math.log(r_top) + 55.0 * math.log(2.0)
+
+
+def _add_negative_residues(alpha: float, beta: float, r: np.ndarray, out: np.ndarray,
+                           ln_bound: float) -> None:
+    """Add the residues of the poles p = r e^(+-i pi/alpha) of z < 0 to out.
+
+    The residue pair is (2/alpha) Re(p^(1-beta) e^p), of modulus at most
+    B = (2/alpha) r^(1-beta) e^(r cos(pi/alpha)).  Where 2B < |out| 2^-55,
+    which is below spacing(|out|)/4, the computed residue (within a factor 2
+    of B after rounding) is less than half the gap below or above out, so
+    round-to-nearest leaves out unchanged and the residue is not computed.
+    The test is made in logarithms, with ln_bound from `_residue_ln_bound`
+    of the bucket, so an underflowed exponential cannot fake a small bound;
+    out == 0 always takes the residue (ln 0 = -inf).
+    """
+    pole_dir = np.exp(1j * math.pi / alpha)
+    with np.errstate(divide="ignore"):
+        keep = r * pole_dir.real + ln_bound >= np.log(np.abs(out))
+    sel = np.flatnonzero(keep)
+    if sel.size:
+        pole = r[sel] * pole_dir
+        out[sel] += (2.0 / alpha) * (pole ** (1.0 - beta) * np.exp(pole)).real
+
+
 def _contour_values(alpha: float, beta: float, z: np.ndarray, r: np.ndarray,
                     positive: bool) -> np.ndarray:
     """Quadrature + residues for a bucket of z with |z| > 1 and one sign.
@@ -237,25 +271,13 @@ def _contour_values(alpha: float, beta: float, z: np.ndarray, r: np.ndarray,
     result has the bits of the (arguments x nodes) array expression, kept in
     `tests/oracles.py`, for as long as numpy's pairwise leaf stays at 128
     terms in 8 accumulators; `tests/test_bit_identity.py` checks both.
-
-    For z < 0 the residue of the conjugate poles p = r e^(+-i pi/alpha) is
-    (2/alpha) Re(p^(1-beta) e^p), of modulus at most
-    B = (2/alpha) r^(1-beta) e^(r cos(pi/alpha)).  Where 2B < |oc| 2^-55,
-    which is below spacing(|oc|)/4, the computed residue (within a factor 2
-    of B after rounding) is less than half the gap below or above the
-    quadrature value oc, so round-to-nearest leaves oc unchanged and the
-    residue is not computed.  The test is made in logarithms, with
-    r^(1-beta) at its bucket maximum, so an underflowed exponential cannot
-    fake a small bound; oc == 0 always takes the residue (ln 0 = -inf).
+    Negative-axis residues go through `_add_negative_residues`.
     """
     mu, h, n_side, residues = _contour_params(alpha, float(r.min()), float(r.max()), positive)
     coef = _node_coefficients(alpha, beta, mu, h, n_side)
     n_nodes = n_side + 1
     if residues and not positive:
-        pole_dir = np.exp(1j * math.pi / alpha)
-        # ln(2 * (2/alpha) * r^(1-beta) * 2^55), r^(1-beta) at its largest in the bucket
-        r_top = float(r.min() if beta > 1.0 else r.max())
-        ln_bound = math.log(4.0 / alpha) + (1.0 - beta) * math.log(r_top) + 55.0 * math.log(2.0)
+        ln_bound = _residue_ln_bound(alpha, beta, r)
 
     out = np.empty_like(z)
     width = min(_BLOCK, z.size)
@@ -272,12 +294,59 @@ def _contour_values(alpha: float, beta: float, z: np.ndarray, r: np.ndarray,
         if positive:
             oc += (1.0 / alpha) * rb ** (1.0 - beta) * np.exp(rb)
             continue
-        with np.errstate(divide="ignore"):
-            keep = rb * pole_dir.real + ln_bound >= np.log(np.abs(oc))
-        sel = np.flatnonzero(keep)
-        if sel.size:
-            pole = rb[sel] * pole_dir
-            oc[sel] += (2.0 / alpha) * (pole ** (1.0 - beta) * np.exp(pole)).real
+        _add_negative_residues(alpha, beta, rb, oc, ln_bound)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# inverse-power asymptotic series, z < 0 with pole radius >= 2^_ASYMPTOTIC_BUCKET
+# ---------------------------------------------------------------------------
+
+def _asymptotic_coefficients(alpha: float, beta: float, bucket: int) -> np.ndarray:
+    """-1/Gamma(beta - alpha k), k = 1..n, for pole radii in [2^bucket, 2^(bucket+1)).
+
+    n is the least count whose first omitted term is below 2^-53 |z|^-2 at
+    the bucket's upper edge, where the term is bounded at its lower edge by
+    the envelope |1/Gamma(beta - alpha k)| <= Gamma(1 + alpha k - beta)/pi
+    (reflection formula, for 1 + alpha k - beta > 0; no term before that
+    ends the sum).  The envelope, not the coefficient, decides: a
+    coefficient that vanishes (beta - alpha k a non-positive integer) or
+    nearly does must not stop the sum before the terms after it are small.
+    """
+    ln_r_lo = bucket * math.log(2.0)
+    ln_target = -53.0 * math.log(2.0) - 2.0 * alpha * (ln_r_lo + math.log(2.0))
+    n = 1
+    while (1.0 + alpha * (n + 1) - beta <= 0.0
+           or math.lgamma(1.0 + alpha * (n + 1) - beta) - math.log(math.pi)
+           - alpha * (n + 1) * ln_r_lo > ln_target):
+        n += 1
+    return -rgamma(beta - alpha * np.arange(1, n + 1))
+
+
+def _asymptotic_values(alpha: float, beta: float, z: np.ndarray, r: np.ndarray,
+                       bucket: int) -> np.ndarray:
+    """Asymptotic series + residues for a bucket of z < 0, 1 < alpha < 2.
+
+    E_{alpha,beta}(z) = residues - sum_k z^(-k)/Gamma(beta - alpha k) on the
+    negative axis (Gorenflo, Loutchko and Luchko, Fract. Calc. Appl. Anal.
+    5(4), 2002), the sum by Horner's rule in 1/z with the term count of the
+    bucket.  The divergent series' smallest term is about e^-r, so from
+    r = 64 on the truncation stays far below double precision.  A value
+    depends on (alpha, beta, z) alone, not on the other arguments.
+    """
+    coef = _asymptotic_coefficients(alpha, beta, bucket)
+    ln_bound = _residue_ln_bound(alpha, beta, r)
+    out = np.empty_like(z)
+    w = np.empty(min(_BLOCK, z.size))
+    for lo in range(0, z.size, _BLOCK):
+        oc = out[lo : lo + _BLOCK]
+        wb = np.divide(1.0, z[lo : lo + _BLOCK], out=w[: oc.size])
+        oc.fill(coef[-1])
+        for c in coef[-2::-1]:
+            oc *= wb
+            oc += c
+        oc *= wb
+        _add_negative_residues(alpha, beta, r[lo : lo + _BLOCK], oc, ln_bound)
     return out
 
 
@@ -291,15 +360,23 @@ def ml_values(alpha: float, beta: float, z) -> np.ndarray:
     The result has the shape of z, except that a scalar z gives shape (1,).
 
     Accurate to ~1e-13 relative error for z in [-30, 1] and to ~1e-12
-    absolute error on the rest of the negative axis; for z > 1 the value is
-    dominated by the exponential residue term and keeps relative accuracy.
+    absolute error on the rest of the negative axis that the contour serves;
+    for z > 1 the value is dominated by the exponential residue term and
+    keeps relative accuracy.  Where the asymptotic series serves (z < 0,
+    |z|^(1/alpha) >= 64, 1 < alpha < 2) the error is a few ulps of the
+    value, plus the double rounding of the residues' phase r sin(pi/alpha),
+    about r ulps of the residue; near alpha = 2, where the residues decay
+    slowly, that rounding dominates (1e-15 absolute at alpha = 1.95, r = 64).
 
-    Contour arguments are grouped by sign and by floor(log2 |z|^(1/alpha)),
-    with one stable argsort; each group shares one contour.  The contour
-    kernel runs node-major, summing in numpy's pairwise order, and skips the
-    negative-axis residues too small to change a bit of the quadrature value
-    (see `_contour_values`); the values are those of the straightforward
-    (arguments x nodes) evaluation, bit for bit.
+    Arguments with |z| > 1 are grouped by sign and by
+    floor(log2 |z|^(1/alpha)), with one stable argsort.  Each negative group
+    from 6 on (1 < alpha < 2) takes the asymptotic series, whose value
+    depends on (alpha, beta, z) alone; every other group shares one contour.
+    The contour kernel runs node-major, summing in numpy's pairwise order;
+    both strategies skip the negative-axis residues too small to change a
+    bit of the value (see `_add_negative_residues`), and the contour values
+    are those of the straightforward (arguments x nodes) evaluation, bit for
+    bit.
     """
     _validate_params(alpha, beta)
     z = np.ascontiguousarray(z, dtype=float)
@@ -346,10 +423,13 @@ def ml_values(alpha: float, beta: float, z) -> np.ndarray:
         order = np.argsort(ids, kind="stable")
         del ids
         start = 0
-        for count in counts[counts > 0].tolist():
-            sel = order[start : start + count]
-            out[side[sel]] = _contour_values(alpha, beta, zs[sel], r[sel], positive)
-            start += count
+        for bucket in np.flatnonzero(counts).tolist():
+            sel = order[start : start + counts[bucket]]
+            if not positive and 1.0 < alpha < 2.0 and bucket >= _ASYMPTOTIC_BUCKET:
+                out[side[sel]] = _asymptotic_values(alpha, beta, zs[sel], r[sel], bucket)
+            else:
+                out[side[sel]] = _contour_values(alpha, beta, zs[sel], r[sel], positive)
+            start += sel.size
     return out.reshape(shape)
 
 

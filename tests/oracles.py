@@ -1,19 +1,28 @@
 """Independent test oracles that share no numerical code with the package.
 
+The package evaluates the Mittag-Leffler function by four strategies: the
+power series for |z| <= 1, elementary forms, the contour quadrature and, on
+the negative axis from pole radius |z|^(1/alpha) = 64 on (1 < alpha < 2),
+the inverse-power asymptotic series.  The oracles here check them by other
+routes.
+
 The Mittag-Leffler series is re-summed here in `decimal.Decimal` arithmetic
 with a Spouge approximation of the Gamma function, giving a second
 extended-precision route (different arithmetic backend, different Gamma
 algorithm) against which the mpmath-based oracle is cross-checked.
 
-For |z| >= 1e3 on the negative axis, `ml_asymptotic_mp` is a third,
-mpmath route: the residues of the conjugate pole pair plus the optimally
-truncated inverse-power series.
+For |z| >= 1e3 or pole radius >= 64 on the negative axis,
+`ml_asymptotic_mp` is a third, mpmath route: the residues of the conjugate
+pole pair plus the optimally truncated inverse-power series.
 
 The straightforward first implementations of the hot kernels are kept
 here as bit-identity oracles for their faster rewrites: the scatter-add
 alias-class sums, noise generation with a fresh Philox per mode, the
 unchunked contour quadrature sum, and the argument-major chunked contour
-kernel with its per-bucket masks.
+kernel with its per-bucket masks.  `ml_values_bucketed` takes the
+package's own asymptotic series where the package does, so it pins the
+bucketing and the contour, not the series; `_contour_values` is pinned
+against the contour oracles directly on every bucket.
 
 `modeling_traj_longdouble` is an accuracy oracle: table 1's per-trajectory
 squared errors in extended precision, from the package's weights and the
@@ -203,7 +212,9 @@ def ml_values_bucketed(alpha: float, beta: float, z, contour=contour_values_chun
 
     Elementary (alpha, beta) pairs go to the package unchanged; otherwise
     |z| <= 1 takes the package's series and each bucket of equal
-    floor(log2 |z|^(1/alpha)) and sign goes through `contour`.
+    floor(log2 |z|^(1/alpha)) and sign goes through `contour`, except that
+    negative buckets from 6 on (pole radius >= 64) take the package's
+    asymptotic series when 1 < alpha < 2.
     """
     z = np.ascontiguousarray(z, dtype=float)
     if (alpha == 1.0 and beta in (1.0, 2.0)) or (alpha == 2.0 and beta == round(beta)
@@ -223,7 +234,11 @@ def ml_values_bucketed(alpha: float, beta: float, z, contour=contour_values_chun
         buckets = np.floor(np.log2(r)).astype(int)
         for b in np.unique(buckets):
             sel = idx[buckets == b]
-            out[sel] = contour(alpha, beta, z[sel], positive)
+            if not positive and 1.0 < alpha < 2.0 and b >= mittag_leffler._ASYMPTOTIC_BUCKET:
+                out[sel] = mittag_leffler._asymptotic_values(alpha, beta, z[sel],
+                                                             r[buckets == b], int(b))
+            else:
+                out[sel] = contour(alpha, beta, z[sel], positive)
     return out
 
 
@@ -270,17 +285,20 @@ def modeling_oracle(cfg, orders, rule: str):
 
 
 def ml_asymptotic_mp(alpha: float, beta: float, z: float, digits: int = 40) -> float:
-    """E_{alpha,beta}(z) for 1 < alpha < 2 and z <= -1e3, in mpmath.
+    """E_{alpha,beta}(z) for 1 < alpha < 2 and z <= -1e3 or pole radius
+    |z|^(1/alpha) >= 64, in mpmath.
 
     The residues of the two poles s = |z|^(1/alpha) e^(+-i pi/alpha) plus
     the inverse-power series -sum_k z^(-k)/Gamma(beta - alpha k), truncated
     at its smallest nonzero term or once terms fall below 1e-40 (Gorenflo,
     Kilbas, Mainardi and Rogosin, Mittag-Leffler Functions, Springer 2014).
-    The truncation error is about the smallest term: near 1e-16 at
-    |z| = 1e3 for alpha = 1.95, and far too large at |z| ~ 100.
+    The truncation error is about the smallest term, of order e^-r at pole
+    radius r: near 1e-16 at |z| = 1e3 for alpha = 1.95 (r = 35), and far too
+    large at |z| ~ 100 there.
     """
-    if not (1.0 < alpha < 2.0 and z <= -1e3):
-        raise ValueError("ml_asymptotic_mp: needs 1 < alpha < 2 and z <= -1e3")
+    if not (1.0 < alpha < 2.0 and z < 0.0 and (z <= -1e3 or (-z) ** (1.0 / alpha) >= 64.0)):
+        raise ValueError("ml_asymptotic_mp: needs 1 < alpha < 2 and z <= -1e3 or "
+                         "|z|^(1/alpha) >= 64")
     with mp.workdps(digits):
         a, b, x = mp.mpf(alpha), mp.mpf(beta), mp.mpf(z)
         pole = (-x) ** (1 / a) * mp.expj(mp.pi / a)

@@ -31,6 +31,7 @@ from oracles import (
     LONGDOUBLE_EXTENDED,
     alias_class_sums_scatter,
     contour_sum_unchunked,
+    contour_values_chunked,
     ml_values_bucketed,
     modeling_oracle,
     philox_increments,
@@ -139,21 +140,32 @@ def _negative_residue_sides(alpha, beta, z, values):
 
 @pytest.mark.parametrize("alpha", (1.1, 1.5, 1.75, 1.95))
 def test_contour_sum_matches_unchunked(alpha):
+    """`_contour_values` on every bucket, those ml_values now sends to the
+    asymptotic series included, against both contour oracles; and ml_values
+    against the bucketed oracle."""
     rng = np.random.default_rng(7)
     z = _mixed_sign_arguments(alpha, rng)
     assert (z < -1).sum() > 3 * _BLOCK and (z > 1).sum() > 3 * _BLOCK
     r = np.abs(z) ** (1.0 / alpha)
+    buckets = [(positive, sel) for positive, side in ((False, z < -1), (True, z > 1))
+               for b in np.unique(np.floor(np.log2(r[side])))
+               for sel in [side & (np.floor(np.log2(r)) == b)]]
+    assert r[z < -1].max() > 2**11  # reaches the asymptotic buckets
     nodes = {_contour_params(alpha, r[sel].min(), r[sel].max(), positive)[2] + 1
-             for positive, side in ((False, z < -1), (True, z > 1))
-             for b in np.unique(np.floor(np.log2(r[side])))
-             for sel in [side & (np.floor(np.log2(r)) == b)]}
+             for positive, sel in buckets}
     assert min(nodes) <= _PW_LEAF < max(nodes)  # pairwise leaf and split both run
     for beta in (1.0, 2.0, alpha, alpha + 1.0):
         fast = ml_values(alpha, beta, z)
         assert np.isfinite(fast).all()
         assert np.array_equal(fast, ml_values_bucketed(alpha, beta, z))
         assert np.array_equal(fast, ml_values_bucketed(alpha, beta, z, contour=_unchunked))
-        skippable, needed = _negative_residue_sides(alpha, beta, z, fast)
+        contour = np.full_like(z, np.nan)
+        for positive, sel in buckets:
+            contour[sel] = _contour_values(alpha, beta, z[sel], r[sel], positive)
+            assert np.array_equal(contour[sel], contour_values_chunked(alpha, beta, z[sel], positive))
+            assert np.array_equal(contour[sel], _unchunked(alpha, beta, z[sel], positive))
+        assert np.isfinite(contour[np.abs(z) > 1]).all()
+        skippable, needed = _negative_residue_sides(alpha, beta, z, contour)
         assert skippable > 0 and needed > 0
 
 

@@ -81,6 +81,24 @@ def test_config_bounds_dense_mesh_matrices(monkeypatch):
         fem.FemMesh(21)
 
 
+@pytest.mark.parametrize("samples, kw", [
+    (modeling_error_samples, {}),
+    (fem_error_samples, dict(dt_list=(1 / 10,), h_list=(1 / 5, 1 / 10))),
+])
+def test_empty_sweep_rejected_before_any_work(samples, kw, monkeypatch):
+    """An empty list of orders is a DomainError, raised before any pool,
+    weight grid or FEM spectrum; it used to fail inside the batch loop
+    (modeling) or return shape (m_traj, 0) (FEM)."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started for an empty sweep")
+
+    for name in ("_pool_map", "convolution_weights", "discrete_spectrum", "sine_products",
+                 "homogeneous_solution", "_modeling_weights"):
+        monkeypatch.setattr(experiments, name, forbidden)
+    with pytest.raises(DomainError, match="empty"):
+        samples(_cfg(**kw), [])
+
+
 def test_modeling_error_monotone_and_positive():
     tab = modeling_error_tables(_cfg(m_traj=16), [ORDERS])[0]
     assert (tab.errors > 0.0).all()

@@ -15,7 +15,8 @@ from fracwave.mittag_leffler import (
     ml_time_kernel,
     ml_values,
 )
-from fracwave.mittag_leffler import _ml_series_mpf
+from fracwave import mittag_leffler
+from fracwave.mittag_leffler import _BLOCK, _asymptotic_coefficients, _ml_series_mpf
 
 from oracles import decimal_ml_series, ml_asymptotic_mp
 
@@ -270,11 +271,20 @@ def test_series_hp_convergence_error():
         ml_series_hp(0.001, 1.0, -0.999999, 1e-40, digits=30)
 
 
+def _residue_rounding(alpha, beta, r):
+    """Bound on the rounding of the double-precision pole residues at pole
+    radius r: their phase r sin(pi/alpha) carries an error of a few ulps of
+    r, times the residue bound (2/alpha) r^(1-beta) e^(r cos(pi/alpha))."""
+    bound = (2.0 / alpha) * r ** (1.0 - beta) * np.exp(r * math.cos(math.pi / alpha))
+    return 8.0 * np.finfo(float).eps * (r + 1.0) * bound
+
+
 # Large negative arguments, where every kernel grid's contour buckets take
-# the pole residues (table 1 reaches z ~ -1.8e5, table 2 z ~ -1e7).  Not
-# gated: E_{a,a} has a vanishing leading term (1/Gamma(0) = 0) and is only
-# ~1e-15 near z = -1e7, so its relative error there is large; measured at
-# z = -1e7 it is 2.2e-6 (a = 1.5), 2.0e-6 (a = 1.75) and 1.1e-5 (a = 1.95).
+# the pole residues (table 1 reaches z ~ -1.8e5, table 2 z ~ -1e7).  From
+# pole radius r = 64 on, the asymptotic series serves them and E_{a,a}, whose
+# leading term vanishes (1/Gamma(0) = 0) and which is only ~1e-15 near
+# z = -1e7, keeps its relative accuracy; the contour, which still serves
+# r < 64, was off by up to 1.1e-5 relative there.
 LARGE_Z = -np.geomspace(1e3, 1e7, 25)
 
 
@@ -288,3 +298,104 @@ def test_large_argument_against_asymptotic_oracle(alpha, beta):
     got = ml_values(alpha, beta, LARGE_Z)
     want = np.array([ml_asymptotic_mp(alpha, beta, float(z)) for z in LARGE_Z])
     assert np.abs(got - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("alpha", (1.5, 1.75, 1.95))
+def test_large_argument_relative_error_of_e_alpha_alpha(alpha):
+    """E_{a,a} at the LARGE_Z points with r >= 64: within 4e-15 of its own
+    size, plus the rounding of the residues (1e-12 relative at a = 1.95,
+    where they nearly cancel the series; 2e-16 and 2e-15 at a = 1.5, 1.75)."""
+    r = np.abs(LARGE_Z) ** (1.0 / alpha)
+    z, r = LARGE_Z[r >= 64.0], r[r >= 64.0]
+    assert z.size >= 21
+    got = ml_values(alpha, alpha, z)
+    want = np.array([ml_asymptotic_mp(alpha, alpha, float(x)) for x in z])
+    assert (np.abs(got - want) <= 4e-15 * np.abs(want) + _residue_rounding(alpha, alpha, r)).all()
+
+
+def _ml_reference(alpha, beta, z, r):
+    """The defining series at 60 + 0.44 r digits for r <= 128, enough for
+    its cancellation of about e^r; the asymptotic oracle beyond."""
+    if r <= 128.0:
+        return float(_ml_series_mpf(alpha, beta, z, 1e-40, 60 + math.ceil(0.44 * r)))
+    return ml_asymptotic_mp(alpha, beta, z)
+
+
+# The kernels' second parameters at each alpha, and two beyond 1 + 2 alpha,
+# where the first coefficients are not bounded by the envelope.
+ASYMPTOTIC_ORDERS = [(a, b) for a in (1.1, 1.25, 1.5, 1.75, 1.95)
+                     for b in (1.0, 2.0, a, a + 1.0)] + [(1.1, 4.0), (1.25, 5.5)]
+
+
+@pytest.mark.parametrize("alpha, beta", ASYMPTOTIC_ORDERS)
+def test_asymptotic_series_against_mpmath(alpha, beta):
+    r = np.concatenate([np.geomspace(64.0, 127.0, 5), np.geomspace(130.0, 2e4, 5)])
+    z = -(r**alpha)
+    r = np.abs(z) ** (1.0 / alpha)
+    got = ml_values(alpha, beta, z)
+    want = np.array([_ml_reference(alpha, beta, float(x), float(y)) for x, y in zip(z, r)])
+    assert (np.abs(got - want) <= 4e-15 * np.abs(want) + _residue_rounding(alpha, beta, r)).all()
+
+
+@pytest.mark.parametrize("alpha, k", [(1.1, 11), (1.5, 3)])
+def test_asymptotic_terms_go_past_a_vanishing_coefficient(alpha, k):
+    """At beta = alpha, beta - alpha k is a non-positive integer at k = 11
+    (alpha = 1.1, up to rounding) and k = 3 (alpha = 1.5), so 1/Gamma
+    vanishes or nearly does there.  The term count of the r = 64 bucket
+    comes from the envelope and goes well past k; stopping at k would miss
+    by 1e-11 relative at alpha = 1.1."""
+    r = np.geomspace(64.0, 70.0, 7)
+    z = -(r**alpha)
+    r = np.abs(z) ** (1.0 / alpha)
+    want = np.array([_ml_reference(alpha, alpha, float(x), float(y)) for x, y in zip(z, r)])
+    got = ml_values(alpha, alpha, z)
+    assert (np.abs(got - want) <= 4e-15 * np.abs(want)).all()
+    coef = _asymptotic_coefficients(alpha, alpha, 6)
+    assert coef.size > k + 3
+    assert abs(coef[k - 1]) < 1e-12 * abs(coef[k - 2])
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.1, 1.1), (1.5, 1.0), (1.75, 2.75), (1.95, 1.95)])
+def test_asymptotic_value_independent_of_other_arguments(alpha, beta):
+    """A value at r >= 64 has the same bits alone as inside a large array of
+    both signs whose buckets it shares with thousands of other arguments."""
+    rng = np.random.default_rng(3)
+    probe = -np.geomspace(64.0, 1e5, 23) ** alpha
+    others = np.concatenate([-rng.uniform(1.01, 1e5, 3 * _BLOCK) ** alpha,
+                             rng.uniform(-1.0, 1.0, 500), rng.uniform(1.01, 300.0, 500) ** alpha])
+    z = np.concatenate([probe, others])
+    perm = rng.permutation(z.size)
+    mixed = ml_values(alpha, beta, z[perm])
+    at = np.argsort(perm)[: probe.size]  # where each probe landed
+    alone = np.array([ml_values(alpha, beta, x)[0] for x in probe])
+    assert np.array_equal(mixed[at], alone)
+
+
+def test_asymptotic_series_from_pole_radius_64(monkeypatch):
+    """Negative z with r = |z|^(1/alpha) >= 64 and 1 < alpha < 2 go to the
+    asymptotic series; r just below 64, positive z and other alpha to the
+    contour."""
+    seen = {"contour": [], "asymptotic": []}
+    for name, key in (("_contour_values", "contour"), ("_asymptotic_values", "asymptotic")):
+        def record(alpha, beta, z, *rest, _f=getattr(mittag_leffler, name), _k=key):
+            seen[_k].append((alpha, z.copy()))
+            return _f(alpha, beta, z, *rest)
+        monkeypatch.setattr(mittag_leffler, name, record)
+    below = 64.0 * (1.0 - np.geomspace(1e-11, 1e-2, 8))
+    above = 64.0 * (1.0 + np.geomspace(1e-15, 1.0, 8))
+    for alpha in (1.1, 1.5, 1.95):
+        for r_want, route in ((below, "contour"), (above, "asymptotic")):
+            z = -(r_want**alpha)
+            r = np.abs(z) ** (1.0 / alpha)
+            assert ((r < 64.0) if route == "contour" else (r >= 64.0)).all()
+            seen["contour"].clear()
+            seen["asymptotic"].clear()
+            ml_values(alpha, 1.0, z)
+            assert {a for a, _ in seen[route]} == {alpha}
+            assert np.array_equal(np.sort(np.concatenate([x for _, x in seen[route]])), np.sort(z))
+            assert not seen["asymptotic" if route == "contour" else "contour"]
+    for alpha, beta, z in ((1.5, 1.0, above**1.5), (0.9, 1.0, -(above**0.9)),
+                           (2.0, 1.5, -(above**2.0))):
+        seen["asymptotic"].clear()
+        ml_values(alpha, beta, z)
+        assert not seen["asymptotic"]
