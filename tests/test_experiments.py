@@ -87,8 +87,7 @@ def test_config_bounds_dense_mesh_matrices(monkeypatch):
 ])
 def test_empty_sweep_rejected_before_any_work(samples, kw, monkeypatch):
     """An empty list of orders is a DomainError, raised before any pool,
-    weight grid or FEM spectrum; it used to fail inside the batch loop
-    (modeling) or return shape (m_traj, 0) (FEM)."""
+    weight grid or FEM spectrum."""
     def forbidden(*args, **kwargs):
         raise AssertionError("work started for an empty sweep")
 

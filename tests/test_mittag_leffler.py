@@ -283,8 +283,8 @@ def _residue_rounding(alpha, beta, r):
 # the pole residues (table 1 reaches z ~ -1.8e5, table 2 z ~ -1e7).  From
 # pole radius r = 64 on, the asymptotic series serves them and E_{a,a}, whose
 # leading term vanishes (1/Gamma(0) = 0) and which is only ~1e-15 near
-# z = -1e7, keeps its relative accuracy; the contour, which still serves
-# r < 64, was off by up to 1.1e-5 relative there.
+# z = -1e7, keeps its relative accuracy; the contour's relative error on
+# E_{a,a} there reaches 1.1e-5 (a = 1.95, z = -1e7).
 LARGE_Z = -np.geomspace(1e3, 1e7, 25)
 
 
