@@ -14,23 +14,24 @@ built from Mittag-Leffler propagator kernels.  It provides
 * `cli` -- the `fracwave` command-line front end.
 """
 
-from importlib.metadata import PackageNotFoundError, version
-
-try:
-    __version__ = version("fracwave")
-except PackageNotFoundError:  # running from a source tree
-    __version__ = "0.0.0-dev"
-
 from .errors import ConvergenceError, DomainError, ResourceLimitError
 
 # The numerical names load their modules, and numpy, on first use, so that
 # `fracwave.cli` can pin BLAS to one thread before numpy is imported.
+# __version__ loads importlib.metadata, which costs ~50 ms, on first use too.
 _LAZY = {"ml": "mittag_leffler", "ml_series_hp": "mittag_leffler",
          "ml_time_kernel": "mittag_leffler", "ml_values": "mittag_leffler",
          "NoisePaths": "noise", "NoiseSpec": "noise", "FracOrders": "spectral"}
 
 
 def __getattr__(name):
+    if name == "__version__":
+        from importlib.metadata import PackageNotFoundError, version
+
+        try:
+            return version("fracwave")
+        except PackageNotFoundError:  # running from a source tree
+            return "0.0.0-dev"
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module

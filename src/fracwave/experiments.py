@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
 from .errors import DomainError
 from .fem import FemMesh, _cross_error_sq, _fem_apply, discrete_spectrum, sine_products
 from .mittag_leffler import ml_values
@@ -175,6 +174,8 @@ def _build_tag() -> str:
             return out.stdout.strip()
     except OSError:
         pass
+    from . import __version__
+
     return f"fracwave-{__version__}"
 
 
@@ -238,15 +239,16 @@ def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int):
 
     One `convolution_weights` call per (entry, grid), spread over workers;
     each call is the one a serial run makes, so the weights are the same bits.
+    The fine grids come first: the kernel scratch of the largest grids then
+    meets the fewest finished grids.
     """
     spec = cfg.noise_spec()
-    jobs = []
-    for o in orders:
-        jobs.append((o, spec, cfg.dt_fine, cfg.n_fine, "left", False))
-        jobs += [(o, spec, dt, cfg.coarse_steps(dt)[0], rule, True) for dt in cfg.dt_list]
+    jobs = [(o, spec, cfg.dt_fine, cfg.n_fine, "left", False) for o in orders]
+    jobs += [(o, spec, dt, cfg.coarse_steps(dt)[0], rule, True)
+             for o in orders for dt in cfg.dt_list]
     grids = _pool_map(lambda job: convolution_weights(*job), jobs, n_workers)
-    per_col = 1 + len(cfg.dt_list)
-    return grids[::per_col], [grids[a + 1 : a + per_col] for a in range(0, len(grids), per_col)]
+    n, n_dt = len(orders), len(cfg.dt_list)
+    return grids[:n], [grids[n + a * n_dt : n + (a + 1) * n_dt] for a in range(n)]
 
 
 #: Trajectories per batch of a modeling-error run: batch q holds trajectories

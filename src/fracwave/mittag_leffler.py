@@ -248,10 +248,24 @@ def _add_negative_residues(alpha: float, beta: float, r: np.ndarray, out: np.nda
     of B after rounding) is less than half the gap below or above out, so
     round-to-nearest leaves out unchanged and the residue is not computed.
     The test is made in logarithms, with ln_bound from `_residue_ln_bound`
-    of the bucket, so an underflowed exponential cannot fake a small bound;
-    out == 0 always takes the residue (ln 0 = -inf).
+    of r, so an underflowed exponential cannot fake a small bound; out == 0
+    always takes the residue (ln 0 = -inf).  The test is first made once for
+    the whole of r, at the radius with the largest r cos(pi/alpha) against
+    the smallest |out|, with 1e-9 to spare for the rounding of the
+    logarithms: where that passes, no argument keeps its residue and none
+    is looked at one by one.
     """
     pole_dir = np.exp(1j * math.pi / alpha)
+    least = float(np.abs(out).min())
+    r_top = float(r.min() if pole_dir.real < 0.0 else r.max())
+    if least > 0.0 and r_top * pole_dir.real + ln_bound < math.log(least) - 1e-9:
+        return
+    _add_kept_residues(alpha, beta, r, out, ln_bound, pole_dir)
+
+
+def _add_kept_residues(alpha: float, beta: float, r: np.ndarray, out: np.ndarray,
+                       ln_bound: float, pole_dir: complex) -> None:
+    """The argument-by-argument test and sum of `_add_negative_residues`."""
     with np.errstate(divide="ignore"):
         keep = r * pole_dir.real + ln_bound >= np.log(np.abs(out))
     sel = np.flatnonzero(keep)
@@ -261,10 +275,11 @@ def _add_negative_residues(alpha: float, beta: float, r: np.ndarray, out: np.nda
 
 
 def _contour_values(alpha: float, beta: float, z: np.ndarray, r: np.ndarray,
-                    positive: bool) -> np.ndarray:
-    """Quadrature + residues for a bucket of z with |z| > 1 and one sign.
+                    positive: bool, r_lo: float, r_hi: float) -> np.ndarray:
+    """Quadrature + residues for (part of) a bucket of z with |z| > 1 and one sign.
 
-    r = |z|^(1/alpha) is the pole radius of each z.  Arguments go in blocks of
+    r = |z|^(1/alpha) is the pole radius of each z, and the contour is the
+    one of the bucket's pole radii [r_lo, r_hi].  Arguments go in blocks of
     _BLOCK; within a block the loop runs over the contour nodes, eight at a
     time, and `_pairwise_node_sum` adds each argument's node terms in the
     order of numpy's pairwise `sum(axis=1)` over a row of them.  So the
@@ -273,12 +288,9 @@ def _contour_values(alpha: float, beta: float, z: np.ndarray, r: np.ndarray,
     terms in 8 accumulators; `tests/test_bit_identity.py` checks both.
     Negative-axis residues go through `_add_negative_residues`.
     """
-    mu, h, n_side, residues = _contour_params(alpha, float(r.min()), float(r.max()), positive)
+    mu, h, n_side, residues = _contour_params(alpha, r_lo, r_hi, positive)
     coef = _node_coefficients(alpha, beta, mu, h, n_side)
     n_nodes = n_side + 1
-    if residues and not positive:
-        ln_bound = _residue_ln_bound(alpha, beta, r)
-
     out = np.empty_like(z)
     width = min(_BLOCK, z.size)
     d, q, acc = (np.empty((8, width)) for _ in range(3))
@@ -294,7 +306,7 @@ def _contour_values(alpha: float, beta: float, z: np.ndarray, r: np.ndarray,
         if positive:
             oc += (1.0 / alpha) * rb ** (1.0 - beta) * np.exp(rb)
             continue
-        _add_negative_residues(alpha, beta, rb, oc, ln_bound)
+        _add_negative_residues(alpha, beta, rb, oc, _residue_ln_bound(alpha, beta, rb))
     return out
 
 
@@ -324,18 +336,17 @@ def _asymptotic_coefficients(alpha: float, beta: float, bucket: int) -> np.ndarr
 
 
 def _asymptotic_values(alpha: float, beta: float, z: np.ndarray, r: np.ndarray,
-                       bucket: int) -> np.ndarray:
+                       coef: np.ndarray) -> np.ndarray:
     """Asymptotic series + residues for a bucket of z < 0, 1 < alpha < 2.
 
     E_{alpha,beta}(z) = residues - sum_k z^(-k)/Gamma(beta - alpha k) on the
     negative axis (Gorenflo, Loutchko and Luchko, Fract. Calc. Appl. Anal.
     5(4), 2002), the sum by Horner's rule in 1/z with the term count of the
-    bucket.  The divergent series' smallest term is about e^-r, so from
-    r = 64 on the truncation stays far below double precision.  A value
-    depends on (alpha, beta, z) alone, not on the other arguments.
+    bucket, coef from `_asymptotic_coefficients`.  The divergent series'
+    smallest term is about e^-r, so from r = 64 on the truncation stays far
+    below double precision.  A value depends on (alpha, beta, z) alone, not
+    on the other arguments.
     """
-    coef = _asymptotic_coefficients(alpha, beta, bucket)
-    ln_bound = _residue_ln_bound(alpha, beta, r)
     out = np.empty_like(z)
     w = np.empty(min(_BLOCK, z.size))
     for lo in range(0, z.size, _BLOCK):
@@ -346,13 +357,89 @@ def _asymptotic_values(alpha: float, beta: float, z: np.ndarray, r: np.ndarray,
             oc *= wb
             oc += c
         oc *= wb
-        _add_negative_residues(alpha, beta, r[lo : lo + _BLOCK], oc, ln_bound)
+        rb = r[lo : lo + _BLOCK]
+        _add_negative_residues(alpha, beta, rb, oc, _residue_ln_bound(alpha, beta, rb))
     return out
 
 
 # ---------------------------------------------------------------------------
 # public evaluation
 # ---------------------------------------------------------------------------
+
+# Routing keys of `ml_values`, one int16 per argument: 0 for |z| <= 1, then
+# 1 + floor(log2 r) for z < -1 and _POSITIVE_KEY + floor(log2 r) for z > 1,
+# where floor(log2 r) is 0..1024 for finite r = |z|^(1/alpha) and 1025 for
+# r = inf.
+_POSITIVE_KEY = 1027
+_N_KEYS = _POSITIVE_KEY + 1026
+
+
+def _pole_radius(alpha: float, z: np.ndarray) -> np.ndarray:
+    """r = |z|^(1/alpha), by the one expression every route uses."""
+    return np.abs(z) ** (1.0 / alpha)
+
+
+def _routing_keys(alpha: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(key, counts): the routing key of each argument and the arguments per key."""
+    key = np.empty(z.shape, dtype=np.int16)
+    counts = np.zeros(_N_KEYS, dtype=np.int64)
+    for lo in range(0, z.size, _BLOCK):
+        zc = z[lo : lo + _BLOCK]
+        with np.errstate(divide="ignore"):
+            ids = np.log2(_pole_radius(alpha, zc))
+        np.floor(ids, out=ids)
+        np.minimum(ids, 1025.0, out=ids)
+        ids += np.where(zc > 0.0, float(_POSITIVE_KEY), 1.0)
+        ids[np.abs(zc) <= _SERIES_RADIUS] = 0.0
+        kc = key[lo : lo + _BLOCK]
+        kc[...] = ids
+        counts += np.bincount(kc, minlength=_N_KEYS)
+    return key, counts
+
+
+def _bucket_values(alpha: float, beta: float, z: np.ndarray, idx: np.ndarray, k: int,
+                   out: np.ndarray) -> None:
+    """out[idx] for the arguments z[idx] of routing key k, in _BLOCK chunks."""
+    chunks = [idx[lo : lo + _BLOCK] for lo in range(0, idx.size, _BLOCK)]
+    if k == 0:
+        for s in chunks:
+            out[s] = _series_values(alpha, beta, z[s])
+        return
+    positive = k >= _POSITIVE_KEY
+    bucket = k - (_POSITIVE_KEY if positive else 1)
+    if not positive and 1.0 < alpha < 2.0 and bucket >= _ASYMPTOTIC_BUCKET:
+        coef = _asymptotic_coefficients(alpha, beta, bucket)
+        for s in chunks:
+            zc = z[s]
+            out[s] = _asymptotic_values(alpha, beta, zc, _pole_radius(alpha, zc), coef)
+        return
+    r_lo, r_hi = math.inf, -math.inf
+    for s in chunks:
+        r = _pole_radius(alpha, z[s])
+        r_lo, r_hi = min(r_lo, float(r.min())), max(r_hi, float(r.max()))
+    for s in chunks:
+        zc = z[s]
+        out[s] = _contour_values(alpha, beta, zc, _pole_radius(alpha, zc), positive, r_lo, r_hi)
+
+
+def _elementary_values(alpha: float, beta_int: int, z: np.ndarray) -> np.ndarray:
+    """E_{1,1}, E_{1,2} and E_{2,m} (m = 1..6) by their closed forms."""
+    if alpha == 1.0:
+        if beta_int == 1:
+            return np.exp(z)
+        with np.errstate(invalid="ignore"):
+            out = np.expm1(z) / z
+        out[z == 0.0] = 1.0
+        return out
+    if beta_int <= 3:
+        return _alpha2_integer_beta(beta_int, z)
+    # upward recurrence is unstable near 0; keep the series there
+    small = np.abs(z) <= _SERIES_RADIUS
+    out = np.empty_like(z)
+    out[small] = _series_values(alpha, float(beta_int), z[small])
+    out[~small] = _alpha2_integer_beta(beta_int, z[~small])
+    return out
+
 
 def ml_values(alpha: float, beta: float, z) -> np.ndarray:
     """Evaluate E_{alpha,beta} on an array of finite real arguments.
@@ -369,14 +456,20 @@ def ml_values(alpha: float, beta: float, z) -> np.ndarray:
     slowly, that rounding dominates (1e-15 absolute at alpha = 1.95, r = 64).
 
     Arguments with |z| > 1 are grouped by sign and by
-    floor(log2 |z|^(1/alpha)), with one stable argsort.  Each negative group
-    from 6 on (1 < alpha < 2) takes the asymptotic series, whose value
-    depends on (alpha, beta, z) alone; every other group shares one contour.
-    The contour kernel runs node-major, summing in numpy's pairwise order;
-    both strategies skip the negative-axis residues too small to change a
-    bit of the value (see `_add_negative_residues`), and the contour values
-    are those of the straightforward (arguments x nodes) evaluation, bit for
-    bit.
+    floor(log2 |z|^(1/alpha)), through one int16 routing key per argument.
+    Each negative group from 6 on (1 < alpha < 2) takes the asymptotic
+    series, whose value depends on (alpha, beta, z) alone; every other
+    group shares one contour, set by the group's least and largest pole
+    radius.  The contour kernel runs node-major, summing in numpy's
+    pairwise order; both strategies skip the negative-axis residues too
+    small to change a bit of the value (see `_add_negative_residues`), and
+    the contour values are those of the straightforward (arguments x nodes)
+    evaluation, bit for bit.
+
+    Every strategy works through its arguments in chunks of _BLOCK, so
+    besides the result the scratch is about 11 bytes per argument (the
+    2-byte key, and the 1-byte mask and 8-byte index of the group in hand)
+    plus a few arrays of _BLOCK.
     """
     _validate_params(alpha, beta)
     z = np.ascontiguousarray(z, dtype=float)
@@ -386,50 +479,15 @@ def ml_values(alpha: float, beta: float, z) -> np.ndarray:
         raise DomainError("ml: argument z must be finite")
     out = np.empty_like(z)
 
-    if alpha == 1.0 and beta == 1.0:
-        np.exp(z, out=out)
-        return out.reshape(shape)
-    if alpha == 1.0 and beta == 2.0:
-        nz = z != 0.0
-        out[nz] = np.expm1(z[nz]) / z[nz]
-        out[~nz] = 1.0
-        return out.reshape(shape)
-    if alpha == 2.0 and beta == round(beta) and 1 <= beta <= 6:
-        small = np.abs(z) <= _SERIES_RADIUS
-        bi = int(round(beta))
-        if bi <= 3:
-            return _alpha2_integer_beta(bi, z).reshape(shape)
-        # upward recurrence is unstable near 0; keep the series there
-        out[small] = _series_values(alpha, beta, z[small])
-        out[~small] = _alpha2_integer_beta(bi, z[~small])
+    if (alpha == 1.0 and beta in (1.0, 2.0)
+            or alpha == 2.0 and beta == round(beta) and 1 <= beta <= 6):
+        for lo in range(0, z.size, _BLOCK):
+            out[lo : lo + _BLOCK] = _elementary_values(alpha, int(beta), z[lo : lo + _BLOCK])
         return out.reshape(shape)
 
-    small = np.abs(z) <= _SERIES_RADIUS
-    if small.any():
-        out[small] = _series_values(alpha, beta, z[small])
-
-    for positive in (False, True):
-        side = np.flatnonzero(z > _SERIES_RADIUS if positive else z < -_SERIES_RADIUS)
-        if not side.size:
-            continue
-        zs = z[side]
-        r = np.abs(zs) ** (1.0 / alpha)
-        # bucket id floor(log2 r): 0..1024 for finite r, 1025 for r = inf
-        ids = np.log2(r)
-        np.floor(ids, out=ids)
-        np.minimum(ids, 1025.0, out=ids)
-        ids = ids.astype(np.int16)
-        counts = np.bincount(ids)
-        order = np.argsort(ids, kind="stable")
-        del ids
-        start = 0
-        for bucket in np.flatnonzero(counts).tolist():
-            sel = order[start : start + counts[bucket]]
-            if not positive and 1.0 < alpha < 2.0 and bucket >= _ASYMPTOTIC_BUCKET:
-                out[side[sel]] = _asymptotic_values(alpha, beta, zs[sel], r[sel], bucket)
-            else:
-                out[side[sel]] = _contour_values(alpha, beta, zs[sel], r[sel], positive)
-            start += sel.size
+    key, counts = _routing_keys(alpha, z)
+    for k in np.flatnonzero(counts).tolist():
+        _bucket_values(alpha, beta, z, np.flatnonzero(key == k), k, out)
     return out.reshape(shape)
 
 
@@ -518,7 +576,8 @@ def kernel_weights(alpha: float, kind: str, lam: np.ndarray, tau: np.ndarray) ->
     evals = ml_values(alpha, beta, -np.outer(lam, targ))
     with np.errstate(divide="ignore", invalid="ignore"):
         tfac = np.where(tau > 0.0, tau**power, 1.0 if power == 0.0 else 0.0)
-    return evals * tfac[None, :]
+    evals *= tfac
+    return evals
 
 
 def ml_time_kernel(alpha: float, lam: float, t: float, kind: str) -> float:

@@ -154,12 +154,17 @@ def _time_weights(alpha: float, lam: np.ndarray, amp, t: float, dt: float,
     """
     if rule == "left":
         tau = t - dt * np.arange(n_steps)
-        return amp * kernel_weights(alpha, "impulse", lam, tau)
+        w = kernel_weights(alpha, "impulse", lam, tau)
+        w *= amp
+        return w
     if rule == "exact":
         tau_all = t - dt * np.arange(n_steps + 1)
         tau_all[-1] = 0.0  # guard rounding at the evaluation node
         prim = kernel_weights(alpha, "impulse_primitive", lam, tau_all)
-        return amp * (prim[:, :-1] - prim[:, 1:]) / dt
+        w = prim[:, :-1] - prim[:, 1:]
+        w *= amp
+        w /= dt
+        return w
     raise DomainError(f"unknown time-weight rule {rule!r}")
 
 

@@ -20,8 +20,9 @@ here as bit-identity oracles for their faster rewrites: the scatter-add
 alias-class sums, noise generation with a fresh Philox per mode, the
 unchunked contour quadrature sum, and the argument-major chunked contour
 kernel with its per-bucket masks.  `ml_values_bucketed` takes the
-package's own asymptotic series where the package does, so it pins the
-bucketing and the contour, not the series; `_contour_values` is pinned
+package's own asymptotic series and closed forms where the package does,
+but on whole buckets and whole arrays, so it pins the bucketing, the
+chunking and the contour, not the series; `_contour_values` is pinned
 against the contour oracles directly on every bucket.
 
 `modeling_traj_longdouble` is an accuracy oracle: table 1's per-trajectory
@@ -158,10 +159,6 @@ def contour_sum_unchunked(alpha: float, beta: float, z: np.ndarray, positive: bo
     return out
 
 
-#: The package's evaluator, kept before any test replaces it.
-ML_VALUES = mittag_leffler.ml_values
-
-
 def contour_values_chunked(alpha: float, beta: float, z: np.ndarray, positive: bool) -> np.ndarray:
     """Quadrature + residues for a bucket of z, argument-major in 1024-row chunks.
 
@@ -210,17 +207,28 @@ def contour_values_chunked(alpha: float, beta: float, z: np.ndarray, positive: b
 def ml_values_bucketed(alpha: float, beta: float, z, contour=contour_values_chunked) -> np.ndarray:
     """E_{alpha,beta}(z) with the contour part bucketed by np.unique and masks.
 
-    Elementary (alpha, beta) pairs go to the package unchanged; otherwise
-    |z| <= 1 takes the package's series and each bucket of equal
-    floor(log2 |z|^(1/alpha)) and sign goes through `contour`, except that
-    negative buckets from 6 on (pole radius >= 64) take the package's
-    asymptotic series when 1 < alpha < 2.
+    Elementary (alpha, beta) pairs take the package's closed forms on the
+    whole array at once; otherwise |z| <= 1 takes the package's series and
+    each bucket of equal floor(log2 |z|^(1/alpha)) and sign goes through
+    `contour`, except that negative buckets from 6 on (pole radius >= 64)
+    take the package's asymptotic series when 1 < alpha < 2.  z is flat.
     """
     z = np.ascontiguousarray(z, dtype=float)
-    if (alpha == 1.0 and beta in (1.0, 2.0)) or (alpha == 2.0 and beta == round(beta)
-                                                 and 1 <= beta <= 6):
-        return ML_VALUES(alpha, beta, z)
     out = np.empty_like(z)
+    if alpha == 1.0 and beta == 1.0:
+        return np.exp(z)
+    if alpha == 1.0 and beta == 2.0:
+        nz = z != 0.0
+        out[nz] = np.expm1(z[nz]) / z[nz]
+        out[~nz] = 1.0
+        return out
+    if alpha == 2.0 and beta == round(beta) and 1 <= beta <= 6:
+        if beta <= 3:
+            return mittag_leffler._alpha2_integer_beta(int(beta), z)
+        small = np.abs(z) <= 1.0
+        out[small] = mittag_leffler._series_values(alpha, beta, z[small])
+        out[~small] = mittag_leffler._alpha2_integer_beta(int(beta), z[~small])
+        return out
     small = np.abs(z) <= 1.0
     if small.any():
         out[small] = mittag_leffler._series_values(alpha, beta, z[small])
@@ -235,8 +243,9 @@ def ml_values_bucketed(alpha: float, beta: float, z, contour=contour_values_chun
         for b in np.unique(buckets):
             sel = idx[buckets == b]
             if not positive and 1.0 < alpha < 2.0 and b >= mittag_leffler._ASYMPTOTIC_BUCKET:
+                coef = mittag_leffler._asymptotic_coefficients(alpha, beta, int(b))
                 out[sel] = mittag_leffler._asymptotic_values(alpha, beta, z[sel],
-                                                             r[buckets == b], int(b))
+                                                             r[buckets == b], coef)
             else:
                 out[sel] = contour(alpha, beta, z[sel], positive)
     return out

@@ -161,12 +161,128 @@ def test_contour_sum_matches_unchunked(alpha):
         assert np.array_equal(fast, ml_values_bucketed(alpha, beta, z, contour=_unchunked))
         contour = np.full_like(z, np.nan)
         for positive, sel in buckets:
-            contour[sel] = _contour_values(alpha, beta, z[sel], r[sel], positive)
+            contour[sel] = _contour_values(alpha, beta, z[sel], r[sel], positive,
+                                           r[sel].min(), r[sel].max())
             assert np.array_equal(contour[sel], contour_values_chunked(alpha, beta, z[sel], positive))
             assert np.array_equal(contour[sel], _unchunked(alpha, beta, z[sel], positive))
         assert np.isfinite(contour[np.abs(z) > 1]).all()
         skippable, needed = _negative_residue_sides(alpha, beta, z, contour)
         assert skippable > 0 and needed > 0
+
+
+# Routing by key, in chunks of _BLOCK.  Every value must keep the bits it
+# had when each bucket was gathered whole; the oracle gathers it whole.
+ROUTING_SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5)
+ROUTING_ORDERS = ((0.9, 1.0), (1.5, 1.5), (1.75, 2.75), (1.1, 2.1))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _routing_arguments(alpha, n, rng):
+    """n shuffled z from every route: |z| <= 1, both signs over many buckets,
+    r up to 2^11 on the negative side."""
+    r = 2.0 ** rng.uniform(-3.0, 11.0 if alpha > 1.0 else 6.0, n)
+    sign = np.where(rng.random(n) < 0.8, -1.0, 1.0)
+    r[sign > 0] = np.minimum(r[sign > 0], 300.0)  # e^r stays finite
+    return sign * r**alpha
+
+
+@pytest.mark.parametrize("n", ROUTING_SIZES)
+@pytest.mark.parametrize("alpha, beta", ROUTING_ORDERS)
+def test_routing_matches_bucketed_oracle(alpha, beta, n):
+    z = _routing_arguments(alpha, n, np.random.default_rng(n))
+    assert _same_bits(ml_values(alpha, beta, z), ml_values_bucketed(alpha, beta, z))
+
+
+def test_routing_keeps_a_grid_shape():
+    lam = fractional_eigenvalues(0.75, 300)
+    tau = np.linspace(1.0, 0.0, 200)
+    for alpha, beta in ROUTING_ORDERS:
+        z = -np.outer(lam, tau**alpha)
+        got = ml_values(alpha, beta, z)
+        assert _same_bits(got, ml_values_bucketed(alpha, beta, z.ravel()).reshape(z.shape))
+
+
+@pytest.mark.parametrize("alpha, beta, positive, r_lo, r_hi",
+                         [(1.5, 1.0, False, 4.0, 8.0), (1.5, 1.5, False, 1.0, 2.0),
+                          (1.75, 2.75, True, 2.0, 4.0)])
+def test_contour_bucket_across_chunks_keeps_its_contour(alpha, beta, positive, r_lo, r_hi):
+    """A contour bucket of 2.5 chunks, in increasing r and interleaved with
+    other arguments: each of its chunks takes the contour of the whole
+    bucket, which the chunk's own (r_lo, r_hi) would not give."""
+    n = 5 * _BLOCK // 2
+    r = np.linspace(r_lo, r_hi, n, endpoint=False)
+    bucket = (1.0 if positive else -1.0) * r**alpha
+    others = _routing_arguments(alpha, n, np.random.default_rng(5))
+    z = np.empty(2 * n)
+    z[0::2], z[1::2] = bucket, others
+    r = np.abs(bucket) ** (1.0 / alpha)
+    whole = _contour_params(alpha, r.min(), r.max(), positive)
+    chunk_params = [_contour_params(alpha, c.min(), c.max(), positive)
+                    for c in (r[lo : lo + _BLOCK] for lo in range(0, n, _BLOCK))]
+    assert any(p != whole for p in chunk_params)
+    assert _same_bits(ml_values(alpha, beta, z), ml_values_bucketed(alpha, beta, z))
+
+
+@pytest.mark.parametrize("alpha, beta", ((1.5, 1.5), (0.9, 1.0), (2.0, 1.5), (1.0, 1.0),
+                                         (1.0, 2.0), (2.0, 1.0), (2.0, 4.0)))
+def test_routing_edges_of_the_series_disc(alpha, beta):
+    """|z| = 1 takes the series, -1 - ulp and 1 + ulp do not; +0 and -0 keep
+    their sign bit's value."""
+    one_ulp = np.nextafter(1.0, 2.0)
+    z = np.array([1.0, -1.0, 0.0, -0.0, -one_ulp, one_ulp, np.nextafter(-1.0, 0.0)])
+    assert _same_bits(ml_values(alpha, beta, z), ml_values_bucketed(alpha, beta, z))
+    for x in z:
+        assert _same_bits(ml_values(alpha, beta, x), ml_values_bucketed(alpha, beta, [x]))
+
+
+@pytest.mark.parametrize("beta", (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+@pytest.mark.parametrize("n", (_BLOCK + 1, 3 * _BLOCK + 5))
+def test_chunked_elementary_paths(beta, n):
+    """alpha = 2 with integer beta, and alpha = 1 with beta 1 and 2, run in
+    chunks; the oracle takes each closed form on the whole array."""
+    rng = np.random.default_rng(n)
+    z = rng.uniform(-1.0, 1.0, n)
+    big = np.arange(n) % 3 != 0
+    z[big] = rng.uniform(-900.0, 400.0, big.sum())
+    z[::101] = 0.0
+    assert _same_bits(ml_values(2.0, beta, z), ml_values_bucketed(2.0, beta, z))
+    if beta <= 2.0:
+        assert _same_bits(ml_values(1.0, beta, z), ml_values_bucketed(1.0, beta, z))
+
+
+@pytest.mark.parametrize("alpha, beta, r_lo, r_hi, r_low", [(1.5, 1.0, 256.0, 512.0, 4.0),
+                                                            (1.1, 1.1, 56.0, 64.0, 32.0)])
+def test_high_radius_bucket_skips_its_residue_chunks(alpha, beta, r_lo, r_hi, r_low,
+                                                     monkeypatch):
+    """Where even the largest residue of a chunk is below 2^-56 of its
+    smallest value, the chunk is never tested argument by argument: not on
+    the asymptotic series (alpha = 1.5, r >= 256) nor on the contour
+    (alpha = 1.1, r in [56, 64)).  The values are those of the test made
+    argument by argument, and of the bucketed oracle, whose contour adds
+    every residue.  A low-radius bucket is still tested one by one."""
+    n = 3 * _BLOCK + 5
+    z = -np.random.default_rng(2).uniform(r_lo, r_hi, n) ** alpha
+    want = ml_values_bucketed(alpha, beta, z)
+    calls = []
+    kept = mittag_leffler._add_kept_residues
+
+    def count(alpha, beta, r, out, *rest):
+        calls.append(r.size)
+        kept(alpha, beta, r, out, *rest)
+
+    monkeypatch.setattr(mittag_leffler, "_add_kept_residues", count)
+    assert _same_bits(ml_values(alpha, beta, z), want)
+    assert calls == []
+    low = -np.random.default_rng(3).uniform(r_low, 1.25 * r_low, n) ** alpha
+    assert _same_bits(ml_values(alpha, beta, low), ml_values_bucketed(alpha, beta, low))
+    assert sum(calls) == n
+    monkeypatch.setattr(mittag_leffler, "_add_negative_residues",
+                        lambda a, b, r, out, ln_bound: mittag_leffler._add_kept_residues(
+                            a, b, r, out, ln_bound, np.exp(1j * np.pi / a)))
+    assert _same_bits(ml_values(alpha, beta, z), want)
 
 
 @pytest.mark.parametrize("alpha, beta, k", [(1.1, 1.1, 9), (1.5, 0.5, 10), (1.95, 1.0, 14)])
@@ -182,7 +298,7 @@ def test_zero_quadrature_keeps_negligible_residue(alpha, beta, k, monkeypatch):
     assert (np.abs(want[want != 0.0]) < np.finfo(float).tiny).any()
     monkeypatch.setattr(mittag_leffler, "_pairwise_node_sum",
                         lambda coef, lo, n, zb, *scratch: np.zeros(zb.size))
-    assert np.array_equal(_contour_values(alpha, beta, z, r, False), want)
+    assert np.array_equal(_contour_values(alpha, beta, z, r, False, r.min(), r.max()), want)
 
 
 def test_all_negative_zero_terms_sum_to_positive_zero(monkeypatch):
@@ -196,7 +312,7 @@ def test_all_negative_zero_terms_sum_to_positive_zero(monkeypatch):
                         lambda *a: (np.full((n, 1), -1e6), zeros + 1.0, zeros, zeros))
     dr = -1e6 - z[:, None]
     assert np.signbit(dr * 0.0 - 0.0).all()  # every term is -0.0
-    out = _contour_values(alpha, beta, z, r, False)
+    out = _contour_values(alpha, beta, z, r, False, r.min(), r.max())
     assert (out == 0.0).all() and not np.signbit(out).any()
 
 

@@ -255,6 +255,35 @@ def test_cli_import_leaves_out_mpmath():
     assert _run_python("import sys, fracwave.cli; print('mpmath' in sys.modules)") == "False"
 
 
+def test_cli_import_leaves_out_importlib_metadata():
+    """`import fracwave` leaves importlib.metadata out, and `__version__`
+    loads it on first use.  `fracwave.cli` loads it anyway, through
+    scipy.special (scipy._lib._array_api imports numpy.testing), so only the
+    version lookup itself is deferred there: the build tag reads
+    `__version__` only when `git describe` fails."""
+    probe = "import sys, fracwave; print('importlib.metadata' in sys.modules)"
+    assert _run_python(probe) == "False"
+    probe = ("import sys, fracwave; v = fracwave.__version__; "
+             "print('importlib.metadata' in sys.modules, bool(v))")
+    assert _run_python(probe) == "True True"
+
+
+def test_build_tag_falls_back_to_the_version(monkeypatch):
+    import subprocess
+
+    from fracwave import __version__, experiments
+
+    def no_git(*args, **kwargs):
+        raise OSError("no git")
+
+    monkeypatch.setattr(subprocess, "run", no_git)
+    experiments._build_tag.cache_clear()
+    try:
+        assert experiments._build_tag() == f"fracwave-{__version__}"
+    finally:
+        experiments._build_tag.cache_clear()
+
+
 def test_cli_import_leaves_out_scipy_linalg():
     """LAPACK loads only in `discrete_spectrum`."""
     assert _run_python("import sys, fracwave.cli; print('scipy.linalg' in sys.modules)") == "False"

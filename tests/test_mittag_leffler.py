@@ -17,6 +17,7 @@ from fracwave.mittag_leffler import (
 )
 from fracwave import mittag_leffler
 from fracwave.mittag_leffler import _BLOCK, _asymptotic_coefficients, _ml_series_mpf
+from fracwave.spectral import fractional_eigenvalues
 
 from oracles import decimal_ml_series, ml_asymptotic_mp
 
@@ -263,6 +264,27 @@ def test_kernel_weights_grid_shape_and_consistency():
         kernel_weights(1.5, "impulse", np.array([-1.0]), tau)
     with pytest.raises(DomainError):
         kernel_weights(1.5, "impulse", lam, np.array([-0.1]))
+
+
+@pytest.mark.parametrize("alpha, kind", [(1.1, "impulse_primitive"), (1.75, "impulse"),
+                                         (2.0, "impulse")])
+def test_kernel_weights_memory_per_argument(alpha, kind):
+    """A 1000 x 1000 grid at table 1's eigenvalues and times allocates at
+    most 32 bytes per argument at its peak, the 8-byte result included:
+    the arguments, the result, the 2-byte routing key and the index of
+    one bucket, plus chunk scratch."""
+    import tracemalloc
+
+    lam = fractional_eigenvalues(0.75, 1000)
+    tau = 1.0 - 1e-3 * np.arange(1000)
+    tracemalloc.start()
+    try:
+        w = kernel_weights(alpha, kind, lam, tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(w).all()
+    assert peak <= 32 * w.size, peak / w.size
 
 
 def test_series_hp_convergence_error():
