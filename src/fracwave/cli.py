@@ -7,8 +7,8 @@ eigenvalues), `stability` (homogeneous decay/continuity diagnostics).
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 I/O error.
 Output directory resolution: --out flag, else $FRACWAVE_OUT, else the
-working directory.  A config file (flat `key = value` lines, a TOML
-subset) may supply any experiment knob; flags override it.
+working directory.  A config file (flat `key = value` TOML, read by
+`tomllib`) may supply any experiment knob; flags override it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .experiments import (
     stability_report,
     write_rate_table,
 )
-from .fem import FemMesh, discrete_spectrum
+from .fem import DEFAULT_K_SERIES, FemMesh, discrete_spectrum
 from .mittag_leffler import ml
 from .spectral import FracOrders, fractional_eigenvalues
 
@@ -63,37 +63,21 @@ def _sci17(value: float) -> str:
 
 
 def _parse_config(path: str) -> dict:
-    """Flat `key = value` file: numbers, booleans, quoted strings, [lists]."""
+    """A flat TOML file of `key = value` lines, read by `tomllib`.
 
-    def scalar(tok: str):
-        tok = tok.strip()
-        if tok.lower() in ("true", "false"):
-            return tok.lower() == "true"
-        if tok.startswith('"') and tok.endswith('"') and len(tok) >= 2:
-            return tok[1:-1]
-        try:
-            return int(tok)
-        except ValueError:
-            pass
-        try:
-            return float(tok)
-        except ValueError:
-            raise DomainError(f"config {path}: cannot parse value {tok!r}")
+    A table (a `[section]` header, a dotted key or an inline table) is a
+    domain error, so no setting in one is silently ignored.
+    """
+    import tomllib
 
-    out = {}
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"config {path}:{ln}: expected key = value")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if val.startswith("[") and val.endswith("]"):
-                body = val[1:-1].strip()
-                out[key] = [scalar(tok) for tok in body.split(",")] if body else []
-            else:
-                out[key] = scalar(val)
+    try:
+        with open(path, "rb") as fh:
+            out = tomllib.load(fh)
+    except (tomllib.TOMLDecodeError, UnicodeDecodeError) as exc:
+        raise DomainError(f"config {path}: {exc} (expected key = value lines)") from None
+    for key, value in out.items():
+        if isinstance(value, dict):
+            raise DomainError(f"config {path}: {key} is a table; expected key = value lines")
     return out
 
 
@@ -218,7 +202,7 @@ def _cmd_table2(args) -> int:
     k_modes = _setting(args, cfg_file, "k_modes", 1000, int)
     n_cutoff = _setting(args, cfg_file, "n_cutoff", k_modes, int)
     h_list = _setting(args, cfg_file, "h_list", DEFAULT_H_LIST, _grid)
-    k_series = _setting(args, cfg_file, "fem_k_series", 10**6, int)
+    k_series = _setting(args, cfg_file, "fem_k_series", DEFAULT_K_SERIES, int)
     threads = _workers(args, cfg_file)
 
     cfg = ExperimentConfig(m_traj=m_traj, base_seed=seed, n_fine=round(1.0 / dt),
@@ -282,7 +266,7 @@ def _build_parser() -> _Parser:
     p_ml.set_defaults(func=_cmd_ml)
 
     def experiment_flags(p):
-        p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--config", help="flat key = value TOML config file")
         p.add_argument("--seed", type=int, dest="seed")
         p.add_argument("--out", help="output directory (default $FRACWAVE_OUT or .)")
         p.add_argument("--threads", type=_nonnegative_int,
@@ -300,7 +284,7 @@ def _build_parser() -> _Parser:
     p_sp = sub.add_parser("spectrum", help="discrete fractional Laplacian eigenvalues")
     p_sp.add_argument("--n", type=int, required=True, help="interior node count")
     p_sp.add_argument("--beta", type=float, required=True)
-    p_sp.add_argument("--k-series", type=int, default=10**6, dest="k_series")
+    p_sp.add_argument("--k-series", type=int, default=DEFAULT_K_SERIES, dest="k_series")
     p_sp.add_argument("--out")
     p_sp.set_defaults(func=_cmd_spectrum)
 

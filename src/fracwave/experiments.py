@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .fem import FemMesh, _cross_error_sq, _fem_apply, discrete_spectrum, sine_products
+from .fem import (DEFAULT_K_SERIES, FemMesh, _cross_error_sq, _fem_apply, discrete_spectrum,
+                  sine_products)
 from .mittag_leffler import ml_values
 from .noise import (_DEFAULT_ENTRY_CAP, NoiseSpec, _ModeStreams, coarsen, generate,
                     inverse_cubic_sigma, trajectory_seed)
@@ -82,7 +83,7 @@ class ExperimentConfig:
     n_cutoff: int = 1000
     dt_list: tuple = DEFAULT_DT_LIST
     h_list: tuple = DEFAULT_H_LIST
-    fem_k_series: int = 10**6
+    fem_k_series: int = DEFAULT_K_SERIES
 
     def __post_init__(self):
         if self.m_traj < 1:

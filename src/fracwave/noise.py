@@ -9,12 +9,13 @@ experiment are coupled to the same underlying Brownian paths.
 
 Mode k draws from its own counter-based stream keyed by (seed, k), so
 enlarging the mode count never changes previously generated rows, and
-generation parallelizes safely.
+generation parallelizes safely.  Increments live in memory only: a
+trajectory's matrix is drawn again from its seed, so there is no file
+format for them.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,14 +30,11 @@ __all__ = [
     "generate",
     "coarsen",
     "normalized_increment",
-    "save_increments",
-    "load_increments",
     "trajectory_seed",
 ]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_MAGIC = b"FWNOISE1"
 _DEFAULT_ENTRY_CAP = 1 << 27
 
 
@@ -94,15 +92,17 @@ class NoiseSpec:
     def sigma_matrix(self, times: np.ndarray, truncated: bool) -> np.ndarray:
         """sigma_k(t_i) on modes 1..K_modes x times; zero rows past n_cutoff.
 
-        One sigma call on the mode column and the time row.
+        One sigma call on the mode column and the time row.  The result keeps
+        sigma's own shape, which broadcasts to (K_modes, times.size): (K, 1)
+        for a sigma that does not depend on time, such as
+        `inverse_cubic_sigma`.
         """
-        modes = np.arange(1, self.K_modes + 1)
+        modes = np.arange(1, self.K_modes + 1)[:, None]
         times = np.asarray(times, dtype=float)
-        vals = np.asarray(self.sigma(modes[:, None], times[None, :]), dtype=float)
-        mat = np.array(np.broadcast_to(vals, (self.K_modes, times.size)))
-        if truncated and self.n_cutoff < self.K_modes:
-            mat[self.n_cutoff:, :] = 0.0
-        return mat
+        vals = np.asarray(self.sigma(modes, times[None, :]), dtype=float)
+        if truncated:
+            vals = np.where(modes > self.n_cutoff, 0.0, vals)
+        return vals
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,6 @@ class NoisePaths:
 
     increments: np.ndarray
     dt: float
-    seed: int
 
     @property
     def n_modes(self) -> int:
@@ -166,7 +165,7 @@ def generate(spec: NoiseSpec, seed: int, max_entries: int = _DEFAULT_ENTRY_CAP) 
     out = np.empty((spec.K_modes, spec.N_fine))
     _ModeStreams(seed).draw(1, out, np.sqrt(spec.dt_fine))
     out.flags.writeable = False
-    return NoisePaths(increments=out, dt=spec.dt_fine, seed=seed)
+    return NoisePaths(increments=out, dt=spec.dt_fine)
 
 
 def coarsen(paths: NoisePaths, factor: int) -> NoisePaths:
@@ -187,7 +186,7 @@ def coarsen(paths: NoisePaths, factor: int) -> NoisePaths:
     for j in range(1, factor):
         acc += grouped[:, :, j]
     acc.flags.writeable = False
-    return NoisePaths(increments=acc, dt=paths.dt * factor, seed=paths.seed)
+    return NoisePaths(increments=acc, dt=paths.dt * factor)
 
 
 def normalized_increment(paths: NoisePaths, k: int, i: int) -> float:
@@ -198,32 +197,3 @@ def normalized_increment(paths: NoisePaths, k: int, i: int) -> float:
     if not (0 <= k < paths.n_modes and 0 <= i < paths.n_steps):
         raise IndexError(f"normalized_increment: ({k}, {i}) out of range")
     return float(paths.increments[k, i] / np.sqrt(paths.dt))
-
-
-def save_increments(paths: NoisePaths, filename) -> None:
-    """Binary dump: 8-byte magic, K and N as little-endian int32, then the
-    row-major little-endian float64 increment matrix."""
-    header = _MAGIC + struct.pack("<ii", paths.n_modes, paths.n_steps)
-    data = np.ascontiguousarray(paths.increments, dtype="<f8")
-    with open(filename, "wb") as fh:
-        fh.write(header)
-        fh.write(data.tobytes(order="C"))
-
-
-def load_increments(filename, dt: float, seed: int = 0) -> NoisePaths:
-    """Read a dump written by `save_increments`.
-
-    The file format carries only the matrix; the grid spacing (and
-    optionally the originating seed) are supplied by the caller.
-    """
-    with open(filename, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16 or header[:8] != _MAGIC:
-            raise DomainError(f"{filename}: not a noise increment dump")
-        n_modes, n_steps = struct.unpack("<ii", header[8:])
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n_modes * n_steps:
-        raise DomainError(f"{filename}: truncated increment dump")
-    mat = data.reshape(n_modes, n_steps).astype(float)
-    mat.flags.writeable = False
-    return NoisePaths(increments=mat, dt=float(dt), seed=int(seed) & _MASK64)

@@ -70,6 +70,39 @@ def test_config_parse_error_is_domain_error(tmp_path, capsys):
     assert code == 2 and "key = value" in err
 
 
+@pytest.mark.parametrize("text, want", [
+    ("dt_list = [\n  0.1,\n  0.05\n]\n", {"dt_list": [0.1, 0.05]}),
+    ("alpha_list = [1.5, 2.0,]\n", {"alpha_list": [1.5, 2.0]}),
+    ('label = "run # 3"  # comment\n', {"label": "run # 3"}),
+], ids=["multi-line-array", "trailing-comma", "hash-in-string"])
+def test_config_parses_as_toml(tmp_path, text, want):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert _parse_config(str(cfg)) == want
+
+
+@pytest.mark.parametrize("data", [
+    b"[table1]\nm_traj = 4\n",
+    b"table1.m_traj = 4\n",
+    b"run = {m_traj = 4}\n",
+    b"m_traj = 4\nm_traj = 5\n",
+    b"label = \"\xff\"\n",
+], ids=["table-header", "dotted-key", "inline-table", "duplicate-key", "not-utf8"])
+def test_config_table_or_bad_file_exits_2(tmp_path, capsys, monkeypatch, data):
+    """A setting inside a table would be ignored, and a duplicate key is
+    ambiguous: each is a domain error, raised before any work starts."""
+    import fracwave.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "modeling_error_tables", lambda *a, **k: calls.append(a) or {})
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(data)
+    out = tmp_path / "never"
+    code, _, err = run(["table1", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2 and err.startswith("error: config")
+    assert calls == [] and not out.exists()
+
+
 def test_missing_config_is_io_error(capsys):
     code, _, _ = run(["table1", "--config", "/nonexistent/x.cfg"], capsys)
     assert code == 3

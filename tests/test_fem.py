@@ -307,7 +307,7 @@ def test_fem_solution_single_mode_no_noise():
     nspec = NoiseSpec(sigma=_unit_sigma, n_cutoff=4, K_modes=4, T=1.0, N_fine=4)
     inc = np.zeros((4, 4))
     inc.flags.writeable = False
-    paths = NoisePaths(increments=inc, dt=0.25, seed=0)
+    paths = NoisePaths(increments=inc, dt=0.25)
     e1 = np.zeros(9)
     e1[0] = 1.0
     out = fem_solution(orders, spec, e1, np.zeros(9), nspec, paths, 1.0)
@@ -324,7 +324,7 @@ def test_fem_solution_energy_conservation_classical_wave():
     nspec = NoiseSpec(sigma=_unit_sigma, n_cutoff=2, K_modes=2, T=2.0, N_fine=8)
     inc = np.zeros((2, 8))
     inc.flags.writeable = False
-    paths = NoisePaths(increments=inc, dt=0.25, seed=0)
+    paths = NoisePaths(increments=inc, dt=0.25)
     rng = np.random.default_rng(8)
     v1 = rng.standard_normal(9)
     v2 = rng.standard_normal(9)

@@ -8,9 +8,7 @@ from fracwave.noise import (
     coarsen,
     generate,
     inverse_cubic_sigma,
-    load_increments,
     normalized_increment,
-    save_increments,
     trajectory_seed,
 )
 
@@ -143,7 +141,7 @@ def test_resource_cap():
 def test_sigma_matrix_truncation():
     spec = _spec(k=6, cutoff=3)
     mat = spec.sigma_matrix(np.array([0.0, 0.5]), truncated=True)
-    assert mat.shape == (6, 2)
+    assert mat.shape == (6, 1)  # time-independent: one column, not K x n
     np.testing.assert_allclose(mat[:3, 0], [1.0, 1 / 8, 1 / 27])
     assert (mat[3:] == 0.0).all()
     full = spec.sigma_matrix(np.array([0.0]), truncated=False)
@@ -165,24 +163,9 @@ def test_sigma_matrix_equals_per_column_calls(sigma, cutoff, truncated):
     if truncated:
         want[cutoff:, :] = 0.0
     got = spec.sigma_matrix(times, truncated=truncated)
-    assert got.shape == (100, 50) and got.flags.writeable
-    assert np.array_equal(got, want)
-
-
-def test_dump_and_load_roundtrip(tmp_path):
-    paths = generate(_spec(k=7, n=9), 31)
-    fn = tmp_path / "paths.bin"
-    save_increments(paths, fn)
-    raw = fn.read_bytes()
-    assert raw[:8] == b"FWNOISE1"
-    assert len(raw) == 16 + 7 * 9 * 8
-    back = load_increments(fn, dt=paths.dt, seed=31)
-    np.testing.assert_array_equal(back.increments, paths.increments)
-    assert back.dt == paths.dt
-    with pytest.raises(DomainError):
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(b"NOTMAGIC" + raw[8:])
-        load_increments(bad, dt=paths.dt)
+    if sigma is inverse_cubic_sigma:  # time-independent: one column, not K x n
+        assert got.shape == (100, 1)
+    assert np.array_equal(np.broadcast_to(got, want.shape), want)
 
 
 def test_trajectory_seed_spread():

@@ -161,7 +161,7 @@ def test_homogeneous_stability_bounds():
 def _manual_paths(increments, dt):
     inc = np.asarray(increments, dtype=float)
     inc.flags.writeable = False
-    return NoisePaths(increments=inc, dt=dt, seed=0)
+    return NoisePaths(increments=inc, dt=dt)
 
 
 def test_convolution_zero_noise():
