@@ -74,10 +74,10 @@ def _parse_config(path: str) -> dict:
         with open(path, "rb") as fh:
             out = tomllib.load(fh)
     except (tomllib.TOMLDecodeError, UnicodeDecodeError) as exc:
-        raise DomainError(f"config {path}: {exc} (expected key = value lines)") from None
+        raise DomainError(f"config {path}: {exc}; expected flat key = value lines") from None
     for key, value in out.items():
         if isinstance(value, dict):
-            raise DomainError(f"config {path}: {key} is a table; expected key = value lines")
+            raise DomainError(f"config {path}: {key} is a table; expected flat key = value lines")
     return out
 
 
