@@ -8,7 +8,9 @@ eigenvalues), `stability` (homogeneous decay/continuity diagnostics).
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 I/O error.
 Output directory resolution: --out flag, else $FRACWAVE_OUT, else the
 working directory.  A config file (flat `key = value` TOML, read by
-`tomllib`) may supply any experiment knob; flags override it.
+`tomllib`) may set any `table1` or `table2` setting of `_SETTINGS`, with
+its default's TOML type; flags override it.  One file can serve both
+subcommands; a key neither takes is a domain error.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .experiments import (
     DEFAULT_DT_LIST,
     DEFAULT_H_LIST,
     ExperimentConfig,
+    _cores,
     _fmt,
     _write_lines,
     fem_error_tables,
@@ -42,9 +45,16 @@ from .fem import DEFAULT_K_SERIES, FemMesh, discrete_spectrum
 from .mittag_leffler import ml
 from .spectral import FracOrders, fractional_eigenvalues
 
-DEFAULT_SEED = 12345
-DEFAULT_ALPHAS = (1.1, 1.25, 1.5, 1.75, 2.0)
-DEFAULT_BETAS = (0.6, 0.8, 1.0)
+# Each experiment subcommand's settings and their defaults, the only place
+# the command line states them.  A config value must have its default's type
+# (`_typed`); a default of None (n_cutoff) means the value of k_modes.
+_SHARED = {"seed": 12345, "k_modes": 1000, "n_cutoff": None, "threads": 0}
+_SETTINGS = {
+    "table1": {"alpha_list": (1.1, 1.25, 1.5, 1.75, 2.0), "beta": 0.75, "m_traj": 1000,
+               "n_fine": 1000, "dt_list": DEFAULT_DT_LIST, **_SHARED},
+    "table2": {"alpha": 1.5, "beta_list": (0.6, 0.8, 1.0), "dt": 0.01, "m_traj": 500,
+               "h_list": DEFAULT_H_LIST, "fem_k_series": DEFAULT_K_SERIES, **_SHARED},
+}
 
 
 class _UsageError(Exception):
@@ -65,24 +75,17 @@ def _sci17(value: float) -> str:
 def _parse_config(path: str) -> dict:
     """A flat TOML file of `key = value` lines, read by `tomllib`.
 
-    A table (a `[section]` header, a dotted key or an inline table) is a
-    domain error, so no setting in one is silently ignored.
+    `_settings` checks the keys and values, so a table (a `[section]` header,
+    a dotted key or an inline table) is a domain error there: its name is
+    no setting and no setting takes a table.
     """
     import tomllib
 
     try:
         with open(path, "rb") as fh:
-            out = tomllib.load(fh)
+            return tomllib.load(fh)
     except (tomllib.TOMLDecodeError, UnicodeDecodeError) as exc:
         raise DomainError(f"config {path}: {exc}; expected flat key = value lines") from None
-    for key, value in out.items():
-        if isinstance(value, dict):
-            raise DomainError(f"config {path}: {key} is a table; expected flat key = value lines")
-    return out
-
-
-def _floats(value) -> list[float]:
-    return [float(x) for x in value]
 
 
 def _table_file(stem: str, value: float) -> str:
@@ -90,7 +93,7 @@ def _table_file(stem: str, value: float) -> str:
     return f"{stem}{value:g}.csv"
 
 
-def _sweep(key: str, stem: str, values: list[float]) -> list[float]:
+def _sweep(key: str, stem: str, values: tuple[float, ...]) -> tuple[float, ...]:
     """values, unless two of them name the same table file and so would be
     computed twice and written once."""
     names = [_table_file(stem, v) for v in values]
@@ -99,35 +102,56 @@ def _sweep(key: str, stem: str, values: list[float]) -> list[float]:
     return values
 
 
-def _grid(value) -> tuple[float, ...]:
-    """A non-empty list of steps or mesh widths; `ExperimentConfig` checks each."""
-    grid = tuple(_floats(value))
-    if not grid:
-        raise ValueError(value)
-    return grid
+def _toml_type(default) -> str:
+    """The TOML type a setting takes, named by its default's type; a default
+    of None (n_cutoff) stands for an integer."""
+    return {tuple: "array of numbers", float: "float"}.get(type(default), "integer")
 
 
-def _step(value) -> float:
-    """A time step whose step count round(1/dt) exists: positive, 1/dt finite."""
-    dt = float(value)
-    if not (dt > 0.0 and math.isfinite(1.0 / dt)):
-        raise ValueError(value)
-    return dt
+def _typed(key: str, value, default):
+    """value, if it has default's TOML type: an integer takes an integer only,
+    a float an integer or a float, an array a list of numbers.  A boolean is
+    not a number."""
+    if isinstance(default, tuple):
+        if type(value) is list and all(type(x) in (int, float) for x in value):
+            return tuple(map(float, value))
+    elif isinstance(default, float):
+        if type(value) in (int, float):
+            return float(value)
+    elif type(value) is int:
+        return value
+    raise DomainError(f"config {key}: expected {_toml_type(default)}, got {value!r}")
 
 
-def _setting(args, cfg: dict, key: str, default, convert):
-    """The flag, else the config value, else default, passed through convert.
+def _settings(args) -> dict:
+    """The effective settings of args.command: its `_SETTINGS` defaults,
+    overridden by the config file, overridden by the flags.
 
-    A value convert rejects (`m_traj = "ten"`, `seed = [1, 2]`,
-    `k_modes = inf`) is a domain error that names the key, raised while the
-    settings are read, before any work starts.
+    A key of the other subcommand is checked and not used, so one file can
+    serve both.  These are domain errors naming the key, raised before any
+    work starts: a config key that neither table1 nor table2 takes, a value
+    not of its default's type, an empty grid, a time step with no step count
+    round(1/dt) and a negative worker count.
     """
-    flag = getattr(args, key, None)
-    value = flag if flag is not None else cfg.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"config {key}: invalid value {value!r}") from None
+    known = {**_SETTINGS["table1"], **_SETTINGS["table2"]}
+    cfg = _parse_config(args.config) if args.config else {}
+    for key, value in cfg.items():
+        if key not in known:
+            raise DomainError(f"config {key}: unknown key; expected a table1 or table2 setting")
+        cfg[key] = _typed(key, value, known[key])
+    out = {key: cfg.get(key, default) for key, default in _SETTINGS[args.command].items()}
+    out.update({key: flag for key in out if (flag := getattr(args, key, None)) is not None})
+    if out["n_cutoff"] is None:
+        out["n_cutoff"] = out["k_modes"]
+    for key in ("dt_list", "h_list"):
+        if out.get(key) == ():
+            raise DomainError(f"config {key}: the list is empty")
+    if "dt" in out and not (out["dt"] > 0.0 and math.isfinite(1.0 / out["dt"])):
+        raise DomainError(f"config dt: {out['dt']} is not positive with a finite 1/dt")
+    if out["threads"] < 0:
+        raise DomainError(f"config threads: must be >= 0 (got {out['threads']})")
+    out["threads"] = out["threads"] or _cores()  # 0: every core
+    return out
 
 
 def _out_dir(args) -> str:
@@ -138,18 +162,6 @@ def _out_dir(args) -> str:
 
 def _write_csv(path: str, comment_lines: list[str], header: str, rows: list[str]) -> None:
     _write_lines(path, [f"# {line}" for line in comment_lines] + [header] + rows)
-
-
-def _workers(args, cfg: dict) -> int:
-    """--threads, else the config's `threads`; 0 or unset means every core.
-
-    A negative --threads is a usage error at parse time (`_nonnegative_int`); a
-    negative config value is a domain error, raised before any work starts.
-    """
-    threads = _setting(args, cfg, "threads", 0, int)
-    if threads < 0:
-        raise DomainError(f"config threads must be >= 0 (got {threads})")
-    return threads or (os.cpu_count() or 1)
 
 
 def _nonnegative_int(text: str) -> int:
@@ -172,48 +184,28 @@ def _cmd_ml(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    cfg_file = _parse_config(args.config) if args.config else {}
-    alphas = _sweep("alpha_list", "table1_alpha",
-                    _setting(args, cfg_file, "alpha_list", DEFAULT_ALPHAS, _floats))
-    beta = _setting(args, cfg_file, "beta", 0.75, float)
-    m_traj = _setting(args, cfg_file, "m_traj", 1000, int)
-    seed = _setting(args, cfg_file, "seed", DEFAULT_SEED, int)
-    n_fine = _setting(args, cfg_file, "n_fine", 1000, int)
-    k_modes = _setting(args, cfg_file, "k_modes", 1000, int)
-    n_cutoff = _setting(args, cfg_file, "n_cutoff", k_modes, int)
-    dt_list = _setting(args, cfg_file, "dt_list", DEFAULT_DT_LIST, _grid)
-    threads = _workers(args, cfg_file)
-
-    cfg = ExperimentConfig(m_traj=m_traj, base_seed=seed, n_fine=n_fine, k_modes=k_modes,
-                           n_cutoff=n_cutoff, dt_list=dt_list, h_list=())
-    orders = [FracOrders(alpha, beta) for alpha in alphas]
-    tables = modeling_error_tables(cfg, orders, n_workers=threads) if orders else []
+    s = _settings(args)
+    alphas = _sweep("alpha_list", "table1_alpha", s["alpha_list"])
+    cfg = ExperimentConfig(m_traj=s["m_traj"], base_seed=s["seed"], n_fine=s["n_fine"],
+                           k_modes=s["k_modes"], n_cutoff=s["n_cutoff"], dt_list=s["dt_list"],
+                           h_list=())
+    orders = [FracOrders(alpha, s["beta"]) for alpha in alphas]
+    tables = modeling_error_tables(cfg, orders, n_workers=s["threads"]) if orders else []
     return _write_tables(args, "table1_alpha", alphas, tables, "modeling-error")
 
 
 def _cmd_table2(args) -> int:
-    cfg_file = _parse_config(args.config) if args.config else {}
-    alpha = _setting(args, cfg_file, "alpha", 1.5, float)
-    betas = _sweep("beta_list", "table2_beta",
-                   _setting(args, cfg_file, "beta_list", DEFAULT_BETAS, _floats))
-    dt = _setting(args, cfg_file, "dt", 0.01, _step)
-    m_traj = _setting(args, cfg_file, "m_traj", 500, int)
-    seed = _setting(args, cfg_file, "seed", DEFAULT_SEED, int)
-    k_modes = _setting(args, cfg_file, "k_modes", 1000, int)
-    n_cutoff = _setting(args, cfg_file, "n_cutoff", k_modes, int)
-    h_list = _setting(args, cfg_file, "h_list", DEFAULT_H_LIST, _grid)
-    k_series = _setting(args, cfg_file, "fem_k_series", DEFAULT_K_SERIES, int)
-    threads = _workers(args, cfg_file)
-
-    cfg = ExperimentConfig(m_traj=m_traj, base_seed=seed, n_fine=round(1.0 / dt),
-                           k_modes=k_modes, n_cutoff=n_cutoff, dt_list=(dt,), h_list=h_list,
-                           fem_k_series=k_series)
-    orders = [FracOrders(alpha, beta) for beta in betas]
-    tables = fem_error_tables(cfg, orders, n_workers=threads) if orders else []
+    s = _settings(args)
+    betas = _sweep("beta_list", "table2_beta", s["beta_list"])
+    cfg = ExperimentConfig(m_traj=s["m_traj"], base_seed=s["seed"], n_fine=round(1.0 / s["dt"]),
+                           k_modes=s["k_modes"], n_cutoff=s["n_cutoff"], dt_list=(s["dt"],),
+                           h_list=s["h_list"], fem_k_series=s["fem_k_series"])
+    orders = [FracOrders(s["alpha"], beta) for beta in betas]
+    tables = fem_error_tables(cfg, orders, n_workers=s["threads"]) if orders else []
     return _write_tables(args, "table2_beta", betas, tables, "Galerkin-error")
 
 
-def _write_tables(args, stem: str, values: list[float], tables: list, kind: str) -> int:
+def _write_tables(args, stem: str, values: tuple[float, ...], tables: list, kind: str) -> int:
     """Write the table of each sweep value to its `_table_file`."""
     out = _out_dir(args)
     for value, table in zip(values, tables):
@@ -266,7 +258,8 @@ def _build_parser() -> _Parser:
     p_ml.set_defaults(func=_cmd_ml)
 
     def experiment_flags(p):
-        p.add_argument("--config", help="flat key = value TOML config file")
+        p.add_argument("--config", help="flat key = value TOML file of table1 and table2 "
+                       "settings, each of its default's type")
         p.add_argument("--seed", type=int, dest="seed")
         p.add_argument("--out", help="output directory (default $FRACWAVE_OUT or .)")
         p.add_argument("--threads", type=_nonnegative_int,

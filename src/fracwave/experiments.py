@@ -198,6 +198,14 @@ def _table_from_samples(samples: np.ndarray, resolutions, meta: dict) -> RateTab
 # modeling error: reference vs regularized solution under time coarsening
 # ---------------------------------------------------------------------------
 
+def _cores() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (a cpuset or `taskset` narrows it), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool_map(fn, items, n_workers: int) -> list:
     """[fn(x) for x in items], on min(n_workers, len(items), cores) fork workers.
 
@@ -208,7 +216,7 @@ def _pool_map(fn, items, n_workers: int) -> list:
     and the results are pickled.
     """
     items = list(items)
-    n_workers = min(n_workers, len(items), os.cpu_count() or 1)
+    n_workers = min(n_workers, len(items), _cores())
     if n_workers <= 1:
         return [fn(x) for x in items]
     ctx = multiprocessing.get_context("fork")

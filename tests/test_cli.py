@@ -127,6 +127,7 @@ def test_worker_count_checked_before_any_work(tmp_path, capsys, monkeypatch, com
 
     workers = []
     monkeypatch.setattr(cli, target, lambda *a, n_workers: workers.append(n_workers) or {})
+    monkeypatch.setattr(cli, "_cores", lambda: 7)
     code, _, err = run([command, "--threads", "-1", "--out", str(tmp_path)], capsys)
     assert code == 1 and "--threads" in err
     neg = tmp_path / "neg.cfg"
@@ -139,7 +140,7 @@ def test_worker_count_checked_before_any_work(tmp_path, capsys, monkeypatch, com
     code, _, _ = run([command, "--config", str(zero), "--threads", "0", "--out", str(tmp_path)],
                      capsys)
     assert code == 0
-    assert workers == ([os.cpu_count() or 1] if command == "table1" else [])
+    assert workers == ([7] if command == "table1" else [])
 
 
 @pytest.mark.parametrize("command, target", [("table1", "modeling_error_tables"),
@@ -150,12 +151,13 @@ def test_threads_flag_zero_overrides_config(tmp_path, capsys, monkeypatch, comma
     workers = []
     monkeypatch.setattr(cli, target, lambda *a, n_workers: workers.append(n_workers) or {})
     monkeypatch.setattr(cli, "write_rate_table", lambda *a: None)
+    monkeypatch.setattr(cli, "_cores", lambda: 7)
     one = tmp_path / "one.cfg"
     one.write_text("threads = 1\nbeta_list = [0.8]\nm_traj = 2\n")
     code, _, _ = run([command, "--config", str(one), "--threads", "0", "--out", str(tmp_path)],
                      capsys)
     assert code == 0
-    assert workers == [os.cpu_count() or 1]
+    assert workers == [7]
     code, _, _ = run([command, "--config", str(one), "--out", str(tmp_path)], capsys)
     assert code == 0
     assert workers[1:] == [1]
@@ -165,9 +167,15 @@ def test_threads_flag_zero_overrides_config(tmp_path, capsys, monkeypatch, comma
                                              ("table2", "fem_error_tables")])
 @pytest.mark.parametrize("line, key", [('m_traj = "ten"', "m_traj"), ("seed = [1, 2]", "seed"),
                                        ("n_cutoff = [1, 2]", "n_cutoff"),
-                                       ("k_modes = inf", "k_modes"), ('threads = "x"', "threads")])
+                                       ("k_modes = inf", "k_modes"), ('threads = "x"', "threads"),
+                                       ("m_traj = 2.7", "m_traj"), ("m_traj = true", "m_traj"),
+                                       ("beta = true", "beta"), ('alpha_list = "2"', "alpha_list"),
+                                       ("alpha_list = [true]", "alpha_list"),
+                                       ("m_trajs = 3", "m_trajs")])
 def test_wrong_type_config_value_is_domain_error(tmp_path, capsys, monkeypatch, command, target,
                                                  line, key):
+    """A value not of its default's TOML type, or a key neither table1 nor
+    table2 takes, whichever subcommand runs."""
     import fracwave.cli as cli
 
     calls = []
@@ -177,7 +185,7 @@ def test_wrong_type_config_value_is_domain_error(tmp_path, capsys, monkeypatch, 
     out = tmp_path / "never"
     code, _, err = run([command, "--config", str(cfg), "--out", str(out)], capsys)
     assert code == 2
-    assert err.startswith("error:") and key in err
+    assert err.startswith(f"error: config {key}:")
     assert calls == [] and not out.exists()
 
 
@@ -426,6 +434,58 @@ def test_table2_tiny_run(tmp_path, capsys):
     assert rows[5] == "resolution,error,rate,stderr"
     assert len(rows) == 7  # single mesh, no rate entry
     assert rows[6].split(",")[2] == ""
+
+
+def test_one_config_serves_table1_and_table2(tmp_path, capsys):
+    """Each subcommand takes its own keys from a file holding both sets."""
+    cfg = _tiny_cfg(tmp_path)
+    with open(cfg, "a") as fh:
+        fh.write("alpha = 1.5\nbeta_list = [0.8]\ndt = 0.1\nh_list = [0.1]\nfem_k_series = 10000\n")
+    out = tmp_path / "both"
+    for command in ("table1", "table2"):
+        code, _, _ = run([command, "--config", cfg, "--m-traj", "3", "--out", str(out),
+                          "--threads", "1"], capsys)
+        assert code == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["table1_alpha1.5.csv", "table1_alpha2.csv", "table2_beta0.8.csv"]
+    t1 = (out / "table1_alpha2.csv").read_text().splitlines()
+    t2 = (out / "table2_beta0.8.csv").read_text().splitlines()
+    assert "# beta = 0.75" in t1 and "# m_traj = 3" in t1 and len(t1) == 6 + 2
+    assert "# alpha = 1.5" in t2 and "# m_traj = 3" in t2 and len(t2) == 6 + 1
+
+
+def test_readme_lists_every_setting_and_default():
+    """The README's settings table names exactly the keys, defaults and TOML
+    types of `cli._SETTINGS`."""
+    import tomllib
+
+    import fracwave.cli as cli
+
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    header = "| key | `table1` default | `table2` default | TOML type |"
+    assert text.count(header) == 1
+    rows = text.split(header)[1].split("\n\n")[0].strip().splitlines()[1:]
+
+    def default(cell):
+        if cell == "—":
+            return "absent"
+        value = cell.strip("`")
+        return None if value == "k_modes" else tomllib.loads(f"v = {value}")["v"]
+
+    listed = {}
+    for row in rows:
+        key, t1, t2, kind = [c.strip() for c in row.strip("|").split("|")]
+        listed[key.strip("`")] = (default(t1), default(t2), kind)
+
+    def want(command, key):
+        value = cli._SETTINGS[command].get(key, "absent")
+        return list(value) if isinstance(value, tuple) else value
+
+    known = {**cli._SETTINGS["table1"], **cli._SETTINGS["table2"]}
+    assert listed == {key: (want("table1", key), want("table2", key), cli._toml_type(default))
+                      for key, default in known.items()}
 
 
 def test_spectrum_csv_matches_closed_form(tmp_path, capsys):

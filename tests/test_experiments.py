@@ -146,27 +146,42 @@ def test_pool_map_caps_workers_without_starting_processes(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: _RecordingContext(calls))
     monkeypatch.setattr(experiments, "_worker_fn", None)
     assert _pool_map(abs, range(3), 10**5) == [0, 1, 2]
-    cap = min(3, os.cpu_count() or 1)
+    cap = min(3, experiments._cores())
     assert calls == ([(cap, abs)] if cap > 1 else [])
 
     calls.clear()
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(experiments, "_cores", lambda: 64)
     assert _pool_map(abs, range(-3, 0), 10**5) == [3, 2, 1]
     assert _pool_map(abs, range(5), 0) == list(range(5))
     assert _pool_map(abs, range(5), -4) == list(range(5))
     assert calls == [(3, abs)]
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "_cores", lambda: 2)
     _pool_map(abs, range(5), 10**5)
     assert calls[-1] == (2, abs)
 
     # one trajectory: the weight grids go through the pool, the trajectory does not
     calls.clear()
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(experiments, "_cores", lambda: 64)
     cfg = _cfg(m_traj=1)
     samples = modeling_error_samples(cfg, [ORDERS], n_workers=10**5)
     assert samples.shape == (1, 1, len(cfg.dt_list))
     assert len(calls) == 1 and calls[0][0] == 1 + len(cfg.dt_list)
     assert getattr(calls[0][1], "func", None) is not experiments._modeling_traj
+
+
+def test_cores_counts_the_cpu_affinity(monkeypatch):
+    """A process confined to one CPU of 64 runs its work in-process."""
+    calls = []
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: _RecordingContext(calls))
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert experiments._cores() == 1
+    assert _pool_map(abs, range(-5, 0), 10**5) == [5, 4, 3, 2, 1]
+    assert calls == []
+    monkeypatch.delattr(os, "sched_getaffinity")  # a platform without affinity
+    assert experiments._cores() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert experiments._cores() == 1
 
 
 class _Unpicklable:
@@ -184,7 +199,7 @@ def _shifted(holder, x):
 def test_pool_map_fork_workers_inherit_the_callable(monkeypatch):
     """Two real fork workers run a callable bound to an object that cannot
     be pickled: the callable reaches them by inheritance, not by pickle."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "_cores", lambda: 2)
     fn = functools.partial(_shifted, _Unpicklable(10))
     with pytest.raises(TypeError):
         pickle.dumps(fn)
