@@ -12,12 +12,20 @@ All randomness is derived from a base seed through a splittable hash, one
 stream per (trajectory, mode); trajectories are aggregated in index order,
 and the modeling-error batches are fixed by trajectory index, so results
 are byte-reproducible for any worker count.
+
+Each run forks at most one pool (`_pool`).  Only indices and per-trajectory
+or per-batch errors cross its pipes: the Galerkin workers inherit the FEM
+products built before the fork, and the modeling-error workers write the
+weight grids in place to anonymous shared mappings made before the fork,
+then run the batches on them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import mmap
 import multiprocessing
 import os
 import subprocess
@@ -68,11 +76,12 @@ class ExperimentConfig:
     dt_list holds the coarse time steps of the modeling-error experiment
     (each must be a multiple of T/n_fine that divides T); h_list holds the
     mesh widths of the Galerkin experiment, which runs at the single time
-    step dt_list[0].  Every step and width must be finite and positive; the
-    k_modes x n_fine noise matrix, each mesh's k_modes x N mode products and
-    N x N dense matrices, and the fem_k_series stiffness series must fit the
-    noise entry cap.  A config that breaks any of these is rejected before
-    any work starts.
+    step dt_list[0].  base_seed must lie in [0, 2^64), the seeds that
+    `trajectory_seed` tells apart.  Every step and width must be finite and
+    positive; the k_modes x n_fine noise matrix, each mesh's k_modes x N
+    mode products and N x N dense matrices, and the fem_k_series stiffness
+    series must fit the noise entry cap.  A config that breaks any of these
+    is rejected before any work starts.
     """
 
     m_traj: int
@@ -88,6 +97,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.m_traj < 1:
             raise DomainError("ExperimentConfig: m_traj must be >= 1")
+        if not 0 <= self.base_seed < 1 << 64:
+            raise DomainError(f"ExperimentConfig: seed {self.base_seed} is not in [0, 2^64)")
         if self.T <= 0.0 or self.n_fine < 1:
             raise DomainError("ExperimentConfig: invalid time grid")
         if not (1 <= self.n_cutoff <= self.k_modes):
@@ -206,29 +217,45 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_map(fn, items, n_workers: int) -> list:
-    """[fn(x) for x in items], on min(n_workers, len(items), cores) fork workers.
+def _pool_size(n_workers: int, n_tasks: int) -> int:
+    """Workers for a run whose largest phase has n_tasks tasks: at most
+    n_workers, one per task and one per core; <= 1 means no fork."""
+    return min(n_workers, n_tasks, _cores())
 
-    Runs in this process when that cap is <= 1.  Results come back in item
-    order whatever the worker count.  fn reaches the workers as an
-    initializer argument, which a forked worker inherits without pickling,
-    so fn may be any callable, bound to arrays of any size; only the items
-    and the results are pickled.
+
+@contextlib.contextmanager
+def _pool(fn, n_workers: int):
+    """Yields map(items) -> [fn(x) for x in items]; every call of it runs on
+    one pool of n_workers fork workers, or in this process when n_workers
+    is <= 1.
+
+    Results come back in item order whatever the worker count.  fn reaches
+    the workers as an initializer argument, which a forked worker inherits
+    without pickling, so fn may be any callable, bound to arrays of any size
+    or to shared mappings made before the fork; only the items and the
+    results are pickled.  An exception of fn reaches the caller, and the
+    workers are stopped when the block ends.
     """
-    items = list(items)
-    n_workers = min(n_workers, len(items), _cores())
     if n_workers <= 1:
-        return [fn(x) for x in items]
+        yield lambda items: [fn(x) for x in items]
+        return
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=n_workers, initializer=_set_worker_fn, initargs=(fn,)) as pool:
-        return pool.map(_call_worker_fn, items, chunksize=1)
+        yield lambda items: pool.map(_call_worker_fn, items, chunksize=1)
 
 
-_worker_fn = None  # the callable of `_pool_map`, set only inside its workers
+def _pool_map(fn, items, n_workers: int) -> list:
+    """[fn(x) for x in items] on one `_pool` of `_pool_size` workers."""
+    items = list(items)
+    with _pool(fn, _pool_size(n_workers, len(items))) as run:
+        return run(items)
+
+
+_worker_fn = None  # the callable of `_pool`, set only inside its workers
 
 
 def _set_worker_fn(fn) -> None:
-    """Pool initializer: keeps the callable of `_pool_map` in the worker."""
+    """Pool initializer: keeps the callable of `_pool` in the worker."""
     global _worker_fn
     _worker_fn = fn
 
@@ -242,22 +269,56 @@ def _require_orders(orders, where: str) -> None:
         raise DomainError(f"{where}: the sweep of fractional orders is empty")
 
 
-def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int):
-    """(w_ref, w_coarse): per entry of orders the fine left-rule grid and
-    the coarse grids.
+def _shared_array(shape) -> np.ndarray:
+    """An uninitialized float array in an anonymous shared mapping: what a
+    fork worker writes to it, the parent and every other worker read.  The
+    mapping has no name and goes with the last process that holds it."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64).reshape(shape)
 
-    One `convolution_weights` call per (entry, grid), spread over workers;
-    each call is the one a serial run makes, so the weights are the same bits.
-    The fine grids come first: the kernel scratch of the largest grids then
-    meets the fewest finished grids.
+
+def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int, firsts=()):
+    """(w_ref, w_coarse, errors): per entry of orders the fine left-rule grid
+    and the coarse grids, then the `_modeling_traj` errors of the batch that
+    starts at each trajectory index in firsts.
+
+    Both phases run on one `_pool` of min(n_workers, cores, largest phase)
+    workers.  Each grid is one `convolution_weights` call, the one a serial
+    run makes, so the weights are the same bits at any worker count.  On
+    more than one worker every grid is a `_shared_array` made before the
+    fork: its grid task writes it in place and returns None, and each batch
+    reads it there, so only indices and per-batch errors cross the pipes.
+    On one worker the grids are the plain arrays of the calls.  The fine
+    grids come first: the kernel scratch of the largest grids then meets
+    the fewest finished grids.
     """
     spec = cfg.noise_spec()
     jobs = [(o, spec, cfg.dt_fine, cfg.n_fine, "left", False) for o in orders]
     jobs += [(o, spec, dt, cfg.coarse_steps(dt)[0], rule, True)
              for o in orders for dt in cfg.dt_list]
-    grids = _pool_map(lambda job: convolution_weights(*job), jobs, n_workers)
+    n_workers = _pool_size(n_workers, max(len(jobs), len(firsts)))
+    shared = n_workers > 1
+    grids = [_shared_array((spec.K_modes, steps)) if shared else None
+             for _, _, _, steps, _, _ in jobs]
+    factors = [cfg.coarse_steps(dt)[1] for dt in cfg.dt_list]
     n, n_dt = len(orders), len(cfg.dt_list)
-    return grids[:n], [grids[n + a * n_dt : n + (a + 1) * n_dt] for a in range(n)]
+
+    def split():
+        return grids[:n], [grids[n + a * n_dt : n + (a + 1) * n_dt] for a in range(n)]
+
+    def task(item):
+        phase, i = item
+        if phase == "batch":
+            return _modeling_traj(spec, cfg.base_seed, cfg.m_traj, factors, *split(), i)
+        w = convolution_weights(*jobs[i])
+        if shared:
+            grids[i][...] = w  # seen by the parent and every worker
+        else:
+            grids[i] = w  # in this process: no copy
+
+    with _pool(task, n_workers) as run:
+        run([("grid", i) for i in range(len(jobs))])
+        errors = run([("batch", first) for first in firsts])
+    return (*split(), errors)
 
 
 #: Trajectories per batch of a modeling-error run: batch q holds trajectories
@@ -333,15 +394,12 @@ def modeling_error_samples(cfg: ExperimentConfig, orders, rule: str = "exact",
 
     One noise draw per trajectory feeds every column and every coarse grid,
     so all comparisons are coupled to the same Brownian paths.  The weight
-    grids and then the batches of `_BATCH` trajectories are spread over
-    n_workers.
+    grids and then the batches of `_BATCH` trajectories run on one pool of
+    at most n_workers workers (`_modeling_weights`).
     """
     _require_orders(orders, "modeling_error_samples")
-    w_ref, w_coarse = _modeling_weights(cfg, orders, rule, n_workers)
-    factors = [cfg.coarse_steps(dt)[1] for dt in cfg.dt_list]
-    batch = functools.partial(_modeling_traj, cfg.noise_spec(), cfg.base_seed, cfg.m_traj,
-                              factors, w_ref, w_coarse)
-    return np.concatenate(_pool_map(batch, range(0, cfg.m_traj, _BATCH), n_workers), axis=0)
+    errors = _modeling_weights(cfg, orders, rule, n_workers, range(0, cfg.m_traj, _BATCH))[2]
+    return np.concatenate(errors, axis=0)
 
 
 def modeling_error_tables(cfg: ExperimentConfig, orders, rule: str = "exact",

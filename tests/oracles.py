@@ -285,7 +285,7 @@ def modeling_traj_longdouble(spec, factors, w_ref, w_coarse, seed: int):
 def modeling_oracle(cfg, orders, rule: str):
     """`modeling_traj_longdouble` of every trajectory of cfg, from the package's
     weight grids: (errors, spreads), each (m_traj, len(orders), n_dt)."""
-    w_ref, w_coarse = experiments._modeling_weights(cfg, orders, rule, 1)
+    w_ref, w_coarse, _ = experiments._modeling_weights(cfg, orders, rule, 1)
     factors = [cfg.coarse_steps(dt)[1] for dt in cfg.dt_list]
     pairs = [modeling_traj_longdouble(cfg.noise_spec(), factors, w_ref, w_coarse,
                                       noise.trajectory_seed(cfg.base_seed, l))

@@ -397,6 +397,52 @@ def test_table1_outputs_and_determinism(tmp_path, capsys):
     assert len(rows) == 6 + 2  # one data row per dt
 
 
+def test_table1_two_batches_same_bytes_on_two_workers(tmp_path, capsys, monkeypatch):
+    """m_traj 40 is two batches: on two fork workers, one pool runs the
+    weight grids and both batches, and writes the bytes of one worker."""
+    import multiprocessing
+
+    from fracwave import experiments
+
+    monkeypatch.setattr(experiments, "_cores", lambda: 2)
+    cfg = _tiny_cfg(tmp_path)
+    outs = []
+    for threads in ("1", "2"):
+        outs.append(tmp_path / f"threads{threads}")
+        code, _, _ = run(["table1", "--config", cfg, "--m-traj", "40", "--seed", "5",
+                          "--out", str(outs[-1]), "--threads", threads], capsys)
+        assert code == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == ["table1_alpha1.5.csv", "table1_alpha2.csv"]
+    assert "# m_traj = 40" in (outs[0] / names[0]).read_text()
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command, target", [("table1", "modeling_error_tables"),
+                                             ("table2", "fem_error_tables")])
+@pytest.mark.parametrize("flag, line", [(["--seed", "18446744073709551617"], ""),
+                                        ([], "seed = -1\n")], ids=["flag", "config"])
+def test_seed_outside_64_bits_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                                      target, flag, line):
+    """A seed outside [0, 2^64) would alias one inside it: 2^64 + 1 draws
+    the noise of 1, and -1 that of 2^64 - 1.  2^64 - 1 itself runs."""
+    import fracwave.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, target, lambda *a, **k: calls.append(a) or {})
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text(line)
+    out = tmp_path / "never"
+    code, _, err = run([command, "--config", str(cfg), *flag, "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "seed" in err and "Traceback" not in err
+    assert calls == [] and not out.exists()
+    code, _, _ = run([command, "--seed", str((1 << 64) - 1), "--out", str(out)], capsys)
+    assert code == 0 and calls[0][0].base_seed == (1 << 64) - 1
+
+
 def test_table1_flag_overrides_config(tmp_path, capsys):
     cfg = _tiny_cfg(tmp_path)
     out = tmp_path / "c"

@@ -117,14 +117,17 @@ def test_modeling_error_reproducible_and_worker_invariant():
 
 class _RecordingContext:
     """Stands in for a multiprocessing context: its Pool records the worker
-    count and the callable handed to the initializer, runs the initializer
-    and maps in this process."""
+    count and the callable handed to the initializer when it starts, runs
+    the initializer, and maps in this process, keeping each map's results."""
 
-    def __init__(self, calls):
+    def __init__(self, calls, results=None):
         self.calls = calls
+        self.results = [] if results is None else results
 
     def Pool(self, processes, initializer, initargs):
-        calls = self.calls
+        self.calls.append((processes, initargs[0]))
+        initializer(*initargs)
+        results = self.results
 
         class _Pool:
             def __enter__(self):
@@ -134,16 +137,16 @@ class _RecordingContext:
                 return False
 
             def map(self, fn, items, chunksize=1):
-                calls.append((processes, initargs[0]))
-                initializer(*initargs)
-                return [fn(x) for x in items]
+                results.append([fn(x) for x in items])
+                return results[-1]
 
         return _Pool()
 
 
 def test_pool_map_caps_workers_without_starting_processes(monkeypatch):
-    calls = []
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: _RecordingContext(calls))
+    calls, results = [], []
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: _RecordingContext(calls, results))
     monkeypatch.setattr(experiments, "_worker_fn", None)
     assert _pool_map(abs, range(3), 10**5) == [0, 1, 2]
     cap = min(3, experiments._cores())
@@ -159,14 +162,23 @@ def test_pool_map_caps_workers_without_starting_processes(monkeypatch):
     _pool_map(abs, range(5), 10**5)
     assert calls[-1] == (2, abs)
 
-    # one trajectory: the weight grids go through the pool, the trajectory does not
-    calls.clear()
+    # table 1: one pool per run, of min(n_workers, cores, largest phase)
+    # workers; its grid tasks write the shared grids and return None, and
+    # its batch tasks return the errors, equal to a serial run's
     monkeypatch.setattr(experiments, "_cores", lambda: 64)
-    cfg = _cfg(m_traj=1)
-    samples = modeling_error_samples(cfg, [ORDERS], n_workers=10**5)
-    assert samples.shape == (1, 1, len(cfg.dt_list))
-    assert len(calls) == 1 and calls[0][0] == 1 + len(cfg.dt_list)
-    assert getattr(calls[0][1], "func", None) is not experiments._modeling_traj
+    n_grids = 1 + 3  # the fine grid and the three coarse grids of _cfg
+    for m_traj, n_workers, size in ((1, 10**5, n_grids), (6 * 32, 10**5, 6), (6 * 32, 3, 3)):
+        calls.clear()
+        results.clear()
+        cfg = _cfg(m_traj=m_traj)
+        samples = modeling_error_samples(cfg, [ORDERS], n_workers=n_workers)
+        assert len(calls) == 1 and calls[0][0] == size
+        grids, batches = results
+        assert grids == [None] * n_grids
+        assert [b.shape for b in batches] == [(min(32, m_traj), 1, 3)] * -(-m_traj // 32)
+        calls.clear()
+        np.testing.assert_array_equal(samples, modeling_error_samples(cfg, [ORDERS]))
+        assert calls == []
 
 
 def test_cores_counts_the_cpu_affinity(monkeypatch):
@@ -207,6 +219,30 @@ def test_pool_map_fork_workers_inherit_the_callable(monkeypatch):
     assert [v for v, _ in out] == list(range(10, 16))
     assert os.getpid() not in {pid for _, pid in out}
     assert experiments._worker_fn is None  # the parent keeps no worker context
+
+
+def _fail_in_worker(real, pos, bad, *args):
+    """real(*args), except that args[pos] == bad raises a DomainError naming
+    the process."""
+    if args[pos] == bad:
+        raise DomainError(f"task {bad} failed in process {os.getpid()}")
+    return real(*args)
+
+
+@pytest.mark.parametrize("target, pos, bad", [
+    ("convolution_weights", 3, 20),  # the grid task of the 20-step coarse grid
+    ("_modeling_traj", -1, 32),  # the second batch
+])
+def test_pool_task_domain_error_reaches_the_caller(monkeypatch, target, pos, bad):
+    """A DomainError of a grid task or of a batch, raised in a real fork
+    worker, reaches the caller as a DomainError, and no worker is left."""
+    monkeypatch.setattr(experiments, "_cores", lambda: 2)
+    real = getattr(experiments, target)
+    monkeypatch.setattr(experiments, target, functools.partial(_fail_in_worker, real, pos, bad))
+    with pytest.raises(DomainError, match=f"task {bad} failed") as info:
+        modeling_error_samples(_cfg(m_traj=40), [ORDERS], n_workers=2)
+    assert str(os.getpid()) not in str(info.value)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("alpha", (1.1, 1.5, 2.0))
