@@ -25,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import mmap
 import multiprocessing
 import os
 import subprocess
@@ -273,6 +272,8 @@ def _shared_array(shape) -> np.ndarray:
     """An uninitialized float array in an anonymous shared mapping: what a
     fork worker writes to it, the parent and every other worker read.  The
     mapping has no name and goes with the last process that holds it."""
+    import mmap  # loads only where a run forks; a one-worker run never needs it
+
     return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64).reshape(shape)
 
 

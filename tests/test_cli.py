@@ -333,6 +333,14 @@ def test_cli_import_leaves_out_scipy_linalg():
     assert _run_python(probe) == "True"
 
 
+def test_one_worker_table1_leaves_out_mmap(tmp_path):
+    """Only a forking run maps shared weight grids."""
+    argv = ["table1", "--config", _tiny_cfg(tmp_path), "--out", str(tmp_path), "--threads", "1"]
+    probe = (f"import sys; from fracwave.cli import main; main({argv!r}); "
+             "print('mmap' in sys.modules)")
+    assert _run_python(probe).splitlines()[-1] == "False"
+
+
 def test_cli_import_pins_blas_to_one_thread():
     """`import fracwave` leaves numpy out, so `fracwave.cli` sets the BLAS
     thread variables before numpy loads, whatever the environment said."""
