@@ -16,7 +16,7 @@ from fracwave.experiments import ExperimentConfig, fem_error_tables
 from fracwave.spectral import FracOrders
 
 cfg = ExperimentConfig(m_traj=60, base_seed=5, n_fine=100, k_modes=300, n_cutoff=300,
-                       dt_list=(0.01,), h_list=(1 / 10, 1 / 20, 1 / 40), fem_k_series=100_000)
+                       dt_list=(0.01,), h_list=(1 / 10, 1 / 20, 1 / 40))
 orders = [FracOrders(1.5, beta) for beta in (0.6, 1.0)]
 for o, tab in zip(orders, fem_error_tables(cfg, orders)):
     beta = o.beta

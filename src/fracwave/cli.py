@@ -41,7 +41,7 @@ from .experiments import (
     stability_report,
     write_rate_table,
 )
-from .fem import DEFAULT_K_SERIES, FemMesh, discrete_spectrum
+from .fem import FemMesh, discrete_spectrum
 from .mittag_leffler import ml
 from .spectral import FracOrders, fractional_eigenvalues
 
@@ -53,7 +53,7 @@ _SETTINGS = {
     "table1": {"alpha_list": (1.1, 1.25, 1.5, 1.75, 2.0), "beta": 0.75, "m_traj": 1000,
                "n_fine": 1000, "dt_list": DEFAULT_DT_LIST, **_SHARED},
     "table2": {"alpha": 1.5, "beta_list": (0.6, 0.8, 1.0), "dt": 0.01, "m_traj": 500,
-               "h_list": DEFAULT_H_LIST, "fem_k_series": DEFAULT_K_SERIES, **_SHARED},
+               "h_list": DEFAULT_H_LIST, **_SHARED},
 }
 
 
@@ -67,7 +67,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sci17(value: float) -> str:
-    """17 significant digits, scientific, exponent without zero padding."""
+    """17 significant digits, scientific, exponent without zero padding; a
+    value that is not finite as repr gives it (inf, -inf, nan)."""
+    if not math.isfinite(value):
+        return repr(value)
     mantissa, exp = f"{value:.16e}".split("e")
     return f"{mantissa}e{int(exp)}"
 
@@ -199,7 +202,7 @@ def _cmd_table2(args) -> int:
     betas = _sweep("beta_list", "table2_beta", s["beta_list"])
     cfg = ExperimentConfig(m_traj=s["m_traj"], base_seed=s["seed"], n_fine=round(1.0 / s["dt"]),
                            k_modes=s["k_modes"], n_cutoff=s["n_cutoff"], dt_list=(s["dt"],),
-                           h_list=s["h_list"], fem_k_series=s["fem_k_series"])
+                           h_list=s["h_list"])
     orders = [FracOrders(s["alpha"], beta) for beta in betas]
     tables = fem_error_tables(cfg, orders, n_workers=s["threads"]) if orders else []
     return _write_tables(args, "table2_beta", betas, tables, "Galerkin-error")
@@ -215,14 +218,13 @@ def _write_tables(args, stem: str, values: tuple[float, ...], tables: list, kind
 
 
 def _cmd_spectrum(args) -> int:
-    spectrum = discrete_spectrum(FemMesh(args.n), args.beta, args.k_series)
+    spectrum = discrete_spectrum(FemMesh(args.n), args.beta)
     lam_frac = fractional_eigenvalues(args.beta, args.n)
     rows = [",".join([str(j + 1), _fmt(spectrum.eigenvalues[j]), _fmt(lam_frac[j])])
             for j in range(args.n)]
     out = _out_dir(args)
     path = os.path.join(out, f"spectrum_n{args.n}_beta{args.beta:g}.csv")
-    _write_csv(path, [f"n_interior = {args.n}", f"beta = {args.beta}",
-                      f"k_series = {args.k_series}"],
+    _write_csv(path, [f"n_interior = {args.n}", f"beta = {args.beta}"],
                "j,lambda_h,lambda_frac", rows)
     print(path)
     return 0
@@ -277,7 +279,6 @@ def _build_parser() -> _Parser:
     p_sp = sub.add_parser("spectrum", help="discrete fractional Laplacian eigenvalues")
     p_sp.add_argument("--n", type=int, required=True, help="interior node count")
     p_sp.add_argument("--beta", type=float, required=True)
-    p_sp.add_argument("--k-series", type=int, default=DEFAULT_K_SERIES, dest="k_series")
     p_sp.add_argument("--out")
     p_sp.set_defaults(func=_cmd_spectrum)
 

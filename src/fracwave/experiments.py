@@ -29,12 +29,12 @@ import multiprocessing
 import os
 import subprocess
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import DomainError
-from .fem import (DEFAULT_K_SERIES, FemMesh, _cross_error_sq, _fem_apply, discrete_spectrum,
-                  sine_products)
+from .fem import FemMesh, _cross_error_sq, _fem_apply, discrete_spectrum, sine_products
 from .mittag_leffler import ml_values
 from .noise import (_DEFAULT_ENTRY_CAP, NoiseSpec, _ModeStreams, coarsen, generate,
                     inverse_cubic_sigma, trajectory_seed)
@@ -72,39 +72,35 @@ class ExperimentConfig:
     are not among them: each experiment takes its sweep as a list of
     `FracOrders`, one per table column.
 
-    dt_list holds the coarse time steps of the modeling-error experiment
-    (each must be a multiple of T/n_fine that divides T); h_list holds the
-    mesh widths of the Galerkin experiment, which runs at the single time
-    step dt_list[0].  base_seed must lie in [0, 2^64), the seeds that
-    `trajectory_seed` tells apart.  Every step and width must be finite and
-    positive; the k_modes x n_fine noise matrix, each mesh's k_modes x N
-    mode products and N x N dense matrices, and the fem_k_series stiffness
-    series must fit the noise entry cap.  A config that breaks any of these
-    is rejected before any work starts.
+    Both experiments run on the horizon T = 1 of the paper's tables, a class
+    constant.  dt_list holds the coarse time steps of the modeling-error
+    experiment (each must be a multiple of T/n_fine that divides T); h_list
+    holds the mesh widths of the Galerkin experiment, which runs at the
+    single time step dt_list[0] and assembles each mesh's stiffness matrix
+    from the full spectral series (`fem.DEFAULT_K_SERIES` terms summed, the
+    rest in closed form).  base_seed must lie in [0, 2^64), the seeds that
+    `trajectory_seed` tells apart.  n_fine and n_cutoff are checked by
+    `NoiseSpec`.  Every step and width must be finite and positive; the
+    k_modes x n_fine noise matrix and each mesh's k_modes x N mode products
+    and N x N dense matrices must fit the noise entry cap.  A config that
+    breaks any of these is rejected before any work starts.
     """
 
+    T: ClassVar[float] = 1.0
     m_traj: int
     base_seed: int
-    T: float = 1.0
     n_fine: int = 1000
     k_modes: int = 1000
     n_cutoff: int = 1000
     dt_list: tuple = DEFAULT_DT_LIST
     h_list: tuple = DEFAULT_H_LIST
-    fem_k_series: int = DEFAULT_K_SERIES
 
     def __post_init__(self):
         if self.m_traj < 1:
             raise DomainError("ExperimentConfig: m_traj must be >= 1")
         if not 0 <= self.base_seed < 1 << 64:
             raise DomainError(f"ExperimentConfig: seed {self.base_seed} is not in [0, 2^64)")
-        if self.T <= 0.0 or self.n_fine < 1:
-            raise DomainError("ExperimentConfig: invalid time grid")
-        if not (1 <= self.n_cutoff <= self.k_modes):
-            raise DomainError("ExperimentConfig: need 1 <= n_cutoff <= k_modes")
-        if not (1 <= self.fem_k_series <= _DEFAULT_ENTRY_CAP):
-            raise DomainError(f"ExperimentConfig: fem_k_series {self.fem_k_series} is not "
-                              f"in [1, {_DEFAULT_ENTRY_CAP}]")
+        self.noise_spec()  # 1 <= n_cutoff <= k_modes, n_fine >= 1
         if self.k_modes * self.n_fine > _DEFAULT_ENTRY_CAP:
             raise DomainError(f"ExperimentConfig: {self.k_modes} modes x {self.n_fine} steps "
                               f"exceed the cap of {_DEFAULT_ENTRY_CAP} noise entries")
@@ -263,9 +259,12 @@ def _call_worker_fn(x):
     return _worker_fn(x)
 
 
-def _require_orders(orders, where: str) -> None:
-    if not len(orders):
-        raise DomainError(f"{where}: the sweep of fractional orders is empty")
+def _require_sweep(where: str, orders, grid_name: str, grid) -> None:
+    """A DomainError for an empty list of orders or of grids, raised before
+    any grid, spectrum or pool."""
+    for what, items in (("sweep of fractional orders", orders), (grid_name, grid)):
+        if not len(items):
+            raise DomainError(f"{where}: the {what} is empty")
 
 
 def _shared_array(shape) -> np.ndarray:
@@ -398,7 +397,7 @@ def modeling_error_samples(cfg: ExperimentConfig, orders, rule: str = "exact",
     grids and then the batches of `_BATCH` trajectories run on one pool of
     at most n_workers workers (`_modeling_weights`).
     """
-    _require_orders(orders, "modeling_error_samples")
+    _require_sweep("modeling_error_samples", orders, "dt_list", cfg.dt_list)
     errors = _modeling_weights(cfg, orders, rule, n_workers, range(0, cfg.m_traj, _BATCH))[2]
     return np.concatenate(errors, axis=0)
 
@@ -453,7 +452,7 @@ def fem_error_samples(cfg: ExperimentConfig, orders, n_workers: int = 1) -> np.n
     built once, before any trajectory, and applied per trajectory by the
     code of `fem_solution` and `l2_error_cross`.
     """
-    _require_orders(orders, "fem_error_samples")
+    _require_sweep("fem_error_samples", orders, "h_list", cfg.h_list)
     if len(cfg.dt_list) != 1:
         raise DomainError("fem_error_samples: configure exactly one dt in dt_list")
     dt = cfg.dt_list[0]
@@ -466,7 +465,7 @@ def fem_error_samples(cfg: ExperimentConfig, orders, n_workers: int = 1) -> np.n
     for o in orders:
         meshes = []
         for mesh in cfg.meshes():
-            spectrum = discrete_spectrum(mesh, o.beta, cfg.fem_k_series)
+            spectrum = discrete_spectrum(mesh, o.beta)
             products = sine_products(spectrum, cfg.k_modes)  # (e_k, e_j^h), (K, N)
             lamh = spectrum.eigenvalues
             fem_hom = _homogeneous(o.alpha, lamh, cfg.T, np.einsum("k,kj->j", v1, products),
@@ -492,21 +491,22 @@ def fem_error_tables(cfg: ExperimentConfig, orders, n_workers: int = 1) -> list[
 # homogeneous stability report
 # ---------------------------------------------------------------------------
 
-def stability_report(orders: FracOrders, mode: int = 50, n_points: int = 25) -> dict:
+def stability_report(orders: FracOrders) -> dict:
     """Decay and continuity diagnostics for the noise-free evolution.
 
-    For single-mode initial displacement the coefficient is exactly
+    For initial displacement in mode 50 alone the coefficient is exactly
     E_{a,1}(-lam^b t^a), which decays like t^(-a) once lam^b t^a is large;
-    the report fits that exponent on a log grid placed beyond the point
-    where the oscillatory transient has died out (meaningful for alpha
-    away from 2).  Small-time continuity uses the parabolic-bump datum.
+    the report fits that exponent on a 25-point log grid placed beyond the
+    point where the oscillatory transient has died out (meaningful for
+    alpha away from 2).  Small-time continuity uses the parabolic-bump datum.
     """
     alpha, beta = orders.alpha, orders.beta
+    mode = 50
     lam = float(fractional_eigenvalues(beta, mode)[-1])
     x_min = max(100.0, (12.0 / abs(math.cos(math.pi / alpha))) ** alpha)
     t_lo = (x_min / lam) ** (1.0 / alpha)
     t_hi = (1e6 * x_min / lam) ** (1.0 / alpha)
-    t_grid = np.geomspace(t_lo, t_hi, n_points)
+    t_grid = np.geomspace(t_lo, t_hi, 25)
     vals = np.abs(ml_values(alpha, 1.0, -lam * t_grid**alpha))
     slope = float(np.polyfit(np.log(t_grid), np.log(vals), 1)[0])
 

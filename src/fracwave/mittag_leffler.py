@@ -279,34 +279,26 @@ def _contour_values(alpha: float, beta: float, z: np.ndarray, r: np.ndarray,
     """Quadrature + residues for (part of) a bucket of z with |z| > 1 and one sign.
 
     r = |z|^(1/alpha) is the pole radius of each z, and the contour is the
-    one of the bucket's pole radii [r_lo, r_hi].  Arguments go in blocks of
-    _BLOCK; within a block the loop runs over the contour nodes, eight at a
-    time, and `_pairwise_node_sum` adds each argument's node terms in the
-    order of numpy's pairwise `sum(axis=1)` over a row of them.  So the
-    result has the bits of the (arguments x nodes) array expression, kept in
+    one of the bucket's pole radii [r_lo, r_hi].  `_bucket_values` passes at
+    most _BLOCK arguments, so the (8 x arguments) scratch stays in cache.
+    The loop runs over the contour nodes, eight at a time, and
+    `_pairwise_node_sum` adds each argument's node terms in the order of
+    numpy's pairwise `sum(axis=1)` over a row of them.  So the result has
+    the bits of the (arguments x nodes) array expression, kept in
     `tests/oracles.py`, for as long as numpy's pairwise leaf stays at 128
     terms in 8 accumulators; `tests/test_bit_identity.py` checks both.
     Negative-axis residues go through `_add_negative_residues`.
     """
     mu, h, n_side, residues = _contour_params(alpha, r_lo, r_hi, positive)
     coef = _node_coefficients(alpha, beta, mu, h, n_side)
-    n_nodes = n_side + 1
-    out = np.empty_like(z)
-    width = min(_BLOCK, z.size)
-    d, q, acc = (np.empty((8, width)) for _ in range(3))
-    for lo in range(0, z.size, _BLOCK):
-        zb, rb = z[lo : lo + _BLOCK], r[lo : lo + _BLOCK]
-        k = zb.size
-        oc = out[lo : lo + k]
-        node_sum = _pairwise_node_sum(coef, 0, n_nodes, zb, d[:, :k], q[:, :k], acc[:, :k])
-        node_sum += 0.0  # numpy's reduction starts from 0.0: a -0.0 sum becomes +0.0
-        np.multiply(h / math.pi, node_sum, out=oc)
-        if not residues:
-            continue
-        if positive:
-            oc += (1.0 / alpha) * rb ** (1.0 - beta) * np.exp(rb)
-            continue
-        _add_negative_residues(alpha, beta, rb, oc, _residue_ln_bound(alpha, beta, rb))
+    d, q, acc = (np.empty((8, z.size)) for _ in range(3))
+    node_sum = _pairwise_node_sum(coef, 0, n_side + 1, z, d, q, acc)
+    node_sum += 0.0  # numpy's reduction starts from 0.0: a -0.0 sum becomes +0.0
+    out = (h / math.pi) * node_sum
+    if residues and positive:
+        out += (1.0 / alpha) * r ** (1.0 - beta) * np.exp(r)
+    elif residues:
+        _add_negative_residues(alpha, beta, r, out, _residue_ln_bound(alpha, beta, r))
     return out
 
 
@@ -347,18 +339,13 @@ def _asymptotic_values(alpha: float, beta: float, z: np.ndarray, r: np.ndarray,
     below double precision.  A value depends on (alpha, beta, z) alone, not
     on the other arguments.
     """
-    out = np.empty_like(z)
-    w = np.empty(min(_BLOCK, z.size))
-    for lo in range(0, z.size, _BLOCK):
-        oc = out[lo : lo + _BLOCK]
-        wb = np.divide(1.0, z[lo : lo + _BLOCK], out=w[: oc.size])
-        oc.fill(coef[-1])
-        for c in coef[-2::-1]:
-            oc *= wb
-            oc += c
-        oc *= wb
-        rb = r[lo : lo + _BLOCK]
-        _add_negative_residues(alpha, beta, rb, oc, _residue_ln_bound(alpha, beta, rb))
+    w = 1.0 / z
+    out = np.full_like(z, coef[-1])
+    for c in coef[-2::-1]:
+        out *= w
+        out += c
+    out *= w
+    _add_negative_residues(alpha, beta, r, out, _residue_ln_bound(alpha, beta, r))
     return out
 
 
@@ -466,8 +453,9 @@ def ml_values(alpha: float, beta: float, z) -> np.ndarray:
     the contour values are those of the straightforward (arguments x nodes)
     evaluation, bit for bit.
 
-    Every strategy works through its arguments in chunks of _BLOCK, so
-    besides the result the scratch is about 11 bytes per argument (the
+    The routing pass works in chunks of _BLOCK arguments, and
+    `_bucket_values` hands each strategy at most _BLOCK arguments per call,
+    so besides the result the scratch is about 11 bytes per argument (the
     2-byte key, and the 1-byte mask and 8-byte index of the group in hand)
     plus a few arrays of _BLOCK.
     """

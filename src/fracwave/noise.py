@@ -150,17 +150,18 @@ class _ModeStreams:
         out *= scale
 
 
-def generate(spec: NoiseSpec, seed: int, max_entries: int = _DEFAULT_ENTRY_CAP) -> NoisePaths:
+def generate(spec: NoiseSpec, seed: int) -> NoisePaths:
     """Draw the fine-grid increment matrix for one trajectory.
 
     Entry (k-1, i) ~ N(0, dt_fine), independent across modes and steps.
     Mode k uses a Philox stream keyed by (seed, k); rows are therefore
     reproducible and unchanged when K_modes grows (see `_ModeStreams`).
+    A matrix above _DEFAULT_ENTRY_CAP entries, read at each call, is a
+    `ResourceLimitError`.
     """
-    if spec.K_modes * spec.N_fine > max_entries:
-        raise ResourceLimitError(
-            f"noise matrix {spec.K_modes}x{spec.N_fine} exceeds cap of {max_entries} entries"
-        )
+    if spec.K_modes * spec.N_fine > _DEFAULT_ENTRY_CAP:
+        raise ResourceLimitError(f"noise matrix {spec.K_modes}x{spec.N_fine} exceeds cap "
+                                 f"of {_DEFAULT_ENTRY_CAP} entries")
     seed = int(seed) & _MASK64
     out = np.empty((spec.K_modes, spec.N_fine))
     _ModeStreams(seed).draw(1, out, np.sqrt(spec.dt_fine))

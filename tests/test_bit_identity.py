@@ -458,13 +458,12 @@ def test_fem_samples_equal_library_solvers():
     orders = FracOrders(1.5, 0.8)
     cfg = ExperimentConfig(m_traj=12, base_seed=11,
                            n_fine=50, k_modes=128, n_cutoff=128,
-                           dt_list=(1 / 50,), h_list=(1 / 5, 1 / 10, 1 / 20),
-                           fem_k_series=20_000)
+                           dt_list=(1 / 50,), h_list=(1 / 5, 1 / 10, 1 / 20))
     errors = np.sqrt(fem_error_samples(cfg, [orders])[:, 0, :])
     spec = cfg.noise_spec()
     v1, v2 = parabola_coeffs(cfg.k_modes), ramp_coeffs(cfg.k_modes)
     steps, factor = cfg.coarse_steps(cfg.dt_list[0])
-    spectra = [discrete_spectrum(FemMesh(round(1.0 / h) - 1), 0.8, cfg.fem_k_series)
+    spectra = [discrete_spectrum(FemMesh(round(1.0 / h) - 1), 0.8)
                for h in cfg.h_list]
     for l in range(cfg.m_traj):
         paths = coarsen(generate(spec, trajectory_seed(cfg.base_seed, l)), factor)

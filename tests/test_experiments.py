@@ -63,8 +63,7 @@ def test_config_validation():
                                 dict(dt_list=(math.nan,)), dict(dt_list=(math.inf,)),
                                 dict(dt_list=(1e-320,)), dict(h_list=(0.0,)),
                                 dict(h_list=(math.nan,)), dict(h_list=(1e-300,)),
-                                dict(k_modes=1 << 20, n_cutoff=64, n_fine=200),
-                                dict(fem_k_series=0), dict(fem_k_series=10**12)])
+                                dict(k_modes=1 << 20, n_cutoff=64, n_fine=200)])
 def test_config_rejects_bad_grids(kw):
     with pytest.raises(DomainError):
         _cfg(**kw)
@@ -81,13 +80,17 @@ def test_config_bounds_dense_mesh_matrices(monkeypatch):
         fem.FemMesh(21)
 
 
-@pytest.mark.parametrize("samples, kw", [
-    (modeling_error_samples, {}),
-    (fem_error_samples, dict(dt_list=(1 / 10,), h_list=(1 / 5, 1 / 10))),
-])
-def test_empty_sweep_rejected_before_any_work(samples, kw, monkeypatch):
-    """An empty list of orders is a DomainError, raised before any pool,
-    weight grid or FEM spectrum."""
+@pytest.mark.parametrize("samples, kw, orders", [
+    (modeling_error_samples, {}, []),
+    (fem_error_samples, dict(dt_list=(1 / 10,), h_list=(1 / 5, 1 / 10)), []),
+    (modeling_error_samples, dict(dt_list=()), [ORDERS]),
+    (fem_error_samples, dict(dt_list=(1 / 10,), h_list=()), [ORDERS]),
+], ids=["modeling_error_samples-kw0", "fem_error_samples-kw1", "modeling_error_samples-kw2",
+        "fem_error_samples-kw3"])
+def test_empty_sweep_rejected_before_any_work(samples, kw, orders, monkeypatch):
+    """An empty list of orders, or of the sampler's time steps or mesh
+    widths, is a DomainError, raised before any pool, weight grid or FEM
+    spectrum."""
     def forbidden(*args, **kwargs):
         raise AssertionError("work started for an empty sweep")
 
@@ -95,7 +98,7 @@ def test_empty_sweep_rejected_before_any_work(samples, kw, monkeypatch):
                  "homogeneous_solution", "_modeling_weights"):
         monkeypatch.setattr(experiments, name, forbidden)
     with pytest.raises(DomainError, match="empty"):
-        samples(_cfg(**kw), [])
+        samples(_cfg(**kw), orders)
 
 
 def test_modeling_error_monotone_and_positive():
@@ -383,8 +386,7 @@ def test_modeling_tables_equal_one_order_runs(n_workers):
 def test_fem_experiment_smoke():
     cfg = ExperimentConfig(m_traj=4, base_seed=11,
                            n_fine=50, k_modes=128, n_cutoff=128,
-                           dt_list=(1 / 50,), h_list=(1 / 5, 1 / 10, 1 / 20),
-                           fem_k_series=20_000)
+                           dt_list=(1 / 50,), h_list=(1 / 5, 1 / 10, 1 / 20))
     orders = [FracOrders(1.5, 0.8)]
     tab = fem_error_tables(cfg, orders)[0]
     assert (tab.errors > 0.0).all()
@@ -399,8 +401,7 @@ def test_fem_experiment_smoke():
 
 def _fem_cfg(**kw):
     base = dict(m_traj=5, base_seed=11, n_fine=50, k_modes=128,
-                n_cutoff=128, dt_list=(1 / 50,), h_list=(1 / 5, 1 / 10, 1 / 20),
-                fem_k_series=20_000)
+                n_cutoff=128, dt_list=(1 / 50,), h_list=(1 / 5, 1 / 10, 1 / 20))
     base.update(kw)
     return ExperimentConfig(**base)
 

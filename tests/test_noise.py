@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fracwave import noise
 from fracwave.errors import DomainError, ResourceLimitError
 from fracwave.noise import (
     NoiseSpec,
@@ -133,9 +134,10 @@ def test_spec_validation():
         NoiseSpec(sigma=inverse_cubic_sigma, n_cutoff=1, K_modes=4, T=1.0, N_fine=0)
 
 
-def test_resource_cap():
+def test_resource_cap(monkeypatch):
+    monkeypatch.setattr(noise, "_DEFAULT_ENTRY_CAP", 10_000)
     with pytest.raises(ResourceLimitError):
-        generate(_spec(k=1000, n=1000), 0, max_entries=10_000)
+        generate(_spec(k=1000, n=1000), 0)
 
 
 def test_sigma_matrix_truncation():
