@@ -37,7 +37,6 @@ def test_setup_command_matches_bench_reference(tmp_path, workload):
     cfg = tmp_path / "run.cfg"
     bench.write_config(cfg, wl, 1, seed)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **{var: "1" for var in bench.BLAS_PIN})
-    env.pop("FRACWAVE_OUT", None)
     subprocess.run([sys.executable, "-m", "fracwave.cli", wl.command, "--config", str(cfg),
                     "--out", str(tmp_path), "--threads", "1"],
                    env=env, cwd=ROOT, capture_output=True, timeout=300, check=True)
