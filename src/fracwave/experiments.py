@@ -80,7 +80,9 @@ class ExperimentConfig:
     from the full spectral series (`fem.DEFAULT_K_SERIES` terms summed, the
     rest in closed form).  base_seed must lie in [0, 2^64), the seeds that
     `trajectory_seed` tells apart.  n_fine and n_cutoff are checked by
-    `NoiseSpec`.  Every step and width must be finite and positive; the
+    `NoiseSpec`.  Every step and width must be finite and positive, and no
+    two steps may give the same number of steps, nor two widths the same
+    mesh (the row would be computed twice, with no rate between); the
     k_modes x n_fine noise matrix and each mesh's k_modes x N mode products
     and N x N dense matrices must fit the noise entry cap.  A config that
     breaks any of these is rejected before any work starts.
@@ -108,13 +110,16 @@ class ExperimentConfig:
             if not (x > 0.0 and math.isfinite(x) and math.isfinite(1.0 / x)):
                 raise DomainError(f"ExperimentConfig: step or mesh width {x} is not "
                                   "finite and positive")
-        for dt in self.dt_list:
-            self.coarse_steps(dt)  # validates divisibility
-        for h, mesh in zip(self.h_list, self.meshes()):
+        steps = [self.coarse_steps(dt)[0] for dt in self.dt_list]  # validates divisibility
+        meshes = self.meshes()
+        for h, mesh in zip(self.h_list, meshes):
             if self.k_modes * mesh.n_interior > _DEFAULT_ENTRY_CAP:
                 raise DomainError(f"ExperimentConfig: h = {h} gives {self.k_modes} x "
                                   f"{mesh.n_interior} mode products, above the cap of "
                                   f"{_DEFAULT_ENTRY_CAP}")
+        for name, sizes in (("dt_list", steps), ("h_list", [m.n_interior for m in meshes])):
+            if len(set(sizes)) < len(sizes):
+                raise DomainError(f"ExperimentConfig: two {name} entries give one grid {sizes}")
 
     @property
     def dt_fine(self) -> float:

@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 DEFAULT_K_SERIES = 10**6
-#: Modes per block of `_alias_class_sums`: its int, float and residue-grid
+#: Modes per block of `_alias_class_sums`: its int, float and long-double
 #: temporaries stay near 2 MiB.
 _ALIAS_BLOCK = 1 << 16
 
@@ -162,36 +162,28 @@ def _dst_matrix(mesh: FemMesh) -> np.ndarray:
 def _alias_class_sums(mesh: FemMesh, beta: float, k_series: int) -> np.ndarray:
     """sum of k^(2 beta - 4) over k <= k_series in each alias class 1..N.
 
-    Class m holds the modes k = +-m mod 2P.  Each class is summed
-    sequentially in long double, starting from zero and adding one float64
-    term k^(2 beta - 4) at a time in ascending k, so the result does not
-    depend on how the modes are blocked.  The terms of a block of modes are
-    laid out on a zero-padded (rows x 2P) residue grid, k = row*2P + column;
-    interleaving columns m and 2P - m row by row lists class m in ascending
-    k, so a running `np.add.accumulate` down each class, carried from chunk
-    to chunk, is that sequential sum (adding a padding zero is exact).  A
-    pairwise `np.add.reduce` would not be.
+    Class m holds the modes k = +-m mod 2P, that is k = 2Pj + m and
+    2P(j + 1) - m for j = 0, 1, ..., in ascending order.  Each class is
+    summed sequentially in long double, starting from zero and adding one
+    float64 term k^(2 beta - 4) at a time in ascending k, so the result does
+    not depend on how the modes are blocked.  Per block of periods j, column
+    m - 1 lists class m's terms row by row, 0 past k_series, so a running
+    `np.add.accumulate` down each column, carried from block to block in row
+    0, is that sequential sum (adding a zero is exact).  A pairwise
+    `np.add.reduce` would not be.
     """
     n = mesh.n_interior
-    p = n + 1
-    period = 2 * p
-    expo = 2.0 * beta - 4.0
-    rows = max(1, (1 << 14) // n)  # grid rows per fold: ~2^15 long-double terms
-    fold = np.zeros((2 * rows + 1, n), dtype=np.longdouble)  # row 0 carries the sums
-    for lo in range(1, k_series + 1, _ALIAS_BLOCK):
-        hi = min(lo + _ALIAS_BLOCK, k_series + 1)
-        r0, r1 = lo // period, (hi - 1) // period + 1
-        grid = np.zeros((r1 - r0) * period)
-        grid[lo - r0 * period:hi - r0 * period] = np.arange(lo, hi).astype(float) ** expo
-        grid = grid.reshape(r1 - r0, period)
-        for i in range(0, r1 - r0, rows):
-            part = grid[i:i + rows]
-            acc = fold[:2 * part.shape[0] + 1]
-            acc[1::2] = part[:, 1:p]  # k = m mod 2P, m = 1..N
-            acc[2::2] = part[:, :p:-1]  # k = 2P - m mod 2P
-            np.add.accumulate(acc, axis=0, out=acc)
-            fold[0] = acc[-1]
-    return fold[0].copy()
+    period = 2 * (n + 1)
+    m = np.arange(1, n + 1)
+    block = max(1, _ALIAS_BLOCK // period)
+    t = np.zeros((2 * block + 1, n), dtype=np.longdouble)  # row 0 carries the sums
+    for j0 in range(0, (k_series - 1) // period + 1, block):
+        j = np.arange(j0, j0 + block)[:, None]
+        k = np.stack((period * j + m, period * (j + 1) - m), axis=1).reshape(-1, n)
+        t[1:] = np.where(k > k_series, 0.0, k ** (2.0 * beta - 4.0))
+        np.add.accumulate(t, axis=0, out=t)
+        t[0] = t[-1]
+    return t[0].copy()
 
 
 def _alias_tail_sums(mesh: FemMesh, beta: float, k_series: int) -> np.ndarray:

@@ -247,25 +247,11 @@ def _add_negative_residues(alpha: float, beta: float, r: np.ndarray, out: np.nda
     which is below spacing(|out|)/4, the computed residue (within a factor 2
     of B after rounding) is less than half the gap below or above out, so
     round-to-nearest leaves out unchanged and the residue is not computed.
-    The test is made in logarithms, with ln_bound from `_residue_ln_bound`
-    of r, so an underflowed exponential cannot fake a small bound; out == 0
-    always takes the residue (ln 0 = -inf).  The test is first made once for
-    the whole of r, at the radius with the largest r cos(pi/alpha) against
-    the smallest |out|, with 1e-9 to spare for the rounding of the
-    logarithms: where that passes, no argument keeps its residue and none
-    is looked at one by one.
+    The test is made argument by argument in logarithms, with ln_bound from
+    `_residue_ln_bound` of r, so an underflowed exponential cannot fake a
+    small bound; out == 0 always takes the residue (ln 0 = -inf).
     """
     pole_dir = np.exp(1j * math.pi / alpha)
-    least = float(np.abs(out).min())
-    r_top = float(r.min() if pole_dir.real < 0.0 else r.max())
-    if least > 0.0 and r_top * pole_dir.real + ln_bound < math.log(least) - 1e-9:
-        return
-    _add_kept_residues(alpha, beta, r, out, ln_bound, pole_dir)
-
-
-def _add_kept_residues(alpha: float, beta: float, r: np.ndarray, out: np.ndarray,
-                       ln_bound: float, pole_dir: complex) -> None:
-    """The argument-by-argument test and sum of `_add_negative_residues`."""
     with np.errstate(divide="ignore"):
         keep = r * pole_dir.real + ln_bound >= np.log(np.abs(out))
     sel = np.flatnonzero(keep)
@@ -296,7 +282,8 @@ def _contour_values(alpha: float, beta: float, z: np.ndarray, r: np.ndarray,
     node_sum += 0.0  # numpy's reduction starts from 0.0: a -0.0 sum becomes +0.0
     out = (h / math.pi) * node_sum
     if residues and positive:
-        out += (1.0 / alpha) * r ** (1.0 - beta) * np.exp(r)
+        with np.errstate(over="ignore"):  # E above the largest double is inf
+            out += (1.0 / alpha) * r ** (1.0 - beta) * np.exp(r)
     elif residues:
         _add_negative_residues(alpha, beta, r, out, _residue_ln_bound(alpha, beta, r))
     return out

@@ -43,8 +43,12 @@ BETAS = (0.55, 0.75, 1.0)
 
 @pytest.mark.parametrize("n", MESH_SIZES)
 @pytest.mark.parametrize("beta", BETAS)
-@pytest.mark.parametrize("k_series", (1, 7))
+@pytest.mark.parametrize("k_series", (1, 7, "2P-1", "2P", "2P+1"))
 def test_alias_class_sums_short_series(n, beta, k_series):
+    """Cutoffs 2P - 1, 2P and 2P + 1 end on either side of the first period,
+    k = 2P, of the P = N + 1 classes."""
+    period = 2 * (n + 1)
+    k_series = {"2P-1": period - 1, "2P": period, "2P+1": period + 1}.get(k_series, k_series)
     got = _alias_class_sums(FemMesh(n), beta, k_series)
     want = alias_class_sums_scatter(n, beta, k_series)
     assert got.dtype == want.dtype
@@ -53,8 +57,9 @@ def test_alias_class_sums_short_series(n, beta, k_series):
 
 # Long series: every mesh size with every cutoff, cycling beta so that each
 # (cutoff, beta) pair occurs too.  The cutoffs end inside the first, second
-# and fourth 2^20 modes, which `_alias_class_sums` folds in 16, 17 and 49
-# blocks; N = 1 is where a pairwise fold would differ.
+# and fourth 2^20 modes, which `_alias_class_sums` sums in 16, 17 and 49
+# blocks of periods at every mesh size; N = 1 is where a pairwise fold would
+# differ.
 LONG_CUTOFFS = (10**6, (1 << 20) + 12345, 3 * (1 << 20) + 1)
 
 
@@ -255,34 +260,17 @@ def test_chunked_elementary_paths(beta, n):
 
 @pytest.mark.parametrize("alpha, beta, r_lo, r_hi, r_low", [(1.5, 1.0, 256.0, 512.0, 4.0),
                                                             (1.1, 1.1, 56.0, 64.0, 32.0)])
-def test_high_radius_bucket_skips_its_residue_chunks(alpha, beta, r_lo, r_hi, r_low,
-                                                     monkeypatch):
-    """Where even the largest residue of a chunk is below 2^-56 of its
-    smallest value, the chunk is never tested argument by argument: not on
-    the asymptotic series (alpha = 1.5, r >= 256) nor on the contour
-    (alpha = 1.1, r in [56, 64)).  The values are those of the test made
-    argument by argument, and of the bucketed oracle, whose contour adds
-    every residue.  A low-radius bucket is still tested one by one."""
+def test_high_radius_bucket_skips_its_residue_chunks(alpha, beta, r_lo, r_hi, r_low):
+    """A high-radius bucket, whose residues are all below 2^-56 of its values
+    and are skipped, on the asymptotic series (alpha = 1.5, r >= 256) and on
+    the contour (alpha = 1.1, r in [56, 64)), has the values of the bucketed
+    oracle, whose contour adds every residue.  So has a low-radius bucket,
+    whose residues count."""
     n = 3 * _BLOCK + 5
     z = -np.random.default_rng(2).uniform(r_lo, r_hi, n) ** alpha
-    want = ml_values_bucketed(alpha, beta, z)
-    calls = []
-    kept = mittag_leffler._add_kept_residues
-
-    def count(alpha, beta, r, out, *rest):
-        calls.append(r.size)
-        kept(alpha, beta, r, out, *rest)
-
-    monkeypatch.setattr(mittag_leffler, "_add_kept_residues", count)
-    assert _same_bits(ml_values(alpha, beta, z), want)
-    assert calls == []
+    assert _same_bits(ml_values(alpha, beta, z), ml_values_bucketed(alpha, beta, z))
     low = -np.random.default_rng(3).uniform(r_low, 1.25 * r_low, n) ** alpha
     assert _same_bits(ml_values(alpha, beta, low), ml_values_bucketed(alpha, beta, low))
-    assert sum(calls) == n
-    monkeypatch.setattr(mittag_leffler, "_add_negative_residues",
-                        lambda a, b, r, out, ln_bound: mittag_leffler._add_kept_residues(
-                            a, b, r, out, ln_bound, np.exp(1j * np.pi / a)))
-    assert _same_bits(ml_values(alpha, beta, z), want)
 
 
 @pytest.mark.parametrize("alpha, beta, k", [(1.1, 1.1, 9), (1.5, 0.5, 10), (1.95, 1.0, 14)])

@@ -28,9 +28,11 @@ def test_ml_subcommand_matches_oracle(capsys):
     assert math.isclose(float(out), ml_series_hp(1.5, 1.5, -2.0, 1e-30), rel_tol=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("alpha, z", [("1.5", "1e5"), ("0.5", "800")])
 def test_ml_overflow_prints_inf(capsys, alpha, z):
-    """E_{alpha,1}(z) above the largest double prints inf and succeeds."""
+    """E_{alpha,1}(z) above the largest double prints inf and succeeds,
+    with no overflow warning."""
     code, out, err = run(["ml", "--alpha", alpha, "--beta", "1", "--z", z], capsys)
     assert code == 0 and out == "inf\n"
     assert "Traceback" not in err
@@ -206,6 +208,7 @@ def test_wrong_type_config_value_is_domain_error(tmp_path, capsys, monkeypatch, 
     ("table1", "modeling_error_tables", "dt_list = [inf]"),
     ("table1", "modeling_error_tables", "dt_list = []"),
     ("table1", "modeling_error_tables", "n_fine = 1000000"),
+    ("table1", "modeling_error_tables", "dt_list = [0.1, 0.1, 0.05]"),
     ("table2", "fem_error_tables", "dt = 0.0"),
     ("table2", "fem_error_tables", "dt = 1e-300"),
     ("table2", "fem_error_tables", "dt = 1e-320"),
@@ -215,6 +218,7 @@ def test_wrong_type_config_value_is_domain_error(tmp_path, capsys, monkeypatch, 
     ("table2", "fem_error_tables", "h_list = [1e-300]"),
     ("table2", "fem_error_tables", "h_list = [nan]"),
     ("table2", "fem_error_tables", "h_list = []"),
+    ("table2", "fem_error_tables", "h_list = [0.25, 0.25]"),
 ])
 def test_bad_grid_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, target, line):
     import fracwave.cli as cli

@@ -63,7 +63,8 @@ def test_config_validation():
                                 dict(dt_list=(math.nan,)), dict(dt_list=(math.inf,)),
                                 dict(dt_list=(1e-320,)), dict(h_list=(0.0,)),
                                 dict(h_list=(math.nan,)), dict(h_list=(1e-300,)),
-                                dict(k_modes=1 << 20, n_cutoff=64, n_fine=200)])
+                                dict(k_modes=1 << 20, n_cutoff=64, n_fine=200),
+                                dict(dt_list=(0.1, 0.1, 0.05)), dict(h_list=(0.25, 0.25))])
 def test_config_rejects_bad_grids(kw):
     with pytest.raises(DomainError):
         _cfg(**kw)
@@ -407,10 +408,13 @@ def _fem_cfg(**kw):
 
 
 @pytest.mark.parametrize("n_workers", (1, 2))
-def test_fem_tables_equal_one_beta_runs(n_workers):
+def test_fem_tables_equal_one_beta_runs(n_workers, monkeypatch):
     """Each column of a sweep, table 2's betas and a second alpha, follows its
     own (alpha, beta): its samples, table and metadata are those of a run at
-    that order alone."""
+    that order alone.  A spectrum is a deterministic function of (mesh,
+    beta), so each is assembled once, not once per run."""
+    monkeypatch.setattr(experiments, "discrete_spectrum",
+                        functools.cache(experiments.discrete_spectrum))
     orders = [FracOrders(1.5, 0.6), FracOrders(1.5, 0.8), FracOrders(1.5, 1.0),
               FracOrders(1.25, 0.8)]
     cfg = _fem_cfg()
