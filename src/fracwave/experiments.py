@@ -13,11 +13,17 @@ stream per (trajectory, mode); trajectories are aggregated in index order,
 and the modeling-error batches are fixed by trajectory index, so results
 are byte-reproducible for any worker count.
 
-Each run forks at most one pool (`_pool`).  Only indices and per-trajectory
-or per-batch errors cross its pipes: the Galerkin workers inherit the FEM
-products built before the fork, and the modeling-error workers write the
-weight grids in place to anonymous shared mappings made before the fork,
-then run the batches on them.
+The modeling-error experiment draws, per alpha, only the noise modes that
+carry more than a 1e-14 share of its exact mean, and adds the exact mean
+of the rest to every sample: a control variate with a known mean, so the
+estimate stays unbiased.
+
+Each run forks at most one pool (`_pool`).  Only indices, per-trajectory
+or per-batch errors and the modeling error's per-mode exact means cross
+its pipes: the Galerkin workers inherit the FEM products built before the
+fork, and the modeling-error workers write the weight grids in place to
+anonymous shared mappings made before the fork, then compute the means
+and run the batches on them.
 """
 
 from __future__ import annotations
@@ -286,21 +292,27 @@ def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int, 
     and the coarse grids, then the `_modeling_traj` errors of the batch that
     starts at each trajectory index in firsts.
 
-    Both phases run on one `_pool` of min(n_workers, cores, largest phase)
-    workers.  Each grid is one `convolution_weights` call, the one a serial
-    run makes, so the weights are the same bits at any worker count.  On
-    more than one worker every grid is a `_shared_array` made before the
-    fork: its grid task writes it in place and returns None, and each batch
-    reads it there, so only indices and per-batch errors cross the pipes.
-    On one worker the grids are the plain arrays of the calls.  The fine
-    grids come first: the kernel scratch of the largest grids then meets
-    the fewest finished grids.
+    Three phases run on one `_pool` of min(n_workers, cores, largest phase)
+    workers: the grids, the exact per-mode means (`_mode_means`, one task
+    per `_MODE_BLOCK` modes) and the batches.  Between the last two, the
+    parent chooses each alpha's drawn modes and exact tails from the means
+    (`_kept_modes`) and hands them to every batch.  Each grid is one
+    `convolution_weights` call, the one a serial run makes, so the weights
+    are the same bits at any worker count.  On more than one worker every
+    grid is a `_shared_array` made before the fork: its grid task writes it
+    in place and returns None, and each means chunk and batch reads it
+    there, so only indices, means, drawn modes, tails and per-batch errors
+    cross the pipes; the parent never reads the grids.  On one worker the
+    grids are the plain arrays of the calls.  The fine grids come first:
+    the kernel scratch of the largest grids then meets the fewest finished
+    grids.
     """
     spec = cfg.noise_spec()
     jobs = [(o, spec, cfg.dt_fine, cfg.n_fine, "left", False) for o in orders]
     jobs += [(o, spec, dt, cfg.coarse_steps(dt)[0], rule, True)
              for o in orders for dt in cfg.dt_list]
-    n_workers = _pool_size(n_workers, max(len(jobs), len(firsts)))
+    chunks = range(0, spec.K_modes, _MODE_BLOCK)
+    n_workers = _pool_size(n_workers, max(len(jobs), len(chunks), len(firsts)))
     shared = n_workers > 1
     grids = [_shared_array((spec.K_modes, steps)) if shared else None
              for _, _, _, steps, _, _ in jobs]
@@ -311,9 +323,12 @@ def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int, 
         return grids[:n], [grids[n + a * n_dt : n + (a + 1) * n_dt] for a in range(n)]
 
     def task(item):
-        phase, i = item
+        phase, i, *cut = item
+        if phase == "means":
+            hi = min(i + _MODE_BLOCK, spec.K_modes)
+            return _mode_means(cfg.dt_fine, factors, *split(), i, hi)
         if phase == "batch":
-            return _modeling_traj(spec, cfg.base_seed, cfg.m_traj, factors, *split(), i)
+            return _modeling_traj(spec, cfg.base_seed, cfg.m_traj, factors, *split(), *cut, i)
         w = convolution_weights(*jobs[i])
         if shared:
             grids[i][...] = w  # seen by the parent and every worker
@@ -322,7 +337,8 @@ def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int, 
 
     with _pool(task, n_workers) as run:
         run([("grid", i) for i in range(len(jobs))])
-        errors = run([("batch", first) for first in firsts])
+        cut = _kept_modes(np.concatenate(run([("means", lo) for lo in chunks])))
+        errors = run([("batch", first, *cut) for first in firsts])
     return (*split(), errors)
 
 
@@ -330,9 +346,21 @@ def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int, 
 #: [32 q, min(32 q + 32, m_traj)), so every result depends on the seed, the
 #: trajectory index and m_traj alone, never on the worker count.
 _BATCH = 32
+#: A block's per-mode matrix product is padded to a multiple of 8
+#: trajectory rows, with rows that are never drawn, and to at least 2 weight
+#: columns, whose errors are dropped.  Only so does BLAS round each column
+#: the same whatever the product's width, so that a column's bytes do not
+#: depend on which alphas share its sweep: with OpenBLAS 0.3.31 on an
+#: AVX-512 Xeon, a product whose row count was no multiple of 4 rounded its
+#: columns differently at other widths, and numpy sends a one-column
+#: product to gemv.
+_ROWS = 8
 #: Most modes in one block of a batch: at the paper's shapes a block's draws
 #: (16 x 32 x 1000) and weight differences (16 x 25 x 1000) take 4 and 3 MiB.
 _MODE_BLOCK = 16
+#: Largest share of a column's exact mean left to the modes that are not
+#: drawn.  It lies below the rounding of a 1000-term sum of the means.
+_TAIL_SHARE = 1e-14
 
 
 def _block_shape(k_modes: int, batch: int, n_alpha: int, n_dt: int) -> tuple[int, int, int]:
@@ -348,8 +376,49 @@ def _block_shape(k_modes: int, batch: int, n_alpha: int, n_dt: int) -> tuple[int
     return modes, min(batch, k_modes // modes), min(n_alpha * n_dt, n_alpha * k_modes // modes)
 
 
+def _mode_means(dt_fine: float, factors: list, w_ref: list, w_coarse: list,
+                lo: int, hi: int) -> np.ndarray:
+    """Exact means of modes lo + 1..hi of the squared modeling error, shape
+    (hi - lo, n_alpha, n_dt).
+
+    Mode k's error in column (a, j) is sum_i D[k, i] xi[k, i], with D as in
+    `_modeling_traj` and independent xi ~ N(0, dt_fine), so its mean is
+    m_k = dt_fine ||D_k||^2.  The errors of different modes are independent
+    centred normals, so a sample's mean is sum_k m_k and its variance
+    2 sum_k m_k^2.  D is built from the grids, rows lo..hi - 1 only.
+    """
+    out = np.empty((hi - lo, len(w_ref), len(factors)))
+    for a, wr in enumerate(w_ref):
+        for j, f in enumerate(factors):
+            d = wr[lo:hi] - np.repeat(w_coarse[a][j][lo:hi], f, axis=1)
+            out[:, a, j] = np.einsum("ki,ki->k", d, d)
+    return dt_fine * out
+
+
+def _kept_modes(means: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """(kept, tails) from the exact per-mode means of shape (K, n_alpha, n_dt).
+
+    kept[a] is the least K* >= 1 at which the means of modes K* + 1..K add
+    up to at most `_TAIL_SHARE` of the total in every column of alpha a; a
+    column whose total is 0 does not count.  tails[a, j] is that sum,
+    correctly rounded.  A batch draws modes 1..kept[a] for alpha a and adds
+    tails[a, j]: the tail is a control variate with a known mean, so each
+    sample's mean stays exact (Glasserman, Monte Carlo Methods in Financial
+    Engineering, 2003, section 4.1).  Each alpha reads its own means alone.
+    """
+    kept, tails = [], np.empty(means.shape[1:])
+    for a in range(means.shape[1]):
+        m = means[:, a]
+        after = np.cumsum(m[::-1], axis=0)[::-1]  # after[k]: modes k + 1..K
+        ok = ((after[1:] <= _TAIL_SHARE * after[0]) | (after[0] == 0.0)).all(axis=1)
+        kept.append(1 + int(np.argmax(ok)) if ok.any() else len(m))
+        tails[a] = [math.fsum(m[kept[-1] :, j]) for j in range(m.shape[1])]
+    return tuple(kept), tails
+
+
 def _modeling_traj(spec: NoiseSpec, base_seed: int, m_traj: int, factors: list,
-                   w_ref: list, w_coarse: list, first: int) -> np.ndarray:
+                   w_ref: list, w_coarse: list, kept: tuple, tails: np.ndarray,
+                   first: int) -> np.ndarray:
     """Squared errors of the batch of trajectories [first, min(first + _BATCH,
     m_traj)), shape (B, n_alpha, n_dt) for the B trajectories of the batch.
 
@@ -357,10 +426,15 @@ def _modeling_traj(spec: NoiseSpec, base_seed: int, m_traj: int, factors: list,
     cancel exactly, so in column (a, j) mode k's error is the dot product of
     its fine increments with row k of D = w_ref[a] - repeat(w_coarse[a][j],
     factors[j]), a difference of weights that does not cancel against the
-    size of the solutions.  Per block of modes, D is built once for the
-    batch, each trajectory's rows are drawn from its own `_ModeStreams`, one
-    matmul per mode gives every (trajectory, column) error, and the squares
-    are added over ascending mode blocks.
+    size of the solutions.  Column (a, j) adds the squares of modes
+    1..kept[a] and then tails[a, j], the exact mean of the rest
+    (`_kept_modes`).  Per block of modes up to max(kept), D is built once
+    for the batch, with zero rows past kept[a]; each trajectory's rows are
+    drawn from its own `_ModeStreams`, one matmul per mode gives every
+    (trajectory, column) error, and the squares are added over ascending
+    mode blocks.  The block shape comes from the configured K, and each
+    product is padded as `_ROWS` says, so a column's bits depend on its own
+    alpha alone.
     """
     seeds = [trajectory_seed(base_seed, l) for l in range(first, min(first + _BATCH, m_traj))]
     n_dt, n_cols = len(factors), len(w_ref) * len(factors)
@@ -368,28 +442,31 @@ def _modeling_traj(spec: NoiseSpec, base_seed: int, m_traj: int, factors: list,
     mb, tb, cb = _block_shape(k_modes, len(seeds), len(w_ref), n_dt)
     streams = [_ModeStreams(seed) for seed in seeds]
     root = np.sqrt(spec.dt_fine)
-    x = np.empty((mb, tb, n_fine))
-    d = np.empty((mb, cb, n_fine))
+    x = np.zeros((mb, -(-tb // _ROWS) * _ROWS, n_fine))  # rows past tb stay zero
+    d = np.zeros((mb, max(cb, 2), n_fine))
     out = np.zeros((len(seeds), n_cols))
-    for lo in range(0, k_modes, mb):
+    k_max = max(kept)
+    for lo in range(0, k_max, mb):
         hi = min(lo + mb, k_modes)
         for c0 in range(0, n_cols, cb):
-            db = d[: hi - lo, : min(cb, n_cols - c0)]
-            for i in range(db.shape[1]):
+            width = min(cb, n_cols - c0)
+            db = d[: hi - lo, : max(width, 2)]
+            for i in range(width):
                 a, j = divmod(c0 + i, n_dt)
                 np.subtract(w_ref[a][lo:hi], np.repeat(w_coarse[a][j][lo:hi], factors[j], axis=1),
                             out=db[:, i])
+                db[max(kept[a] - lo, 0) :, i] = 0.0  # the modes past kept[a]
             for t0 in range(0, len(seeds), tb):
-                xb = x[: hi - lo, : min(tb, len(seeds) - t0)]
+                rows = min(tb, len(seeds) - t0)
                 for t, stream in enumerate(streams[t0 : t0 + tb]):
-                    stream.draw(lo + 1, xb[:, t], root)
-                err = np.matmul(xb, db.transpose(0, 2, 1))
-                out[t0 : t0 + xb.shape[1], c0 : c0 + db.shape[1]] += np.square(err).sum(axis=0)
+                    stream.draw(lo + 1, x[: min(hi, k_max) - lo, t], root)
+                err = np.matmul(x[: hi - lo], db.transpose(0, 2, 1))
+                out[t0 : t0 + rows, c0 : c0 + width] += np.square(err).sum(axis=0)[:rows, :width]
     bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if bad.size:
         l = first + int(bad[0])
         raise DomainError(f"non-finite error in trajectory {l} (seed {seeds[bad[0]]})")
-    return out.reshape(len(seeds), len(w_ref), n_dt)
+    return out.reshape(len(seeds), len(w_ref), n_dt) + tails
 
 
 def modeling_error_samples(cfg: ExperimentConfig, orders, rule: str = "exact",

@@ -26,8 +26,8 @@ chunking and the contour, not the series; `_contour_values` is pinned
 against the contour oracles directly on every bucket.
 
 `modeling_traj_longdouble` is an accuracy oracle: table 1's per-trajectory
-squared errors in extended precision, from the package's weights and the
-draws of `philox_increments`.
+squared errors in extended precision, from the package's weights, its
+choice of kept modes and the draws of `philox_increments`.
 """
 
 import math
@@ -257,37 +257,43 @@ def ml_values_bucketed(alpha: float, beta: float, z, contour=contour_values_chun
 LONGDOUBLE_EXTENDED = bool(np.finfo(np.longdouble).eps < np.finfo(np.float64).eps)
 
 
-def modeling_traj_longdouble(spec, factors, w_ref, w_coarse, seed: int):
+def modeling_traj_longdouble(spec, factors, w_ref, w_coarse, kept, seed: int):
     """Squared errors of one modeling-error trajectory in long double, and their spreads.
 
     Mode k's error in column (a, j) is the dot product of its fine
     increments with row k of D = w_ref[a] - repeat(w_coarse[a][j], factors[j]).
-    D, the products and every sum are formed in np.longdouble from the given
+    Column (a, j) adds the squared errors of modes 1..kept[a] and the exact
+    mean of the rest, dt_fine ||D_k||^2 summed over k > kept[a].  D, the
+    products and every sum are formed in np.longdouble from the given
     weights and the increments of `philox_increments`.  Returns (errors,
-    spreads), both (n_alpha, n_dt): spreads[a, j] is the 2-norm over modes
-    of sum_i |D_ki x_ki|, the scale of each dot product's rounding in the
-    standard bound (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, section 3.1).
+    spreads), both (n_alpha, n_dt): spreads[a, j] is the 2-norm over the
+    kept modes of sum_i |D_ki x_ki|, the scale of each dot product's
+    rounding in the standard bound (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, section 3.1).
     """
     inc = philox_increments(spec.K_modes, spec.N_fine, spec.dt_fine, seed).astype(np.longdouble)
     errors = np.empty((len(w_ref), len(factors)), dtype=np.longdouble)
     spreads = np.empty_like(errors)
-    for a, wr in enumerate(w_ref):
+    for a, (wr, k) in enumerate(zip(w_ref, kept)):
         wr = wr.astype(np.longdouble)
         for j, f in enumerate(factors):
-            terms = (wr - np.repeat(w_coarse[a][j].astype(np.longdouble), f, axis=1)) * inc
+            d = wr - np.repeat(w_coarse[a][j].astype(np.longdouble), f, axis=1)
+            terms = d[:k] * inc[:k]
             err, spread = terms.sum(axis=1), np.abs(terms).sum(axis=1)
-            errors[a, j] = (err * err).sum()
+            errors[a, j] = (err * err).sum() + np.longdouble(spec.dt_fine) * (d[k:] * d[k:]).sum()
             spreads[a, j] = np.sqrt((spread * spread).sum())
     return errors, spreads
 
 
 def modeling_oracle(cfg, orders, rule: str):
     """`modeling_traj_longdouble` of every trajectory of cfg, from the package's
-    weight grids: (errors, spreads), each (m_traj, len(orders), n_dt)."""
+    weight grids and its choice of kept modes (`_kept_modes`): (errors,
+    spreads), each (m_traj, len(orders), n_dt)."""
     w_ref, w_coarse, _ = experiments._modeling_weights(cfg, orders, rule, 1)
     factors = [cfg.coarse_steps(dt)[1] for dt in cfg.dt_list]
-    pairs = [modeling_traj_longdouble(cfg.noise_spec(), factors, w_ref, w_coarse,
+    means = experiments._mode_means(cfg.dt_fine, factors, w_ref, w_coarse, 0, cfg.k_modes)
+    kept, _ = experiments._kept_modes(means)
+    pairs = [modeling_traj_longdouble(cfg.noise_spec(), factors, w_ref, w_coarse, kept,
                                       noise.trajectory_seed(cfg.base_seed, l))
              for l in range(cfg.m_traj)]
     return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])

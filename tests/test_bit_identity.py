@@ -322,10 +322,10 @@ def test_modeling_weights_match_bucketed_oracle(monkeypatch):
 
 # Modeling-error weights and trajectories.  At 3 trajectories and 5 steps,
 # K = 37, 64 and 100 run in blocks of 7, 12 and 16 modes, each ending in a
-# partial block, and n_cutoff = 57 zeroes the coarse weights of the top
-# modes; n_fine = 200 makes the dot products longer than numpy's 128-term
-# pairwise leaf, and the coarse factors 40, 20, 8, 5, 1 include the
-# uncoarsened grid.
+# partial block; some alphas keep fewer than K modes (`_kept_modes`), and
+# n_cutoff = 57 zeroes the coarse weights of the top modes; n_fine = 200
+# makes the dot products longer than numpy's 128-term pairwise leaf, and
+# the coarse factors 40, 20, 8, 5, 1 include the uncoarsened grid.
 ORDERS = [FracOrders(alpha, 0.75) for alpha in (1.1, 1.25, 1.5, 1.75, 1.95, 2.0)]
 
 

@@ -1,8 +1,11 @@
 import functools
+import importlib.util
 import math
 import multiprocessing
 import os
 import pickle
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +23,12 @@ from fracwave.experiments import (
     stability_report,
     write_rate_table,
 )
-from fracwave.noise import NoiseSpec, generate, inverse_cubic_sigma, trajectory_seed
-from fracwave.spectral import FracOrders, convolution_weights
+from fracwave.noise import generate, trajectory_seed
+from fracwave.spectral import FracOrders
 
 from oracles import LONGDOUBLE_EXTENDED, modeling_oracle
 
+ROOT = Path(__file__).resolve().parent.parent
 
 ORDERS = FracOrders(1.5, 0.75)
 
@@ -167,7 +171,8 @@ def test_pool_map_caps_workers_without_starting_processes(monkeypatch):
     assert calls[-1] == (2, abs)
 
     # table 1: one pool per run, of min(n_workers, cores, largest phase)
-    # workers; its grid tasks write the shared grids and return None, and
+    # workers; its grid tasks write the shared grids and return None, its
+    # means tasks return the exact means of consecutive chunks of modes, and
     # its batch tasks return the errors, equal to a serial run's
     monkeypatch.setattr(experiments, "_cores", lambda: 64)
     n_grids = 1 + 3  # the fine grid and the three coarse grids of _cfg
@@ -177,8 +182,10 @@ def test_pool_map_caps_workers_without_starting_processes(monkeypatch):
         cfg = _cfg(m_traj=m_traj)
         samples = modeling_error_samples(cfg, [ORDERS], n_workers=n_workers)
         assert len(calls) == 1 and calls[0][0] == size
-        grids, batches = results
+        grids, means, batches = results
         assert grids == [None] * n_grids
+        assert [m.shape[1:] for m in means] == [(1, 3)] * len(means)
+        assert sum(m.shape[0] for m in means) == cfg.k_modes
         assert [b.shape for b in batches] == [(min(32, m_traj), 1, 3)] * -(-m_traj // 32)
         calls.clear()
         np.testing.assert_array_equal(samples, modeling_error_samples(cfg, [ORDERS]))
@@ -249,31 +256,109 @@ def test_pool_task_domain_error_reaches_the_caller(monkeypatch, target, pos, bad
     assert multiprocessing.active_children() == []
 
 
+def _grids_and_means(cfg, orders, rule="exact"):
+    """(factors, w_ref, w_coarse, means): the grids of cfg and the exact
+    means of all its modes, (K, len(orders), n_dt), from `_mode_means`."""
+    w_ref, w_coarse, _ = experiments._modeling_weights(cfg, orders, rule, 1)
+    factors = [cfg.coarse_steps(dt)[1] for dt in cfg.dt_list]
+    means = experiments._mode_means(cfg.dt_fine, factors, w_ref, w_coarse, 0, cfg.k_modes)
+    return factors, w_ref, w_coarse, means
+
+
 @pytest.mark.parametrize("alpha", (1.1, 1.5, 2.0))
 def test_modeling_means_match_exact_means(alpha):
-    """Monte Carlo means of table 1's squared errors against their exact means.
-
-    The homogeneous parts cancel and mode k's error is sum_i D[k, i] xi[k, i]
-    with D = W_ref - repeat(W_coarse, factor), xi ~ N(0, dt_fine) independent,
-    so the mean is dt_fine ||D||_F^2 and the variance 2 sum_k (dt_fine ||D_k||^2)^2.
-    """
-    m_traj, n_fine, k_modes = 200, 200, 64
-    dt_fine = 1.0 / n_fine
-    spec = NoiseSpec(sigma=inverse_cubic_sigma, n_cutoff=k_modes, K_modes=k_modes,
-                     T=1.0, N_fine=n_fine)
-    orders = FracOrders(alpha, 0.75)
-    w_ref = convolution_weights(orders, spec, dt_fine, n_fine, rule="left", truncated=False)
+    """Monte Carlo means of table 1's squared errors against their exact
+    means: sum_k m_k, with variance 2 sum_k m_k^2 (`_mode_means`)."""
+    m_traj = 200
+    orders = [FracOrders(alpha, 0.75)]
+    per_mode = _grids_and_means(_cfg(), orders)[3][:, 0]
+    se = np.sqrt(2.0 * np.square(per_mode).sum(axis=0) / m_traj)
     for seed in (1, 2, 3):
         cfg = _cfg(m_traj=m_traj, base_seed=seed)
-        means = modeling_error_samples(cfg, [orders], "exact", 1)[:, 0, :].mean(axis=0)
-        for j, dt in enumerate(cfg.dt_list):
-            steps, factor = cfg.coarse_steps(dt)
-            w_coarse = convolution_weights(orders, spec, dt, steps, rule="exact",
-                                           truncated=True)
-            d = w_ref - np.repeat(w_coarse, factor, axis=1)
-            per_mode = dt_fine * np.einsum("ki,ki->k", d, d)
-            se = math.sqrt(2.0 * np.dot(per_mode, per_mode) / m_traj)
-            assert abs(means[j] - per_mode.sum()) <= 4.0 * se, (seed, dt)
+        means = modeling_error_samples(cfg, orders, "exact", 1)[:, 0, :].mean(axis=0)
+        assert (np.abs(means - per_mode.sum(axis=0)) <= 4.0 * se).all(), seed
+
+
+def _bench_exact():
+    """bench/exact.py as a module, loaded from its path."""
+    spec = importlib.util.spec_from_file_location("bench_exact", ROOT / "bench" / "exact.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mode_means_match_bench_exact_moments():
+    """The sum over modes and 2 sum_k m_k^2 against the benchmark's own copy
+    of table 1's exact mean and variance (`bench/exact.py`)."""
+    knobs = {"alpha_list": [1.1, 1.5, 2.0], "beta": 0.75, "k_modes": 64, "n_fine": 200,
+             "dt_list": [1 / 10, 1 / 20, 1 / 40]}
+    cfg = _cfg(dt_list=tuple(knobs["dt_list"]))
+    assert (cfg.k_modes, cfg.n_cutoff, cfg.n_fine) == (64, 64, 200)
+    means = _grids_and_means(cfg, [FracOrders(a, knobs["beta"]) for a in knobs["alpha_list"]])[3]
+    want = _bench_exact().exact_moments(knobs)
+    for a, alpha in enumerate(knobs["alpha_list"]):
+        got = np.stack([means[:, a].sum(axis=0), 2.0 * np.square(means[:, a]).sum(axis=0)], axis=1)
+        np.testing.assert_allclose(got, want[repr(float(alpha))], rtol=1e-12, atol=0.0)
+
+
+def test_kept_modes_choose_the_least_count_within_the_tail_share():
+    """Means 2^-k over 60 modes leave a tail of 2^-K* - 2^-60 after K* modes,
+    within 1e-14 of the total first at K* = 47; a column of zeros does not
+    count, and an alpha whose columns are all zero keeps one mode."""
+    k = np.arange(1, 61, dtype=float)
+    means = np.zeros((60, 2, 2))
+    means[:, 0, 0] = 2.0**-k
+    kept, tails = experiments._kept_modes(means)
+    assert experiments._TAIL_SHARE == 1e-14
+    assert kept == (47, 1)
+    assert tails[0, 0] == math.fsum(2.0**-k[47:]) and not tails[0, 1] and not tails[1].any()
+    assert experiments._kept_modes(means[:1])[0] == (1, 1)
+
+
+def test_kept_modes_are_cut_in_the_long_double_gates():
+    """The long-double gates of the batched kernel (`modeling_oracle`) see
+    columns with every mode kept and columns cut inside a mode block, so
+    they check the zero rows past K* and the added tail too."""
+    dts = (1 / 5, 1 / 10, 1 / 25, 1 / 40, 1 / 200)
+    orders = [FracOrders(a, 0.75) for a in (1.1, 1.25, 1.5, 1.75, 1.95, 2.0)]
+    kept = []
+    for k_modes, n_cutoff in ((37, 37), (64, 64), (100, 100), (100, 57)):
+        for rule in ("exact", "left"):
+            cfg = _cfg(m_traj=3, k_modes=k_modes, n_cutoff=n_cutoff, dt_list=dts)
+            k_star, tails = experiments._kept_modes(_grids_and_means(cfg, orders, rule)[3])
+            mb = experiments._block_shape(k_modes, cfg.m_traj, len(orders), len(dts))[0]
+            kept += [(k, k_modes, mb) for k in k_star]
+            assert all(1 <= k <= k_modes for k in k_star)
+            assert all(tails[a].any() == (k < k_modes) for a, k in enumerate(k_star))
+    assert any(k == k_modes for k, k_modes, _ in kept)
+    assert any(k < k_modes and k % mb for k, k_modes, mb in kept)
+
+
+def test_kept_modes_at_the_paper_shapes():
+    """At the paper's shapes each alpha keeps its own K* within the tail
+    share, and the tables of seeds 1 and 9 at m_traj 1 and 40 lie within
+    1e-13 relative of a run that draws all 1000 modes."""
+    cfg = ExperimentConfig(m_traj=40, base_seed=1)
+    orders = [FracOrders(a, 0.75) for a in (1.1, 1.25, 1.5, 1.75, 2.0)]
+    factors, w_ref, w_coarse, means = _grids_and_means(cfg, orders)
+    kept, tails = experiments._kept_modes(means)
+    assert kept == (237, 232, 295, 257, 468)
+    assert (tails <= experiments._TAIL_SHARE * means.sum(axis=0)).all() and (tails > 0).all()
+    full = ((cfg.k_modes,) * len(orders), np.zeros_like(tails))
+    one = [experiments._modeling_traj(cfg.noise_spec(), 1, 1, factors, w_ref, w_coarse, kept, t, 0)
+           for t in (tails, np.zeros_like(tails))]
+    assert np.array_equal(one[0], one[1] + tails)  # each column adds its exact tail
+    for seed in (1, 9):
+        for m_traj in (1, 40):
+            cut, whole = (np.concatenate([
+                experiments._modeling_traj(cfg.noise_spec(), seed, m_traj, factors, w_ref,
+                                           w_coarse, *c, first)
+                for first in range(0, m_traj, experiments._BATCH)]) for c in ((kept, tails), full))
+            for a in range(len(orders)):
+                t_cut, t_whole = (experiments._table_from_samples(x[:, a], cfg.dt_list, {})
+                                  for x in (cut, whole))
+                np.testing.assert_allclose(t_cut.errors, t_whole.errors, rtol=1e-13, atol=0.0)
+                np.testing.assert_allclose(t_cut.stderrs, t_whole.stderrs, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("m_traj", (1, 31, 32, 33, 65))
@@ -323,11 +408,18 @@ def test_modeling_block_shape_bounds_scratch(k_modes):
 
 def test_rectangle_rule_degeneration_is_exact_zero():
     # u_n configured to the reference's own rectangle rule on the fine grid
-    # with full mode cutoff: per-trajectory squared error is bitwise zero
+    # with full mode cutoff: per-trajectory squared error is bitwise zero;
+    # its exact means are zero, so it keeps one mode and adds a zero tail
     cfg = _cfg(m_traj=5, n_fine=100, dt_list=(1 / 100,))
     samples = modeling_error_samples(cfg, [ORDERS], rule="left")
     assert samples.shape == (5, 1, 1)
-    assert (samples == 0.0).all()
+    assert (samples == 0.0).all() and not np.signbit(samples).any()
+    kept, tails = experiments._kept_modes(_grids_and_means(cfg, [ORDERS], "left")[3])
+    assert kept == (1,) and not tails.any()
+    # beside a coarser column the zero column does not count, and stays zero
+    cfg = _cfg(m_traj=5, n_fine=100, dt_list=(1 / 50, 1 / 100))
+    samples = modeling_error_samples(cfg, [ORDERS], rule="left")
+    assert (samples[:, 0, 0] > 0.0).all() and (samples[:, 0, 1] == 0.0).all()
 
 
 def test_doubling_trajectories_within_three_stderr():
@@ -367,8 +459,8 @@ def test_modeling_tables_equal_one_order_runs(n_workers):
 
     The column's bits come from a matrix product over every column of a mode
     block, so they match only where BLAS rounds a column the same whatever
-    the product's width; OpenBLAS does once a block holds 8 trajectories, and
-    16 is one block of 16 here.
+    the product's width, which OpenBLAS does once the product is padded as
+    `experiments._ROWS` says.
     """
     orders = [FracOrders(1.5, 0.75), FracOrders(1.5, 0.6), FracOrders(1.25, 0.75)]
     cfg = _cfg(m_traj=16)
@@ -382,6 +474,28 @@ def test_modeling_tables_equal_one_order_runs(n_workers):
         for key in ("resolutions", "errors", "rates", "stderrs"):
             assert np.array_equal(getattr(tables[i], key), getattr(want, key), equal_nan=True)
         assert tables[i].meta == want.meta
+
+
+@pytest.mark.parametrize("k_modes, dt_list, m_trajs", [
+    (400, (1 / 10, 1 / 20, 1 / 40), (*range(1, 8), 9, 13, 42)),  # the alphas keep 158, 350 modes
+    (64, (1 / 20,), (3, 40)),  # one column per alpha
+    (5, (1 / 10, 1 / 20, 1 / 40), (3, 20)),  # fewer modes than 8 trajectories
+])
+def test_modeling_column_bytes_independent_of_sweep(k_modes, dt_list, m_trajs):
+    """Each per-mode product has a multiple of 8 rows and at least 2 columns
+    (`_ROWS`), so the alpha = 1.5 and 2.0 columns are the same bytes alone
+    and in one sweep: below 8 trajectories, at a last batch that is no
+    multiple of 4, at one step per alpha, and where the two alphas keep
+    different numbers of modes."""
+    o15, o20 = FracOrders(1.5, 0.75), FracOrders(2.0, 0.75)
+    if k_modes == 400:
+        cfg = _cfg(k_modes=k_modes, n_cutoff=k_modes, dt_list=dt_list)
+        assert experiments._kept_modes(_grids_and_means(cfg, [o15, o20])[3])[0] == (158, 350)
+    for m_traj in m_trajs:
+        cfg = _cfg(m_traj=m_traj, k_modes=k_modes, n_cutoff=k_modes, dt_list=dt_list)
+        both = modeling_error_samples(cfg, [o15, o20])
+        for i, o in enumerate((o15, o20)):
+            assert np.array_equal(modeling_error_samples(cfg, [o])[:, 0], both[:, i]), (m_traj, o)
 
 
 def test_fem_experiment_smoke():
