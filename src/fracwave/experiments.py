@@ -353,7 +353,8 @@ _BATCH = 32
 #: depend on which alphas share its sweep: with OpenBLAS 0.3.31 on an
 #: AVX-512 Xeon, a product whose row count was no multiple of 4 rounded its
 #: columns differently at other widths, and numpy sends a one-column
-#: product to gemv.
+#: product to gemv.  The padding adds at most 7 rows per mode to the draw
+#: buffer that `_block_shape` bounds.
 _ROWS = 8
 #: Most modes in one block of a batch: at the paper's shapes a block's draws
 #: (16 x 32 x 1000) and weight differences (16 x 25 x 1000) take 4 and 3 MiB.
