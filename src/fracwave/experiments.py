@@ -270,12 +270,16 @@ def _call_worker_fn(x):
     return _worker_fn(x)
 
 
-def _require_sweep(where: str, orders, grid_name: str, grid) -> None:
-    """A DomainError for an empty list of orders or of grids, raised before
+def _require_sweep(where: str, m_traj: int, orders, grid_name: str, grid) -> None:
+    """A DomainError for an empty list of orders or of grids, or for an
+    (m_traj, orders, grid) sample array above the entry cap, raised before
     any grid, spectrum or pool."""
     for what, items in (("sweep of fractional orders", orders), (grid_name, grid)):
         if not len(items):
             raise DomainError(f"{where}: the {what} is empty")
+    if m_traj * len(orders) * len(grid) > _DEFAULT_ENTRY_CAP:
+        raise DomainError(f"{where}: {m_traj} x {len(orders)} x {len(grid)} samples exceed "
+                          f"the cap of {_DEFAULT_ENTRY_CAP} entries")
 
 
 def _shared_array(shape) -> np.ndarray:
@@ -480,7 +484,7 @@ def modeling_error_samples(cfg: ExperimentConfig, orders, rule: str = "exact",
     grids and then the batches of `_BATCH` trajectories run on one pool of
     at most n_workers workers (`_modeling_weights`).
     """
-    _require_sweep("modeling_error_samples", orders, "dt_list", cfg.dt_list)
+    _require_sweep("modeling_error_samples", cfg.m_traj, orders, "dt_list", cfg.dt_list)
     errors = _modeling_weights(cfg, orders, rule, n_workers, range(0, cfg.m_traj, _BATCH))[2]
     return np.concatenate(errors, axis=0)
 
@@ -535,7 +539,7 @@ def fem_error_samples(cfg: ExperimentConfig, orders, n_workers: int = 1) -> np.n
     built once, before any trajectory, and applied per trajectory by the
     code of `fem_solution` and `l2_error_cross`.
     """
-    _require_sweep("fem_error_samples", orders, "h_list", cfg.h_list)
+    _require_sweep("fem_error_samples", cfg.m_traj, orders, "h_list", cfg.h_list)
     if len(cfg.dt_list) != 1:
         raise DomainError("fem_error_samples: configure exactly one dt in dt_list")
     dt = cfg.dt_list[0]

@@ -163,27 +163,23 @@ def _alias_class_sums(mesh: FemMesh, beta: float, k_series: int) -> np.ndarray:
     """sum of k^(2 beta - 4) over k <= k_series in each alias class 1..N.
 
     Class m holds the modes k = +-m mod 2P, that is k = 2Pj + m and
-    2P(j + 1) - m for j = 0, 1, ..., in ascending order.  Each class is
-    summed sequentially in long double, starting from zero and adding one
-    float64 term k^(2 beta - 4) at a time in ascending k, so the result does
-    not depend on how the modes are blocked.  Per block of periods j, column
-    m - 1 lists class m's terms row by row, 0 past k_series, so a running
-    `np.add.accumulate` down each column, carried from block to block in row
-    0, is that sequential sum (adding a zero is exact).  A pairwise
-    `np.add.reduce` would not be.
+    2P(j + 1) - m for j = 0, 1, ...; mode k falls in class min(r, 2P - r),
+    r = k mod 2P, and the modes k = 0 mod P in the spare classes 0 and P,
+    which are dropped.  Each class is summed sequentially in long double,
+    starting from zero and adding one float64 term k^(2 beta - 4) at a time
+    in ascending k: `np.add.at` is unbuffered and visits the modes of a
+    block in order, so the result does not depend on how they are blocked.
+    The terms are cast to long double first, which keeps `np.add.at` on its
+    fast indexed loop (numpy >= 1.25).
     """
-    n = mesh.n_interior
-    period = 2 * (n + 1)
-    m = np.arange(1, n + 1)
-    block = max(1, _ALIAS_BLOCK // period)
-    t = np.zeros((2 * block + 1, n), dtype=np.longdouble)  # row 0 carries the sums
-    for j0 in range(0, (k_series - 1) // period + 1, block):
-        j = np.arange(j0, j0 + block)[:, None]
-        k = np.stack((period * j + m, period * (j + 1) - m), axis=1).reshape(-1, n)
-        t[1:] = np.where(k > k_series, 0.0, k ** (2.0 * beta - 4.0))
-        np.add.accumulate(t, axis=0, out=t)
-        t[0] = t[-1]
-    return t[0].copy()
+    period = 2 * (mesh.n_interior + 1)
+    r = np.arange(1, period + 1) % period
+    cls = np.tile(np.minimum(r, period - r), max(1, _ALIAS_BLOCK // period))
+    sums = np.zeros(period // 2 + 1, dtype=np.longdouble)
+    for lo in range(0, k_series, cls.size):
+        k = np.arange(lo + 1, min(lo + cls.size, k_series) + 1)
+        np.add.at(sums, cls[: k.size], (k ** (2.0 * beta - 4.0)).astype(np.longdouble))
+    return sums[1:-1]
 
 
 def _alias_tail_sums(mesh: FemMesh, beta: float, k_series: int) -> np.ndarray:

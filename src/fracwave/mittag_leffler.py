@@ -348,32 +348,34 @@ _POSITIVE_KEY = 1027
 _N_KEYS = _POSITIVE_KEY + 1026
 
 
-def _pole_radius(alpha: float, z: np.ndarray) -> np.ndarray:
-    """r = |z|^(1/alpha), by the one expression every route uses."""
-    return np.abs(z) ** (1.0 / alpha)
+def _routing_keys(alpha: float, z: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(key, counts): the routing key of each argument and the arguments per key.
 
-
-def _routing_keys(alpha: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(key, counts): the routing key of each argument and the arguments per key."""
+    Writes each argument's pole radius |z|^(1/alpha) to r on the way.
+    """
     key = np.empty(z.shape, dtype=np.int16)
     counts = np.zeros(_N_KEYS, dtype=np.int64)
     for lo in range(0, z.size, _BLOCK):
-        zc = z[lo : lo + _BLOCK]
+        zc, rc = z[lo : lo + _BLOCK], r[lo : lo + _BLOCK]
+        rc[...] = np.abs(zc) ** (1.0 / alpha)
         with np.errstate(divide="ignore"):
-            ids = np.log2(_pole_radius(alpha, zc))
+            ids = np.log2(rc)
         np.floor(ids, out=ids)
         np.minimum(ids, 1025.0, out=ids)
         ids += np.where(zc > 0.0, float(_POSITIVE_KEY), 1.0)
         ids[np.abs(zc) <= _SERIES_RADIUS] = 0.0
-        kc = key[lo : lo + _BLOCK]
-        kc[...] = ids
-        counts += np.bincount(kc, minlength=_N_KEYS)
+        key[lo : lo + _BLOCK] = ids
+        counts += np.bincount(key[lo : lo + _BLOCK], minlength=_N_KEYS)
     return key, counts
 
 
 def _bucket_values(alpha: float, beta: float, z: np.ndarray, idx: np.ndarray, k: int,
                    out: np.ndarray) -> None:
-    """out[idx] for the arguments z[idx] of routing key k, in _BLOCK chunks."""
+    """out[idx] for the arguments z[idx] of routing key k, in _BLOCK chunks.
+
+    On entry out[idx] holds the pole radii from `_routing_keys`; each chunk's
+    values overwrite its radii.
+    """
     chunks = [idx[lo : lo + _BLOCK] for lo in range(0, idx.size, _BLOCK)]
     if k == 0:
         for s in chunks:
@@ -384,16 +386,12 @@ def _bucket_values(alpha: float, beta: float, z: np.ndarray, idx: np.ndarray, k:
     if not positive and 1.0 < alpha < 2.0 and bucket >= _ASYMPTOTIC_BUCKET:
         coef = _asymptotic_coefficients(alpha, beta, bucket)
         for s in chunks:
-            zc = z[s]
-            out[s] = _asymptotic_values(alpha, beta, zc, _pole_radius(alpha, zc), coef)
+            out[s] = _asymptotic_values(alpha, beta, z[s], out[s], coef)
         return
-    r_lo, r_hi = math.inf, -math.inf
+    r_lo = min(float(out[s].min()) for s in chunks)
+    r_hi = max(float(out[s].max()) for s in chunks)
     for s in chunks:
-        r = _pole_radius(alpha, z[s])
-        r_lo, r_hi = min(r_lo, float(r.min())), max(r_hi, float(r.max()))
-    for s in chunks:
-        zc = z[s]
-        out[s] = _contour_values(alpha, beta, zc, _pole_radius(alpha, zc), positive, r_lo, r_hi)
+        out[s] = _contour_values(alpha, beta, z[s], out[s], positive, r_lo, r_hi)
 
 
 def _elementary_values(alpha: float, beta_int: int, z: np.ndarray) -> np.ndarray:
@@ -440,10 +438,12 @@ def ml_values(alpha: float, beta: float, z) -> np.ndarray:
     the contour values are those of the straightforward (arguments x nodes)
     evaluation, bit for bit.
 
-    The routing pass works in chunks of _BLOCK arguments, and
-    `_bucket_values` hands each strategy at most _BLOCK arguments per call,
-    so besides the result the scratch is about 11 bytes per argument (the
-    2-byte key, and the 1-byte mask and 8-byte index of the group in hand)
+    The routing pass works in chunks of _BLOCK arguments and computes each
+    pole radius |z|^(1/alpha) once, into the still unfilled result, where
+    `_bucket_values` reads it back a _BLOCK chunk at a time and overwrites
+    it with the values; each strategy gets at most _BLOCK arguments per
+    call.  So besides the result the scratch is about 2 + 1 + 8 = 11 bytes
+    per argument (the key, and the mask and index of the group in hand)
     plus a few arrays of _BLOCK.
     """
     _validate_params(alpha, beta)
@@ -460,7 +460,7 @@ def ml_values(alpha: float, beta: float, z) -> np.ndarray:
             out[lo : lo + _BLOCK] = _elementary_values(alpha, int(beta), z[lo : lo + _BLOCK])
         return out.reshape(shape)
 
-    key, counts = _routing_keys(alpha, z)
+    key, counts = _routing_keys(alpha, z, out)
     for k in np.flatnonzero(counts).tolist():
         _bucket_values(alpha, beta, z, np.flatnonzero(key == k), k, out)
     return out.reshape(shape)

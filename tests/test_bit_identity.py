@@ -57,9 +57,10 @@ def test_alias_class_sums_short_series(n, beta, k_series):
 
 # Long series: every mesh size with every cutoff, cycling beta so that each
 # (cutoff, beta) pair occurs too.  The cutoffs end inside the first, second
-# and fourth 2^20 modes, which `_alias_class_sums` sums in 16, 17 and 49
-# blocks of periods at every mesh size; N = 1 is where a pairwise fold would
-# differ.
+# and fourth 2^20 modes, which `_alias_class_sums` adds in 16, 17 and 49
+# `np.add.at` calls of whole periods at every mesh size, where the oracle
+# makes 1, 2 and 4 of 2^20 modes; N = 1, with two modes per period, is
+# where a pairwise sum would differ.
 LONG_CUTOFFS = (10**6, (1 << 20) + 12345, 3 * (1 << 20) + 1)
 
 

@@ -463,6 +463,24 @@ def test_seed_outside_64_bits_exits_2_before_any_work(tmp_path, capsys, monkeypa
     assert code == 0 and calls[0][0].base_seed == (1 << 64) - 1
 
 
+@pytest.mark.parametrize("command", ["table1", "table2"])
+def test_sample_array_above_cap_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    """--m-traj 10^10 gives a sample array far above the entry cap: exit 2,
+    not a MemoryError traceback, before any grid, spectrum or pool."""
+    from fracwave import experiments
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started for an oversized sample array")
+
+    for name in ("_pool_map", "_modeling_weights", "discrete_spectrum", "convolution_weights"):
+        monkeypatch.setattr(experiments, name, forbidden)
+    out = tmp_path / "never"
+    code, _, err = run([command, "--m-traj", str(10**10), "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "cap" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_table1_flag_overrides_config(tmp_path, capsys):
     cfg = _tiny_cfg(tmp_path)
     out = tmp_path / "c"

@@ -106,6 +106,29 @@ def test_empty_sweep_rejected_before_any_work(samples, kw, orders, monkeypatch):
         samples(_cfg(**kw), orders)
 
 
+@pytest.mark.parametrize("samples, kw, n_grid", [
+    (modeling_error_samples, {}, 3),
+    (fem_error_samples, dict(dt_list=(1 / 10,), h_list=(1 / 5, 1 / 10)), 2),
+], ids=["modeling_error_samples", "fem_error_samples"])
+def test_sample_array_above_cap_rejected_before_any_work(samples, kw, n_grid, monkeypatch):
+    """An (m_traj, orders, grid) sample array above the entry cap is a
+    DomainError, raised before any pool, weight grid or FEM spectrum; one
+    at the cap passes the check."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started for an oversized sample array")
+
+    for name in ("_pool_map", "convolution_weights", "discrete_spectrum", "sine_products",
+                 "homogeneous_solution", "_modeling_weights", "generate"):
+        monkeypatch.setattr(experiments, name, forbidden)
+    at_cap = experiments._DEFAULT_ENTRY_CAP // (2 * n_grid)  # two orders
+    with pytest.raises(AssertionError, match="work started"):
+        samples(_cfg(m_traj=at_cap, **kw), [ORDERS, FracOrders(1.25, 0.75)])
+    with pytest.raises(DomainError, match="cap"):
+        samples(_cfg(m_traj=at_cap + 1, **kw), [ORDERS, FracOrders(1.25, 0.75)])
+    with pytest.raises(DomainError, match="cap"):
+        samples(_cfg(m_traj=10**10, **kw), [ORDERS])
+
+
 def test_modeling_error_monotone_and_positive():
     tab = modeling_error_tables(_cfg(m_traj=16), [ORDERS])[0]
     assert (tab.errors > 0.0).all()

@@ -224,6 +224,52 @@ def test_projection_rate_order_two():
     assert rates.min() > 1.9 and rates.max() < 2.2
 
 
+def _projection_error_sq_brute_force(n: int, u: np.ndarray, k_max: int = 2 * 10**6) -> float:
+    """||u - P_h u||^2 for sine coefficients u, summed mode by mode.
+
+    (phi_i, e_k) takes the amplitude sqrt(2) 4 sin^2(k pi h/2) / (h k^2 pi^2),
+    which does not cancel as 1 - cos(k pi h) does; the nodal values of the
+    projection solve the tridiagonal mass system, and its sine coefficient
+    v_k reads the nodal sine sum of k's residue mod 2P (its alias class,
+    with the sign).  Parseval over k <= k_max gives the squared error.
+    """
+    from scipy.linalg import solve_banded
+
+    h, period = 1.0 / (n + 1), 2 * (n + 1)
+    i = np.arange(1, n + 1)
+
+    def amp(k):
+        return math.sqrt(2.0) * 4.0 * np.sin(0.5 * math.pi * h * k) ** 2 / (h * (math.pi * k) ** 2)
+
+    ku = np.arange(1, u.size + 1)
+    load = (amp(ku) * u) @ np.sin(math.pi * h * np.outer(ku, i))
+    band = np.array([np.full(n, h / 6.0), np.full(n, 4.0 * h / 6.0), np.full(n, h / 6.0)])
+    nodal_sines = np.sin(math.pi * h * np.outer(np.arange(period), i)) @ solve_banded(
+        (1, 1), band, load)
+    total = 0.0
+    for lo in range(1, k_max + 1, 1 << 18):
+        k = np.arange(lo, min(lo + (1 << 18), k_max + 1))
+        uk = np.where(k <= u.size, u[np.minimum(k, u.size) - 1], 0.0)
+        total += float(np.sum((uk - amp(k) * nodal_sines[k % period]) ** 2))
+    return total
+
+
+# The package misses the brute-force value by 9.98e-5 relative at 1/h = 100
+# (9.1464269492e-10 against 9.1455140969e-10) and by 48.2% at 1/h = 400
+# (1.8131052215e-12 against 3.4972972679e-12): its hat-sine amplitude
+# 1 - cos(k pi h) cancels, and the cross formula ||u||^2 - 2 c.w + ||c||^2
+# magnifies what is left.  The fix moves table 2, so it waits for a re-pin.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="cancelling hat-sine amplitude and cross formula")
+@pytest.mark.parametrize("inv_h", (100, 400))
+def test_projection_error_matches_brute_force(inv_h):
+    u = parabola_coeffs(1000)
+    spec = discrete_spectrum(FemMesh(inv_h - 1), 1.0)
+    got = l2_error_cross(u, project_l2(spec, u), spec) ** 2
+    want = _projection_error_sq_brute_force(inv_h - 1, u)
+    assert abs(got - want) <= 1e-10 * want
+
+
 def test_ritz_projection_identity_and_rate():
     # identity on the FEM space when the load vector is assembled exactly
     mesh = FemMesh(5)
