@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 # One BLAS thread in every process, set before numpy loads.  --threads is the
@@ -62,6 +63,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads an argument as a negative number, not an option, when
+        # it matches this private pattern, whose default has no exponent; the
+        # kernels reach z = -1e7, so `--z -1e6` must parse as a number.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # argparse would exit(2); we reserve 2 for domain errors
         raise _UsageError(message)
 

@@ -183,14 +183,18 @@ def compute_rates(errors, resolutions) -> np.ndarray:
 
 @functools.cache
 def _build_tag() -> str:
-    """`git describe` of the source tree, computed once per process."""
-    here = os.path.dirname(os.path.abspath(__file__))
+    """`git describe` of the repository that tracks this package's source,
+    computed once per process.  A copy that the enclosing work tree does not
+    track, such as one installed in a project's virtual environment, gets
+    `fracwave-<version>`, not the enclosing project's commit."""
+    git = functools.partial(subprocess.run, cwd=os.path.dirname(os.path.abspath(__file__)),
+                            capture_output=True, text=True, timeout=10)
     try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             cwd=here, capture_output=True, text=True, timeout=10)
-        if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
-    except OSError:
+        if git(["git", "ls-files", "--error-unmatch", os.path.basename(__file__)]).returncode == 0:
+            out = git(["git", "describe", "--always", "--dirty"])
+            if out.returncode == 0 and out.stdout.strip():
+                return out.stdout.strip()
+    except (OSError, subprocess.SubprocessError):
         pass
     from . import __version__
 
@@ -350,35 +354,26 @@ def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int, 
 #: [32 q, min(32 q + 32, m_traj)), so every result depends on the seed, the
 #: trajectory index and m_traj alone, never on the worker count.
 _BATCH = 32
-#: A block's per-mode matrix product is padded to a multiple of 8
-#: trajectory rows, with rows that are never drawn, and to at least 2 weight
-#: columns, whose errors are dropped.  Only so does BLAS round each column
-#: the same whatever the product's width, so that a column's bytes do not
-#: depend on which alphas share its sweep: with OpenBLAS 0.3.31 on an
-#: AVX-512 Xeon, a product whose row count was no multiple of 4 rounded its
-#: columns differently at other widths, and numpy sends a one-column
-#: product to gemv.  The padding adds at most 7 rows per mode to the draw
-#: buffer that `_block_shape` bounds.
-_ROWS = 8
 #: Most modes in one block of a batch: at the paper's shapes a block's draws
-#: (16 x 32 x 1000) and weight differences (16 x 25 x 1000) take 4 and 3 MiB.
+#: (16 x 32 x 1000) and one alpha's weight differences (16 x 5 x 1000) take
+#: 3.9 and 0.6 MiB.
 _MODE_BLOCK = 16
 #: Largest share of a column's exact mean left to the modes that are not
 #: drawn.  It lies below the rounding of a 1000-term sum of the means.
 _TAIL_SHARE = 1e-14
 
 
-def _block_shape(k_modes: int, batch: int, n_alpha: int, n_dt: int) -> tuple[int, int, int]:
+def _block_shape(k_modes: int, batch: int, n_dt: int) -> tuple[int, int, int]:
     """(modes, trajectories, columns) of one block of a modeling-error batch.
 
     The draw buffer, modes x trajectories x n_fine, stays within one
-    trajectory's K x n_fine noise matrix, and the weight differences,
-    modes x columns x n_fine, within the n_alpha fine weight grids of
-    K x n_fine each.  Trajectories and columns are split only when
-    k_modes is below the batch size or the number of coarse steps.
+    trajectory's K x n_fine noise matrix, and the weight differences of one
+    alpha, modes x columns x n_fine, within its fine weight grid of
+    K x n_fine.  Trajectories and columns are split only when k_modes is
+    below the batch size or the number of coarse steps.
     """
     modes = max(1, min(_MODE_BLOCK, k_modes // batch, k_modes // n_dt))
-    return modes, min(batch, k_modes // modes), min(n_alpha * n_dt, n_alpha * k_modes // modes)
+    return modes, min(batch, k_modes // modes), min(n_dt, k_modes // modes)
 
 
 def _mode_means(dt_fine: float, factors: list, w_ref: list, w_coarse: list,
@@ -406,10 +401,11 @@ def _kept_modes(means: np.ndarray) -> tuple[tuple, np.ndarray]:
     kept[a] is the least K* >= 1 at which the means of modes K* + 1..K add
     up to at most `_TAIL_SHARE` of the total in every column of alpha a; a
     column whose total is 0 does not count.  tails[a, j] is that sum,
-    correctly rounded.  A batch draws modes 1..kept[a] for alpha a and adds
-    tails[a, j]: the tail is a control variate with a known mean, so each
-    sample's mean stays exact (Glasserman, Monte Carlo Methods in Financial
-    Engineering, 2003, section 4.1).  Each alpha reads its own means alone.
+    correctly rounded.  A batch multiplies modes 1..kept[a] alone for alpha
+    a and adds tails[a, j]: the tail is a control variate with a known mean,
+    so each sample's mean stays exact (Glasserman, Monte Carlo Methods in
+    Financial Engineering, 2003, section 4.1).  Each alpha reads its own
+    means alone.
     """
     kept, tails = [], np.empty(means.shape[1:])
     for a in range(means.shape[1]):
@@ -433,45 +429,40 @@ def _modeling_traj(spec: NoiseSpec, base_seed: int, m_traj: int, factors: list,
     factors[j]), a difference of weights that does not cancel against the
     size of the solutions.  Column (a, j) adds the squares of modes
     1..kept[a] and then tails[a, j], the exact mean of the rest
-    (`_kept_modes`).  Per block of modes up to max(kept), D is built once
-    for the batch, with zero rows past kept[a]; each trajectory's rows are
-    drawn from its own `_ModeStreams`, one matmul per mode gives every
-    (trajectory, column) error, and the squares are added over ascending
-    mode blocks.  The block shape comes from the configured K, and each
-    product is padded as `_ROWS` says, so a column's bits depend on its own
-    alpha alone.
+    (`_kept_modes`).  Per block of modes up to max(kept), each trajectory's
+    rows are drawn once from its own `_ModeStreams`; then per alpha, D is
+    built from that alpha's kept rows of the block, one matmul per mode
+    gives every (trajectory, step) error, and the squares are added over
+    ascending mode blocks.  No product mixes alphas, and its shape comes
+    from the batch, n_fine, n_dt and the configured K, so a column's bits
+    depend on its own alpha alone, whatever the BLAS.
     """
     seeds = [trajectory_seed(base_seed, l) for l in range(first, min(first + _BATCH, m_traj))]
-    n_dt, n_cols = len(factors), len(w_ref) * len(factors)
-    k_modes, n_fine = spec.K_modes, spec.N_fine
-    mb, tb, cb = _block_shape(k_modes, len(seeds), len(w_ref), n_dt)
+    n_dt, k_max = len(factors), max(kept)
+    mb, tb, cb = _block_shape(spec.K_modes, len(seeds), n_dt)
     streams = [_ModeStreams(seed) for seed in seeds]
-    root = np.sqrt(spec.dt_fine)
-    x = np.zeros((mb, -(-tb // _ROWS) * _ROWS, n_fine))  # rows past tb stay zero
-    d = np.zeros((mb, max(cb, 2), n_fine))
-    out = np.zeros((len(seeds), n_cols))
-    k_max = max(kept)
+    x = np.empty((mb, tb, spec.N_fine))
+    d = np.empty((mb, cb, spec.N_fine))
+    out = np.zeros((len(seeds), len(w_ref), n_dt))
     for lo in range(0, k_max, mb):
-        hi = min(lo + mb, k_modes)
-        for c0 in range(0, n_cols, cb):
-            width = min(cb, n_cols - c0)
-            db = d[: hi - lo, : max(width, 2)]
-            for i in range(width):
-                a, j = divmod(c0 + i, n_dt)
-                np.subtract(w_ref[a][lo:hi], np.repeat(w_coarse[a][j][lo:hi], factors[j], axis=1),
-                            out=db[:, i])
-                db[max(kept[a] - lo, 0) :, i] = 0.0  # the modes past kept[a]
-            for t0 in range(0, len(seeds), tb):
-                rows = min(tb, len(seeds) - t0)
-                for t, stream in enumerate(streams[t0 : t0 + tb]):
-                    stream.draw(lo + 1, x[: min(hi, k_max) - lo, t], root)
-                err = np.matmul(x[: hi - lo], db.transpose(0, 2, 1))
-                out[t0 : t0 + rows, c0 : c0 + width] += np.square(err).sum(axis=0)[:rows, :width]
-    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+        for t0 in range(0, len(seeds), tb):
+            rows = min(tb, len(seeds) - t0)
+            for t, stream in enumerate(streams[t0 : t0 + tb]):
+                stream.draw(lo + 1, x[: min(mb, k_max - lo), t], np.sqrt(spec.dt_fine))
+            for a, k in enumerate(kept):
+                hi = min(lo + mb, k)
+                for j0 in range(0, n_dt if hi > lo else 0, cb):
+                    j1 = min(j0 + cb, n_dt)
+                    for j in range(j0, j1):
+                        np.subtract(w_ref[a][lo:hi], np.repeat(w_coarse[a][j][lo:hi], factors[j],
+                                                               axis=1), out=d[: hi - lo, j - j0])
+                    err = np.matmul(x[: hi - lo, :rows], d[: hi - lo, : j1 - j0].transpose(0, 2, 1))
+                    out[t0 : t0 + rows, a, j0:j1] += np.square(err).sum(axis=0)
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
     if bad.size:
         l = first + int(bad[0])
         raise DomainError(f"non-finite error in trajectory {l} (seed {seeds[bad[0]]})")
-    return out.reshape(len(seeds), len(w_ref), n_dt) + tails
+    return out + tails
 
 
 def modeling_error_samples(cfg: ExperimentConfig, orders, rule: str = "exact",

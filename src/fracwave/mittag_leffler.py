@@ -53,6 +53,10 @@ _PW_LEAF = 128
 # Negative-axis buckets from floor(log2 r) = 6 on (pole radius r >= 64) take
 # the asymptotic series when 1 < alpha < 2; it needs 12-20 terms there.
 _ASYMPTOTIC_BUCKET = 6
+# The betas `ml_values` accepts.  Beyond them its error against the series
+# oracle grows about tenfold per half unit of beta (2.7e-11 at beta = 7,
+# 1.7e-12 at beta = -5), while the value falls like 1/Gamma(beta).
+_BETA_RANGE = (-4.0, 6.0)
 
 
 def _validate_params(alpha: float, beta: float, where: str = "ml") -> None:
@@ -418,14 +422,19 @@ def ml_values(alpha: float, beta: float, z) -> np.ndarray:
 
     The result has the shape of z, except that a scalar z gives shape (1,).
 
-    Accurate to ~1e-13 relative error for z in [-30, 1] and to ~1e-12
-    absolute error on the rest of the negative axis that the contour serves;
-    for z > 1 the value is dominated by the exponential residue term and
-    keeps relative accuracy.  Where the asymptotic series serves (z < 0,
-    |z|^(1/alpha) >= 64, 1 < alpha < 2) the error is a few ulps of the
-    value, plus the double rounding of the residues' phase r sin(pi/alpha),
-    about r ulps of the residue; near alpha = 2, where the residues decay
-    slowly, that rounding dominates (1e-15 absolute at alpha = 1.95, r = 64).
+    beta must lie in [-4, 6] (`_BETA_RANGE`); any other beta is a
+    DomainError, raised before any evaluation.  Accurate to ~1e-13 relative
+    error for z in [-30, 1] and beta in [-4, 5]; for beta in (5, 6] the
+    error grows to 9e-13 relative at beta = 6 (alpha = 1.9, z = -1.25).
+    Near a zero of the function the error is relative to the largest
+    |value| within 1 of z.  Accurate to ~1e-12 absolute error on the rest
+    of the negative axis that the contour serves; for z > 1 the value is
+    dominated by the exponential residue term and keeps relative accuracy.
+    Where the asymptotic series serves (z < 0, |z|^(1/alpha) >= 64,
+    1 < alpha < 2) the error is a few ulps of the value, plus the double
+    rounding of the residues' phase r sin(pi/alpha), about r ulps of the
+    residue; near alpha = 2, where the residues decay slowly, that rounding
+    dominates (1e-15 absolute at alpha = 1.95, r = 64).
 
     Arguments with |z| > 1 are grouped by sign and by
     floor(log2 |z|^(1/alpha)), through one int16 routing key per argument.
@@ -447,6 +456,8 @@ def ml_values(alpha: float, beta: float, z) -> np.ndarray:
     plus a few arrays of _BLOCK.
     """
     _validate_params(alpha, beta)
+    if not _BETA_RANGE[0] <= beta <= _BETA_RANGE[1]:
+        raise DomainError(f"ml: beta must lie in {list(_BETA_RANGE)} (got {beta})")
     z = np.ascontiguousarray(z, dtype=float)
     shape = z.shape or (1,)
     z = z.ravel()

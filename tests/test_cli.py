@@ -1,11 +1,14 @@
 import math
 import os
+import shutil
+import sys
 
 import numpy as np
 import pytest
 
 from fracwave.cli import _parse_config, _sci17, main
 from fracwave.fem import FemMesh, discrete_spectrum
+from fracwave.mittag_leffler import ml
 
 
 def run(argv, capsys):
@@ -18,6 +21,16 @@ def test_ml_subcommand_output(capsys):
     code, out, _ = run(["ml", "--alpha", "1", "--beta", "1", "--z", "-1"], capsys)
     assert code == 0
     assert out.strip() == "3.6787944117144233e-1"
+
+
+def test_ml_subcommand_reads_negative_scientific_notation(capsys):
+    """A negative number with an exponent is a value, not an option flag."""
+    code, out, _ = run(["ml", "--alpha", "1.5", "--beta", "1", "--z", "-1e6"], capsys)
+    assert code == 0 and out.strip() == "-2.8209479177017563e-7"
+    code, out, _ = run(["ml", "--alpha", "1.5", "--beta", "-2.5E-1", "--z", "-2.5E-3"], capsys)
+    assert code == 0 and out.strip() == _sci17(ml(1.5, -0.25, -2.5e-3))
+    for z in ("-x", "-1e"):
+        assert run(["ml", "--alpha", "1.5", "--beta", "1", "--z", z], capsys)[0] == 1
 
 
 def test_ml_subcommand_matches_oracle(capsys):
@@ -337,6 +350,43 @@ def test_build_tag_falls_back_to_the_version(monkeypatch):
         experiments._build_tag.cache_clear()
 
 
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_build_tag_describes_only_a_repository_that_tracks_the_package(tmp_path):
+    """A copy of the package inside another project's work tree, untracked
+    there as in a virtual environment, is tagged with its version; once that
+    repository tracks the copy, the tag is its `git describe`."""
+    import subprocess
+
+    import fracwave
+
+    proj = tmp_path / "userproj"
+    site = proj / ".venv" / "site"
+    shutil.copytree(os.path.dirname(fracwave.__file__), site / "fracwave",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (proj / "README").write_text("a user's project\n")
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=u", "-c", "user.email=u@example.org",
+                               *args], cwd=proj, capture_output=True, text=True, check=True,
+                              timeout=60).stdout.strip()
+
+    def tag():
+        probe = ("import fracwave; from fracwave.experiments import _build_tag; "
+                 "print(_build_tag(), fracwave.__version__)")
+        env = dict(os.environ, PYTHONPATH=str(site), PYTHONDONTWRITEBYTECODE="1")
+        return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120, check=True).stdout.split()
+
+    git("init", "-q")
+    git("add", "README")
+    git("commit", "-q", "-m", "first")
+    got, version = tag()
+    assert got == f"fracwave-{version}"
+    git("add", "-f", ".venv")
+    git("commit", "-q", "-m", "vendor fracwave")
+    assert tag()[0] == git("describe", "--always", "--dirty") != f"fracwave-{version}"
+
+
 def test_cli_import_leaves_out_scipy_linalg():
     """LAPACK loads only in `discrete_spectrum`."""
     assert _run_python("import sys, fracwave.cli; print('scipy.linalg' in sys.modules)") == "False"
@@ -363,17 +413,19 @@ def test_cli_import_pins_blas_to_one_thread():
     assert _run_python(probe, env=env) == "1 1 1"
 
 
-@pytest.mark.parametrize("sweep", [
-    "",  # the paper's 5 alphas and 5 steps: 25 columns
-    # 60 columns: without the pin, OpenBLAS splits each (32 x 1000).(1000 x 60)
-    # product over two threads in blocks that change its rounding
-    "alpha_list = [1.1, 1.25, 1.5, 1.75, 1.95, 2.0]\n"
-    "dt_list = [0.2, 0.1, 0.05, 0.04, 0.025, 0.02, 0.01, 0.008, 0.005, 0.004]\n",
-], ids=["25-columns", "60-columns"])
-def test_table1_csvs_independent_of_blas_threads(tmp_path, sweep):
+@pytest.mark.parametrize("sweep, n_tables", [
+    ("n_fine = 1000\n", 5),  # the paper's 5 alphas and 5 steps: 25 columns
+    # one alpha with 12 steps: without the pin, OpenBLAS splits the
+    # (32 x 5040).(5040 x 12) products over two threads in blocks that
+    # change their rounding
+    ("n_fine = 5040\nalpha_list = [1.5]\ndt_list = [%s]\n"
+     % ", ".join(repr(1 / s) for s in (5040, 2520, 1680, 1260, 1008, 840, 720, 630, 560, 504,
+                                        420, 360)), 1),
+], ids=["25-columns", "12-columns"])
+def test_table1_csvs_independent_of_blas_threads(tmp_path, sweep, n_tables):
     """Byte-identical table-1 CSVs with OPENBLAS_NUM_THREADS 1 and 2."""
     cfg = tmp_path / "blas.cfg"
-    cfg.write_text("m_traj = 33\nn_fine = 1000\nk_modes = 64\n" + sweep)
+    cfg.write_text("m_traj = 33\nk_modes = 64\n" + sweep)
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"blas{threads}"
@@ -381,7 +433,7 @@ def test_table1_csvs_independent_of_blas_threads(tmp_path, sweep):
         _run_python(f"import sys; from fracwave.cli import main; sys.exit(main({argv!r}))",
                     env={"OPENBLAS_NUM_THREADS": threads})
         outs.append(sorted(out.iterdir()))
-    assert len(outs[0]) >= 5 and [p.name for p in outs[0]] == [p.name for p in outs[1]]
+    assert len(outs[0]) == n_tables and [p.name for p in outs[0]] == [p.name for p in outs[1]]
     assert [p.read_bytes() for p in outs[0]] == [p.read_bytes() for p in outs[1]]
 
 

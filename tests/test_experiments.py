@@ -1,3 +1,4 @@
+import collections
 import functools
 import importlib.util
 import math
@@ -341,7 +342,7 @@ def test_kept_modes_choose_the_least_count_within_the_tail_share():
 def test_kept_modes_are_cut_in_the_long_double_gates():
     """The long-double gates of the batched kernel (`modeling_oracle`) see
     columns with every mode kept and columns cut inside a mode block, so
-    they check the zero rows past K* and the added tail too."""
+    they check the products cut at K* and the added tail too."""
     dts = (1 / 5, 1 / 10, 1 / 25, 1 / 40, 1 / 200)
     orders = [FracOrders(a, 0.75) for a in (1.1, 1.25, 1.5, 1.75, 1.95, 2.0)]
     kept = []
@@ -349,7 +350,7 @@ def test_kept_modes_are_cut_in_the_long_double_gates():
         for rule in ("exact", "left"):
             cfg = _cfg(m_traj=3, k_modes=k_modes, n_cutoff=n_cutoff, dt_list=dts)
             k_star, tails = experiments._kept_modes(_grids_and_means(cfg, orders, rule)[3])
-            mb = experiments._block_shape(k_modes, cfg.m_traj, len(orders), len(dts))[0]
+            mb = experiments._block_shape(k_modes, cfg.m_traj, len(dts))[0]
             kept += [(k, k_modes, mb) for k in k_star]
             assert all(1 <= k <= k_modes for k in k_star)
             assert all(tails[a].any() == (k < k_modes) for a, k in enumerate(k_star))
@@ -401,16 +402,15 @@ def test_modeling_samples_independent_of_workers(m_traj):
 @pytest.mark.parametrize("k_modes", (1, 2, 16, 1000))
 def test_modeling_block_shape_bounds_scratch(k_modes):
     """A block's draws stay within one trajectory's K x n_fine noise matrix
-    and its weight differences within the n_alpha fine grids of K x n_fine."""
+    and one alpha's weight differences within its fine grid of K x n_fine."""
     for batch in (1, 7, 32):
-        for n_alpha in (1, 5):
-            for n_dt in (1, 5, 40):
-                modes, trajs, cols = experiments._block_shape(k_modes, batch, n_alpha, n_dt)
-                assert 1 <= modes <= min(k_modes, experiments._MODE_BLOCK)
-                assert 1 <= trajs <= batch and modes * trajs <= k_modes
-                assert 1 <= cols <= n_alpha * n_dt and modes * cols <= n_alpha * k_modes
-    if k_modes == 1000:  # the paper's shapes: one block spans the batch and every column
-        assert experiments._block_shape(1000, 32, 5, 5) == (16, 32, 25)
+        for n_dt in (1, 5, 40):
+            modes, trajs, cols = experiments._block_shape(k_modes, batch, n_dt)
+            assert 1 <= modes <= min(k_modes, experiments._MODE_BLOCK)
+            assert 1 <= trajs <= batch and modes * trajs <= k_modes
+            assert 1 <= cols <= n_dt and modes * cols <= k_modes
+    if k_modes == 1000:  # the paper's shapes: one block spans the batch and an alpha's steps
+        assert experiments._block_shape(1000, 32, 5) == (16, 32, 5)
     elif LONGDOUBLE_EXTENDED:  # trajectories or columns are split; the errors
         # stay within the rounding bound of the long-double oracle
         orders = [FracOrders(a, 0.75) for a in (1.1, 1.25, 1.5, 1.75, 1.95, 2.0)]
@@ -480,10 +480,8 @@ def test_modeling_tables_equal_one_order_runs(n_workers):
     """Each column of a mixed sweep follows its own (alpha, beta): its samples,
     table and metadata are those of a run at that order alone.
 
-    The column's bits come from a matrix product over every column of a mode
-    block, so they match only where BLAS rounds a column the same whatever
-    the product's width, which OpenBLAS does once the product is padded as
-    `experiments._ROWS` says.
+    The column's bits come from matrix products that hold its own alpha
+    alone, so they match whatever the BLAS.
     """
     orders = [FracOrders(1.5, 0.75), FracOrders(1.5, 0.6), FracOrders(1.25, 0.75)]
     cfg = _cfg(m_traj=16)
@@ -505,9 +503,8 @@ def test_modeling_tables_equal_one_order_runs(n_workers):
     (5, (1 / 10, 1 / 20, 1 / 40), (3, 20)),  # fewer modes than 8 trajectories
 ])
 def test_modeling_column_bytes_independent_of_sweep(k_modes, dt_list, m_trajs):
-    """Each per-mode product has a multiple of 8 rows and at least 2 columns
-    (`_ROWS`), so the alpha = 1.5 and 2.0 columns are the same bytes alone
-    and in one sweep: below 8 trajectories, at a last batch that is no
+    """Each per-mode product holds one alpha alone, so the alpha = 1.5 and
+    2.0 columns are the same bytes alone and in one sweep: below 8 trajectories, at a last batch that is no
     multiple of 4, at one step per alpha, and where the two alphas keep
     different numbers of modes."""
     o15, o20 = FracOrders(1.5, 0.75), FracOrders(2.0, 0.75)
@@ -519,6 +516,27 @@ def test_modeling_column_bytes_independent_of_sweep(k_modes, dt_list, m_trajs):
         both = modeling_error_samples(cfg, [o15, o20])
         for i, o in enumerate((o15, o20)):
             assert np.array_equal(modeling_error_samples(cfg, [o])[:, 0], both[:, i]), (m_traj, o)
+
+
+def test_modeling_products_hold_one_alpha(monkeypatch):
+    """Each matrix product of a sweep is one a run at a single alpha makes,
+    so no product's shape, and hence no column's rounding, depends on the
+    other alphas of the sweep."""
+    shapes, real = [], np.matmul
+
+    def matmul(a, b, *args, **kw):
+        shapes.append((a.shape, b.shape))
+        return real(a, b, *args, **kw)
+
+    monkeypatch.setattr(np, "matmul", matmul)
+    cfg = _cfg(m_traj=5, k_modes=64, n_cutoff=64, n_fine=200)
+    o15, o20 = FracOrders(1.5, 0.75), FracOrders(2.0, 0.75)
+    runs = []
+    for orders in ([o15, o20], [o15], [o20]):
+        shapes.clear()
+        modeling_error_samples(cfg, orders)
+        runs.append(collections.Counter(shapes))
+    assert runs[0] and runs[0] == runs[1] + runs[2]
 
 
 def test_fem_experiment_smoke():

@@ -146,6 +146,39 @@ def test_alpha_two_recurrence_betas():
             assert abs(ml(2.0, beta, z) - ref) <= 1e-11 * (1 + abs(ref))
 
 
+def _series_rgamma(alpha, beta, z):
+    """sum_k z^k / Gamma(alpha k + beta) in mpmath through rgamma, which is 0
+    at the poles of Gamma (`ml_series_hp` divides by Gamma, so it cannot
+    take beta = -4)."""
+    import mpmath as mp
+
+    with mp.workdps(60 + math.ceil(0.44 * abs(z) ** (1.0 / alpha))):
+        a, b, x, total = mp.mpf(alpha), mp.mpf(beta), mp.mpf(z), mp.mpf(0)
+        for k in range(10_000):
+            term = x**k * mp.rgamma(a * k + b)
+            total += term
+            if a * k + b > 2 and abs(term) <= mp.mpf(10) ** -40 * abs(total):
+                return float(total)
+    raise ConvergenceError(f"series of E_{alpha},{beta}({z}) did not converge")
+
+
+@pytest.mark.parametrize("alpha", (0.8, 1.5, 1.9))
+def test_beta_range_edges(alpha):
+    """At the edges of `_BETA_RANGE` the values keep the accuracy that
+    `ml_values` states: 1e-13 at beta = -4 and 1e-12 at beta = 6, relative
+    to the largest |value| within 1 of z.  Just outside it, beta is a
+    DomainError before any argument is looked at."""
+    lo, hi = mittag_leffler._BETA_RANGE
+    z = np.linspace(-30.0, 20.0, 101)
+    for beta, tol in ((lo, 1e-13), (hi, 1e-12)):
+        want = np.array([_series_rgamma(alpha, beta, float(x)) for x in z])
+        scale = np.array([np.abs(want[max(i - 2, 0) : i + 3]).max() for i in range(z.size)])
+        assert (np.abs(ml_values(alpha, beta, z) - want) <= tol * scale).all(), beta
+    for beta in (np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), 50.0):
+        with pytest.raises(DomainError, match="beta"):
+            ml_values(alpha, beta, np.array([-5.0, np.nan]))
+
+
 # ---------------------------------------------------------------------------
 # kernel family
 # ---------------------------------------------------------------------------
