@@ -306,7 +306,6 @@ def test_empty_alpha_list_runs_nothing(tmp_path, capsys, monkeypatch):
 def _run_python(code: str, env=None) -> str:
     """Standard output of `python -c code` in a fresh process on this source tree."""
     import subprocess
-    import sys
 
     import fracwave
 

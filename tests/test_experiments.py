@@ -504,9 +504,9 @@ def test_modeling_tables_equal_one_order_runs(n_workers):
 ])
 def test_modeling_column_bytes_independent_of_sweep(k_modes, dt_list, m_trajs):
     """Each per-mode product holds one alpha alone, so the alpha = 1.5 and
-    2.0 columns are the same bytes alone and in one sweep: below 8 trajectories, at a last batch that is no
-    multiple of 4, at one step per alpha, and where the two alphas keep
-    different numbers of modes."""
+    2.0 columns are the same bytes alone and in one sweep: below 8
+    trajectories, at a last batch that is no multiple of 4, at one step per
+    alpha, and where the two alphas keep different numbers of modes."""
     o15, o20 = FracOrders(1.5, 0.75), FracOrders(2.0, 0.75)
     if k_modes == 400:
         cfg = _cfg(k_modes=k_modes, n_cutoff=k_modes, dt_list=dt_list)
