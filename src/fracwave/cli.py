@@ -141,8 +141,8 @@ def _settings(args) -> dict:
     A key of the other subcommand is checked and not used, so one file can
     serve both.  These are domain errors naming the key, raised before any
     work starts: a config key that neither table1 nor table2 takes, a value
-    not of its default's type, an empty grid, a time step with no step count
-    round(1/dt) and a negative worker count.
+    not of its default's type, a time step with no step count round(1/dt)
+    and a negative worker count.  Each table checks its own grid.
     """
     known = {**_SETTINGS["table1"], **_SETTINGS["table2"]}
     cfg = _parse_config(args.config) if args.config else {}
@@ -154,9 +154,6 @@ def _settings(args) -> dict:
     out.update({key: flag for key in out if (flag := getattr(args, key, None)) is not None})
     if out["n_cutoff"] is None:
         out["n_cutoff"] = out["k_modes"]
-    for key in ("dt_list", "h_list"):
-        if out.get(key) == ():
-            raise DomainError(f"config {key}: the list is empty")
     if "dt" in out and not (out["dt"] > 0.0 and math.isfinite(1.0 / out["dt"])):
         raise DomainError(f"config dt: {out['dt']} is not positive with a finite 1/dt")
     if out["threads"] < 0:
@@ -198,8 +195,7 @@ def _cmd_table1(args) -> int:
     s = _settings(args)
     alphas = _sweep("alpha_list", "table1_alpha", s["alpha_list"])
     cfg = ExperimentConfig(m_traj=s["m_traj"], base_seed=s["seed"], n_fine=s["n_fine"],
-                           k_modes=s["k_modes"], n_cutoff=s["n_cutoff"], dt_list=s["dt_list"],
-                           h_list=())
+                           k_modes=s["k_modes"], n_cutoff=s["n_cutoff"], dt_list=s["dt_list"])
     orders = [FracOrders(alpha, s["beta"]) for alpha in alphas]
     tables = modeling_error_tables(cfg, orders, n_workers=s["threads"]) if orders else []
     return _write_tables(args, "table1_alpha", alphas, tables, "modeling-error")
@@ -209,8 +205,8 @@ def _cmd_table2(args) -> int:
     s = _settings(args)
     betas = _sweep("beta_list", "table2_beta", s["beta_list"])
     cfg = ExperimentConfig(m_traj=s["m_traj"], base_seed=s["seed"], n_fine=round(1.0 / s["dt"]),
-                           k_modes=s["k_modes"], n_cutoff=s["n_cutoff"], dt_list=(s["dt"],),
-                           h_list=s["h_list"])
+                           k_modes=s["k_modes"], n_cutoff=s["n_cutoff"], h_list=s["h_list"])
+    cfg.coarse_steps(s["dt"])  # dt must be T/n: the run is at its noise step T/n
     orders = [FracOrders(s["alpha"], beta) for beta in betas]
     tables = fem_error_tables(cfg, orders, n_workers=s["threads"]) if orders else []
     return _write_tables(args, "table2_beta", betas, tables, "Galerkin-error")

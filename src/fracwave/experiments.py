@@ -42,8 +42,8 @@ import numpy as np
 from .errors import DomainError
 from .fem import FemMesh, _cross_error_sq, _fem_apply, discrete_spectrum, sine_products
 from .mittag_leffler import ml_values
-from .noise import (_DEFAULT_ENTRY_CAP, NoiseSpec, _ModeStreams, coarsen, generate,
-                    inverse_cubic_sigma, trajectory_seed)
+from .noise import (_DEFAULT_ENTRY_CAP, NoiseSpec, _ModeStreams, generate, inverse_cubic_sigma,
+                    trajectory_seed)
 from .spectral import (
     FracOrders,
     _homogeneous,
@@ -79,19 +79,17 @@ class ExperimentConfig:
     `FracOrders`, one per table column.
 
     Both experiments run on the horizon T = 1 of the paper's tables, a class
-    constant.  dt_list holds the coarse time steps of the modeling-error
-    experiment (each must be a multiple of T/n_fine that divides T); h_list
-    holds the mesh widths of the Galerkin experiment, which runs at the
-    single time step dt_list[0] and assembles each mesh's stiffness matrix
-    from the full spectral series (`fem.DEFAULT_K_SERIES` terms summed, the
-    rest in closed form).  base_seed must lie in [0, 2^64), the seeds that
-    `trajectory_seed` tells apart.  n_fine and n_cutoff are checked by
-    `NoiseSpec`.  Every step and width must be finite and positive, and no
-    two steps may give the same number of steps, nor two widths the same
-    mesh (the row would be computed twice, with no rate between); the
-    k_modes x n_fine noise matrix and each mesh's k_modes x N mode products
-    and N x N dense matrices must fit the noise entry cap.  A config that
-    breaks any of these is rejected before any work starts.
+    constant, with noise on the fine grid of n_fine steps.  dt_list holds
+    the coarse time steps of the modeling-error experiment and only it reads
+    them; h_list holds the mesh widths of the Galerkin experiment, which
+    runs at the noise step T/n_fine and assembles each mesh's stiffness
+    matrix from the full spectral series (`fem.DEFAULT_K_SERIES` terms
+    summed, the rest in closed form).  The config checks what both read:
+    m_traj >= 1, base_seed in [0, 2^64), the seeds that `trajectory_seed`
+    tells apart, n_fine and n_cutoff (by `NoiseSpec`), and the k_modes x
+    n_fine noise matrix against the noise entry cap.  Each grid is checked
+    by the experiment that reads it, before any grid, spectrum or pool:
+    dt_list by `coarse_steps` and `_modeling_weights`, h_list by `meshes`.
     """
 
     T: ClassVar[float] = 1.0
@@ -112,27 +110,16 @@ class ExperimentConfig:
         if self.k_modes * self.n_fine > _DEFAULT_ENTRY_CAP:
             raise DomainError(f"ExperimentConfig: {self.k_modes} modes x {self.n_fine} steps "
                               f"exceed the cap of {_DEFAULT_ENTRY_CAP} noise entries")
-        for x in (*self.dt_list, *self.h_list):
-            if not (x > 0.0 and math.isfinite(x) and math.isfinite(1.0 / x)):
-                raise DomainError(f"ExperimentConfig: step or mesh width {x} is not "
-                                  "finite and positive")
-        steps = [self.coarse_steps(dt)[0] for dt in self.dt_list]  # validates divisibility
-        meshes = self.meshes()
-        for h, mesh in zip(self.h_list, meshes):
-            if self.k_modes * mesh.n_interior > _DEFAULT_ENTRY_CAP:
-                raise DomainError(f"ExperimentConfig: h = {h} gives {self.k_modes} x "
-                                  f"{mesh.n_interior} mode products, above the cap of "
-                                  f"{_DEFAULT_ENTRY_CAP}")
-        for name, sizes in (("dt_list", steps), ("h_list", [m.n_interior for m in meshes])):
-            if len(set(sizes)) < len(sizes):
-                raise DomainError(f"ExperimentConfig: two {name} entries give one grid {sizes}")
 
     @property
     def dt_fine(self) -> float:
         return self.T / self.n_fine
 
     def coarse_steps(self, dt: float) -> tuple[int, int]:
-        """(number of coarse steps, coarsening factor) for a coarse dt."""
+        """(number of coarse steps, coarsening factor) for a coarse dt: a
+        finite positive step that divides T and nests in the fine grid."""
+        if not (dt > 0.0 and math.isfinite(self.T / dt)):
+            raise DomainError(f"coarse step {dt} is not finite and positive")
         steps = round(self.T / dt)
         if steps < 1 or abs(steps * dt - self.T) > 1e-9 * self.T:
             raise DomainError(f"coarse step {dt} does not divide the horizon {self.T}")
@@ -141,14 +128,22 @@ class ExperimentConfig:
         return steps, self.n_fine // steps
 
     def meshes(self) -> list[FemMesh]:
-        """The mesh of each width in h_list; `FemMesh` bounds its dense matrices."""
-        meshes = []
+        """The mesh of each width in h_list, checked before any matrix
+        exists: each width is 1/(N+1) with N >= 1, no two give one mesh, and
+        the k_modes x N mode products fit the noise entry cap (`FemMesh`
+        bounds its N x N dense matrices)."""
+        sizes = []
         for h in self.h_list:
-            n = round(1.0 / h) - 1
+            n = round(1.0 / h) - 1 if h > 0.0 and math.isfinite(1.0 / h) else 0
             if n < 1 or abs(1.0 / (n + 1) - h) > 1e-12:
                 raise DomainError(f"ExperimentConfig: h = {h} is not 1/(N+1) with N >= 1")
-            meshes.append(FemMesh(n))
-        return meshes
+            if self.k_modes * n > _DEFAULT_ENTRY_CAP:
+                raise DomainError(f"ExperimentConfig: h = {h} gives {self.k_modes} x {n} mode "
+                                  f"products, above the cap of {_DEFAULT_ENTRY_CAP}")
+            sizes.append(n)
+        if len(set(sizes)) < len(sizes):
+            raise DomainError(f"ExperimentConfig: two h_list entries give one mesh {sizes}")
+        return [FemMesh(n) for n in sizes]
 
     def noise_spec(self) -> NoiseSpec:
         return NoiseSpec(sigma=inverse_cubic_sigma, n_cutoff=self.n_cutoff,
@@ -208,9 +203,9 @@ def _table_from_samples(samples: np.ndarray, resolutions, meta: dict) -> RateTab
     se_mean_sq = samples.std(axis=0, ddof=1) / math.sqrt(m) if m > 1 else np.zeros_like(mean_sq)
     with np.errstate(divide="ignore", invalid="ignore"):
         stderrs = np.where(errors > 0.0, se_mean_sq / (2.0 * errors), 0.0)
-    rates = np.full(errors.size, np.nan)
-    if errors.size >= 2:
-        rates[1:] = compute_rates(errors, resolutions)
+    rates = np.full(errors.size, np.nan)  # no rate where either error of a pair is 0
+    for i in np.flatnonzero(np.minimum(errors[:-1], errors[1:]) > 0.0):
+        rates[i + 1] = compute_rates(errors[i : i + 2], resolutions[i : i + 2])[0]
     return RateTable(resolutions=np.asarray(resolutions, dtype=float), errors=errors,
                      rates=rates, stderrs=stderrs, meta=meta)
 
@@ -300,6 +295,10 @@ def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int, 
     and the coarse grids, then the `_modeling_traj` errors of the batch that
     starts at each trajectory index in firsts.
 
+    Before any grid or pool, each step of cfg.dt_list is checked
+    (`ExperimentConfig.coarse_steps`), and no two may give the same number
+    of steps: the row would be computed twice, with no rate between.
+
     Three phases run on one `_pool` of min(n_workers, cores, largest phase)
     workers: the grids, the exact per-mode means (`_mode_means`, one task
     per `_MODE_BLOCK` modes) and the batches.  Between the last two, the
@@ -315,16 +314,18 @@ def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int, 
     the kernel scratch of the largest grids then meets the fewest finished
     grids.
     """
+    steps = [cfg.coarse_steps(dt)[0] for dt in cfg.dt_list]
+    if len(set(steps)) < len(steps):
+        raise DomainError(f"ExperimentConfig: two dt_list entries give one grid {steps}")
+    factors = [cfg.n_fine // s for s in steps]
     spec = cfg.noise_spec()
     jobs = [(o, spec, cfg.dt_fine, cfg.n_fine, "left", False) for o in orders]
-    jobs += [(o, spec, dt, cfg.coarse_steps(dt)[0], rule, True)
-             for o in orders for dt in cfg.dt_list]
+    jobs += [(o, spec, dt, s, rule, True) for o in orders for dt, s in zip(cfg.dt_list, steps)]
     chunks = range(0, spec.K_modes, _MODE_BLOCK)
     n_workers = _pool_size(n_workers, max(len(jobs), len(chunks), len(firsts)))
     shared = n_workers > 1
-    grids = [_shared_array((spec.K_modes, steps)) if shared else None
-             for _, _, _, steps, _, _ in jobs]
-    factors = [cfg.coarse_steps(dt)[1] for dt in cfg.dt_list]
+    grids = [_shared_array((spec.K_modes, n_steps)) if shared else None
+             for _, _, _, n_steps, _, _ in jobs]
     n, n_dt = len(orders), len(cfg.dt_list)
 
     def split():
@@ -498,20 +499,20 @@ def _meta(cfg: ExperimentConfig, orders: FracOrders, **extra) -> dict:
 # Galerkin error: spectral regularized solution vs FEM approximation
 # ---------------------------------------------------------------------------
 
-def _fem_traj(spec: NoiseSpec, base_seed: int, factor: int, sig: np.ndarray,
-              columns: list, l: int) -> np.ndarray:
+def _fem_traj(spec: NoiseSpec, base_seed: int, sig: np.ndarray, columns: list,
+              l: int) -> np.ndarray:
     """Squared L2 FEM errors of one trajectory, shape (n_beta, n_h).
 
-    One noise draw feeds every beta.  Per beta, columns holds (hom, w_n,
-    meshes): hom and w_n give the spectral solution, and each mesh is
-    (products, hom, time weights).
+    One noise draw on the fine grid of spec feeds every beta.  Per beta,
+    columns holds (hom, w_n, meshes): hom and w_n give the spectral
+    solution, and each mesh is (products, hom, time weights).
     """
     seed = trajectory_seed(base_seed, l)
-    paths = coarsen(generate(spec, seed), factor)
-    forced = sig * paths.increments  # sigma_k(t_i) * increment
+    increments = generate(spec, seed).increments
+    forced = sig * increments  # sigma_k(t_i) * increment
     out = []
     for hom, w_n, meshes in columns:
-        un = hom + (w_n * paths.increments).sum(axis=1)
+        un = hom + (w_n * increments).sum(axis=1)
         out.append([_cross_error_sq(un, _fem_apply(products, mhom, wt, forced), products)
                     for products, mhom, wt in meshes])
     out = np.array(out)
@@ -524,36 +525,36 @@ def fem_error_samples(cfg: ExperimentConfig, orders, n_workers: int = 1) -> np.n
     """Per-trajectory squared L2 FEM errors, shape (m_traj, len(orders), len(h_list)),
     column i at the fractional orders orders[i].
 
-    Runs at the single coarse step cfg.dt_list[0].  One noise draw per
-    trajectory feeds every column: the same increments drive the spectral
-    solution and, through the mode projections, every mesh.  Each mesh is
-    built once, before any trajectory, and applied per trajectory by the
-    code of `fem_solution` and `l2_error_cross`.
+    Runs at the noise step T/n_fine, with no coarsening; cfg.dt_list is
+    table 1's and is not read.  The meshes of cfg.h_list are checked
+    (`ExperimentConfig.meshes`) before any spectrum or pool.  One noise draw
+    per trajectory feeds every column: the same increments drive the
+    spectral solution and, through the mode projections, every mesh.  Each
+    mesh is built once, before any trajectory, and applied per trajectory
+    by the code of `fem_solution` and `l2_error_cross`.
     """
     _require_sweep("fem_error_samples", cfg.m_traj, orders, "h_list", cfg.h_list)
-    if len(cfg.dt_list) != 1:
-        raise DomainError("fem_error_samples: configure exactly one dt in dt_list")
-    dt = cfg.dt_list[0]
-    steps, factor = cfg.coarse_steps(dt)
+    meshes = cfg.meshes()
     spec = cfg.noise_spec()
+    dt, steps = cfg.dt_fine, cfg.n_fine
     v1 = parabola_coeffs(cfg.k_modes)
     v2 = ramp_coeffs(cfg.k_modes)
     sig = spec.sigma_matrix(dt * np.arange(steps), truncated=True)
     columns = []
     for o in orders:
-        meshes = []
-        for mesh in cfg.meshes():
+        fem_meshes = []
+        for mesh in meshes:
             spectrum = discrete_spectrum(mesh, o.beta)
             products = sine_products(spectrum, cfg.k_modes)  # (e_k, e_j^h), (K, N)
             lamh = spectrum.eigenvalues
             fem_hom = _homogeneous(o.alpha, lamh, cfg.T, np.einsum("k,kj->j", v1, products),
                                    np.einsum("k,kj->j", v2, products))
-            meshes.append((products, fem_hom,
-                           _time_weights(o.alpha, lamh, 1.0, cfg.T, dt, steps, "exact")))
+            fem_meshes.append((products, fem_hom,
+                               _time_weights(o.alpha, lamh, 1.0, cfg.T, dt, steps, "exact")))
         columns.append((homogeneous_solution(o, v1, v2, cfg.T),
                         convolution_weights(o, spec, dt, steps, rule="exact", truncated=True),
-                        meshes))
-    traj = functools.partial(_fem_traj, spec, cfg.base_seed, factor, sig, columns)
+                        fem_meshes))
+    traj = functools.partial(_fem_traj, spec, cfg.base_seed, sig, columns)
     return np.stack(_pool_map(traj, range(cfg.m_traj), n_workers), axis=0)
 
 
@@ -561,7 +562,7 @@ def fem_error_tables(cfg: ExperimentConfig, orders, n_workers: int = 1) -> list[
     """Root-mean-squared FEM errors and rates over cfg.h_list, one table per
     entry of orders, sharing trajectories and noise."""
     samples = fem_error_samples(cfg, orders, n_workers)
-    return [_table_from_samples(samples[:, i, :], cfg.h_list, _meta(cfg, o, dt=cfg.dt_list[0]))
+    return [_table_from_samples(samples[:, i, :], cfg.h_list, _meta(cfg, o, dt=cfg.dt_fine))
             for i, o in enumerate(orders)]
 
 

@@ -486,13 +486,13 @@ def _ml_series_mpf(alpha, beta, z, tol, digits):
     import mpmath as mp  # only the oracle needs it; importing costs every process ~30 ms
 
     with mp.workdps(digits):
-        zz = mp.mpf(z)
+        zz, a, b = mp.mpf(z), mp.mpf(alpha), mp.mpf(beta)
         total = mp.mpf(0)
         tol_mp = mp.mpf(tol)
         for k in range(_MAX_SERIES_TERMS):
-            term = zz**k / mp.gamma(mp.mpf(alpha) * k + mp.mpf(beta))
+            term = zz**k * mp.rgamma(a * k + b)  # 0 at the poles of Gamma
             total += term
-            if abs(term) < tol_mp * (abs(total) + 1):
+            if a * k + b > 0 and abs(term) < tol_mp * (abs(total) + 1):
                 return total
         raise ConvergenceError(
             f"ml_series_hp: {_MAX_SERIES_TERMS} terms exhausted for z={z}"
@@ -503,11 +503,13 @@ def ml_series_hp(alpha: float, beta: float, z: float, tol: float = 1e-30,
                  digits: int | None = None) -> float:
     """Arbitrary-precision partial sum of the defining series (test oracle).
 
-    Sums z^k/Gamma(alpha*k + beta) with mpmath, truncating when the current
-    term drops below tol*(|partial sum| + 1).  Restricted to |z| <= 50.  The
-    working precision defaults to 50 digits plus an allowance for the
-    cancellation of the alternating tail, which grows like exp(|z|^(1/alpha));
-    pass `digits` to override.
+    Sums z^k/Gamma(alpha*k + beta) with mpmath, through 1/Gamma, which is 0
+    at the poles of Gamma (alpha*k + beta a non-positive integer).  Once
+    alpha*k + beta > 0, the sum stops when the current term drops below
+    tol*(|partial sum| + 1); before, a term may be 0 with more to come.
+    Restricted to |z| <= 50.  The working precision defaults to 50 digits
+    plus an allowance for the cancellation of the alternating tail, which
+    grows like exp(|z|^(1/alpha)); pass `digits` to override.
     """
     _validate_params(alpha, beta, where="ml_series_hp")
     if not math.isfinite(z) or abs(z) > 50.0:

@@ -214,6 +214,21 @@ def test_wrong_type_config_value_is_domain_error(tmp_path, capsys, monkeypatch, 
     assert calls == [] and not out.exists()
 
 
+#: The first units of work of each table function: table 1's shared grid
+#: mappings, pool and weight grids, table 2's FEM spectra, weight grids and pool.
+_FIRST_WORK = {"modeling_error_tables": ("_shared_array", "_pool", "convolution_weights"),
+               "fem_error_tables": ("discrete_spectrum", "convolution_weights", "_pool_map")}
+
+
+def _record_first_work(monkeypatch, target: str, calls: list) -> None:
+    """Make each first unit of work of the table function target record its
+    name in calls and do nothing."""
+    from fracwave import experiments
+
+    for name in _FIRST_WORK[target]:
+        monkeypatch.setattr(experiments, name, lambda *a, name=name, **k: calls.append(name))
+
+
 @pytest.mark.parametrize("command, target, line", [
     ("table1", "modeling_error_tables", "dt_list = [0.0]"),
     ("table1", "modeling_error_tables", "dt_list = [-0.04]"),
@@ -227,6 +242,7 @@ def test_wrong_type_config_value_is_domain_error(tmp_path, capsys, monkeypatch, 
     ("table2", "fem_error_tables", "dt = 1e-320"),
     ("table2", "fem_error_tables", "dt = nan"),
     ("table2", "fem_error_tables", "dt = inf"),
+    ("table2", "fem_error_tables", "dt = 0.3"),
     ("table2", "fem_error_tables", "h_list = [0.0]"),
     ("table2", "fem_error_tables", "h_list = [1e-300]"),
     ("table2", "fem_error_tables", "h_list = [nan]"),
@@ -234,10 +250,10 @@ def test_wrong_type_config_value_is_domain_error(tmp_path, capsys, monkeypatch, 
     ("table2", "fem_error_tables", "h_list = [0.25, 0.25]"),
 ])
 def test_bad_grid_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, target, line):
-    import fracwave.cli as cli
-
+    """Each table checks its own grid inside its table function, so the
+    first units of work of that function are patched, not the function."""
     calls = []
-    monkeypatch.setattr(cli, target, lambda *a, **k: calls.append(a) or {})
+    _record_first_work(monkeypatch, target, calls)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
     out = tmp_path / "never"
@@ -250,14 +266,13 @@ def test_bad_grid_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command
 def test_dense_mesh_above_cap_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
     """A mesh whose N x N matrices exceed the entry cap (here lowered to
     400, N <= 20) exits 2 before any matrix is built."""
-    import fracwave.cli as cli
     from fracwave import fem
 
     calls = []
     monkeypatch.setattr(fem, "_DEFAULT_ENTRY_CAP", 400)
     monkeypatch.setattr(fem, "mass_matrix", lambda *a: calls.append("mass"))
     monkeypatch.setattr(fem, "_dst_matrix", lambda *a: calls.append("dst"))
-    monkeypatch.setattr(cli, "fem_error_tables", lambda *a, **k: calls.append(a) or [])
+    _record_first_work(monkeypatch, "fem_error_tables", calls)
     out = tmp_path / "never"
     code, _, err = run(["spectrum", "--n", "21", "--beta", "0.8", "--out", str(out)], capsys)
     assert code == 2 and err.startswith("error:")

@@ -53,15 +53,27 @@ def test_compute_rates_examples():
         compute_rates([1.0], [1.0])
 
 
+def _check_grids(**kw):
+    """The config of kw, with each grid kw sets checked where its table
+    checks it: table 1's dt_list in `_modeling_weights`, table 2's h_list in
+    `ExperimentConfig.meshes`."""
+    cfg = _cfg(**kw)
+    if "dt_list" in kw:
+        experiments._modeling_weights(cfg, [ORDERS], "exact", 1)
+    if "h_list" in kw:
+        cfg.meshes()
+    return cfg
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
-        _cfg(m_traj=0)
+        _check_grids(m_traj=0)
     with pytest.raises(DomainError):
-        _cfg(dt_list=(1 / 3,))  # does not nest in the 200-step fine grid
+        _check_grids(dt_list=(1 / 3,))  # does not nest in the 200-step fine grid
     with pytest.raises(DomainError):
-        _cfg(n_cutoff=100, k_modes=64)
+        _check_grids(n_cutoff=100, k_modes=64)
     with pytest.raises(DomainError):
-        _cfg(h_list=(0.3,))
+        _check_grids(h_list=(0.3,))
 
 
 @pytest.mark.parametrize("kw", [dict(dt_list=(0.0,)), dict(dt_list=(-0.1,)),
@@ -72,18 +84,47 @@ def test_config_validation():
                                 dict(dt_list=(0.1, 0.1, 0.05)), dict(h_list=(0.25, 0.25))])
 def test_config_rejects_bad_grids(kw):
     with pytest.raises(DomainError):
-        _cfg(**kw)
+        _check_grids(**kw)
 
 
 def test_config_bounds_dense_mesh_matrices(monkeypatch):
-    """A mesh whose N x N matrices exceed the entry cap is rejected by the
-    config and by `FemMesh`, before any matrix exists."""
+    """A mesh whose N x N matrices exceed the entry cap is rejected by
+    `ExperimentConfig.meshes` and by `FemMesh`, before any matrix exists."""
     monkeypatch.setattr(fem, "_DEFAULT_ENTRY_CAP", 400)
-    assert _cfg(h_list=(1 / 21,)).meshes()[0].n_interior == 20
+    assert _check_grids(h_list=(1 / 21,)).meshes()[0].n_interior == 20
     with pytest.raises(DomainError):
-        _cfg(h_list=(1 / 21, 1 / 22))
+        _check_grids(h_list=(1 / 21, 1 / 22))
     with pytest.raises(DomainError):
         fem.FemMesh(21)
+
+
+def test_each_table_reads_only_its_own_grid():
+    """Table 1 runs beside an h_list that is no mesh width, and table 2
+    beside a dt_list that does not nest in n_fine: table 2 runs at the noise
+    step T/n_fine and never reads dt_list."""
+    cfg = _cfg(m_traj=3, h_list=(0.3,))
+    assert modeling_error_samples(cfg, [ORDERS]).shape == (3, 1, 3)
+    samples = fem_error_samples(_fem_cfg(dt_list=(1 / 7,)), [FracOrders(1.5, 0.8)])
+    assert np.array_equal(samples, fem_error_samples(_fem_cfg(dt_list=()), [FracOrders(1.5, 0.8)]))
+
+
+@pytest.mark.parametrize("samples, kw, match", [
+    (modeling_error_samples, dict(dt_list=(1 / 3,)), "does not nest"),
+    (modeling_error_samples, dict(dt_list=(0.1, 0.1, 0.05)), "one grid"),
+    (fem_error_samples, dict(h_list=(0.3,)), r"1/\(N\+1\)"),
+    (fem_error_samples, dict(h_list=(0.25, 0.25)), "one mesh"),
+])
+def test_bad_grid_rejected_before_any_work(samples, kw, match, monkeypatch):
+    """A grid that its table cannot run is a DomainError, raised before any
+    weight grid, FEM spectrum or pool of that table."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started for a bad grid")
+
+    for name in ("_pool", "_pool_map", "convolution_weights", "discrete_spectrum",
+                 "sine_products"):
+        monkeypatch.setattr(experiments, name, forbidden)
+    with pytest.raises(DomainError, match=match):
+        samples(_cfg(**kw), [ORDERS])
 
 
 @pytest.mark.parametrize("samples, kw, orders", [
@@ -445,6 +486,20 @@ def test_rectangle_rule_degeneration_is_exact_zero():
     assert (samples[:, 0, 0] > 0.0).all() and (samples[:, 0, 1] == 0.0).all()
 
 
+def test_zero_error_column_tabulates_with_no_rate(tmp_path):
+    """A column whose errors are exactly 0 (the rectangle rule at the fine
+    step) gets a rate of NaN beside it, written as an empty CSV cell."""
+    cfg = ExperimentConfig(m_traj=3, base_seed=1, n_fine=200, k_modes=64, n_cutoff=64,
+                           dt_list=(1 / 200, 1 / 100), h_list=())
+    tab = modeling_error_tables(cfg, [ORDERS], rule="left")[0]
+    assert tab.errors[0] == 0.0 and tab.errors[1] > 0.0
+    assert np.isnan(tab.rates).all()
+    write_rate_table(tab, tmp_path / "zero.csv")
+    rows = (tmp_path / "zero.csv").read_text().splitlines()[6:]
+    assert [row.split(",")[:3] for row in rows] == [["0.005", "0.0", ""],
+                                                   ["0.01", repr(float(tab.errors[1])), ""]]
+
+
 def test_doubling_trajectories_within_three_stderr():
     cfg_small = _cfg(m_traj=24)
     cfg_big = _cfg(m_traj=48)
@@ -551,8 +606,6 @@ def test_fem_experiment_smoke():
     s1 = fem_error_samples(cfg, orders)
     s2 = fem_error_samples(cfg, orders, n_workers=2)
     np.testing.assert_array_equal(s1, s2)
-    with pytest.raises(DomainError):
-        fem_error_samples(_cfg(h_list=(1 / 5,)), orders)  # needs exactly one dt
 
 
 def _fem_cfg(**kw):

@@ -146,20 +146,13 @@ def test_alpha_two_recurrence_betas():
             assert abs(ml(2.0, beta, z) - ref) <= 1e-11 * (1 + abs(ref))
 
 
-def _series_rgamma(alpha, beta, z):
-    """sum_k z^k / Gamma(alpha k + beta) in mpmath through rgamma, which is 0
-    at the poles of Gamma (`ml_series_hp` divides by Gamma, so it cannot
-    take beta = -4)."""
-    import mpmath as mp
-
-    with mp.workdps(60 + math.ceil(0.44 * abs(z) ** (1.0 / alpha))):
-        a, b, x, total = mp.mpf(alpha), mp.mpf(beta), mp.mpf(z), mp.mpf(0)
-        for k in range(10_000):
-            term = x**k * mp.rgamma(a * k + b)
-            total += term
-            if a * k + b > 2 and abs(term) <= mp.mpf(10) ** -40 * abs(total):
-                return float(total)
-    raise ConvergenceError(f"series of E_{alpha},{beta}({z}) did not converge")
+def _assert_near_series(alpha, beta, z, tol):
+    """ml_values matches `ml_series_hp` at each point of the grid z (step
+    0.5) to tol times the largest |value| within 1 of it: near a zero of
+    the function a plain relative error says nothing."""
+    want = np.array([ml_series_hp(alpha, beta, float(x)) for x in z])
+    scale = np.array([np.abs(want[max(i - 2, 0) : i + 3]).max() for i in range(z.size)])
+    assert (np.abs(ml_values(alpha, beta, z) - want) <= tol * scale).all(), (alpha, beta)
 
 
 @pytest.mark.parametrize("alpha", (0.8, 1.5, 1.9))
@@ -169,14 +162,27 @@ def test_beta_range_edges(alpha):
     to the largest |value| within 1 of z.  Just outside it, beta is a
     DomainError before any argument is looked at."""
     lo, hi = mittag_leffler._BETA_RANGE
-    z = np.linspace(-30.0, 20.0, 101)
     for beta, tol in ((lo, 1e-13), (hi, 1e-12)):
-        want = np.array([_series_rgamma(alpha, beta, float(x)) for x in z])
-        scale = np.array([np.abs(want[max(i - 2, 0) : i + 3]).max() for i in range(z.size)])
-        assert (np.abs(ml_values(alpha, beta, z) - want) <= tol * scale).all(), beta
+        _assert_near_series(alpha, beta, np.linspace(-30.0, 20.0, 101), tol)
     for beta in (np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), 50.0):
         with pytest.raises(DomainError, match="beta"):
             ml_values(alpha, beta, np.array([-5.0, np.nan]))
+
+
+@pytest.mark.parametrize("alpha, beta, z", [(1.5, 0.0, -2.0), (1.5, -1.0, -2.0),
+                                            (1.5, -2.5, -2.0), (1.0, -1.0, 0.5)])
+def test_series_oracle_at_gamma_poles(alpha, beta, z):
+    """`ml_series_hp` sums through 1/Gamma, so a term whose alpha k + beta is
+    a pole of Gamma is 0 and does not end the sum (alpha k + beta is 0 at
+    k = 0, -1 at k = 0, -1 at k = 1, and -1 and 0 at k = 0, 1)."""
+    _assert_near_series(alpha, beta, z + np.arange(-1.0, 1.5, 0.5), 1e-13)
+
+
+@pytest.mark.parametrize("beta", (-4.0, -3.0, -2.0))
+def test_series_oracle_at_negative_integer_beta(beta):
+    """At a negative integer beta the first terms of the series are 0."""
+    for alpha in (0.8, 1.5, 1.9):
+        _assert_near_series(alpha, beta, np.linspace(-10.0, 10.0, 41), 1e-13)
 
 
 # ---------------------------------------------------------------------------
