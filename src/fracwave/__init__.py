@@ -19,7 +19,7 @@ numpy, so that `fracwave.cli` can pin BLAS to one thread before numpy is
 imported.
 """
 
-from .errors import ConvergenceError, DomainError, ResourceLimitError
+from .errors import ConvergenceError, DomainError
 
 
 def __getattr__(name):
@@ -34,4 +34,4 @@ def __getattr__(name):
         return "0.0.0-dev"
 
 
-__all__ = ["__version__", "ConvergenceError", "DomainError", "ResourceLimitError"]
+__all__ = ["__version__", "ConvergenceError", "DomainError"]

@@ -16,6 +16,7 @@ subcommands; a key neither takes is a domain error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import re
@@ -44,6 +45,7 @@ from .experiments import (
 )
 from .fem import FemMesh, discrete_spectrum
 from .mittag_leffler import ml
+from .noise import _step_count
 from .spectral import FracOrders, fractional_eigenvalues
 
 # Each experiment subcommand's settings and their defaults, the only place
@@ -122,15 +124,17 @@ def _toml_type(default) -> str:
 def _typed(key: str, value, default):
     """value, if it has default's TOML type: an integer takes an integer only,
     a float an integer or a float, an array a list of numbers.  A boolean is
-    not a number."""
-    if isinstance(default, tuple):
-        if type(value) is list and all(type(x) in (int, float) for x in value):
-            return tuple(map(float, value))
-    elif isinstance(default, float):
-        if type(value) in (int, float):
-            return float(value)
-    elif type(value) is int:
-        return value
+    not a number, and a float setting takes no integer beyond the float
+    range."""
+    with contextlib.suppress(OverflowError):  # float() of such an integer
+        if isinstance(default, tuple):
+            if type(value) is list and all(type(x) in (int, float) for x in value):
+                return tuple(map(float, value))
+        elif isinstance(default, float):
+            if type(value) in (int, float):
+                return float(value)
+        elif type(value) is int:
+            return value
     raise DomainError(f"config {key}: expected {_toml_type(default)}, got {value!r}")
 
 
@@ -141,8 +145,8 @@ def _settings(args) -> dict:
     A key of the other subcommand is checked and not used, so one file can
     serve both.  These are domain errors naming the key, raised before any
     work starts: a config key that neither table1 nor table2 takes, a value
-    not of its default's type, a time step with no step count round(1/dt)
-    and a negative worker count.  Each table checks its own grid.
+    not of its default's type and a negative worker count.  Each table
+    checks its own grid, and `table2` its dt.
     """
     known = {**_SETTINGS["table1"], **_SETTINGS["table2"]}
     cfg = _parse_config(args.config) if args.config else {}
@@ -154,8 +158,6 @@ def _settings(args) -> dict:
     out.update({key: flag for key in out if (flag := getattr(args, key, None)) is not None})
     if out["n_cutoff"] is None:
         out["n_cutoff"] = out["k_modes"]
-    if "dt" in out and not (out["dt"] > 0.0 and math.isfinite(1.0 / out["dt"])):
-        raise DomainError(f"config dt: {out['dt']} is not positive with a finite 1/dt")
     if out["threads"] < 0:
         raise DomainError(f"config threads: must be >= 0 (got {out['threads']})")
     out["threads"] = out["threads"] or _cores()  # 0: every core
@@ -204,9 +206,9 @@ def _cmd_table1(args) -> int:
 def _cmd_table2(args) -> int:
     s = _settings(args)
     betas = _sweep("beta_list", "table2_beta", s["beta_list"])
-    cfg = ExperimentConfig(m_traj=s["m_traj"], base_seed=s["seed"], n_fine=round(1.0 / s["dt"]),
+    cfg = ExperimentConfig(m_traj=s["m_traj"], base_seed=s["seed"],
+                           n_fine=_step_count("config dt", s["dt"], ExperimentConfig.T),
                            k_modes=s["k_modes"], n_cutoff=s["n_cutoff"], h_list=s["h_list"])
-    cfg.coarse_steps(s["dt"])  # dt must be T/n: the run is at its noise step T/n
     orders = [FracOrders(s["alpha"], beta) for beta in betas]
     tables = fem_error_tables(cfg, orders, n_workers=s["threads"]) if orders else []
     return _write_tables(args, "table2_beta", betas, tables, "Galerkin-error")

@@ -7,7 +7,3 @@ class DomainError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iterative evaluation exhausted its budget before converging."""
-
-
-class ResourceLimitError(RuntimeError):
-    """A requested allocation exceeds the configured size cap."""

@@ -42,8 +42,8 @@ import numpy as np
 from .errors import DomainError
 from .fem import FemMesh, _cross_error_sq, _fem_apply, discrete_spectrum, sine_products
 from .mittag_leffler import ml_values
-from .noise import (_DEFAULT_ENTRY_CAP, NoiseSpec, _ModeStreams, generate, inverse_cubic_sigma,
-                    trajectory_seed)
+from .noise import (NoiseSpec, _check_entries, _ModeStreams, _step_count, generate,
+                    inverse_cubic_sigma, trajectory_seed)
 from .spectral import (
     FracOrders,
     _homogeneous,
@@ -86,10 +86,11 @@ class ExperimentConfig:
     matrix from the full spectral series (`fem.DEFAULT_K_SERIES` terms
     summed, the rest in closed form).  The config checks what both read:
     m_traj >= 1, base_seed in [0, 2^64), the seeds that `trajectory_seed`
-    tells apart, n_fine and n_cutoff (by `NoiseSpec`), and the k_modes x
-    n_fine noise matrix against the noise entry cap.  Each grid is checked
-    by the experiment that reads it, before any grid, spectrum or pool:
-    dt_list by `coarse_steps` and `_modeling_weights`, h_list by `meshes`.
+    tells apart, and by `NoiseSpec` n_fine, n_cutoff and the k_modes x
+    n_fine noise matrix against the entry cap.  Each grid is checked by the
+    experiment that reads it, before any grid, spectrum or pool: dt_list by
+    `coarse_steps` and `_modeling_weights`, h_list by `meshes`.  Both ask
+    `noise._step_count` whether a step is T/n.
     """
 
     T: ClassVar[float] = 1.0
@@ -106,10 +107,7 @@ class ExperimentConfig:
             raise DomainError("ExperimentConfig: m_traj must be >= 1")
         if not 0 <= self.base_seed < 1 << 64:
             raise DomainError(f"ExperimentConfig: seed {self.base_seed} is not in [0, 2^64)")
-        self.noise_spec()  # 1 <= n_cutoff <= k_modes, n_fine >= 1
-        if self.k_modes * self.n_fine > _DEFAULT_ENTRY_CAP:
-            raise DomainError(f"ExperimentConfig: {self.k_modes} modes x {self.n_fine} steps "
-                              f"exceed the cap of {_DEFAULT_ENTRY_CAP} noise entries")
+        self.noise_spec()  # 1 <= n_cutoff <= k_modes, n_fine >= 1, the noise matrix cap
 
     @property
     def dt_fine(self) -> float:
@@ -117,33 +115,24 @@ class ExperimentConfig:
 
     def coarse_steps(self, dt: float) -> tuple[int, int]:
         """(number of coarse steps, coarsening factor) for a coarse dt: a
-        finite positive step that divides T and nests in the fine grid."""
-        if not (dt > 0.0 and math.isfinite(self.T / dt)):
-            raise DomainError(f"coarse step {dt} is not finite and positive")
-        steps = round(self.T / dt)
-        if steps < 1 or abs(steps * dt - self.T) > 1e-9 * self.T:
-            raise DomainError(f"coarse step {dt} does not divide the horizon {self.T}")
+        step T/n (`noise._step_count`) whose grid nests in the fine grid."""
+        steps = _step_count("ExperimentConfig: dt_list step", dt, self.T)
         if self.n_fine % steps != 0:
             raise DomainError(f"coarse grid with dt = {dt} does not nest in the fine grid")
         return steps, self.n_fine // steps
 
     def meshes(self) -> list[FemMesh]:
         """The mesh of each width in h_list, checked before any matrix
-        exists: each width is 1/(N+1) with N >= 1, no two give one mesh, and
-        the k_modes x N mode products fit the noise entry cap (`FemMesh`
-        bounds its N x N dense matrices)."""
-        sizes = []
-        for h in self.h_list:
-            n = round(1.0 / h) - 1 if h > 0.0 and math.isfinite(1.0 / h) else 0
-            if n < 1 or abs(1.0 / (n + 1) - h) > 1e-12:
-                raise DomainError(f"ExperimentConfig: h = {h} is not 1/(N+1) with N >= 1")
-            if self.k_modes * n > _DEFAULT_ENTRY_CAP:
-                raise DomainError(f"ExperimentConfig: h = {h} gives {self.k_modes} x {n} mode "
-                                  f"products, above the cap of {_DEFAULT_ENTRY_CAP}")
-            sizes.append(n)
-        if len(set(sizes)) < len(sizes):
-            raise DomainError(f"ExperimentConfig: two h_list entries give one mesh {sizes}")
-        return [FemMesh(n) for n in sizes]
+        exists: each width is 1/(N+1) to 1e-9 relative (`noise._step_count`)
+        with N >= 1, its N x N dense matrices (`FemMesh`) and its k_modes x N
+        mode products fit the entry cap, and no two widths give one mesh."""
+        meshes = [FemMesh(_step_count("ExperimentConfig: h_list width", h) - 1)
+                  for h in self.h_list]
+        for mesh in meshes:
+            _check_entries("ExperimentConfig: mode products", self.k_modes, mesh.n_interior)
+        if len(set(meshes)) < len(meshes):
+            raise DomainError(f"ExperimentConfig: two h_list entries give one mesh {meshes}")
+        return meshes
 
     def noise_spec(self) -> NoiseSpec:
         return NoiseSpec(sigma=inverse_cubic_sigma, n_cutoff=self.n_cutoff,
@@ -276,9 +265,7 @@ def _require_sweep(where: str, m_traj: int, orders, grid_name: str, grid) -> Non
     for what, items in (("sweep of fractional orders", orders), (grid_name, grid)):
         if not len(items):
             raise DomainError(f"{where}: the {what} is empty")
-    if m_traj * len(orders) * len(grid) > _DEFAULT_ENTRY_CAP:
-        raise DomainError(f"{where}: {m_traj} x {len(orders)} x {len(grid)} samples exceed "
-                          f"the cap of {_DEFAULT_ENTRY_CAP} entries")
+    _check_entries(f"{where}: samples", m_traj, len(orders), len(grid))
 
 
 def _shared_array(shape) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import zeta
 
 from .errors import DomainError
-from .noise import _DEFAULT_ENTRY_CAP, NoisePaths, NoiseSpec
+from .noise import NoisePaths, NoiseSpec, _check_entries
 from .spectral import (SQRT2, FracOrders, _grid_index, _homogeneous, _time_weights,
                        fractional_eigenvalues)
 
@@ -60,7 +60,8 @@ _ALIAS_BLOCK = 1 << 16
 class FemMesh:
     """Uniform mesh with interior nodes x_i = i*h, i = 1..N, h = 1/(N+1).
 
-    N is bounded so that its dense N x N matrices fit the noise entry cap.
+    N is bounded so that its dense N x N matrices fit the entry cap
+    (`noise._check_entries`).
     """
 
     n_interior: int
@@ -68,9 +69,7 @@ class FemMesh:
     def __post_init__(self):
         if self.n_interior < 1:
             raise DomainError("FemMesh: need at least one interior node")
-        if self.n_interior**2 > _DEFAULT_ENTRY_CAP:
-            raise DomainError(f"FemMesh: {self.n_interior} x {self.n_interior} dense matrices "
-                              f"exceed the cap of {_DEFAULT_ENTRY_CAP} entries")
+        _check_entries("FemMesh: dense matrices", self.n_interior, self.n_interior)
 
     @property
     def h(self) -> float:
@@ -201,12 +200,14 @@ def fractional_stiffness(mesh: FemMesh, beta: float, k_series: int = DEFAULT_K_S
     Sums the spectral series over modes k <= k_series, reorganized into the
     N alias classes of the mesh; with tail=True (default) the k > k_series
     remainder of every class is added in closed form, making the matrix
-    exact up to roundoff.
+    exact up to roundoff.  k_series is at least 1 and at most the entry cap
+    (`noise._check_entries`).
     """
     if not (0.0 < beta <= 1.0):
         raise DomainError(f"fractional_stiffness: need 0 < beta <= 1 (got {beta})")
-    if not (1 <= k_series <= _DEFAULT_ENTRY_CAP):
-        raise DomainError(f"fractional_stiffness: k_series must be in [1, {_DEFAULT_ENTRY_CAP}]")
+    if k_series < 1:
+        raise DomainError(f"fractional_stiffness: k_series must be >= 1 (got {k_series})")
+    _check_entries("fractional_stiffness: k_series", k_series)
     prefac = _alias_setup(mesh, beta)
     sums = _alias_class_sums(mesh, beta, k_series).astype(float)
     if tail:

@@ -12,16 +12,22 @@ enlarging the mode count never changes previously generated rows, and
 generation parallelizes safely.  Increments live in memory only: a
 trajectory's matrix is drawn again from its seed, so there is no file
 format for them.
+
+Two rules that every module applies are stated here once: a step divides
+its span (the horizon T, or a time t on a noise grid) into n >= 1 equal
+steps (`_step_count`), and no array holds more than `_DEFAULT_ENTRY_CAP`
+entries (`_check_entries`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 
 __all__ = [
     "NoiseSpec",
@@ -35,7 +41,30 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+#: Most entries of any array the package builds, read at each check, so one
+#: patch of it governs every cap.
 _DEFAULT_ENTRY_CAP = 1 << 27
+
+
+def _step_count(what: str, step: float, span: float = 1.0) -> int:
+    """The integer n >= 1 with n * step = span to 1e-9 relative.
+
+    Any other step, such as NaN, an infinity, zero, a negative step or one
+    that leaves a remainder, is a DomainError that names what.  A step so
+    small that span / step overflows has no count either.
+    """
+    n = round(span / step) if step > 0.0 and math.isfinite(span / step) else 0
+    if n < 1 or abs(n * step - span) > 1e-9 * span:
+        raise DomainError(f"{what}: {step} does not divide {span} into n >= 1 equal steps")
+    return n
+
+
+def _check_entries(what: str, *dims: int) -> None:
+    """A DomainError that names what when an array of shape dims would hold
+    more than `_DEFAULT_ENTRY_CAP` entries, raised before it exists."""
+    if math.prod(dims) > _DEFAULT_ENTRY_CAP:
+        raise DomainError(f"{what}: {' x '.join(map(str, dims))} entries exceed the cap of "
+                          f"{_DEFAULT_ENTRY_CAP}")
 
 
 def inverse_cubic_sigma(k: np.ndarray, t) -> np.ndarray:
@@ -66,7 +95,9 @@ class NoiseSpec:
     a mode column of shape (K, 1) and a time row of shape (1, n) it returns
     an array that broadcasts to (K, n).  Modes above n_cutoff are dropped
     from the truncated amplitude sigma^n used by the regularized problem,
-    while the reference construction keeps all K_modes.
+    while the reference construction keeps all K_modes.  The K_modes x
+    N_fine increment matrix must fit the entry cap (`_check_entries`), so
+    a spec that `generate` could not draw is rejected when it is built.
     """
 
     sigma: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -84,6 +115,7 @@ class NoiseSpec:
             raise DomainError("NoiseSpec: horizon T must be positive")
         if self.N_fine < 1:
             raise DomainError("NoiseSpec: N_fine must be >= 1")
+        _check_entries("NoiseSpec: noise matrix", self.K_modes, self.N_fine)
 
     @property
     def dt_fine(self) -> float:
@@ -156,12 +188,8 @@ def generate(spec: NoiseSpec, seed: int) -> NoisePaths:
     Entry (k-1, i) ~ N(0, dt_fine), independent across modes and steps.
     Mode k uses a Philox stream keyed by (seed, k); rows are therefore
     reproducible and unchanged when K_modes grows (see `_ModeStreams`).
-    A matrix above _DEFAULT_ENTRY_CAP entries, read at each call, is a
-    `ResourceLimitError`.
+    The spec has bounded the matrix by the entry cap.
     """
-    if spec.K_modes * spec.N_fine > _DEFAULT_ENTRY_CAP:
-        raise ResourceLimitError(f"noise matrix {spec.K_modes}x{spec.N_fine} exceeds cap "
-                                 f"of {_DEFAULT_ENTRY_CAP} entries")
     seed = int(seed) & _MASK64
     out = np.empty((spec.K_modes, spec.N_fine))
     _ModeStreams(seed).draw(1, out, np.sqrt(spec.dt_fine))

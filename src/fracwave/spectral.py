@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .mittag_leffler import kernel_weights
-from .noise import NoisePaths, NoiseSpec
+from .noise import NoisePaths, NoiseSpec, _step_count
 
 __all__ = [
     "FracOrders",
@@ -182,10 +182,9 @@ def stochastic_convolution(orders: FracOrders, spec: NoiseSpec, paths: NoisePath
 
 
 def _grid_index(t: float, paths: NoisePaths) -> int:
-    """Index of t on the grid of paths, which must hold it."""
-    idx = int(round(t / paths.dt))
-    if idx < 1 or abs(t - idx * paths.dt) > 1e-9 * max(1.0, abs(t)):
-        raise DomainError(f"t = {t} is not a positive node of the dt = {paths.dt} grid")
+    """Index n >= 1 of the node t = n dt of the grid of paths: dt divides t
+    to 1e-9 relative (`noise._step_count`), and t is within the paths."""
+    idx = _step_count(f"grid step at t = {t}", paths.dt, t)
     if idx > paths.n_steps:
         raise DomainError(f"t = {t} is beyond the path horizon")
     return idx

@@ -452,8 +452,7 @@ def test_fem_samples_equal_library_solvers():
     spec = cfg.noise_spec()
     v1, v2 = parabola_coeffs(cfg.k_modes), ramp_coeffs(cfg.k_modes)
     steps, factor = cfg.coarse_steps(cfg.dt_list[0])
-    spectra = [discrete_spectrum(FemMesh(round(1.0 / h) - 1), 0.8)
-               for h in cfg.h_list]
+    spectra = [discrete_spectrum(mesh, 0.8) for mesh in cfg.meshes()]
     for l in range(cfg.m_traj):
         paths = coarsen(generate(spec, trajectory_seed(cfg.base_seed, l)), factor)
         u = (homogeneous_solution(orders, v1, v2, cfg.T)

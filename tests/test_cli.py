@@ -265,11 +265,13 @@ def test_bad_grid_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command
 
 def test_dense_mesh_above_cap_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
     """A mesh whose N x N matrices exceed the entry cap (here lowered to
-    400, N <= 20) exits 2 before any matrix is built."""
-    from fracwave import fem
+    400, N <= 20) exits 2 before any matrix is built.  One mode and one
+    trajectory keep the noise matrix, the mode products and the sample array
+    within the lowered cap."""
+    from fracwave import fem, noise
 
     calls = []
-    monkeypatch.setattr(fem, "_DEFAULT_ENTRY_CAP", 400)
+    monkeypatch.setattr(noise, "_DEFAULT_ENTRY_CAP", 400)
     monkeypatch.setattr(fem, "mass_matrix", lambda *a: calls.append("mass"))
     monkeypatch.setattr(fem, "_dst_matrix", lambda *a: calls.append("dst"))
     _record_first_work(monkeypatch, "fem_error_tables", calls)
@@ -277,10 +279,40 @@ def test_dense_mesh_above_cap_exits_2_before_any_work(tmp_path, capsys, monkeypa
     code, _, err = run(["spectrum", "--n", "21", "--beta", "0.8", "--out", str(out)], capsys)
     assert code == 2 and err.startswith("error:")
     cfg = tmp_path / "mesh.cfg"
-    cfg.write_text("h_list = [0.1, 0.04]\n")
+    cfg.write_text("h_list = [0.1, 0.04]\nk_modes = 1\nm_traj = 1\n")
     code, _, err = run(["table2", "--config", str(cfg), "--out", str(out)], capsys)
-    assert code == 2 and err.startswith("error:")
+    assert code == 2 and err.startswith("error: FemMesh: dense matrices: 24 x 24")
     assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("dt", ["nan", "inf", "0.0", "-0.01", "0.3", "0.0100000001"])
+def test_table2_dt_not_1_over_n_names_config_dt(tmp_path, capsys, monkeypatch, dt):
+    """table2 runs at its noise step dt, so a dt that is not 1/n exits 2 with
+    an error naming the config key, before any work."""
+    calls = []
+    _record_first_work(monkeypatch, "fem_error_tables", calls)
+    cfg = tmp_path / "dt.cfg"
+    cfg.write_text(f"dt = {dt}\n")
+    out = tmp_path / "never"
+    code, _, err = run(["table2", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2 and err.startswith(f"error: config dt: {float(dt)} does not divide 1.0")
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["table1", "table2"])
+@pytest.mark.parametrize("key, value", [("dt", "1" + "0" * 400),
+                                        ("alpha_list", "[1.5, 1" + "0" * 400 + "]")],
+                         ids=["scalar", "array"])
+def test_float_setting_beyond_float_range_exits_2(tmp_path, capsys, command, key, value):
+    """An integer too large for a float, given to a float setting, is a
+    value of the wrong type, not an OverflowError traceback."""
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "never"
+    code, _, err = run([command, "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: config {key}: expected ") and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, target, line, key", [
@@ -603,8 +635,10 @@ def test_one_config_serves_table1_and_table2(tmp_path, capsys):
 
 
 def test_readme_lists_every_setting_and_default():
-    """The README's settings table names exactly the keys, defaults and TOML
-    types of `cli._SETTINGS`."""
+    """The README's settings table matches `cli._SETTINGS` row for row: each
+    key, its default under each subcommand, its TOML type.  The rows hold
+    table1's own keys, then table2's, then the shared ones, each group in
+    `_SETTINGS` order.  Defaults compare by repr, so `1000` is no float."""
     import tomllib
 
     import fracwave.cli as cli
@@ -620,20 +654,25 @@ def test_readme_lists_every_setting_and_default():
         if cell == "—":
             return "absent"
         value = cell.strip("`")
-        return None if value == "k_modes" else tomllib.loads(f"v = {value}")["v"]
+        return "k_modes" if value == "k_modes" else repr(tomllib.loads(f"v = {value}")["v"])
 
-    listed = {}
+    listed = []
     for row in rows:
         key, t1, t2, kind = [c.strip() for c in row.strip("|").split("|")]
-        listed[key.strip("`")] = (default(t1), default(t2), kind)
+        listed.append((key.strip("`"), default(t1), default(t2), kind))
 
     def want(command, key):
-        value = cli._SETTINGS[command].get(key, "absent")
-        return list(value) if isinstance(value, tuple) else value
+        if key not in cli._SETTINGS[command]:
+            return "absent"
+        value = cli._SETTINGS[command][key]
+        return "k_modes" if value is None else repr(list(value) if isinstance(value, tuple)
+                                                    else value)
 
-    known = {**cli._SETTINGS["table1"], **cli._SETTINGS["table2"]}
-    assert listed == {key: (want("table1", key), want("table2", key), cli._toml_type(default))
-                      for key, default in known.items()}
+    t1, t2 = cli._SETTINGS["table1"], cli._SETTINGS["table2"]
+    keys = ([k for k in t1 if k not in t2] + [k for k in t2 if k not in t1]
+            + [k for k in t1 if k in t2])
+    assert listed == [(key, want("table1", key), want("table2", key),
+                       cli._toml_type({**t1, **t2}[key])) for key in keys]
 
 
 def test_spectrum_csv_matches_closed_form(tmp_path, capsys):

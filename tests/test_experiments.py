@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracwave import experiments, fem
+from fracwave import experiments, fem, noise
 from fracwave.errors import DomainError
 from fracwave.experiments import (
     ExperimentConfig,
@@ -89,11 +89,13 @@ def test_config_rejects_bad_grids(kw):
 
 def test_config_bounds_dense_mesh_matrices(monkeypatch):
     """A mesh whose N x N matrices exceed the entry cap is rejected by
-    `ExperimentConfig.meshes` and by `FemMesh`, before any matrix exists."""
-    monkeypatch.setattr(fem, "_DEFAULT_ENTRY_CAP", 400)
-    assert _check_grids(h_list=(1 / 21,)).meshes()[0].n_interior == 20
-    with pytest.raises(DomainError):
-        _check_grids(h_list=(1 / 21, 1 / 22))
+    `ExperimentConfig.meshes` and by `FemMesh`, before any matrix exists.
+    Two modes keep the 2 x 200 noise matrix and the 2 x N mode products
+    within the lowered cap."""
+    monkeypatch.setattr(noise, "_DEFAULT_ENTRY_CAP", 400)
+    assert _check_grids(h_list=(1 / 21,), k_modes=2, n_cutoff=2).meshes()[0].n_interior == 20
+    with pytest.raises(DomainError, match="dense"):
+        _check_grids(h_list=(1 / 21, 1 / 22), k_modes=2, n_cutoff=2)
     with pytest.raises(DomainError):
         fem.FemMesh(21)
 
@@ -111,7 +113,7 @@ def test_each_table_reads_only_its_own_grid():
 @pytest.mark.parametrize("samples, kw, match", [
     (modeling_error_samples, dict(dt_list=(1 / 3,)), "does not nest"),
     (modeling_error_samples, dict(dt_list=(0.1, 0.1, 0.05)), "one grid"),
-    (fem_error_samples, dict(h_list=(0.3,)), r"1/\(N\+1\)"),
+    (fem_error_samples, dict(h_list=(0.3,)), "h_list width: 0.3 does not divide"),
     (fem_error_samples, dict(h_list=(0.25, 0.25)), "one mesh"),
 ])
 def test_bad_grid_rejected_before_any_work(samples, kw, match, monkeypatch):
@@ -125,6 +127,26 @@ def test_bad_grid_rejected_before_any_work(samples, kw, match, monkeypatch):
         monkeypatch.setattr(experiments, name, forbidden)
     with pytest.raises(DomainError, match=match):
         samples(_cfg(**kw), [ORDERS])
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -0.1, 0.3])
+@pytest.mark.parametrize("grid, call, what", [
+    ("dt_list", lambda cfg, step: cfg.coarse_steps(step), "dt_list step"),
+    ("h_list", lambda cfg, step: cfg.meshes(), "h_list width"),
+], ids=["coarse_steps", "meshes"])
+def test_step_rule_of_each_grid(grid, call, what, step):
+    """A time step or mesh width that is NaN, infinite, zero, negative or not
+    1/n is a DomainError that names its grid."""
+    cfg = _cfg(**{grid: (step,)})
+    with pytest.raises(DomainError, match=f"^ExperimentConfig: {what}: {step} does not divide"):
+        call(cfg, step)
+
+
+def test_mesh_width_within_relative_tolerance():
+    """A mesh width is 1/(N+1) to 1e-9 relative, as a time step is T/n."""
+    assert _cfg(h_list=(0.05 * (1 + 5e-10),)).meshes()[0].n_interior == 19
+    with pytest.raises(DomainError, match="h_list width"):
+        _cfg(h_list=(0.05 * (1 + 2e-9),)).meshes()
 
 
 @pytest.mark.parametrize("samples, kw, orders", [
@@ -162,7 +184,7 @@ def test_sample_array_above_cap_rejected_before_any_work(samples, kw, n_grid, mo
     for name in ("_pool_map", "convolution_weights", "discrete_spectrum", "sine_products",
                  "homogeneous_solution", "_modeling_weights", "generate"):
         monkeypatch.setattr(experiments, name, forbidden)
-    at_cap = experiments._DEFAULT_ENTRY_CAP // (2 * n_grid)  # two orders
+    at_cap = noise._DEFAULT_ENTRY_CAP // (2 * n_grid)  # two orders
     with pytest.raises(AssertionError, match="work started"):
         samples(_cfg(m_traj=at_cap, **kw), [ORDERS, FracOrders(1.25, 0.75)])
     with pytest.raises(DomainError, match="cap"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fracwave import fem
+from fracwave import fem, noise
 from fracwave.errors import DomainError
 from fracwave.fem import (
     DiscreteSpectrum,
@@ -106,7 +106,7 @@ def test_stiffness_beta1_matches_classical():
 
 def test_stiffness_series_bounded_by_entry_cap(monkeypatch):
     """A series longer than the entry cap is rejected before any term is summed."""
-    monkeypatch.setattr(fem, "_DEFAULT_ENTRY_CAP", 1000)
+    monkeypatch.setattr(noise, "_DEFAULT_ENTRY_CAP", 1000)
     mesh = FemMesh(3)
     assert fractional_stiffness(mesh, 0.8, 1000).shape == (3, 3)
     monkeypatch.setattr(fem, "_alias_class_sums", None)  # any use would raise TypeError
@@ -448,3 +448,15 @@ def test_grid_mismatch_raises():
     zero = np.zeros(3)
     with pytest.raises(DomainError):
         fem_solution(orders, spec, zero, zero, nspec, paths, 0.3)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -0.25, 0.3, 1.25])
+def test_fem_solution_off_grid_time_is_domain_error(t):
+    """A time that is NaN, infinite, zero, negative, off the noise grid or
+    past its horizon is a DomainError (`spectral._grid_index`)."""
+    orders = FracOrders(1.5, 0.75)
+    spec = discrete_spectrum(FemMesh(3), 0.75, K_FAST)
+    nspec = NoiseSpec(sigma=_unit_sigma, n_cutoff=2, K_modes=2, T=1.0, N_fine=4)
+    zero = np.zeros(3)
+    with pytest.raises(DomainError, match=f"t = {t}"):
+        fem_solution(orders, spec, zero, zero, nspec, generate(nspec, 1), t)

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracwave import noise
-from fracwave.errors import DomainError, ResourceLimitError
+from fracwave.errors import DomainError
 from fracwave.noise import (
     NoiseSpec,
     coarsen,
@@ -135,9 +137,56 @@ def test_spec_validation():
 
 
 def test_resource_cap(monkeypatch):
+    """A noise matrix above the entry cap is rejected when its spec is built,
+    before `generate` could draw it."""
     monkeypatch.setattr(noise, "_DEFAULT_ENTRY_CAP", 10_000)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(DomainError, match="cap"):
         generate(_spec(k=1000, n=1000), 0)
+
+
+def test_one_patch_of_the_cap_governs_every_cap(monkeypatch):
+    """noise._DEFAULT_ENTRY_CAP bounds the noise matrix, the mode products,
+    the dense mesh, the sample array and the stiffness series: at the cap
+    each passes, one entry above it each is a DomainError naming the cap."""
+    from fracwave import experiments, fem
+    from fracwave.spectral import FracOrders
+
+    monkeypatch.setattr(noise, "_DEFAULT_ENTRY_CAP", 100)
+
+    def config(k_modes, h):
+        return experiments.ExperimentConfig(m_traj=1, base_seed=0, n_fine=5, k_modes=k_modes,
+                                            n_cutoff=k_modes, h_list=(h,))
+
+    orders = [FracOrders(1.5, 0.75)] * 2
+    at_cap = [lambda: _spec(k=10, n=10),
+              lambda: config(10, 1 / 11).meshes(),
+              lambda: fem.FemMesh(10),
+              lambda: experiments._require_sweep("sweep", 50, orders, "grid", [1.0]),
+              lambda: fem.fractional_stiffness(fem.FemMesh(3), 0.8, 100)]
+    above = [lambda: _spec(k=10, n=11),
+             lambda: config(11, 1 / 11).meshes(),
+             lambda: fem.FemMesh(11),
+             lambda: experiments._require_sweep("sweep", 51, orders, "grid", [1.0]),
+             lambda: fem.fractional_stiffness(fem.FemMesh(3), 0.8, 101)]
+    for ok, bad in zip(at_cap, above):
+        ok()
+        with pytest.raises(DomainError, match="cap of 100"):
+            bad()
+
+
+@pytest.mark.parametrize("step, span, n", [(0.1, 1.0, 10), (1 / 3, 1.0, 3), (0.25, 0.75, 3),
+                                           (1.0, 1.0, 1), (0.01 * (1 + 5e-10), 1.0, 100)])
+def test_step_count(step, span, n):
+    assert noise._step_count("step", step, span) == n
+
+
+@pytest.mark.parametrize("step, span", [(math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0),
+                                        (-0.1, 1.0), (0.3, 1.0), (2.0, 1.0), (1e-320, 1.0),
+                                        (0.01 * (1 + 2e-9), 1.0), (0.1, math.nan),
+                                        (0.1, -1.0), (0.1, 0.0)])
+def test_step_count_rejects(step, span):
+    with pytest.raises(DomainError, match="^what: "):
+        noise._step_count("what", step, span)
 
 
 def test_sigma_matrix_truncation():

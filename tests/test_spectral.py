@@ -246,6 +246,17 @@ def test_reference_solution_trivial_cases():
         reference_solution(orders, v1, v2, spec, zero_paths, 0.33)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -0.125, 0.33, 1.125])
+def test_reference_solution_off_grid_time_is_domain_error(t):
+    """A time that is NaN, infinite, zero, negative, off the dt = 1/8 grid or
+    past its horizon is a DomainError that names t (`_grid_index`)."""
+    orders = FracOrders(1.5, 0.75)
+    spec = NoiseSpec(sigma=inverse_cubic_sigma, n_cutoff=6, K_modes=6, T=1.0, N_fine=8)
+    paths = _manual_paths(np.zeros((6, 8)), 0.125)
+    with pytest.raises(DomainError, match=f"t = {t}"):
+        reference_solution(orders, parabola_coeffs(6), ramp_coeffs(6), spec, paths, t)
+
+
 def test_regularized_solution_regularity_bounded_across_seeds():
     # E|u_n(t)|_{2 beta}^2 stays bounded at fixed dt: the convolution decays
     # fast enough in the mode index that the weighted norm is finite
