@@ -20,6 +20,7 @@ import contextlib
 import math
 import os
 import re
+import reprlib
 import sys
 
 # One BLAS thread in every process, set before numpy loads.  --threads is the
@@ -125,7 +126,8 @@ def _typed(key: str, value, default):
     """value, if it has default's TOML type: an integer takes an integer only,
     a float an integer or a float, an array a list of numbers.  A boolean is
     not a number, and a float setting takes no integer beyond the float
-    range."""
+    range.  The error echoes the value shortened by `reprlib`, so a long
+    integer or array does not flood the error line."""
     with contextlib.suppress(OverflowError):  # float() of such an integer
         if isinstance(default, tuple):
             if type(value) is list and all(type(x) in (int, float) for x in value):
@@ -135,7 +137,7 @@ def _typed(key: str, value, default):
                 return float(value)
         elif type(value) is int:
             return value
-    raise DomainError(f"config {key}: expected {_toml_type(default)}, got {value!r}")
+    raise DomainError(f"config {key}: expected {_toml_type(default)}, got {reprlib.repr(value)}")
 
 
 def _settings(args) -> dict:

@@ -19,11 +19,12 @@ of the rest to every sample: a control variate with a known mean, so the
 estimate stays unbiased.
 
 Each run forks at most one pool (`_pool`).  Only indices, per-trajectory
-or per-batch errors and the modeling error's per-mode exact means cross
-its pipes: the Galerkin workers inherit the FEM products built before the
-fork, and the modeling-error workers write the weight grids in place to
-anonymous shared mappings made before the fork, then compute the means
-and run the batches on them.
+or per-batch errors and the modeling error's drawn-mode counts and tails
+cross its pipes: the Galerkin workers inherit the FEM products built
+before the fork, and a modeling-error worker builds one alpha's weight
+grids and exact means, writes only the rows the batches read to
+anonymous shared mappings made before the fork, and then runs batches on
+them.
 """
 
 from __future__ import annotations
@@ -126,8 +127,12 @@ class ExperimentConfig:
         exists: each width is 1/(N+1) to 1e-9 relative (`noise._step_count`)
         with N >= 1, its N x N dense matrices (`FemMesh`) and its k_modes x N
         mode products fit the entry cap, and no two widths give one mesh."""
-        meshes = [FemMesh(_step_count("ExperimentConfig: h_list width", h) - 1)
-                  for h in self.h_list]
+        meshes = []
+        for h in self.h_list:
+            n = _step_count("ExperimentConfig: h_list width", h)
+            if n < 2:
+                raise DomainError(f"ExperimentConfig: h_list width {h} leaves no interior node")
+            meshes.append(FemMesh(n - 1))
         for mesh in meshes:
             _check_entries("ExperimentConfig: mode products", self.k_modes, mesh.n_interior)
         if len(set(meshes)) < len(meshes):
@@ -277,65 +282,76 @@ def _shared_array(shape) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64).reshape(shape)
 
 
+def _alpha_grids(cfg: ExperimentConfig, orders: FracOrders, rule: str) -> list:
+    """[w_ref, *w_coarse]: the full K x n_steps weight grids of one entry of
+    a table-1 sweep, the fine left-rule grid and then the rule grid of each
+    step of cfg.dt_list, each one `convolution_weights` call.  The fine grid
+    comes first, so its kernel scratch, the largest, meets no finished grid
+    of its alpha."""
+    spec = cfg.noise_spec()
+    return [convolution_weights(orders, spec, cfg.dt_fine, cfg.n_fine, "left", False),
+            *(convolution_weights(orders, spec, dt, cfg.coarse_steps(dt)[0], rule, True)
+              for dt in cfg.dt_list)]
+
+
 def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int, firsts=()):
-    """(w_ref, w_coarse, errors): per entry of orders the fine left-rule grid
-    and the coarse grids, then the `_modeling_traj` errors of the batch that
-    starts at each trajectory index in firsts.
+    """(w_ref, w_coarse, kept, tails, errors): per entry a of orders, rows
+    1..kept[a] of its fine left-rule grid and of its coarse grids, the
+    drawn modes and exact tails of `_kept_modes`, then the `_modeling_traj`
+    errors of the batch that starts at each trajectory index in firsts.
 
     Before any grid or pool, each step of cfg.dt_list is checked
     (`ExperimentConfig.coarse_steps`), and no two may give the same number
     of steps: the row would be computed twice, with no rate between.
 
-    Three phases run on one `_pool` of min(n_workers, cores, largest phase)
-    workers: the grids, the exact per-mode means (`_mode_means`, one task
-    per `_MODE_BLOCK` modes) and the batches.  Between the last two, the
-    parent chooses each alpha's drawn modes and exact tails from the means
-    (`_kept_modes`) and hands them to every batch.  Each grid is one
-    `convolution_weights` call, the one a serial run makes, so the weights
-    are the same bits at any worker count.  On more than one worker every
-    grid is a `_shared_array` made before the fork: its grid task writes it
-    in place and returns None, and each means chunk and batch reads it
-    there, so only indices, means, drawn modes, tails and per-batch errors
-    cross the pipes; the parent never reads the grids.  On one worker the
-    grids are the plain arrays of the calls.  The fine grids come first:
-    the kernel scratch of the largest grids then meets the fewest finished
-    grids.
+    Two phases run on one `_pool` of min(n_workers, cores, largest phase)
+    workers: one task per alpha, then the batches.  An alpha task builds
+    that alpha's grids (`_alpha_grids`), so the weights are the same bits at
+    any worker count; it computes the alpha's exact per-mode means
+    (`_mode_means`) and from them its drawn modes K* and tails, keeps rows
+    1..K* of each grid and returns (K*, tails).  The parent hands every
+    alpha's cut to every batch, which reads the kept rows alone.  On one
+    worker the kept rows are copies, made grid by grid as each full grid
+    goes, or the grid itself when every row is kept.  On more workers each
+    grid is a full-size `_shared_array` made before the fork: its alpha task
+    writes the kept rows there and no other, so pages past them are never
+    touched, and only indices, cuts and per-batch errors cross the pipes;
+    the parent never reads the grids.
     """
     steps = [cfg.coarse_steps(dt)[0] for dt in cfg.dt_list]
     if len(set(steps)) < len(steps):
         raise DomainError(f"ExperimentConfig: two dt_list entries give one grid {steps}")
     factors = [cfg.n_fine // s for s in steps]
-    spec = cfg.noise_spec()
-    jobs = [(o, spec, cfg.dt_fine, cfg.n_fine, "left", False) for o in orders]
-    jobs += [(o, spec, dt, s, rule, True) for o in orders for dt, s in zip(cfg.dt_list, steps)]
-    chunks = range(0, spec.K_modes, _MODE_BLOCK)
-    n_workers = _pool_size(n_workers, max(len(jobs), len(chunks), len(firsts)))
+    spec, k_modes = cfg.noise_spec(), cfg.k_modes
+    n_workers = _pool_size(n_workers, max(len(orders), len(firsts)))
     shared = n_workers > 1
-    grids = [_shared_array((spec.K_modes, n_steps)) if shared else None
-             for _, _, _, n_steps, _, _ in jobs]
-    n, n_dt = len(orders), len(cfg.dt_list)
+    grids = [[_shared_array((k_modes, n)) for n in (cfg.n_fine, *steps)] if shared else None
+             for _ in orders]
 
-    def split():
-        return grids[:n], [grids[n + a * n_dt : n + (a + 1) * n_dt] for a in range(n)]
+    def split(kept):
+        rows = [[g[:k] for g in gs] for gs, k in zip(grids, kept)]
+        return [r[0] for r in rows], [r[1:] for r in rows]
 
     def task(item):
-        phase, i, *cut = item
-        if phase == "means":
-            hi = min(i + _MODE_BLOCK, spec.K_modes)
-            return _mode_means(cfg.dt_fine, factors, *split(), i, hi)
-        if phase == "batch":
-            return _modeling_traj(spec, cfg.base_seed, cfg.m_traj, factors, *split(), *cut, i)
-        w = convolution_weights(*jobs[i])
-        if shared:
-            grids[i][...] = w  # seen by the parent and every worker
-        else:
-            grids[i] = w  # in this process: no copy
+        i, *cut = item
+        if cut:  # the batch that starts at trajectory i
+            return _modeling_traj(spec, cfg.base_seed, cfg.m_traj, factors, *split(cut[0]), *cut, i)
+        full = _alpha_grids(cfg, orders[i], rule)
+        (k,), tails = _kept_modes(_mode_means(cfg.dt_fine, factors, full)[:, None])
+        for g, w in enumerate(full):
+            if shared:
+                grids[i][g][:k] = w[:k]  # seen by the parent and every worker
+            elif k < k_modes:
+                full[g] = w[:k].copy()  # the full grid goes with the next w
+        if not shared:
+            grids[i] = full  # in this process
+        return k, tails[0]
 
     with _pool(task, n_workers) as run:
-        run([("grid", i) for i in range(len(jobs))])
-        cut = _kept_modes(np.concatenate(run([("means", lo) for lo in chunks])))
-        errors = run([("batch", first, *cut) for first in firsts])
-    return (*split(), errors)
+        cuts = run([(a,) for a in range(len(orders))])
+        kept, tails = tuple(k for k, _ in cuts), np.array([t for _, t in cuts])
+        errors = run([(first, kept, tails) for first in firsts])
+    return (*split(kept), kept, tails, errors)
 
 
 #: Trajectories per batch of a modeling-error run: batch q holds trajectories
@@ -364,22 +380,24 @@ def _block_shape(k_modes: int, batch: int, n_dt: int) -> tuple[int, int, int]:
     return modes, min(batch, k_modes // modes), min(n_dt, k_modes // modes)
 
 
-def _mode_means(dt_fine: float, factors: list, w_ref: list, w_coarse: list,
-                lo: int, hi: int) -> np.ndarray:
-    """Exact means of modes lo + 1..hi of the squared modeling error, shape
-    (hi - lo, n_alpha, n_dt).
+def _mode_means(dt_fine: float, factors: list, grids: list) -> np.ndarray:
+    """Exact means of every mode of one alpha's squared modeling error, shape
+    (K, n_dt), from its full grids [w_ref, *w_coarse] (`_alpha_grids`).
 
-    Mode k's error in column (a, j) is sum_i D[k, i] xi[k, i], with D as in
+    Mode k's error in column j is sum_i D[k, i] xi[k, i], with D as in
     `_modeling_traj` and independent xi ~ N(0, dt_fine), so its mean is
     m_k = dt_fine ||D_k||^2.  The errors of different modes are independent
     centred normals, so a sample's mean is sum_k m_k and its variance
-    2 sum_k m_k^2.  D is built from the grids, rows lo..hi - 1 only.
+    2 sum_k m_k^2.  D is built `_MODE_BLOCK` rows at a time, so its scratch
+    stays at one block.
     """
-    out = np.empty((hi - lo, len(w_ref), len(factors)))
-    for a, wr in enumerate(w_ref):
+    w_ref = grids[0]
+    out = np.empty((w_ref.shape[0], len(factors)))
+    for lo in range(0, w_ref.shape[0], _MODE_BLOCK):
+        rows = slice(lo, lo + _MODE_BLOCK)
         for j, f in enumerate(factors):
-            d = wr[lo:hi] - np.repeat(w_coarse[a][j][lo:hi], f, axis=1)
-            out[:, a, j] = np.einsum("ki,ki->k", d, d)
+            d = w_ref[rows] - np.repeat(grids[1 + j][rows], f, axis=1)
+            out[rows, j] = np.einsum("ki,ki->k", d, d)
     return dt_fine * out
 
 
@@ -460,11 +478,11 @@ def modeling_error_samples(cfg: ExperimentConfig, orders, rule: str = "exact",
 
     One noise draw per trajectory feeds every column and every coarse grid,
     so all comparisons are coupled to the same Brownian paths.  The weight
-    grids and then the batches of `_BATCH` trajectories run on one pool of
-    at most n_workers workers (`_modeling_weights`).
+    grids of each alpha and then the batches of `_BATCH` trajectories run
+    on one pool of at most n_workers workers (`_modeling_weights`).
     """
     _require_sweep("modeling_error_samples", cfg.m_traj, orders, "dt_list", cfg.dt_list)
-    errors = _modeling_weights(cfg, orders, rule, n_workers, range(0, cfg.m_traj, _BATCH))[2]
+    errors = _modeling_weights(cfg, orders, rule, n_workers, range(0, cfg.m_traj, _BATCH))[-1]
     return np.concatenate(errors, axis=0)
 
 

@@ -285,13 +285,22 @@ def modeling_traj_longdouble(spec, factors, w_ref, w_coarse, kept, seed: int):
     return errors, spreads
 
 
+def full_grids_and_means(cfg, orders, rule: str = "exact"):
+    """(factors, w_ref, w_coarse, means): the coarsening factors of cfg, the
+    package's full weight grids of each entry of orders (`_alpha_grids`)
+    and the exact means of all their modes, (K, len(orders), n_dt), from
+    `_mode_means`."""
+    factors = [cfg.coarse_steps(dt)[1] for dt in cfg.dt_list]
+    grids = [experiments._alpha_grids(cfg, o, rule) for o in orders]
+    means = np.stack([experiments._mode_means(cfg.dt_fine, factors, g) for g in grids], axis=1)
+    return factors, [g[0] for g in grids], [g[1:] for g in grids], means
+
+
 def modeling_oracle(cfg, orders, rule: str):
     """`modeling_traj_longdouble` of every trajectory of cfg, from the package's
-    weight grids and its choice of kept modes (`_kept_modes`): (errors,
+    full weight grids and its choice of kept modes (`_kept_modes`): (errors,
     spreads), each (m_traj, len(orders), n_dt)."""
-    w_ref, w_coarse, _ = experiments._modeling_weights(cfg, orders, rule, 1)
-    factors = [cfg.coarse_steps(dt)[1] for dt in cfg.dt_list]
-    means = experiments._mode_means(cfg.dt_fine, factors, w_ref, w_coarse, 0, cfg.k_modes)
+    factors, w_ref, w_coarse, means = full_grids_and_means(cfg, orders, rule)
     kept, _ = experiments._kept_modes(means)
     pairs = [modeling_traj_longdouble(cfg.noise_spec(), factors, w_ref, w_coarse, kept,
                                       noise.trajectory_seed(cfg.base_seed, l))

@@ -8,9 +8,9 @@ and, to a stated tolerance, against the library solvers.
 import numpy as np
 import pytest
 
-from fracwave import mittag_leffler
-from fracwave.experiments import (ExperimentConfig, _modeling_weights, fem_error_samples,
-                                  modeling_error_samples)
+from fracwave import experiments, mittag_leffler
+from fracwave.experiments import (ExperimentConfig, _alpha_grids, _modeling_weights,
+                                  fem_error_samples, modeling_error_samples)
 from fracwave.fem import (_ALIAS_BLOCK, FemMesh, _alias_class_sums, discrete_spectrum,
                           fem_solution, l2_error_cross, sine_products)
 from fracwave.mittag_leffler import (
@@ -307,17 +307,16 @@ def test_all_negative_zero_terms_sum_to_positive_zero(monkeypatch):
 
 def test_modeling_weights_match_bucketed_oracle(monkeypatch):
     cfg = _modeling_cfg(200, 200, 1)
-    fast = _modeling_weights(cfg, ORDERS, "exact", 1)
+    fast = [_alpha_grids(cfg, o, "exact") for o in ORDERS]
     calls = []
     # kernel_weights passes its 2-D grid; the oracle takes flat arguments
     monkeypatch.setattr(mittag_leffler, "ml_values", lambda a, b, z: calls.append(a)
                         or ml_values_bucketed(a, b, z.ravel()).reshape(z.shape))
-    slow = _modeling_weights(cfg, ORDERS, "exact", 1)
+    slow = [_alpha_grids(cfg, o, "exact") for o in ORDERS]
     assert len(calls) == len(ORDERS) * (1 + len(cfg.dt_list))
-    for w1, w2 in zip(fast[0], slow[0]):
-        assert np.array_equal(w1, w2)
-    for per_dt1, per_dt2 in zip(fast[1], slow[1]):
-        for w1, w2 in zip(per_dt1, per_dt2):
+    for per_alpha1, per_alpha2 in zip(fast, slow):
+        assert len(per_alpha1) == len(per_alpha2) == 1 + len(cfg.dt_list)
+        for w1, w2 in zip(per_alpha1, per_alpha2):
             assert np.array_equal(w1, w2)
 
 
@@ -372,16 +371,22 @@ def test_modeling_traj_matches_unblocked_at_1000_steps(rule, seed):
     _assert_matches_longdouble(_modeling_cfg(128, 100, seed, n_fine=1000), rule)
 
 
-def test_modeling_weights_independent_of_workers():
+def test_modeling_weights_independent_of_workers(monkeypatch):
+    """The grid rows a run retains, and the cut it draws, are the same bits
+    on one worker and on two, and equal rows 1..K* of the full grids."""
+    monkeypatch.setattr(experiments, "_cores", lambda: 2)
     cfg = _modeling_cfg(100, 57, 1)
     serial = _modeling_weights(cfg, ORDERS, "exact", 1)
     pooled = _modeling_weights(cfg, ORDERS, "exact", 2)
-    for w1, w2 in zip(serial[0], pooled[0]):
-        assert np.array_equal(w1, w2)
-    for per_dt1, per_dt2 in zip(serial[1], pooled[1]):
-        assert len(per_dt1) == len(per_dt2) == len(cfg.dt_list)
-        for w1, w2 in zip(per_dt1, per_dt2):
-            assert np.array_equal(w1, w2)
+    assert serial[2] == pooled[2] and np.array_equal(serial[3], pooled[3])
+    assert any(k < cfg.k_modes for k in serial[2])
+    for a, (o, k) in enumerate(zip(ORDERS, serial[2])):
+        full = _alpha_grids(cfg, o, "exact")
+        for run in (serial, pooled):
+            rows = [run[0][a], *run[1][a]]
+            assert len(rows) == len(full) == 1 + len(cfg.dt_list)
+            for w, want in zip(rows, full):
+                assert np.array_equal(w, want[:k])
 
 
 @pytest.mark.parametrize("rule", ("exact", "left"))

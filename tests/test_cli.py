@@ -300,19 +300,42 @@ def test_table2_dt_not_1_over_n_names_config_dt(tmp_path, capsys, monkeypatch, d
 
 
 @pytest.mark.parametrize("command", ["table1", "table2"])
-@pytest.mark.parametrize("key, value", [("dt", "1" + "0" * 400),
-                                        ("alpha_list", "[1.5, 1" + "0" * 400 + "]")],
-                         ids=["scalar", "array"])
+@pytest.mark.parametrize("key, value", [
+    ("dt", "1" + "0" * 400),
+    ("alpha_list", "[1.5, 1" + "0" * 400 + "]"),
+    ("alpha_list", "[" + "1.5, " * 9999 + "1" + "0" * 400 + "]"),
+], ids=["scalar", "array", "long-array"])
 def test_float_setting_beyond_float_range_exits_2(tmp_path, capsys, command, key, value):
     """An integer too large for a float, given to a float setting, is a
-    value of the wrong type, not an OverflowError traceback."""
+    value of the wrong type, not an OverflowError traceback.  The error is
+    one line under 200 characters, whether the value is a 401-digit integer
+    or an array of 10^4 entries."""
     cfg = tmp_path / "big.cfg"
     cfg.write_text(f"{key} = {value}\n")
     out = tmp_path / "never"
     code, _, err = run([command, "--config", str(cfg), "--out", str(out)], capsys)
     assert code == 2
     assert err.startswith(f"error: config {key}: expected ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and len(err) < 200, err[:300]
     assert not out.exists()
+
+
+def test_mesh_width_one_names_h_list_before_any_mesh(tmp_path, capsys, monkeypatch):
+    """h = 1.0 is one step of [0, 1] but leaves no interior node: exit 2 with
+    an error that names h_list and the width, before any `FemMesh` or other
+    work."""
+    from fracwave import experiments
+
+    calls = []
+    _record_first_work(monkeypatch, "fem_error_tables", calls)
+    monkeypatch.setattr(experiments, "FemMesh", lambda n: calls.append(("FemMesh", n)))
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("h_list = [1.0]\n")
+    out = tmp_path / "never"
+    code, _, err = run(["table2", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error: ExperimentConfig: h_list width 1.0 leaves no interior node")
+    assert calls == [] and not out.exists()
 
 
 @pytest.mark.parametrize("command, target, line, key", [

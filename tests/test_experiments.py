@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import pickle
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from fracwave.experiments import (
 from fracwave.noise import generate, trajectory_seed
 from fracwave.spectral import FracOrders
 
-from oracles import LONGDOUBLE_EXTENDED, modeling_oracle
+from oracles import LONGDOUBLE_EXTENDED, full_grids_and_means, modeling_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -258,25 +259,30 @@ def test_pool_map_caps_workers_without_starting_processes(monkeypatch):
     assert calls[-1] == (2, abs)
 
     # table 1: one pool per run, of min(n_workers, cores, largest phase)
-    # workers; its grid tasks write the shared grids and return None, its
-    # means tasks return the exact means of consecutive chunks of modes, and
-    # its batch tasks return the errors, equal to a serial run's
+    # workers; its alpha tasks write the kept rows of their shared grids and
+    # return that alpha's drawn modes and tails, and its batch tasks return
+    # the errors, equal to a serial run's
     monkeypatch.setattr(experiments, "_cores", lambda: 64)
-    n_grids = 1 + 3  # the fine grid and the three coarse grids of _cfg
-    for m_traj, n_workers, size in ((1, 10**5, n_grids), (6 * 32, 10**5, 6), (6 * 32, 3, 3)):
+    orders = [ORDERS, FracOrders(2.0, 0.75)]
+    for m_traj, n_workers, size in ((1, 10**5, 2), (6 * 32, 10**5, 6), (6 * 32, 3, 3)):
         calls.clear()
         results.clear()
         cfg = _cfg(m_traj=m_traj)
-        samples = modeling_error_samples(cfg, [ORDERS], n_workers=n_workers)
+        samples = modeling_error_samples(cfg, orders, n_workers=n_workers)
         assert len(calls) == 1 and calls[0][0] == size
-        grids, means, batches = results
-        assert grids == [None] * n_grids
-        assert [m.shape[1:] for m in means] == [(1, 3)] * len(means)
-        assert sum(m.shape[0] for m in means) == cfg.k_modes
-        assert [b.shape for b in batches] == [(min(32, m_traj), 1, 3)] * -(-m_traj // 32)
+        cuts, batches = results
+        kept, tails = experiments._kept_modes(full_grids_and_means(cfg, orders)[3])
+        assert [k for k, _ in cuts] == list(kept)
+        assert np.array_equal([t for _, t in cuts], tails)
+        assert [b.shape for b in batches] == [(min(32, m_traj), 2, 3)] * -(-m_traj // 32)
         calls.clear()
-        np.testing.assert_array_equal(samples, modeling_error_samples(cfg, [ORDERS]))
+        np.testing.assert_array_equal(samples, modeling_error_samples(cfg, orders))
         assert calls == []
+    # a one-alpha sweep builds its grids on one worker, and its batches run on more
+    calls.clear()
+    results.clear()
+    modeling_error_samples(_cfg(m_traj=2 * 32), [ORDERS], n_workers=10**5)
+    assert calls[0][0] == 2 and [len(r) for r in results] == [1, 2]
 
 
 def test_cores_counts_the_cpu_affinity(monkeypatch):
@@ -343,22 +349,13 @@ def test_pool_task_domain_error_reaches_the_caller(monkeypatch, target, pos, bad
     assert multiprocessing.active_children() == []
 
 
-def _grids_and_means(cfg, orders, rule="exact"):
-    """(factors, w_ref, w_coarse, means): the grids of cfg and the exact
-    means of all its modes, (K, len(orders), n_dt), from `_mode_means`."""
-    w_ref, w_coarse, _ = experiments._modeling_weights(cfg, orders, rule, 1)
-    factors = [cfg.coarse_steps(dt)[1] for dt in cfg.dt_list]
-    means = experiments._mode_means(cfg.dt_fine, factors, w_ref, w_coarse, 0, cfg.k_modes)
-    return factors, w_ref, w_coarse, means
-
-
 @pytest.mark.parametrize("alpha", (1.1, 1.5, 2.0))
 def test_modeling_means_match_exact_means(alpha):
     """Monte Carlo means of table 1's squared errors against their exact
     means: sum_k m_k, with variance 2 sum_k m_k^2 (`_mode_means`)."""
     m_traj = 200
     orders = [FracOrders(alpha, 0.75)]
-    per_mode = _grids_and_means(_cfg(), orders)[3][:, 0]
+    per_mode = full_grids_and_means(_cfg(), orders)[3][:, 0]
     se = np.sqrt(2.0 * np.square(per_mode).sum(axis=0) / m_traj)
     for seed in (1, 2, 3):
         cfg = _cfg(m_traj=m_traj, base_seed=seed)
@@ -381,7 +378,8 @@ def test_mode_means_match_bench_exact_moments():
              "dt_list": [1 / 10, 1 / 20, 1 / 40]}
     cfg = _cfg(dt_list=tuple(knobs["dt_list"]))
     assert (cfg.k_modes, cfg.n_cutoff, cfg.n_fine) == (64, 64, 200)
-    means = _grids_and_means(cfg, [FracOrders(a, knobs["beta"]) for a in knobs["alpha_list"]])[3]
+    orders = [FracOrders(a, knobs["beta"]) for a in knobs["alpha_list"]]
+    means = full_grids_and_means(cfg, orders)[3]
     want = _bench_exact().exact_moments(knobs)
     for a, alpha in enumerate(knobs["alpha_list"]):
         got = np.stack([means[:, a].sum(axis=0), 2.0 * np.square(means[:, a]).sum(axis=0)], axis=1)
@@ -412,7 +410,7 @@ def test_kept_modes_are_cut_in_the_long_double_gates():
     for k_modes, n_cutoff in ((37, 37), (64, 64), (100, 100), (100, 57)):
         for rule in ("exact", "left"):
             cfg = _cfg(m_traj=3, k_modes=k_modes, n_cutoff=n_cutoff, dt_list=dts)
-            k_star, tails = experiments._kept_modes(_grids_and_means(cfg, orders, rule)[3])
+            k_star, tails = experiments._kept_modes(full_grids_and_means(cfg, orders, rule)[3])
             mb = experiments._block_shape(k_modes, cfg.m_traj, len(dts))[0]
             kept += [(k, k_modes, mb) for k in k_star]
             assert all(1 <= k <= k_modes for k in k_star)
@@ -421,15 +419,48 @@ def test_kept_modes_are_cut_in_the_long_double_gates():
     assert any(k < k_modes and k % mb for k, k_modes, mb in kept)
 
 
-def test_kept_modes_at_the_paper_shapes():
+def test_kept_modes_at_the_paper_shapes(monkeypatch):
     """At the paper's shapes each alpha keeps its own K* within the tail
     share, and the tables of seeds 1 and 9 at m_traj 1 and 40 lie within
-    1e-13 relative of a run that draws all 1000 modes."""
+    1e-13 relative of a run that draws all 1000 modes.
+
+    A one-worker run at m_traj 1 retains rows 1..K* of each grid alone, the
+    same bits as the full grid's, and its traced peak stays below 60% of the
+    bytes of all 30 full grids (a set-up that held every full grid peaked at
+    103%).  At 2 workers, K*, the tails, the retained rows and the errors
+    equal the serial run's.
+    """
     cfg = ExperimentConfig(m_traj=40, base_seed=1)
     orders = [FracOrders(a, 0.75) for a in (1.1, 1.25, 1.5, 1.75, 2.0)]
-    factors, w_ref, w_coarse, means = _grids_and_means(cfg, orders)
+    one = ExperimentConfig(m_traj=1, base_seed=1)
+    runs, real = [], experiments._modeling_weights
+    monkeypatch.setattr(experiments, "_modeling_weights",
+                        lambda *a: runs.append(real(*a)) or runs[-1])
+    monkeypatch.setattr(experiments, "_cores", lambda: 2)
+    tracemalloc.start()
+    try:
+        serial = modeling_error_samples(one, orders, "exact", 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    factors, w_ref, w_coarse, means = full_grids_and_means(cfg, orders)
+    full_bytes = sum(w.nbytes for a in range(len(orders)) for w in (w_ref[a], *w_coarse[a]))
+    assert full_bytes == 8 * 1000 * (1000 + 500) * len(orders)
+    assert peak < 0.6 * full_bytes, peak / full_bytes
     kept, tails = experiments._kept_modes(means)
     assert kept == (237, 232, 295, 257, 468)
+    assert np.array_equal(serial, modeling_error_samples(one, orders, "exact", 2))
+    (ref_rows, coarse_rows, *cut, errors), pooled = runs
+    assert cut[0] == pooled[2] == kept
+    assert np.array_equal(cut[1], tails) and np.array_equal(pooled[3], tails)
+    assert all(np.array_equal(e, p) for e, p in zip(errors, pooled[4]))
+    for a, k in enumerate(kept):
+        retained = [ref_rows[a], *coarse_rows[a]]
+        assert len(retained) == 1 + len(cfg.dt_list)
+        for got, full, shared in zip(retained, (w_ref[a], *w_coarse[a]),
+                                     (pooled[0][a], *pooled[1][a])):
+            assert got.shape == (k, full.shape[1])
+            assert np.array_equal(got, full[:k]) and np.array_equal(shared, got)
     assert (tails <= experiments._TAIL_SHARE * means.sum(axis=0)).all() and (tails > 0).all()
     full = ((cfg.k_modes,) * len(orders), np.zeros_like(tails))
     one = [experiments._modeling_traj(cfg.noise_spec(), 1, 1, factors, w_ref, w_coarse, kept, t, 0)
@@ -500,7 +531,7 @@ def test_rectangle_rule_degeneration_is_exact_zero():
     samples = modeling_error_samples(cfg, [ORDERS], rule="left")
     assert samples.shape == (5, 1, 1)
     assert (samples == 0.0).all() and not np.signbit(samples).any()
-    kept, tails = experiments._kept_modes(_grids_and_means(cfg, [ORDERS], "left")[3])
+    kept, tails = experiments._kept_modes(full_grids_and_means(cfg, [ORDERS], "left")[3])
     assert kept == (1,) and not tails.any()
     # beside a coarser column the zero column does not count, and stays zero
     cfg = _cfg(m_traj=5, n_fine=100, dt_list=(1 / 50, 1 / 100))
@@ -587,7 +618,7 @@ def test_modeling_column_bytes_independent_of_sweep(k_modes, dt_list, m_trajs):
     o15, o20 = FracOrders(1.5, 0.75), FracOrders(2.0, 0.75)
     if k_modes == 400:
         cfg = _cfg(k_modes=k_modes, n_cutoff=k_modes, dt_list=dt_list)
-        assert experiments._kept_modes(_grids_and_means(cfg, [o15, o20])[3])[0] == (158, 350)
+        assert experiments._kept_modes(full_grids_and_means(cfg, [o15, o20])[3])[0] == (158, 350)
     for m_traj in m_trajs:
         cfg = _cfg(m_traj=m_traj, k_modes=k_modes, n_cutoff=k_modes, dt_list=dt_list)
         both = modeling_error_samples(cfg, [o15, o20])
