@@ -109,10 +109,14 @@ def _table_file(stem: str, value: float) -> str:
 
 def _sweep(key: str, stem: str, values: tuple[float, ...]) -> tuple[float, ...]:
     """values, unless two of them name the same table file and so would be
-    computed twice and written once."""
-    names = [_table_file(stem, v) for v in values]
-    if len(set(names)) < len(names):
-        raise DomainError(f"config {key}: {values} gives two tables the same file name")
+    computed twice and written once.  The error names that file and echoes
+    the values shortened by `reprlib`."""
+    names = set()
+    for name in (_table_file(stem, v) for v in values):
+        if name in names:
+            raise DomainError(f"config {key}: {reprlib.repr(values)} gives two tables the "
+                              f"file name {name}")
+        names.add(name)
     return values
 
 

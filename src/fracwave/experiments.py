@@ -34,6 +34,7 @@ import functools
 import math
 import multiprocessing
 import os
+import reprlib
 import subprocess
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -41,7 +42,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError
-from .fem import FemMesh, _cross_error_sq, _fem_apply, discrete_spectrum, sine_products
+from .fem import FemMesh, _cross_error_sq, _fem_apply, discrete_spectra, sine_products
 from .mittag_leffler import ml_values
 from .noise import (NoiseSpec, _check_entries, _ModeStreams, _step_count, generate,
                     inverse_cubic_sigma, trajectory_seed)
@@ -107,7 +108,8 @@ class ExperimentConfig:
         if self.m_traj < 1:
             raise DomainError("ExperimentConfig: m_traj must be >= 1")
         if not 0 <= self.base_seed < 1 << 64:
-            raise DomainError(f"ExperimentConfig: seed {self.base_seed} is not in [0, 2^64)")
+            raise DomainError(f"ExperimentConfig: seed {reprlib.repr(self.base_seed)} is not in "
+                              "[0, 2^64)")
         self.noise_spec()  # 1 <= n_cutoff <= k_modes, n_fine >= 1, the noise matrix cap
 
     @property
@@ -122,7 +124,7 @@ class ExperimentConfig:
             raise DomainError(f"coarse grid with dt = {dt} does not nest in the fine grid")
         return steps, self.n_fine // steps
 
-    def meshes(self) -> list[FemMesh]:
+    def meshes(self) -> tuple[FemMesh, ...]:
         """The mesh of each width in h_list, checked before any matrix
         exists: each width is 1/(N+1) to 1e-9 relative (`noise._step_count`)
         with N >= 1, its N x N dense matrices (`FemMesh`) and its k_modes x N
@@ -137,7 +139,7 @@ class ExperimentConfig:
             _check_entries("ExperimentConfig: mode products", self.k_modes, mesh.n_interior)
         if len(set(meshes)) < len(meshes):
             raise DomainError(f"ExperimentConfig: two h_list entries give one mesh {meshes}")
-        return meshes
+        return tuple(meshes)
 
     def noise_spec(self) -> NoiseSpec:
         return NoiseSpec(sigma=inverse_cubic_sigma, n_cutoff=self.n_cutoff,
@@ -548,8 +550,7 @@ def fem_error_samples(cfg: ExperimentConfig, orders, n_workers: int = 1) -> np.n
     columns = []
     for o in orders:
         fem_meshes = []
-        for mesh in meshes:
-            spectrum = discrete_spectrum(mesh, o.beta)
+        for spectrum in discrete_spectra(meshes, o.beta):
             products = sine_products(spectrum, cfg.k_modes)  # (e_k, e_j^h), (K, N)
             lamh = spectrum.eigenvalues
             fem_hom = _homogeneous(o.alpha, lamh, cfg.T, np.einsum("k,kj->j", v1, products),

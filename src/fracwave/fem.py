@@ -11,7 +11,10 @@ aliases to one of the N interior sine vectors (with a sign) whenever
 k != 0, P mod 2P (P = N+1), the series collapses into N alias-class sums:
 the truncated part of every class is accumulated directly and the infinite
 tail is a pair of Hurwitz zeta values, so the assembled matrix carries no
-series-truncation error beyond roundoff.
+series-truncation error beyond roundoff.  The class sums depend on the mesh
+only through the class of each mode, so `discrete_spectra` sums the classes
+of a whole family of meshes in one pass over the series, each class adding
+the same terms in the same order as a pass for its mesh alone.
 
 The discrete solution itself is spectral in the eigenpairs of the pencil
 (A, M): the generalized eigenvectors diagonalize the evolution exactly as
@@ -23,6 +26,7 @@ M-orthonormal eigenvectors V, and both projections are diagonal in them.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +45,7 @@ __all__ = [
     "mass_matrix",
     "fractional_stiffness",
     "discrete_spectrum",
+    "discrete_spectra",
     "eigenvalues_from_series",
     "sine_products",
     "project_l2",
@@ -158,27 +163,37 @@ def _dst_matrix(mesh: FemMesh) -> np.ndarray:
     return np.sin(math.pi * mesh.h * np.outer(m, m))
 
 
-def _alias_class_sums(mesh: FemMesh, beta: float, k_series: int) -> np.ndarray:
-    """sum of k^(2 beta - 4) over k <= k_series in each alias class 1..N.
+def _alias_class_sums(meshes, beta: float, k_series: int) -> list[np.ndarray]:
+    """Per mesh, the sum of k^(2 beta - 4) over k <= k_series in each alias
+    class 1..N, from one pass over the series for all meshes.
 
     Class m holds the modes k = +-m mod 2P, that is k = 2Pj + m and
     2P(j + 1) - m for j = 0, 1, ...; mode k falls in class min(r, 2P - r),
     r = k mod 2P, and the modes k = 0 mod P in the spare classes 0 and P,
-    which are dropped.  Each class is summed sequentially in long double,
-    starting from zero and adding one float64 term k^(2 beta - 4) at a time
-    in ascending k: `np.add.at` is unbuffered and visits the modes of a
-    block in order, so the result does not depend on how they are blocked.
-    The terms are cast to long double first, which keeps `np.add.at` on its
-    fast indexed loop (numpy >= 1.25).
+    which are dropped.  The modes are walked in blocks of `_ALIAS_BLOCK`:
+    each block's terms are computed in float64 and widened to long double
+    once, then scattered once per mesh through its class table, the period
+    tiled and sliced at lo mod 2P.  The tables hold default integers: a
+    narrower type is no faster, and its integer loops are library code that
+    nothing else in a table-2 run touches.  Each class is summed
+    sequentially in long double, starting from zero and adding one float64
+    term at a time in ascending k: `np.add.at` is unbuffered and visits the
+    modes of a block in order, so the result depends neither on the
+    blocking nor on the other meshes.  The long-double terms keep
+    `np.add.at` on its fast indexed loop (numpy >= 1.25).
     """
-    period = 2 * (mesh.n_interior + 1)
-    r = np.arange(1, period + 1) % period
-    cls = np.tile(np.minimum(r, period - r), max(1, _ALIAS_BLOCK // period))
-    sums = np.zeros(period // 2 + 1, dtype=np.longdouble)
-    for lo in range(0, k_series, cls.size):
-        k = np.arange(lo + 1, min(lo + cls.size, k_series) + 1)
-        np.add.at(sums, cls[: k.size], (k ** (2.0 * beta - 4.0)).astype(np.longdouble))
-    return sums[1:-1]
+    classes = []  # (period, class of modes 1, 2, ..., class sums)
+    for mesh in meshes:
+        period = 2 * (mesh.n_interior + 1)
+        r = np.arange(1, period + 1) % period
+        classes.append((period, np.tile(np.minimum(r, period - r), _ALIAS_BLOCK // period + 2),
+                        np.zeros(period // 2 + 1, dtype=np.longdouble)))
+    for lo in range(0, k_series, _ALIAS_BLOCK):
+        k = np.arange(lo + 1, min(lo + _ALIAS_BLOCK, k_series) + 1)
+        terms = (k ** (2.0 * beta - 4.0)).astype(np.longdouble)
+        for period, cls, sums in classes:
+            np.add.at(sums, cls[lo % period :][: k.size], terms)
+    return [sums[1:-1] for _, _, sums in classes]
 
 
 def _alias_tail_sums(mesh: FemMesh, beta: float, k_series: int) -> np.ndarray:
@@ -201,33 +216,58 @@ def fractional_stiffness(mesh: FemMesh, beta: float, k_series: int = DEFAULT_K_S
     N alias classes of the mesh; with tail=True (default) the k > k_series
     remainder of every class is added in closed form, making the matrix
     exact up to roundoff.  k_series is at least 1 and at most the entry cap
-    (`noise._check_entries`).
+    (`noise._check_entries`).  The one-mesh case of `_stiffnesses`.
+    """
+    return next(_stiffnesses([mesh], beta, k_series, tail))
+
+
+def _stiffnesses(meshes, beta: float, k_series: int, tail: bool) -> Iterator[np.ndarray]:
+    """`fractional_stiffness` of each mesh of the sequence meshes, in turn.
+
+    The arguments are checked, and the one `_alias_class_sums` pass over
+    the series is made for every mesh, when this is called; each matrix is
+    assembled only when it is asked for.
     """
     if not (0.0 < beta <= 1.0):
         raise DomainError(f"fractional_stiffness: need 0 < beta <= 1 (got {beta})")
     if k_series < 1:
         raise DomainError(f"fractional_stiffness: k_series must be >= 1 (got {k_series})")
     _check_entries("fractional_stiffness: k_series", k_series)
-    prefac = _alias_setup(mesh, beta)
-    sums = _alias_class_sums(mesh, beta, k_series).astype(float)
+    sums = _alias_class_sums(meshes, beta, k_series)
+    return (_assemble(mesh, beta, k_series, tail, s) for mesh, s in zip(meshes, sums))
+
+
+def _assemble(mesh: FemMesh, beta: float, k_series: int, tail: bool,
+              sums: np.ndarray) -> np.ndarray:
+    """Stiffness matrix of mesh from its alias-class sums (`_alias_class_sums`)."""
+    sums = sums.astype(float)
     if tail:
         sums = sums + _alias_tail_sums(mesh, beta, k_series)
-    w = prefac * sums
+    w = _alias_setup(mesh, beta) * sums
     smat = _dst_matrix(mesh)
     a = (smat * w) @ smat.T
     return 0.5 * (a + a.T)
 
 
-def discrete_spectrum(mesh: FemMesh, beta: float, k_series: int = DEFAULT_K_SERIES,
-                      tail: bool = True) -> DiscreteSpectrum:
-    """Eigenpairs of the generalized problem A c = lam M c, M-orthonormal.
+def discrete_spectra(meshes, beta: float, k_series: int = DEFAULT_K_SERIES,
+                     tail: bool = True) -> Iterator[DiscreteSpectrum]:
+    """`discrete_spectrum` of each mesh of the sequence meshes, in turn, bit
+    for bit, with one pass over the series for them all (`_stiffnesses`).
 
-    The pencil is reduced by the Cholesky factor of the tridiagonal mass
-    matrix and solved densely; eigenvalues come out ascending and simple.
+    The arguments are checked, and the pass is made, when this is called;
+    each mesh's stiffness is assembled and its pencil solved only when its
+    spectrum is asked for.  So a caller that uses each spectrum and drops it
+    holds one mesh's matrices at a time, as with one `discrete_spectrum`
+    call per mesh.
     """
+    stiffnesses = _stiffnesses(meshes, beta, k_series, tail)
+    return (_solve(mesh, beta, k_series, a) for mesh, a in zip(meshes, stiffnesses))
+
+
+def _solve(mesh: FemMesh, beta: float, k_series: int, a: np.ndarray) -> DiscreteSpectrum:
+    """Eigenpairs of the pencil (a, M) on mesh, M-orthonormal (`discrete_spectrum`)."""
     from scipy.linalg import eigh  # LAPACK loads only where used; table 1 never needs it
 
-    a = fractional_stiffness(mesh, beta, k_series, tail=tail)
     m = mass_matrix(mesh)
     lam, vec = eigh(a, m)
     if not (lam > 0.0).all():
@@ -237,6 +277,17 @@ def discrete_spectrum(mesh: FemMesh, beta: float, k_series: int = DEFAULT_K_SERI
     vec[:, flip] *= -1.0
     return DiscreteSpectrum(mesh=mesh, beta=beta, k_series=k_series,
                             eigenvalues=lam, eigenvectors=vec, mass=m, stiffness=a)
+
+
+def discrete_spectrum(mesh: FemMesh, beta: float, k_series: int = DEFAULT_K_SERIES,
+                      tail: bool = True) -> DiscreteSpectrum:
+    """Eigenpairs of the generalized problem A c = lam M c, M-orthonormal.
+
+    The pencil is reduced by the Cholesky factor of the tridiagonal mass
+    matrix and solved densely; eigenvalues come out ascending and simple.
+    The one-mesh case of `discrete_spectra`.
+    """
+    return next(discrete_spectra([mesh], beta, k_series, tail))
 
 
 def eigenvalues_from_series(spectrum: DiscreteSpectrum) -> np.ndarray:

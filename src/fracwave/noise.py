@@ -22,6 +22,7 @@ entries (`_check_entries`).
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,10 +62,12 @@ def _step_count(what: str, step: float, span: float = 1.0) -> int:
 
 def _check_entries(what: str, *dims: int) -> None:
     """A DomainError that names what when an array of shape dims would hold
-    more than `_DEFAULT_ENTRY_CAP` entries, raised before it exists."""
+    more than `_DEFAULT_ENTRY_CAP` entries, raised before it exists.  The
+    error echoes each dimension shortened by `reprlib`, so a long integer
+    does not flood it."""
     if math.prod(dims) > _DEFAULT_ENTRY_CAP:
-        raise DomainError(f"{what}: {' x '.join(map(str, dims))} entries exceed the cap of "
-                          f"{_DEFAULT_ENTRY_CAP}")
+        raise DomainError(f"{what}: {' x '.join(map(reprlib.repr, dims))} entries exceed the "
+                          f"cap of {_DEFAULT_ENTRY_CAP}")
 
 
 def inverse_cubic_sigma(k: np.ndarray, t) -> np.ndarray:
@@ -109,7 +112,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not (1 <= self.n_cutoff <= self.K_modes):
             raise DomainError(
-                f"NoiseSpec: need 1 <= n_cutoff <= K_modes (got {self.n_cutoff}, {self.K_modes})"
+                "NoiseSpec: need 1 <= n_cutoff <= K_modes "
+                f"(got {reprlib.repr(self.n_cutoff)}, {reprlib.repr(self.K_modes)})"
             )
         if not self.T > 0.0:
             raise DomainError("NoiseSpec: horizon T must be positive")
@@ -159,13 +163,16 @@ class _ModeStreams:
     One Philox serves every mode; before each row its state is reset to key
     (seed, k), a zero counter and an empty buffer.  This is bitwise equal to
     drawing from a freshly constructed generator per mode, without paying
-    for a construction per mode.
+    for a construction per mode.  The reset state holds plain ints and
+    lists, which the state setter reads faster than numpy arrays.
     """
 
     def __init__(self, seed: int):
         self._bitgen = np.random.Philox(key=np.array([seed, 1], dtype=np.uint64))
         self._gen = np.random.Generator(self._bitgen)
-        self._fresh = self._bitgen.state  # the setter copies it
+        state = self._bitgen.state
+        self._fresh = {**state, "state": {k: v.tolist() for k, v in state["state"].items()},
+                       "buffer": state["buffer"].tolist()}  # the setter copies it
         self._key = self._fresh["state"]["key"]
 
     def draw(self, first_mode: int, out: np.ndarray, scale: float) -> None:

@@ -11,8 +11,8 @@ import pytest
 from fracwave import experiments, mittag_leffler
 from fracwave.experiments import (ExperimentConfig, _alpha_grids, _modeling_weights,
                                   fem_error_samples, modeling_error_samples)
-from fracwave.fem import (_ALIAS_BLOCK, FemMesh, _alias_class_sums, discrete_spectrum,
-                          fem_solution, l2_error_cross, sine_products)
+from fracwave.fem import (_ALIAS_BLOCK, FemMesh, _alias_class_sums, discrete_spectra,
+                          discrete_spectrum, fem_solution, l2_error_cross, sine_products)
 from fracwave.mittag_leffler import (
     _BLOCK,
     _PW_LEAF,
@@ -46,21 +46,26 @@ BETAS = (0.55, 0.75, 1.0)
 @pytest.mark.parametrize("k_series", (1, 7, "2P-1", "2P", "2P+1"))
 def test_alias_class_sums_short_series(n, beta, k_series):
     """Cutoffs 2P - 1, 2P and 2P + 1 end on either side of the first period,
-    k = 2P, of the P = N + 1 classes."""
+    k = 2P, of the P = N + 1 classes of mesh n.  One call sums the classes
+    of every mesh size, and each mesh's sums are the oracle's."""
     period = 2 * (n + 1)
     k_series = {"2P-1": period - 1, "2P": period, "2P+1": period + 1}.get(k_series, k_series)
-    got = _alias_class_sums(FemMesh(n), beta, k_series)
-    want = alias_class_sums_scatter(n, beta, k_series)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
+    got = _alias_class_sums([FemMesh(m) for m in MESH_SIZES], beta, k_series)
+    assert len(got) == len(MESH_SIZES)
+    for m, sums in zip(MESH_SIZES, got):
+        want = alias_class_sums_scatter(m, beta, k_series)
+        assert sums.dtype == want.dtype
+        assert np.array_equal(sums, want)
 
 
 # Long series: every mesh size with every cutoff, cycling beta so that each
 # (cutoff, beta) pair occurs too.  The cutoffs end inside the first, second
 # and fourth 2^20 modes, which `_alias_class_sums` adds in 16, 17 and 49
-# `np.add.at` calls of whole periods at every mesh size, where the oracle
-# makes 1, 2 and 4 of 2^20 modes; N = 1, with two modes per period, is
-# where a pairwise sum would differ.
+# `np.add.at` calls of `_ALIAS_BLOCK` modes per mesh, each starting at its
+# own offset in the period, where the oracle makes 1, 2 and 4 of 2^20 modes;
+# N = 1, with two modes per period, is where a pairwise sum would differ.
+# Each case makes one call for every mesh size and checks mesh n against
+# the oracle.
 LONG_CUTOFFS = (10**6, (1 << 20) + 12345, 3 * (1 << 20) + 1)
 
 
@@ -69,8 +74,22 @@ LONG_CUTOFFS = (10**6, (1 << 20) + 12345, 3 * (1 << 20) + 1)
 def test_alias_class_sums_long_series(i, n, j, k_series):
     assert max(LONG_CUTOFFS) > 16 * _ALIAS_BLOCK
     beta = BETAS[(i + j) % len(BETAS)]
-    got = _alias_class_sums(FemMesh(n), beta, k_series)
+    got = _alias_class_sums([FemMesh(m) for m in MESH_SIZES], beta, k_series)[i]
     assert np.array_equal(got, alias_class_sums_scatter(n, beta, k_series))
+
+
+@pytest.mark.parametrize("k_series, tail", [(1000, False), (1000, True), (3 * (1 << 20) + 1, True)])
+def test_discrete_spectra_equal_one_mesh_calls(k_series, tail):
+    """The spectra of every mesh size from one series pass are, bit for bit,
+    those of one `discrete_spectrum` call per mesh, N = 1 included."""
+    meshes = [FemMesh(n) for n in MESH_SIZES]
+    got = list(discrete_spectra(meshes, 0.75, k_series, tail))
+    assert len(got) == len(meshes)
+    for mesh, spectrum in zip(meshes, got):
+        want = discrete_spectrum(mesh, 0.75, k_series, tail)
+        assert spectrum.mesh == mesh and spectrum.k_series == k_series
+        for key in ("eigenvalues", "eigenvectors", "mass", "stiffness"):
+            assert np.array_equal(getattr(spectrum, key), getattr(want, key)), key
 
 
 @pytest.mark.parametrize("k_modes", (1, 1000))

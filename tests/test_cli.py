@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import shutil
 import sys
 
@@ -217,7 +218,7 @@ def test_wrong_type_config_value_is_domain_error(tmp_path, capsys, monkeypatch, 
 #: The first units of work of each table function: table 1's shared grid
 #: mappings, pool and weight grids, table 2's FEM spectra, weight grids and pool.
 _FIRST_WORK = {"modeling_error_tables": ("_shared_array", "_pool", "convolution_weights"),
-               "fem_error_tables": ("discrete_spectrum", "convolution_weights", "_pool_map")}
+               "fem_error_tables": ("discrete_spectra", "convolution_weights", "_pool_map")}
 
 
 def _record_first_work(monkeypatch, target: str, calls: list) -> None:
@@ -343,11 +344,14 @@ def test_mesh_width_one_names_h_list_before_any_mesh(tmp_path, capsys, monkeypat
     ("table1", "modeling_error_tables", "alpha_list = [1.1, 1.1000001]", "alpha_list"),
     ("table2", "fem_error_tables", "beta_list = [0.8, 0.8]", "beta_list"),
     ("table2", "fem_error_tables", "beta_list = [0.6, 1.0, 0.60]", "beta_list"),
+    pytest.param("table1", "modeling_error_tables", "alpha_list = [" + "1.5, " * 9999 + "1.5]",
+                 "alpha_list", id="long-alpha_list"),
 ])
 def test_repeated_sweep_value_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command,
                                                       target, line, key):
     """Two values that name the same CSV (`{value:g}`) would be computed twice
-    and written once."""
+    and written once.  The error is one line under 200 characters that names
+    the file, whether the sweep has 2 values or 10^4."""
     import fracwave.cli as cli
 
     calls = []
@@ -358,6 +362,29 @@ def test_repeated_sweep_value_exits_2_before_any_work(tmp_path, capsys, monkeypa
     code, _, err = run([command, "--config", str(cfg), "--out", str(out)], capsys)
     assert code == 2
     assert err.startswith(f"error: config {key}:") and "Traceback" not in err
+    assert re.search(rf"the file name {command}_{key[:-5]}[\d.]+\.csv$", err.rstrip())
+    assert len(err.splitlines()) == 1 and len(err) < 200, err[:300]
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command in ("table1", "table2")
+                                          for key in ("seed", "m_traj", "k_modes", "n_cutoff")]
+                         + [("table1", "n_fine")])
+def test_long_integer_setting_exits_2_with_short_error(tmp_path, capsys, monkeypatch, command,
+                                                       key):
+    """A 401-digit integer that `_typed` accepts is rejected by a later
+    check (the seed range, the entry cap, or n_cutoff <= k_modes) before any
+    work, with one error line under 200 characters."""
+    target = {"table1": "modeling_error_tables", "table2": "fem_error_tables"}[command]
+    calls = []
+    _record_first_work(monkeypatch, target, calls)
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(f"{key} = 1{'0' * 400}\n")
+    out = tmp_path / "never"
+    code, _, err = run([command, "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and len(err) < 200, err[:300]
     assert calls == [] and not out.exists()
 
 
@@ -457,7 +484,7 @@ def test_build_tag_describes_only_a_repository_that_tracks_the_package(tmp_path)
 
 
 def test_cli_import_leaves_out_scipy_linalg():
-    """LAPACK loads only in `discrete_spectrum`."""
+    """LAPACK loads only where a pencil is solved (`fem._solve`)."""
     assert _run_python("import sys, fracwave.cli; print('scipy.linalg' in sys.modules)") == "False"
     probe = ("import sys; from fracwave.fem import FemMesh, discrete_spectrum; "
              "discrete_spectrum(FemMesh(3), 0.8, 100); print('scipy.linalg' in sys.modules)")
@@ -593,7 +620,7 @@ def test_sample_array_above_cap_exits_2_before_any_work(tmp_path, capsys, monkey
     def forbidden(*args, **kwargs):
         raise AssertionError("work started for an oversized sample array")
 
-    for name in ("_pool_map", "_modeling_weights", "discrete_spectrum", "convolution_weights"):
+    for name in ("_pool_map", "_modeling_weights", "discrete_spectra", "convolution_weights"):
         monkeypatch.setattr(experiments, name, forbidden)
     out = tmp_path / "never"
     code, _, err = run([command, "--m-traj", str(10**10), "--out", str(out)], capsys)

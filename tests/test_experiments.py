@@ -123,7 +123,7 @@ def test_bad_grid_rejected_before_any_work(samples, kw, match, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("work started for a bad grid")
 
-    for name in ("_pool", "_pool_map", "convolution_weights", "discrete_spectrum",
+    for name in ("_pool", "_pool_map", "convolution_weights", "discrete_spectra",
                  "sine_products"):
         monkeypatch.setattr(experiments, name, forbidden)
     with pytest.raises(DomainError, match=match):
@@ -164,7 +164,7 @@ def test_empty_sweep_rejected_before_any_work(samples, kw, orders, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("work started for an empty sweep")
 
-    for name in ("_pool_map", "convolution_weights", "discrete_spectrum", "sine_products",
+    for name in ("_pool_map", "convolution_weights", "discrete_spectra", "sine_products",
                  "homogeneous_solution", "_modeling_weights"):
         monkeypatch.setattr(experiments, name, forbidden)
     with pytest.raises(DomainError, match="empty"):
@@ -182,7 +182,7 @@ def test_sample_array_above_cap_rejected_before_any_work(samples, kw, n_grid, mo
     def forbidden(*args, **kwargs):
         raise AssertionError("work started for an oversized sample array")
 
-    for name in ("_pool_map", "convolution_weights", "discrete_spectrum", "sine_products",
+    for name in ("_pool_map", "convolution_weights", "discrete_spectra", "sine_products",
                  "homogeneous_solution", "_modeling_weights", "generate"):
         monkeypatch.setattr(experiments, name, forbidden)
     at_cap = noise._DEFAULT_ENTRY_CAP // (2 * n_grid)  # two orders
@@ -672,10 +672,10 @@ def _fem_cfg(**kw):
 def test_fem_tables_equal_one_beta_runs(n_workers, monkeypatch):
     """Each column of a sweep, table 2's betas and a second alpha, follows its
     own (alpha, beta): its samples, table and metadata are those of a run at
-    that order alone.  A spectrum is a deterministic function of (mesh,
-    beta), so each is assembled once, not once per run."""
-    monkeypatch.setattr(experiments, "discrete_spectrum",
-                        functools.cache(experiments.discrete_spectrum))
+    that order alone.  A beta's spectra are a deterministic function of (the
+    meshes, beta), so each is assembled once, not once per run."""
+    monkeypatch.setattr(experiments, "discrete_spectra",
+                        functools.cache(lambda *a: tuple(fem.discrete_spectra(*a))))
     orders = [FracOrders(1.5, 0.6), FracOrders(1.5, 0.8), FracOrders(1.5, 1.0),
               FracOrders(1.25, 0.8)]
     cfg = _fem_cfg()
@@ -689,6 +689,24 @@ def test_fem_tables_equal_one_beta_runs(n_workers, monkeypatch):
         for key in ("resolutions", "errors", "rates", "stderrs"):
             assert np.array_equal(getattr(tables[i], key), getattr(want, key), equal_nan=True)
         assert tables[i].meta == want.meta
+
+
+def test_fem_samples_make_one_series_pass_per_beta(monkeypatch):
+    """Every mesh of a beta is assembled from one `_alias_class_sums` pass:
+    one pass per beta, each over all of h_list's meshes and the full
+    series."""
+    calls = []
+    alias_class_sums = fem._alias_class_sums
+
+    def spy(meshes, beta, k_series):
+        calls.append((tuple(meshes), beta, k_series))
+        return alias_class_sums(meshes, beta, k_series)
+
+    monkeypatch.setattr(fem, "_alias_class_sums", spy)
+    cfg = _fem_cfg(m_traj=2)
+    orders = [FracOrders(1.5, 0.6), FracOrders(1.5, 0.8), FracOrders(1.5, 1.0)]
+    fem_error_samples(cfg, orders)
+    assert calls == [(cfg.meshes(), o.beta, fem.DEFAULT_K_SERIES) for o in orders]
 
 
 def test_fem_tables_draw_each_trajectory_once(monkeypatch):

@@ -117,6 +117,27 @@ def test_stiffness_series_bounded_by_entry_cap(monkeypatch):
             discrete_spectrum(mesh, 0.8, k_series)
 
 
+def test_discrete_spectra_pass_at_call_and_solve_when_asked(monkeypatch):
+    """`discrete_spectra` checks its arguments and makes its one series pass
+    when called, and assembles and solves each mesh only when its spectrum
+    is asked for, so a caller that drops each spectrum holds one mesh's
+    matrices at a time."""
+    events = []
+    for name in ("_alias_class_sums", "_assemble", "_solve"):
+        monkeypatch.setattr(fem, name, lambda *a, f=getattr(fem, name), name=name:
+                            events.append(name) or f(*a))
+    meshes = [FemMesh(3), FemMesh(5)]
+    with pytest.raises(DomainError):
+        fem.discrete_spectra(meshes, 1.5)
+    assert events == []
+    spectra = fem.discrete_spectra(meshes, 0.8, 100)
+    assert events == ["_alias_class_sums"]
+    for mesh in meshes:
+        assert next(spectra).mesh == mesh
+        assert events[-2:] == ["_assemble", "_solve"]
+    assert len(events) == 5 and next(spectra, None) is None
+
+
 def test_stiffness_truncation_decays_without_tail():
     mesh = FemMesh(5)
     exact = fractional_stiffness(mesh, 1.0, 1000, tail=True)
