@@ -135,10 +135,13 @@ class ExperimentConfig:
             if n < 2:
                 raise DomainError(f"ExperimentConfig: h_list width {h} leaves no interior node")
             meshes.append(FemMesh(n - 1))
-        for mesh in meshes:
+        first = {}
+        for h, mesh in zip(self.h_list, meshes):
             _check_entries("ExperimentConfig: mode products", self.k_modes, mesh.n_interior)
-        if len(set(meshes)) < len(meshes):
-            raise DomainError(f"ExperimentConfig: two h_list entries give one mesh {meshes}")
+            if mesh in first:
+                raise DomainError(f"ExperimentConfig: h_list widths {first[mesh]} and {h} give "
+                                  f"one mesh {mesh}")
+            first[mesh] = h
         return tuple(meshes)
 
     def noise_spec(self) -> NoiseSpec:
@@ -169,6 +172,10 @@ def compute_rates(errors, resolutions) -> np.ndarray:
         raise DomainError("compute_rates: need matching vectors of length >= 2")
     if (errors <= 0.0).any():
         raise DomainError("compute_rates: errors must be strictly positive")
+    if not ((0.0 < resolutions) & (resolutions < np.inf)).all() or (
+            resolutions[:-1] == resolutions[1:]).any():
+        raise DomainError("compute_rates: resolutions must be finite, positive and differ from "
+                          f"the next (got {reprlib.repr(resolutions.tolist())})")
     return np.log(errors[:-1] / errors[1:]) / np.log(resolutions[:-1] / resolutions[1:])
 
 

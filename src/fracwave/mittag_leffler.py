@@ -45,11 +45,8 @@ _MAX_CONTOUR_NODES = 2_000
 # -ln of the quadrature error target, relative to the contour peak e^mu,
 # plus a fixed allowance for integrand growth near singularity preimages.
 _LOG_TARGET = 39.14 + 3.91
-# Arguments per block of the contour sum: each group of eight nodes is a few
-# vector operations over the block, whose (8 x block) scratch stays in cache.
+# Arguments per chunk of a strategy's call, so that its scratch stays in cache.
 _BLOCK = 8_192
-# numpy's pairwise_sum adds rows of up to this many terms in 8 accumulators.
-_PW_LEAF = 128
 # Negative-axis buckets from floor(log2 r) = 6 on (pole radius r >= 64) take
 # the asymptotic series when 1 < alpha < 2; it needs 12-20 terms there.
 _ASYMPTOTIC_BUCKET = 6
@@ -170,11 +167,12 @@ def _contour_params(alpha: float, r_lo: float, r_hi: float, positive: bool):
 
 
 def _node_coefficients(alpha: float, beta: float, mu: float, h: float, n_side: int):
-    """Per-node (ar, ai^2, wi, wr*ai) of the symmetrized trapezoid sum, as columns.
+    """Per-node rows (ar, ai^2, wi, wr*ai) of the symmetrized trapezoid sum.
 
     Node u_k = k*h on s(u) = mu*(1+iu)^2 has weight w = e^s s^(alpha-beta) s'(u)
-    (halved at u = 0) and pole factor s^alpha = ar + i*ai; each array has shape
-    (n_side + 1, 1), so a slice of nodes broadcasts against a block of z.
+    (halved at u = 0) and pole factor s^alpha = ar + i*ai.  Each row is a
+    contiguous array of the n_side + 1 nodes, so it broadcasts against a
+    column of z.
     """
     u = h * np.arange(n_side + 1)
     s = mu * (1.0 + 1j * u) ** 2
@@ -182,58 +180,7 @@ def _node_coefficients(alpha: float, beta: float, mu: float, h: float, n_side: i
     w[0] *= 0.5  # u = 0 node counted once in the symmetrized sum
     sa = s**alpha
     ai = sa.imag
-    return tuple(c[:, None].copy() for c in (sa.real, ai * ai, w.imag, w.real * ai))
-
-
-def _node_terms(coef, lo: int, hi: int, z: np.ndarray, d: np.ndarray, q: np.ndarray):
-    """Im( w / (sa - z) ) for nodes lo..hi-1 and a block of real z, into d[:hi-lo].
-
-    With dr = ar - z the term is (dr*wi - wr*ai) / (dr^2 + ai^2); each step is
-    one rounding, the same sequence a (z x nodes) array expression makes.
-    """
-    ar, ai2, wi, wr_ai = coef
-    d, q = d[: hi - lo], q[: hi - lo]
-    np.subtract(ar[lo:hi], z, out=d)
-    np.square(d, out=q)  # d*d, correctly rounded; twice as fast as multiply(d, d)
-    q += ai2[lo:hi]
-    d *= wi[lo:hi]
-    d -= wr_ai[lo:hi]
-    d /= q
-    return d
-
-
-def _pairwise_node_sum(coef, lo: int, n: int, z: np.ndarray, d, q, acc) -> np.ndarray:
-    """Sum of the terms of nodes lo..lo+n-1, per z, in numpy's pairwise order.
-
-    numpy sums a contiguous row of n doubles with `pairwise_sum`: below 8
-    terms one by one from 0.0; up to 128 terms in 8 strided accumulators,
-    folded as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the n % 8 rest one by
-    one; above 128 it splits at n/2 rounded down to a multiple of 8 and adds
-    the two halves.  Here a row of acc is one accumulator for a whole block
-    of z, so every z gets the same additions in the same order as
-    `terms.sum(axis=1)`.  d, q and acc are (8, len(z)) scratch arrays.
-    """
-    if n < 8:
-        res = np.zeros(z.size)
-        for row in _node_terms(coef, lo, lo + n, z, d, q):
-            res += row
-        return res
-    if n > _PW_LEAF:
-        n2 = n // 2
-        n2 -= n2 % 8
-        res = _pairwise_node_sum(coef, lo, n2, z, d, q, acc)
-        res += _pairwise_node_sum(coef, lo + n2, n - n2, z, d, q, acc)
-        return res
-    stop = lo + n - n % 8
-    _node_terms(coef, lo, lo + 8, z, acc, q)
-    for k in range(lo + 8, stop, 8):
-        acc += _node_terms(coef, k, k + 8, z, d, q)
-    acc[0::2] += acc[1::2]
-    acc[0::4] += acc[2::4]
-    res = acc[0] + acc[4]
-    for row in _node_terms(coef, stop, lo + n, z, d, q):
-        res += row
-    return res
+    return sa.real.copy(), ai * ai, w.imag.copy(), w.real * ai
 
 
 def _residue_ln_bound(alpha: float, beta: float, r: np.ndarray) -> float:
@@ -269,21 +216,31 @@ def _contour_values(alpha: float, beta: float, z: np.ndarray, r: np.ndarray,
     """Quadrature + residues for (part of) a bucket of z with |z| > 1 and one sign.
 
     r = |z|^(1/alpha) is the pole radius of each z, and the contour is the
-    one of the bucket's pole radii [r_lo, r_hi].  `_bucket_values` passes at
-    most _BLOCK arguments, so the (8 x arguments) scratch stays in cache.
-    The loop runs over the contour nodes, eight at a time, and
-    `_pairwise_node_sum` adds each argument's node terms in the order of
-    numpy's pairwise `sum(axis=1)` over a row of them.  So the result has
-    the bits of the (arguments x nodes) array expression, kept in
-    `tests/oracles.py`, for as long as numpy's pairwise leaf stays at 128
-    terms in 8 accumulators; `tests/test_bit_identity.py` checks both.
-    Negative-axis residues go through `_add_negative_residues`.
+    one of the bucket's pole radii [r_lo, r_hi].  The loop runs over blocks
+    of whole arguments, about 4 * _BLOCK terms each, so that the two
+    (arguments x nodes) scratch arrays stay in cache.  Each term
+    Im(w / (s^alpha - z)) = (dr*wi - wr*ai) / (dr^2 + ai^2), dr = ar - z, is
+    formed in the rounding steps of that expression, and `np.add.reduce`
+    adds each argument's row of terms.  So the result has the bits of the
+    (arguments x nodes) array expression kept in `tests/oracles.py`;
+    `tests/test_bit_identity.py` checks it.  Negative-axis residues go
+    through `_add_negative_residues`.
     """
     mu, h, n_side, residues = _contour_params(alpha, r_lo, r_hi, positive)
-    coef = _node_coefficients(alpha, beta, mu, h, n_side)
-    d, q, acc = (np.empty((8, z.size)) for _ in range(3))
-    node_sum = _pairwise_node_sum(coef, 0, n_side + 1, z, d, q, acc)
-    node_sum += 0.0  # numpy's reduction starts from 0.0: a -0.0 sum becomes +0.0
+    ar, ai2, wi, wr_ai = _node_coefficients(alpha, beta, mu, h, n_side)
+    rows = max(1, 4 * _BLOCK // ar.size)
+    d, q = (np.empty((min(rows, z.size), ar.size)) for _ in range(2))
+    node_sum = np.empty(z.size)
+    for lo in range(0, z.size, rows):
+        zb = z[lo : lo + rows, None]
+        db, qb = d[: zb.shape[0]], q[: zb.shape[0]]
+        np.subtract(ar, zb, out=db)
+        np.square(db, out=qb)  # d*d, correctly rounded; twice as fast as multiply(d, d)
+        qb += ai2
+        db *= wi
+        db -= wr_ai
+        db /= qb
+        np.add.reduce(db, axis=1, out=node_sum[lo : lo + rows])
     out = (h / math.pi) * node_sum
     if residues and positive:
         with np.errstate(over="ignore"):  # E above the largest double is inf
@@ -441,11 +398,11 @@ def ml_values(alpha: float, beta: float, z) -> np.ndarray:
     Each negative group from 6 on (1 < alpha < 2) takes the asymptotic
     series, whose value depends on (alpha, beta, z) alone; every other
     group shares one contour, set by the group's least and largest pole
-    radius.  The contour kernel runs node-major, summing in numpy's
-    pairwise order; both strategies skip the negative-axis residues too
-    small to change a bit of the value (see `_add_negative_residues`), and
-    the contour values are those of the straightforward (arguments x nodes)
-    evaluation, bit for bit.
+    radius.  The contour kernel forms a block of arguments' node terms at a
+    time and adds each argument's row with numpy's own row sum, so its
+    values are those of the straightforward (arguments x nodes) evaluation,
+    bit for bit.  Both strategies skip the negative-axis residues too small
+    to change a bit of the value (see `_add_negative_residues`).
 
     The routing pass works in chunks of _BLOCK arguments and computes each
     pole radius |z|^(1/alpha) once, into the still unfilled result, where
@@ -453,7 +410,7 @@ def ml_values(alpha: float, beta: float, z) -> np.ndarray:
     it with the values; each strategy gets at most _BLOCK arguments per
     call.  So besides the result the scratch is about 2 + 1 + 8 = 11 bytes
     per argument (the key, and the mask and index of the group in hand)
-    plus a few arrays of _BLOCK.
+    plus a few arrays of at most 4 * _BLOCK.
     """
     _validate_params(alpha, beta)
     if not _BETA_RANGE[0] <= beta <= _BETA_RANGE[1]:
@@ -546,18 +503,18 @@ KERNEL_KINDS = tuple(_KERNEL_PARAMS)
 def kernel_weights(alpha: float, kind: str, lam: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Kernel factor on the grid lam x tau, shape (len(lam), len(tau)).
 
-    lam holds nonnegative spatial eigenvalues already raised to the fractional
-    Laplacian power; tau holds nonnegative times.  tau = 0 follows the
-    continuous limit (1, 0, 0, 0 for the four kinds, alpha > 1).
+    lam holds finite nonnegative spatial eigenvalues already raised to the
+    fractional Laplacian power; tau holds finite nonnegative times.  tau = 0
+    follows the continuous limit (1, 0, 0, 0 for the four kinds, alpha > 1).
     """
     if kind not in KERNEL_KINDS:
         raise DomainError(f"unknown kernel kind {kind!r}")
     lam = np.ascontiguousarray(lam, dtype=float)
     tau = np.ascontiguousarray(tau, dtype=float)
-    if (lam < 0).any():
-        raise DomainError("kernel_weights: eigenvalues must be >= 0")
-    if (tau < 0).any():
-        raise DomainError("kernel_weights: times must be >= 0")
+    if not ((0.0 <= lam) & (lam < np.inf)).all():
+        raise DomainError("kernel_weights: eigenvalues lam must be finite and >= 0")
+    if not ((0.0 <= tau) & (tau < np.inf)).all():
+        raise DomainError("kernel_weights: times tau must be finite and >= 0")
 
     beta, power = _KERNEL_PARAMS[kind](alpha)
     targ = tau**alpha

@@ -15,10 +15,8 @@ from fracwave.fem import (_ALIAS_BLOCK, FemMesh, _alias_class_sums, discrete_spe
                           discrete_spectrum, fem_solution, l2_error_cross, sine_products)
 from fracwave.mittag_leffler import (
     _BLOCK,
-    _PW_LEAF,
     _contour_params,
     _contour_values,
-    _pairwise_node_sum,
     kernel_weights,
     ml_values,
 )
@@ -110,27 +108,36 @@ def _unchunked(alpha, beta, z, positive):
 
 
 def _random_coefficients(rng, n):
-    """Node columns (ar, ai^2, wi, wr*ai) of both signs over six decades, so
+    """Node rows (ar, ai^2, wi, wr*ai) of both signs over six decades, so
     that the order of the additions shows in the last bits."""
-    def col(lo, hi, signed=True):
-        mag = 10.0 ** rng.uniform(lo, hi, (n, 1))
-        return mag * rng.choice((-1.0, 1.0), (n, 1)) if signed else mag
-    return col(-3, 3), col(-2, 2, signed=False), col(-3, 3), col(-3, 3)
+    def row(lo, hi, signed=True):
+        mag = 10.0 ** rng.uniform(lo, hi, n)
+        return mag * rng.choice((-1.0, 1.0), n) if signed else mag
+    return row(-3, 3), row(-2, 2, signed=False), row(-3, 3), row(-3, 3)
 
 
-def test_pairwise_node_sum_matches_row_sum():
+def test_contour_node_sums_match_row_sum(monkeypatch):
+    """`_contour_values` adds each argument's node terms as numpy's row sum of
+    the (arguments x nodes) terms does, bit for bit, whatever the node count
+    and however the arguments split into blocks: one short block, one full
+    block, several, and several with a partial last one.  The contour step h
+    is pi, so the values are the node sums themselves."""
     rng = np.random.default_rng(11)
-    z = -np.geomspace(1.5, 1e4, 37)
-    d, q, acc = (np.empty((8, z.size)) for _ in range(3))
     order_sensitive = 0
-    for n in [*range(1, 301), 4 * _PW_LEAF + 265]:
+    for n in [*range(1, 301), 777]:
         coef = _random_coefficients(rng, n)
-        ar, ai2, wi, wr_ai = (c[:, 0] for c in coef)
-        dr = ar - z[:, None]
-        terms = (dr * wi - wr_ai) / (dr * dr + ai2)
-        want = terms.sum(axis=1)
-        got = _pairwise_node_sum(coef, 0, n, z, d, q, acc)
-        assert np.array_equal(got, want), n
+        monkeypatch.setattr(mittag_leffler, "_node_coefficients", lambda *a: coef)
+        monkeypatch.setattr(mittag_leffler, "_contour_params",
+                            lambda *a: (1.5, np.pi, n - 1, False))
+        ar, ai2, wi, wr_ai = coef
+        rows = max(1, 4 * _BLOCK // n)
+        for m in sorted({1, rows - 1, rows, 3 * rows, 2 * rows + rows // 2 + 1} - {0}):
+            z = -np.geomspace(1.5, 1e4, m)
+            dr = ar - z[:, None]
+            terms = (dr * wi - wr_ai) / (dr * dr + ai2)
+            want = terms.sum(axis=1)
+            got = _contour_values(0.8, 1.0, z, -z, False, 1.5, 1e4)
+            assert np.array_equal(got, want), (n, m)
         order_sensitive += not np.array_equal(np.cumsum(terms, axis=1)[:, -1], want)
     assert order_sensitive > 100  # a left-to-right sum would fail most counts
 
@@ -178,7 +185,9 @@ def test_contour_sum_matches_unchunked(alpha):
     assert r[z < -1].max() > 2**11  # reaches the asymptotic buckets
     nodes = {_contour_params(alpha, r[sel].min(), r[sel].max(), positive)[2] + 1
              for positive, sel in buckets}
-    assert min(nodes) <= _PW_LEAF < max(nodes)  # pairwise leaf and split both run
+    # numpy's pairwise row sum adds up to 128 terms in 8 accumulators and
+    # splits longer rows in two: buckets on both sides of that size run
+    assert min(nodes) <= 128 < max(nodes)
     for beta in (1.0, 2.0, alpha, alpha + 1.0):
         fast = ml_values(alpha, beta, z)
         assert np.isfinite(fast).all()
@@ -304,8 +313,10 @@ def test_zero_quadrature_keeps_negligible_residue(alpha, beta, k, monkeypatch):
     want = 0.0 + (2.0 / alpha) * (pole ** (1.0 - beta) * np.exp(pole)).real
     assert (want == 0.0).any() and (want != 0.0).any()
     assert (np.abs(want[want != 0.0]) < np.finfo(float).tiny).any()
-    monkeypatch.setattr(mittag_leffler, "_pairwise_node_sum",
-                        lambda coef, lo, n, zb, *scratch: np.zeros(zb.size))
+    n = _contour_params(alpha, r.min(), r.max(), False)[2] + 1
+    zeros = np.zeros(n)
+    monkeypatch.setattr(mittag_leffler, "_node_coefficients",
+                        lambda *a: (zeros + 1.0, zeros + 1.0, zeros, zeros))
     assert np.array_equal(_contour_values(alpha, beta, z, r, False, r.min(), r.max()), want)
 
 
@@ -315,9 +326,9 @@ def test_all_negative_zero_terms_sum_to_positive_zero(monkeypatch):
     z = -np.geomspace(1.5, 1.9, 20)
     r = np.abs(z) ** (1.0 / alpha)
     n = _contour_params(alpha, r.min(), r.max(), False)[2] + 1
-    zeros = np.zeros((n, 1))
+    zeros = np.zeros(n)
     monkeypatch.setattr(mittag_leffler, "_node_coefficients",
-                        lambda *a: (np.full((n, 1), -1e6), zeros + 1.0, zeros, zeros))
+                        lambda *a: (np.full(n, -1e6), zeros + 1.0, zeros, zeros))
     dr = -1e6 - z[:, None]
     assert np.signbit(dr * 0.0 - 0.0).all()  # every term is -0.0
     out = _contour_values(alpha, beta, z, r, False, r.min(), r.max())

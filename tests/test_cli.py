@@ -367,6 +367,22 @@ def test_repeated_sweep_value_exits_2_before_any_work(tmp_path, capsys, monkeypa
     assert calls == [] and not out.exists()
 
 
+def test_repeated_mesh_exits_2_with_short_error(tmp_path, capsys, monkeypatch):
+    """10^4 widths of 0.1 give one mesh: exit 2 before any spectrum, with one
+    error line under 200 characters that names the two widths and the mesh."""
+    calls = []
+    _record_first_work(monkeypatch, "fem_error_tables", calls)
+    cfg = tmp_path / "repeat.cfg"
+    cfg.write_text("h_list = [" + "0.1, " * 9999 + "0.1]\n")
+    out = tmp_path / "never"
+    code, _, err = run(["table2", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error: ExperimentConfig: h_list widths 0.1 and 0.1 give one mesh "
+                          "FemMesh(n_interior=9)")
+    assert len(err.splitlines()) == 1 and len(err) < 200, err[:300]
+    assert calls == [] and not out.exists()
+
+
 @pytest.mark.parametrize("command, key", [(command, key) for command in ("table1", "table2")
                                           for key in ("seed", "m_traj", "k_modes", "n_cutoff")]
                          + [("table1", "n_fine")])

@@ -52,6 +52,10 @@ def test_compute_rates_examples():
         compute_rates([1.0, 0.0], [2.0, 1.0])
     with pytest.raises(DomainError):
         compute_rates([1.0], [1.0])
+    for resolutions in ([2.0, 2.0], [1.0, 0.0], [1.0, -0.5], [math.nan, 1.0], [math.inf, 1.0]):
+        with pytest.raises(DomainError, match="compute_rates: resolutions") as info:
+            compute_rates([2.0, 1.0], resolutions)
+        assert f"(got {resolutions})" in str(info.value)
 
 
 def _check_grids(**kw):

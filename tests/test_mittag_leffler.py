@@ -303,6 +303,11 @@ def test_kernel_weights_grid_shape_and_consistency():
         kernel_weights(1.5, "impulse", np.array([-1.0]), tau)
     with pytest.raises(DomainError):
         kernel_weights(1.5, "impulse", lam, np.array([-0.1]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="kernel_weights: eigenvalues lam must be finite"):
+            kernel_weights(1.5, "impulse", np.array([1.0, bad]), tau)
+        with pytest.raises(DomainError, match="kernel_weights: times tau must be finite"):
+            kernel_weights(1.5, "impulse", lam, np.array([0.5, bad]))
 
 
 @pytest.mark.parametrize("alpha, kind", [(1.1, "impulse_primitive"), (1.75, "impulse"),
