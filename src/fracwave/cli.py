@@ -38,7 +38,7 @@ from .experiments import (
     ExperimentConfig,
     _cores,
     _fmt,
-    _write_lines,
+    _write_csv,
     fem_error_tables,
     modeling_error_tables,
     stability_report,
@@ -174,10 +174,6 @@ def _out_dir(args) -> str:
     out = args.out or os.environ.get("FRACWAVE_OUT") or "."
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _write_csv(path: str, comment_lines: list[str], header: str, rows: list[str]) -> None:
-    _write_lines(path, [f"# {line}" for line in comment_lines] + [header] + rows)
 
 
 def _nonnegative_int(text: str) -> int:

@@ -170,8 +170,9 @@ def compute_rates(errors, resolutions) -> np.ndarray:
     resolutions = np.asarray(resolutions, dtype=float)
     if errors.shape != resolutions.shape or errors.size < 2:
         raise DomainError("compute_rates: need matching vectors of length >= 2")
-    if (errors <= 0.0).any():
-        raise DomainError("compute_rates: errors must be strictly positive")
+    if not ((0.0 < errors) & (errors < np.inf)).all():
+        raise DomainError("compute_rates: errors must be finite and positive "
+                          f"(got {reprlib.repr(errors.tolist())})")
     if not ((0.0 < resolutions) & (resolutions < np.inf)).all() or (
             resolutions[:-1] == resolutions[1:]).any():
         raise DomainError("compute_rates: resolutions must be finite, positive and differ from "
@@ -199,18 +200,26 @@ def _build_tag() -> str:
     return f"fracwave-{__version__}"
 
 
-def _table_from_samples(samples: np.ndarray, resolutions, meta: dict) -> RateTable:
-    m = samples.shape[0]
-    mean_sq = samples.mean(axis=0)
-    errors = np.sqrt(mean_sq)
-    se_mean_sq = samples.std(axis=0, ddof=1) / math.sqrt(m) if m > 1 else np.zeros_like(mean_sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stderrs = np.where(errors > 0.0, se_mean_sq / (2.0 * errors), 0.0)
-    rates = np.full(errors.size, np.nan)  # no rate where either error of a pair is 0
-    for i in np.flatnonzero(np.minimum(errors[:-1], errors[1:]) > 0.0):
-        rates[i + 1] = compute_rates(errors[i : i + 2], resolutions[i : i + 2])[0]
-    return RateTable(resolutions=np.asarray(resolutions, dtype=float), errors=errors,
-                     rates=rates, stderrs=stderrs, meta=meta)
+def _rate_tables(cfg: ExperimentConfig, orders, samples: np.ndarray,
+                 resolutions) -> list[RateTable]:
+    """One `RateTable` per entry o of orders, from its column of squared-error
+    samples, shape (m_traj, len(orders), len(resolutions)); its meta is o,
+    cfg.m_traj, cfg.base_seed and the `_build_tag`."""
+    m, tables = samples.shape[0], []
+    for o, column in zip(orders, samples.transpose(1, 0, 2)):
+        mean_sq = column.mean(axis=0)
+        errors = np.sqrt(mean_sq)
+        se_mean_sq = column.std(axis=0, ddof=1) / math.sqrt(m) if m > 1 else np.zeros_like(mean_sq)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stderrs = np.where(errors > 0.0, se_mean_sq / (2.0 * errors), 0.0)
+        rates = np.full(errors.size, np.nan)  # no rate where either error of a pair is 0
+        for j in np.flatnonzero(np.minimum(errors[:-1], errors[1:]) > 0.0):
+            rates[j + 1] = compute_rates(errors[j : j + 2], resolutions[j : j + 2])[0]
+        meta = {"alpha": o.alpha, "beta": o.beta, "m_traj": cfg.m_traj, "seed": cfg.base_seed,
+                "build": _build_tag()}
+        tables.append(RateTable(resolutions=np.asarray(resolutions, dtype=float), errors=errors,
+                                rates=rates, stderrs=stderrs, meta=meta))
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +259,6 @@ def _pool(fn, n_workers: int):
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=n_workers, initializer=_set_worker_fn, initargs=(fn,)) as pool:
         yield lambda items: pool.map(_call_worker_fn, items, chunksize=1)
-
-
-def _pool_map(fn, items, n_workers: int) -> list:
-    """[fn(x) for x in items] on one `_pool` of `_pool_size` workers."""
-    items = list(items)
-    with _pool(fn, _pool_size(n_workers, len(items))) as run:
-        return run(items)
 
 
 _worker_fn = None  # the callable of `_pool`, set only inside its workers
@@ -305,9 +307,10 @@ def _alpha_grids(cfg: ExperimentConfig, orders: FracOrders, rule: str) -> list:
 
 def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int, firsts=()):
     """(w_ref, w_coarse, kept, tails, errors): per entry a of orders, rows
-    1..kept[a] of its fine left-rule grid and of its coarse grids, the
-    drawn modes and exact tails of `_kept_modes`, then the `_modeling_traj`
-    errors of the batch that starts at each trajectory index in firsts.
+    1..kept[a] of its fine left-rule grid and of its coarse grids, kept[a]
+    and tails[a], the drawn modes and exact tails that `_kept_modes` gives
+    for its means, then the `_modeling_traj` errors of the batch that
+    starts at each trajectory index in firsts.
 
     Before any grid or pool, each step of cfg.dt_list is checked
     (`ExperimentConfig.coarse_steps`), and no two may give the same number
@@ -346,7 +349,7 @@ def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int, 
         if cut:  # the batch that starts at trajectory i
             return _modeling_traj(spec, cfg.base_seed, cfg.m_traj, factors, *split(cut[0]), *cut, i)
         full = _alpha_grids(cfg, orders[i], rule)
-        (k,), tails = _kept_modes(_mode_means(cfg.dt_fine, factors, full)[:, None])
+        k, tails = _kept_modes(_mode_means(cfg.dt_fine, factors, full))
         for g, w in enumerate(full):
             if shared:
                 grids[i][g][:k] = w[:k]  # seen by the parent and every worker
@@ -354,7 +357,7 @@ def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int, 
                 full[g] = w[:k].copy()  # the full grid goes with the next w
         if not shared:
             grids[i] = full  # in this process
-        return k, tails[0]
+        return k, tails
 
     with _pool(task, n_workers) as run:
         cuts = run([(a,) for a in range(len(orders))])
@@ -410,26 +413,21 @@ def _mode_means(dt_fine: float, factors: list, grids: list) -> np.ndarray:
     return dt_fine * out
 
 
-def _kept_modes(means: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """(kept, tails) from the exact per-mode means of shape (K, n_alpha, n_dt).
+def _kept_modes(means: np.ndarray) -> tuple[int, np.ndarray]:
+    """(K*, tails) from one alpha's exact per-mode means, shape (K, n_dt).
 
-    kept[a] is the least K* >= 1 at which the means of modes K* + 1..K add
-    up to at most `_TAIL_SHARE` of the total in every column of alpha a; a
-    column whose total is 0 does not count.  tails[a, j] is that sum,
-    correctly rounded.  A batch multiplies modes 1..kept[a] alone for alpha
-    a and adds tails[a, j]: the tail is a control variate with a known mean,
-    so each sample's mean stays exact (Glasserman, Monte Carlo Methods in
-    Financial Engineering, 2003, section 4.1).  Each alpha reads its own
-    means alone.
+    K* is the least count >= 1 at which the means of modes K* + 1..K add up
+    to at most `_TAIL_SHARE` of the total in every column; a column whose
+    total is 0 does not count.  tails[j] is that sum, correctly rounded.  A
+    batch multiplies modes 1..K* alone for the alpha and adds tails[j]: the
+    tail is a control variate with a known mean, so each sample's mean stays
+    exact (Glasserman, Monte Carlo Methods in Financial Engineering, 2003,
+    section 4.1).
     """
-    kept, tails = [], np.empty(means.shape[1:])
-    for a in range(means.shape[1]):
-        m = means[:, a]
-        after = np.cumsum(m[::-1], axis=0)[::-1]  # after[k]: modes k + 1..K
-        ok = ((after[1:] <= _TAIL_SHARE * after[0]) | (after[0] == 0.0)).all(axis=1)
-        kept.append(1 + int(np.argmax(ok)) if ok.any() else len(m))
-        tails[a] = [math.fsum(m[kept[-1] :, j]) for j in range(m.shape[1])]
-    return tuple(kept), tails
+    after = np.cumsum(means[::-1], axis=0)[::-1]  # after[k]: modes k + 1..K
+    ok = ((after[1:] <= _TAIL_SHARE * after[0]) | (after[0] == 0.0)).all(axis=1)
+    kept = 1 + int(np.argmax(ok)) if ok.any() else len(means)
+    return kept, np.array([math.fsum(col) for col in means[kept:].T])
 
 
 def _modeling_traj(spec: NoiseSpec, base_seed: int, m_traj: int, factors: list,
@@ -499,14 +497,8 @@ def modeling_error_tables(cfg: ExperimentConfig, orders, rule: str = "exact",
                           n_workers: int = 1) -> list[RateTable]:
     """Root-mean-squared modeling errors and rates over cfg.dt_list, one
     table per entry of orders, sharing trajectories and noise."""
-    samples = modeling_error_samples(cfg, orders, rule, n_workers)
-    return [_table_from_samples(samples[:, i, :], cfg.dt_list, _meta(cfg, o, rule=rule))
-            for i, o in enumerate(orders)]
-
-
-def _meta(cfg: ExperimentConfig, orders: FracOrders, **extra) -> dict:
-    return {"alpha": orders.alpha, "beta": orders.beta, "m_traj": cfg.m_traj,
-            "seed": cfg.base_seed, "build": _build_tag(), **extra}
+    return _rate_tables(cfg, orders, modeling_error_samples(cfg, orders, rule, n_workers),
+                        cfg.dt_list)
 
 
 # ---------------------------------------------------------------------------
@@ -568,15 +560,14 @@ def fem_error_samples(cfg: ExperimentConfig, orders, n_workers: int = 1) -> np.n
                         convolution_weights(o, spec, dt, steps, rule="exact", truncated=True),
                         fem_meshes))
     traj = functools.partial(_fem_traj, spec, cfg.base_seed, sig, columns)
-    return np.stack(_pool_map(traj, range(cfg.m_traj), n_workers), axis=0)
+    with _pool(traj, _pool_size(n_workers, cfg.m_traj)) as run:
+        return np.stack(run(range(cfg.m_traj)), axis=0)
 
 
 def fem_error_tables(cfg: ExperimentConfig, orders, n_workers: int = 1) -> list[RateTable]:
     """Root-mean-squared FEM errors and rates over cfg.h_list, one table per
     entry of orders, sharing trajectories and noise."""
-    samples = fem_error_samples(cfg, orders, n_workers)
-    return [_table_from_samples(samples[:, i, :], cfg.h_list, _meta(cfg, o, dt=cfg.dt_fine))
-            for i, o in enumerate(orders)]
+    return _rate_tables(cfg, orders, fem_error_samples(cfg, orders, n_workers), cfg.h_list)
 
 
 # ---------------------------------------------------------------------------
@@ -631,22 +622,24 @@ def _fmt(x: float) -> str:
 
 
 def write_rate_table(table: RateTable, filename) -> None:
-    """CSV with shortest round-trip floats and '#'-prefixed metadata lines."""
-    lines = []
-    for key in ("alpha", "beta", "m_traj", "seed", "build"):
-        lines.append(f"# {key} = {table.meta.get(key)}")
-    lines.append("resolution,error,rate,stderr")
+    """The table as a CSV (`_write_csv`): its meta as comment lines, then one
+    row per resolution, floats in shortest round-trip form and no rate
+    beside the first row or a rate that is not finite."""
+    rows = []
     for i in range(table.errors.size):
         rate = "" if i == 0 or not np.isfinite(table.rates[i]) else _fmt(table.rates[i])
-        lines.append(",".join([_fmt(table.resolutions[i]), _fmt(table.errors[i]),
-                               rate, _fmt(table.stderrs[i])]))
-    _write_lines(filename, lines)
+        rows.append(",".join([_fmt(table.resolutions[i]), _fmt(table.errors[i]),
+                              rate, _fmt(table.stderrs[i])]))
+    _write_csv(filename, [f"{key} = {table.meta.get(key)}"
+                          for key in ("alpha", "beta", "m_traj", "seed", "build")],
+               "resolution,error,rate,stderr", rows)
 
 
-def _write_lines(filename, lines: list[str]) -> None:
-    """Write newline-terminated lines through a temporary file and os.replace,
-    so a reader never sees a partly written file."""
-    tmp = str(filename) + ".tmp"
+def _write_csv(path, comments: list[str], header: str, rows: list[str]) -> None:
+    """Write comments (each after '# '), header and rows, one per line,
+    through a temporary file and os.replace, so a reader never sees a partly
+    written file."""
+    tmp = str(path) + ".tmp"
     with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, str(filename))
+        fh.write("\n".join([*(f"# {c}" for c in comments), header, *rows]) + "\n")
+    os.replace(tmp, str(path))

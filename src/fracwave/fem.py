@@ -376,23 +376,21 @@ def _cross_error_sq(u: np.ndarray, c: np.ndarray, products: np.ndarray) -> float
 
 
 def fem_solution(orders: FracOrders, spectrum: DiscreteSpectrum, v1h: np.ndarray,
-                 v2h: np.ndarray, spec: NoiseSpec, paths: NoisePaths, t: float,
-                 rule: str = "exact") -> np.ndarray:
+                 v2h: np.ndarray, spec: NoiseSpec, paths: NoisePaths, t: float) -> np.ndarray:
     """Galerkin solution at a noise-grid node t, in eigen coefficients, from
     the eigen coefficients v1h and v2h of the initial data.
 
     Each discrete mode evolves by the same Mittag-Leffler factors as a
     continuous mode with eigenvalue lam_j^h; the forcing enters through the
     L2 projections (e_k, e_j^h) of the driven sine modes, integrated exactly
-    over each noise subinterval (rule="exact") or by the left-point sum
-    (rule="left").
+    over each noise subinterval.
     """
     if spec.K_modes != paths.n_modes:
         raise DomainError("fem_solution: paths/spec mode counts differ")
     idx = _grid_index(t, paths)
     lamh = spectrum.eigenvalues
     hom = _homogeneous(orders.alpha, lamh, t, v1h, v2h)
-    wt = _time_weights(orders.alpha, lamh, 1.0, t, paths.dt, idx, rule)
+    wt = _time_weights(orders.alpha, lamh, 1.0, t, paths.dt, idx, "exact")
     products = sine_products(spectrum, spec.K_modes)
     sig = spec.sigma_matrix(paths.dt * np.arange(idx), truncated=True)
     return _fem_apply(products, hom, wt, sig * paths.increments[:, :idx])

@@ -23,6 +23,7 @@ the fractional wave propagators) live here as well, in scalar
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -183,14 +184,7 @@ def _node_coefficients(alpha: float, beta: float, mu: float, h: float, n_side: i
     return sa.real.copy(), ai * ai, w.imag.copy(), w.real * ai
 
 
-def _residue_ln_bound(alpha: float, beta: float, r: np.ndarray) -> float:
-    """ln(2 * (2/alpha) * r^(1-beta) * 2^55), r^(1-beta) at its largest over r."""
-    r_top = float(r.min() if beta > 1.0 else r.max())
-    return math.log(4.0 / alpha) + (1.0 - beta) * math.log(r_top) + 55.0 * math.log(2.0)
-
-
-def _add_negative_residues(alpha: float, beta: float, r: np.ndarray, out: np.ndarray,
-                           ln_bound: float) -> None:
+def _add_negative_residues(alpha: float, beta: float, r: np.ndarray, out: np.ndarray) -> None:
     """Add the residues of the poles p = r e^(+-i pi/alpha) of z < 0 to out.
 
     The residue pair is (2/alpha) Re(p^(1-beta) e^p), of modulus at most
@@ -198,17 +192,26 @@ def _add_negative_residues(alpha: float, beta: float, r: np.ndarray, out: np.nda
     which is below spacing(|out|)/4, the computed residue (within a factor 2
     of B after rounding) is less than half the gap below or above out, so
     round-to-nearest leaves out unchanged and the residue is not computed.
-    The test is made argument by argument in logarithms, with ln_bound from
-    `_residue_ln_bound` of r, so an underflowed exponential cannot fake a
-    small bound; out == 0 always takes the residue (ln 0 = -inf).
+    The test is made argument by argument in logarithms, with
+    ln(2 * (2/alpha) * r^(1-beta) * 2^55) taken at the largest r^(1-beta)
+    over r, so an underflowed exponential cannot fake a small bound; out == 0
+    takes the residue unless 2B 2^55 is below the least subnormal, so that
+    an overflowed p^(1-beta) never meets an underflowed e^p.  At alpha = 2
+    the poles are +-ir exactly (cos(pi/2) rounds to 6e-17, which would
+    scale the residues by e^(6e-17 r)).  There |p^(1-beta)| = r^(1-beta)
+    overflows for beta < -1 and z < -1e123, where |E| can exceed the
+    largest double; that value is +inf.
     """
-    pole_dir = np.exp(1j * math.pi / alpha)
-    with np.errstate(divide="ignore"):
-        keep = r * pole_dir.real + ln_bound >= np.log(np.abs(out))
+    r_top = float(r.min() if beta > 1.0 else r.max())
+    ln_bound = math.log(4.0 / alpha) + (1.0 - beta) * math.log(r_top) + 55.0 * math.log(2.0)
+    pole_dir = np.exp(1j * math.pi / alpha) if alpha < 2.0 else 1j
+    keep = r * pole_dir.real + ln_bound >= np.log(np.maximum(np.abs(out), 5e-324))
     sel = np.flatnonzero(keep)
     if sel.size:
         pole = r[sel] * pole_dir
-        out[sel] += (2.0 / alpha) * (pole ** (1.0 - beta) * np.exp(pole)).real
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[sel] += (2.0 / alpha) * (pole ** (1.0 - beta) * np.exp(pole)).real
+        out[sel[np.isnan(out[sel])]] = np.inf
 
 
 def _contour_values(alpha: float, beta: float, z: np.ndarray, r: np.ndarray,
@@ -225,28 +228,35 @@ def _contour_values(alpha: float, beta: float, z: np.ndarray, r: np.ndarray,
     (arguments x nodes) array expression kept in `tests/oracles.py`;
     `tests/test_bit_identity.py` checks it.  Negative-axis residues go
     through `_add_negative_residues`.
+
+    A NaN comes from inf/inf, where dr^2 and dr*wi overflow (|z| above about
+    1e290), or for z > 0 from r^(1-beta) e^r = 0 * inf (r > 1e61).  So for
+    z > 0 E is far above the largest double and the value is +inf, and for
+    z < 0 the quadrature's share of E, about 1/|z|, is below 1e-270 and the
+    share is 0.
     """
     mu, h, n_side, residues = _contour_params(alpha, r_lo, r_hi, positive)
     ar, ai2, wi, wr_ai = _node_coefficients(alpha, beta, mu, h, n_side)
     rows = max(1, 4 * _BLOCK // ar.size)
     d, q = (np.empty((min(rows, z.size), ar.size)) for _ in range(2))
     node_sum = np.empty(z.size)
-    for lo in range(0, z.size, rows):
-        zb = z[lo : lo + rows, None]
-        db, qb = d[: zb.shape[0]], q[: zb.shape[0]]
-        np.subtract(ar, zb, out=db)
-        np.square(db, out=qb)  # d*d, correctly rounded; twice as fast as multiply(d, d)
-        qb += ai2
-        db *= wi
-        db -= wr_ai
-        db /= qb
-        np.add.reduce(db, axis=1, out=node_sum[lo : lo + rows])
-    out = (h / math.pi) * node_sum
-    if residues and positive:
-        with np.errstate(over="ignore"):  # E above the largest double is inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, z.size, rows):
+            zb = z[lo : lo + rows, None]
+            db, qb = d[: zb.shape[0]], q[: zb.shape[0]]
+            np.subtract(ar, zb, out=db)
+            np.square(db, out=qb)  # d*d, correctly rounded; twice as fast as multiply(d, d)
+            qb += ai2
+            db *= wi
+            db -= wr_ai
+            db /= qb
+            np.add.reduce(db, axis=1, out=node_sum[lo : lo + rows])
+        out = (h / math.pi) * node_sum
+        if residues and positive:
             out += (1.0 / alpha) * r ** (1.0 - beta) * np.exp(r)
-    elif residues:
-        _add_negative_residues(alpha, beta, r, out, _residue_ln_bound(alpha, beta, r))
+    out[np.isnan(out)] = np.inf if positive else 0.0
+    if residues and not positive:
+        _add_negative_residues(alpha, beta, r, out)
     return out
 
 
@@ -264,15 +274,22 @@ def _asymptotic_coefficients(alpha: float, beta: float, bucket: int) -> np.ndarr
     ends the sum).  The envelope, not the coefficient, decides: a
     coefficient that vanishes (beta - alpha k a non-positive integer) or
     nearly does must not stop the sum before the terms after it are small.
+    The envelope falls until alpha k is near the pole radius and rises
+    after.  Where it stops falling above that bound (beta below about -1.47
+    at radii 64-128 with some alpha, never a kernel's beta in {1, 2, alpha,
+    alpha + 1}), the sum ends at its smallest term, the optimal truncation
+    of the divergent series, whose error is about that term.
     """
     ln_r_lo = bucket * math.log(2.0)
     ln_target = -53.0 * math.log(2.0) - 2.0 * alpha * (ln_r_lo + math.log(2.0))
-    n = 1
-    while (1.0 + alpha * (n + 1) - beta <= 0.0
-           or math.lgamma(1.0 + alpha * (n + 1) - beta) - math.log(math.pi)
-           - alpha * (n + 1) * ln_r_lo > ln_target):
-        n += 1
-    return -rgamma(beta - alpha * np.arange(1, n + 1))
+    last = math.inf  # the envelope of term n, the last one kept
+    for n in itertools.count(1):
+        x = 1.0 + alpha * (n + 1) - beta
+        envelope = (math.lgamma(x) - math.log(math.pi) - alpha * (n + 1) * ln_r_lo
+                    if x > 0.0 else math.inf)
+        if envelope <= ln_target or last <= envelope < math.inf:
+            return -rgamma(beta - alpha * np.arange(1, n + 1))
+        last = envelope
 
 
 def _asymptotic_values(alpha: float, beta: float, z: np.ndarray, r: np.ndarray,
@@ -283,9 +300,10 @@ def _asymptotic_values(alpha: float, beta: float, z: np.ndarray, r: np.ndarray,
     negative axis (Gorenflo, Loutchko and Luchko, Fract. Calc. Appl. Anal.
     5(4), 2002), the sum by Horner's rule in 1/z with the term count of the
     bucket, coef from `_asymptotic_coefficients`.  The divergent series'
-    smallest term is about e^-r, so from r = 64 on the truncation stays far
-    below double precision.  A value depends on (alpha, beta, z) alone, not
-    on the other arguments.
+    smallest term is about r^(1/2-beta) e^-r, so from r = 64 on the
+    truncation stays far below double precision, except for beta below
+    about -1.47 at r < 128 (`_asymptotic_coefficients`).  A value depends on
+    (alpha, beta, z) alone, not on the other arguments.
     """
     w = 1.0 / z
     out = np.full_like(z, coef[-1])
@@ -293,7 +311,7 @@ def _asymptotic_values(alpha: float, beta: float, z: np.ndarray, r: np.ndarray,
         out *= w
         out += c
     out *= w
-    _add_negative_residues(alpha, beta, r, out, _residue_ln_bound(alpha, beta, r))
+    _add_negative_residues(alpha, beta, r, out)
     return out
 
 
@@ -391,7 +409,16 @@ def ml_values(alpha: float, beta: float, z) -> np.ndarray:
     1 < alpha < 2) the error is a few ulps of the value, plus the double
     rounding of the residues' phase r sin(pi/alpha), about r ulps of the
     residue; near alpha = 2, where the residues decay slowly, that rounding
-    dominates (1e-15 absolute at alpha = 1.95, r = 64).
+    dominates (1e-15 absolute at alpha = 1.95, r = 64).  Where the series
+    cannot reach that (beta below about -1.47 at r in [64, 128)), it ends
+    at its smallest term, within about 1e-13 of the largest |value| over
+    the bucket (tests gate it at 1e-10).
+
+    A finite z never gives NaN.  A value above the largest double is +inf:
+    for z > 0, and at alpha = 2, beta < -1 and z < -1e123, where the
+    residues' modulus r^(1-beta) overflows.  At alpha = 2 the residues'
+    phase is r itself, with the rounding of r, so far out on the negative
+    axis only their modulus is right.
 
     Arguments with |z| > 1 are grouped by sign and by
     floor(log2 |z|^(1/alpha)), through one int16 routing key per argument.
@@ -504,8 +531,10 @@ def kernel_weights(alpha: float, kind: str, lam: np.ndarray, tau: np.ndarray) ->
     """Kernel factor on the grid lam x tau, shape (len(lam), len(tau)).
 
     lam holds finite nonnegative spatial eigenvalues already raised to the
-    fractional Laplacian power; tau holds finite nonnegative times.  tau = 0
-    follows the continuous limit (1, 0, 0, 0 for the four kinds, alpha > 1).
+    fractional Laplacian power; tau holds finite nonnegative times, and the
+    largest lam * tau^alpha must be finite too, checked on the largest lam
+    and tau alone.  tau = 0 follows the continuous limit (1, 0, 0, 0 for
+    the four kinds, alpha > 1).
     """
     if kind not in KERNEL_KINDS:
         raise DomainError(f"unknown kernel kind {kind!r}")
@@ -517,7 +546,11 @@ def kernel_weights(alpha: float, kind: str, lam: np.ndarray, tau: np.ndarray) ->
         raise DomainError("kernel_weights: times tau must be finite and >= 0")
 
     beta, power = _KERNEL_PARAMS[kind](alpha)
-    targ = tau**alpha
+    with np.errstate(over="ignore"):
+        targ = tau**alpha
+    if not float(lam.max(initial=0.0)) * float(targ.max(initial=0.0)) < math.inf:
+        raise DomainError(f"kernel_weights: lam * tau^alpha overflows (lam up to "
+                          f"{float(lam.max())!r}, tau up to {float(tau.max())!r})")
     evals = ml_values(alpha, beta, -np.outer(lam, targ))
     with np.errstate(divide="ignore", invalid="ignore"):
         tfac = np.where(tau > 0.0, tau**power, 1.0 if power == 0.0 else 0.0)

@@ -296,12 +296,20 @@ def full_grids_and_means(cfg, orders, rule: str = "exact"):
     return factors, [g[0] for g in grids], [g[1:] for g in grids], means
 
 
+def kept_modes_per_alpha(means):
+    """(kept, tails): `_kept_modes` of each alpha's means, from means of shape
+    (K, n_alpha, n_dt), as a tuple of drawn-mode counts and an (n_alpha,
+    n_dt) array of tails."""
+    cuts = [experiments._kept_modes(means[:, a]) for a in range(means.shape[1])]
+    return tuple(k for k, _ in cuts), np.array([t for _, t in cuts])
+
+
 def modeling_oracle(cfg, orders, rule: str):
     """`modeling_traj_longdouble` of every trajectory of cfg, from the package's
-    full weight grids and its choice of kept modes (`_kept_modes`): (errors,
-    spreads), each (m_traj, len(orders), n_dt)."""
+    full weight grids and its choice of kept modes (`_kept_modes`, per
+    alpha): (errors, spreads), each (m_traj, len(orders), n_dt)."""
     factors, w_ref, w_coarse, means = full_grids_and_means(cfg, orders, rule)
-    kept, _ = experiments._kept_modes(means)
+    kept, _ = kept_modes_per_alpha(means)
     pairs = [modeling_traj_longdouble(cfg.noise_spec(), factors, w_ref, w_coarse, kept,
                                       noise.trajectory_seed(cfg.base_seed, l))
              for l in range(cfg.m_traj)]

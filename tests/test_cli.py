@@ -43,7 +43,7 @@ def test_ml_subcommand_matches_oracle(capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("alpha, z", [("1.5", "1e5"), ("0.5", "800")])
+@pytest.mark.parametrize("alpha, z", [("1.5", "1e5"), ("0.5", "800"), ("1.5", "1e308")])
 def test_ml_overflow_prints_inf(capsys, alpha, z):
     """E_{alpha,1}(z) above the largest double prints inf and succeeds,
     with no overflow warning."""
@@ -218,7 +218,7 @@ def test_wrong_type_config_value_is_domain_error(tmp_path, capsys, monkeypatch, 
 #: The first units of work of each table function: table 1's shared grid
 #: mappings, pool and weight grids, table 2's FEM spectra, weight grids and pool.
 _FIRST_WORK = {"modeling_error_tables": ("_shared_array", "_pool", "convolution_weights"),
-               "fem_error_tables": ("discrete_spectra", "convolution_weights", "_pool_map")}
+               "fem_error_tables": ("discrete_spectra", "convolution_weights", "_pool")}
 
 
 def _record_first_work(monkeypatch, target: str, calls: list) -> None:
@@ -636,7 +636,7 @@ def test_sample_array_above_cap_exits_2_before_any_work(tmp_path, capsys, monkey
     def forbidden(*args, **kwargs):
         raise AssertionError("work started for an oversized sample array")
 
-    for name in ("_pool_map", "_modeling_weights", "discrete_spectra", "convolution_weights"):
+    for name in ("_pool", "_modeling_weights", "discrete_spectra", "convolution_weights"):
         monkeypatch.setattr(experiments, name, forbidden)
     out = tmp_path / "never"
     code, _, err = run([command, "--m-traj", str(10**10), "--out", str(out)], capsys)

@@ -16,7 +16,6 @@ from fracwave import experiments, fem, noise
 from fracwave.errors import DomainError
 from fracwave.experiments import (
     ExperimentConfig,
-    _pool_map,
     compute_rates,
     fem_error_samples,
     fem_error_tables,
@@ -28,7 +27,7 @@ from fracwave.experiments import (
 from fracwave.noise import generate, trajectory_seed
 from fracwave.spectral import FracOrders
 
-from oracles import LONGDOUBLE_EXTENDED, full_grids_and_means, modeling_oracle
+from oracles import LONGDOUBLE_EXTENDED, full_grids_and_means, kept_modes_per_alpha, modeling_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,6 +49,10 @@ def test_compute_rates_examples():
     assert abs(rate - 0.7097) < 2e-4
     with pytest.raises(DomainError):
         compute_rates([1.0, 0.0], [2.0, 1.0])
+    for errors in ([math.nan, 1.0], [1.0, math.inf], [1.0, 0.0], [-1.0, 2.0]):
+        with pytest.raises(DomainError, match="compute_rates: errors") as info:
+            compute_rates(errors, [2.0, 1.0])
+        assert f"(got {errors})" in str(info.value)
     with pytest.raises(DomainError):
         compute_rates([1.0], [1.0])
     for resolutions in ([2.0, 2.0], [1.0, 0.0], [1.0, -0.5], [math.nan, 1.0], [math.inf, 1.0]):
@@ -127,8 +130,7 @@ def test_bad_grid_rejected_before_any_work(samples, kw, match, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("work started for a bad grid")
 
-    for name in ("_pool", "_pool_map", "convolution_weights", "discrete_spectra",
-                 "sine_products"):
+    for name in ("_pool", "convolution_weights", "discrete_spectra", "sine_products"):
         monkeypatch.setattr(experiments, name, forbidden)
     with pytest.raises(DomainError, match=match):
         samples(_cfg(**kw), [ORDERS])
@@ -168,7 +170,7 @@ def test_empty_sweep_rejected_before_any_work(samples, kw, orders, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("work started for an empty sweep")
 
-    for name in ("_pool_map", "convolution_weights", "discrete_spectra", "sine_products",
+    for name in ("_pool", "convolution_weights", "discrete_spectra", "sine_products",
                  "homogeneous_solution", "_modeling_weights"):
         monkeypatch.setattr(experiments, name, forbidden)
     with pytest.raises(DomainError, match="empty"):
@@ -186,7 +188,7 @@ def test_sample_array_above_cap_rejected_before_any_work(samples, kw, n_grid, mo
     def forbidden(*args, **kwargs):
         raise AssertionError("work started for an oversized sample array")
 
-    for name in ("_pool_map", "convolution_weights", "discrete_spectra", "sine_products",
+    for name in ("_pool", "convolution_weights", "discrete_spectra", "sine_products",
                  "homogeneous_solution", "_modeling_weights", "generate"):
         monkeypatch.setattr(experiments, name, forbidden)
     at_cap = noise._DEFAULT_ENTRY_CAP // (2 * n_grid)  # two orders
@@ -243,23 +245,31 @@ class _RecordingContext:
         return _Pool()
 
 
+def _run_pool(fn, items, n_workers: int) -> list:
+    """[fn(x) for x in items] on one `_pool` of `_pool_size` workers, as table 2
+    runs its trajectories."""
+    items = list(items)
+    with experiments._pool(fn, experiments._pool_size(n_workers, len(items))) as run:
+        return run(items)
+
+
 def test_pool_map_caps_workers_without_starting_processes(monkeypatch):
     calls, results = [], []
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method: _RecordingContext(calls, results))
     monkeypatch.setattr(experiments, "_worker_fn", None)
-    assert _pool_map(abs, range(3), 10**5) == [0, 1, 2]
+    assert _run_pool(abs, range(3), 10**5) == [0, 1, 2]
     cap = min(3, experiments._cores())
     assert calls == ([(cap, abs)] if cap > 1 else [])
 
     calls.clear()
     monkeypatch.setattr(experiments, "_cores", lambda: 64)
-    assert _pool_map(abs, range(-3, 0), 10**5) == [3, 2, 1]
-    assert _pool_map(abs, range(5), 0) == list(range(5))
-    assert _pool_map(abs, range(5), -4) == list(range(5))
+    assert _run_pool(abs, range(-3, 0), 10**5) == [3, 2, 1]
+    assert _run_pool(abs, range(5), 0) == list(range(5))
+    assert _run_pool(abs, range(5), -4) == list(range(5))
     assert calls == [(3, abs)]
     monkeypatch.setattr(experiments, "_cores", lambda: 2)
-    _pool_map(abs, range(5), 10**5)
+    _run_pool(abs, range(5), 10**5)
     assert calls[-1] == (2, abs)
 
     # table 1: one pool per run, of min(n_workers, cores, largest phase)
@@ -275,7 +285,7 @@ def test_pool_map_caps_workers_without_starting_processes(monkeypatch):
         samples = modeling_error_samples(cfg, orders, n_workers=n_workers)
         assert len(calls) == 1 and calls[0][0] == size
         cuts, batches = results
-        kept, tails = experiments._kept_modes(full_grids_and_means(cfg, orders)[3])
+        kept, tails = kept_modes_per_alpha(full_grids_and_means(cfg, orders)[3])
         assert [k for k, _ in cuts] == list(kept)
         assert np.array_equal([t for _, t in cuts], tails)
         assert [b.shape for b in batches] == [(min(32, m_traj), 2, 3)] * -(-m_traj // 32)
@@ -296,7 +306,7 @@ def test_cores_counts_the_cpu_affinity(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert experiments._cores() == 1
-    assert _pool_map(abs, range(-5, 0), 10**5) == [5, 4, 3, 2, 1]
+    assert _run_pool(abs, range(-5, 0), 10**5) == [5, 4, 3, 2, 1]
     assert calls == []
     monkeypatch.delattr(os, "sched_getaffinity")  # a platform without affinity
     assert experiments._cores() == 64
@@ -323,7 +333,7 @@ def test_pool_map_fork_workers_inherit_the_callable(monkeypatch):
     fn = functools.partial(_shifted, _Unpicklable(10))
     with pytest.raises(TypeError):
         pickle.dumps(fn)
-    out = _pool_map(fn, range(6), 2)
+    out = _run_pool(fn, range(6), 2)
     assert [v for v, _ in out] == list(range(10, 16))
     assert os.getpid() not in {pid for _, pid in out}
     assert experiments._worker_fn is None  # the parent keeps no worker context
@@ -397,11 +407,12 @@ def test_kept_modes_choose_the_least_count_within_the_tail_share():
     k = np.arange(1, 61, dtype=float)
     means = np.zeros((60, 2, 2))
     means[:, 0, 0] = 2.0**-k
-    kept, tails = experiments._kept_modes(means)
+    kept, tails = kept_modes_per_alpha(means)
+    assert experiments._kept_modes(means[:, 0])[1].shape == (2,)
     assert experiments._TAIL_SHARE == 1e-14
     assert kept == (47, 1)
     assert tails[0, 0] == math.fsum(2.0**-k[47:]) and not tails[0, 1] and not tails[1].any()
-    assert experiments._kept_modes(means[:1])[0] == (1, 1)
+    assert kept_modes_per_alpha(means[:1])[0] == (1, 1)
 
 
 def test_kept_modes_are_cut_in_the_long_double_gates():
@@ -414,7 +425,7 @@ def test_kept_modes_are_cut_in_the_long_double_gates():
     for k_modes, n_cutoff in ((37, 37), (64, 64), (100, 100), (100, 57)):
         for rule in ("exact", "left"):
             cfg = _cfg(m_traj=3, k_modes=k_modes, n_cutoff=n_cutoff, dt_list=dts)
-            k_star, tails = experiments._kept_modes(full_grids_and_means(cfg, orders, rule)[3])
+            k_star, tails = kept_modes_per_alpha(full_grids_and_means(cfg, orders, rule)[3])
             mb = experiments._block_shape(k_modes, cfg.m_traj, len(dts))[0]
             kept += [(k, k_modes, mb) for k in k_star]
             assert all(1 <= k <= k_modes for k in k_star)
@@ -451,7 +462,7 @@ def test_kept_modes_at_the_paper_shapes(monkeypatch):
     full_bytes = sum(w.nbytes for a in range(len(orders)) for w in (w_ref[a], *w_coarse[a]))
     assert full_bytes == 8 * 1000 * (1000 + 500) * len(orders)
     assert peak < 0.6 * full_bytes, peak / full_bytes
-    kept, tails = experiments._kept_modes(means)
+    kept, tails = kept_modes_per_alpha(means)
     assert kept == (237, 232, 295, 257, 468)
     assert np.array_equal(serial, modeling_error_samples(one, orders, "exact", 2))
     (ref_rows, coarse_rows, *cut, errors), pooled = runs
@@ -476,9 +487,8 @@ def test_kept_modes_at_the_paper_shapes(monkeypatch):
                 experiments._modeling_traj(cfg.noise_spec(), seed, m_traj, factors, w_ref,
                                            w_coarse, *c, first)
                 for first in range(0, m_traj, experiments._BATCH)]) for c in ((kept, tails), full))
-            for a in range(len(orders)):
-                t_cut, t_whole = (experiments._table_from_samples(x[:, a], cfg.dt_list, {})
-                                  for x in (cut, whole))
+            for t_cut, t_whole in zip(*(experiments._rate_tables(cfg, orders, x, cfg.dt_list)
+                                         for x in (cut, whole))):
                 np.testing.assert_allclose(t_cut.errors, t_whole.errors, rtol=1e-13, atol=0.0)
                 np.testing.assert_allclose(t_cut.stderrs, t_whole.stderrs, rtol=1e-13, atol=0.0)
 
@@ -535,7 +545,7 @@ def test_rectangle_rule_degeneration_is_exact_zero():
     samples = modeling_error_samples(cfg, [ORDERS], rule="left")
     assert samples.shape == (5, 1, 1)
     assert (samples == 0.0).all() and not np.signbit(samples).any()
-    kept, tails = experiments._kept_modes(full_grids_and_means(cfg, [ORDERS], "left")[3])
+    kept, tails = kept_modes_per_alpha(full_grids_and_means(cfg, [ORDERS], "left")[3])
     assert kept == (1,) and not tails.any()
     # beside a coarser column the zero column does not count, and stays zero
     cfg = _cfg(m_traj=5, n_fine=100, dt_list=(1 / 50, 1 / 100))
@@ -622,7 +632,7 @@ def test_modeling_column_bytes_independent_of_sweep(k_modes, dt_list, m_trajs):
     o15, o20 = FracOrders(1.5, 0.75), FracOrders(2.0, 0.75)
     if k_modes == 400:
         cfg = _cfg(k_modes=k_modes, n_cutoff=k_modes, dt_list=dt_list)
-        assert experiments._kept_modes(full_grids_and_means(cfg, [o15, o20])[3])[0] == (158, 350)
+        assert kept_modes_per_alpha(full_grids_and_means(cfg, [o15, o20])[3])[0] == (158, 350)
     for m_traj in m_trajs:
         cfg = _cfg(m_traj=m_traj, k_modes=k_modes, n_cutoff=k_modes, dt_list=dt_list)
         both = modeling_error_samples(cfg, [o15, o20])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,14 @@ def test_kernel_weights_grid_shape_and_consistency():
             kernel_weights(1.5, "impulse", np.array([1.0, bad]), tau)
         with pytest.raises(DomainError, match="kernel_weights: times tau must be finite"):
             kernel_weights(1.5, "impulse", lam, np.array([0.5, bad]))
+    # finite lam and tau whose product lam * tau^alpha, or tau^alpha itself,
+    # overflows: the error names the product, and no warning is printed
+    for a, big_lam, big_tau in ((1.5, [2.0, 1e300], [0.5, 1e10]), (2.0, [1.0], [1e200]),
+                                (2.0, [0.0], [1e200])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^kernel_weights: lam \* tau\^alpha overflows"):
+                kernel_weights(a, "impulse", np.array(big_lam), np.array(big_tau))
 
 
 @pytest.mark.parametrize("alpha, kind", [(1.1, "impulse_primitive"), (1.75, "impulse"),
@@ -419,6 +428,82 @@ def test_asymptotic_terms_go_past_a_vanishing_coefficient(alpha, k):
     coef = _asymptotic_coefficients(alpha, alpha, 6)
     assert coef.size > k + 3
     assert abs(coef[k - 1]) < 1e-12 * abs(coef[k - 2])
+
+
+def _envelope(alpha, beta, k, bucket):
+    """ln of the bound Gamma(1 + alpha k - beta)/pi on term k of the
+    asymptotic series at the lower edge of a bucket, or inf before the bound
+    holds (1 + alpha k - beta <= 0)."""
+    x = 1.0 + alpha * k - beta
+    if x <= 0.0:
+        return math.inf
+    return math.lgamma(x) - math.log(math.pi) - alpha * k * bucket * math.log(2.0)
+
+
+def _target_term_count(alpha, beta, bucket):
+    """The least n whose first omitted term's envelope is below
+    2^-53 |z|^-2 at the bucket's upper edge, or None below 10^4 terms."""
+    ln_target = -53.0 * math.log(2.0) - 2.0 * alpha * (bucket + 1) * math.log(2.0)
+    return next((n for n in range(1, 10_000) if _envelope(alpha, beta, n + 1, bucket) <= ln_target),
+                None)
+
+
+def test_asymptotic_term_count_of_kernel_buckets():
+    """Every bucket of the kernels' betas ends where the envelope first falls
+    below the target, as before the series could end at its smallest term."""
+    for alpha in np.round(np.arange(1.01, 2.0, 0.01), 2):
+        for beta in (1.0, 2.0, alpha, alpha + 1.0):
+            for bucket in range(6, 40):
+                want = _target_term_count(alpha, beta, bucket)
+                assert want is not None
+                assert _asymptotic_coefficients(alpha, beta, bucket).size == want
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.9, -2.0), (1.5, -4.0), (1.99, -3.0), (1.01, -4.0),
+                                         (1.5, -3.5), (1.7, -2.5)])
+def test_asymptotic_series_ends_at_its_smallest_term(alpha, beta):
+    """For these (alpha, beta) the envelope of the r = 64 bucket bottoms out
+    above the target, so no term count reaches it.  The sum ends at its
+    smallest term instead, and the values over the bucket agree with the
+    asymptotic oracle to 1e-10 of the largest |value| (about 1e-13 at
+    these points)."""
+    ks = range(1, 200)
+    envelopes = [_envelope(alpha, beta, k, 6) for k in ks]
+    assert _target_term_count(alpha, beta, 6) is None
+    assert _asymptotic_coefficients(alpha, beta, 6).size == ks[int(np.argmin(envelopes))]
+    z = -(np.geomspace(64.001, 127.99, 8) ** alpha)
+    if (alpha, beta) == (1.9, -2.0):
+        z = np.append(z, -3825.66)
+    got = ml_values(alpha, beta, z)
+    want = np.array([ml_asymptotic_mp(alpha, beta, float(x)) for x in z])
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("alpha", (0.3, 0.5, 1.0, 1.5, 1.9, 2.0))
+def test_finite_arguments_never_give_nan(alpha):
+    """No finite z gives NaN, on a log grid of |z| from 1 to 1e308 of either
+    sign and betas across [-4, 6].
+
+    For z > 0, E is +inf where its leading term (1/alpha) r^(1-beta) e^r,
+    r = z^(1/alpha), is above the largest double, and finite where it is
+    below.  For z <= -1e20, E is the inverse-power series to 1e-12 absolute,
+    plus at alpha = 2 the residues, of modulus r^(1-beta); their sum is
+    +inf only where that modulus overflows.
+    """
+    mag = np.geomspace(1.0, 1e308, 617)
+    ln_r = np.log(mag) / alpha
+    with np.errstate(over="ignore"):
+        r = np.exp(ln_r)
+        for beta in np.linspace(-4.0, 6.0, 21):
+            pos, neg = ml_values(alpha, beta, mag), ml_values(alpha, beta, -mag)
+            assert not np.isnan(pos).any() and not np.isnan(neg).any(), beta
+            ln_lead = r + (1.0 - beta) * ln_r - math.log(alpha)
+            assert (pos[ln_lead > 710.0] == np.inf).all(), beta
+            assert np.isfinite(pos[ln_lead < 700.0]).all(), beta
+            far = mag >= 1e20
+            series = -sum((-mag[far]) ** -k * rgamma(beta - alpha * k) for k in (1, 2, 3))
+            modulus = r[far] ** (1.0 - beta) if alpha == 2.0 else 0.0
+            assert (np.abs(neg[far] - series) <= 1e-12 + modulus).all(), beta
 
 
 @pytest.mark.parametrize("alpha, beta", [(1.1, 1.1), (1.5, 1.0), (1.75, 2.75), (1.95, 1.95)])
