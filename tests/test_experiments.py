@@ -27,7 +27,8 @@ from fracwave.experiments import (
 from fracwave.noise import generate, trajectory_seed
 from fracwave.spectral import FracOrders
 
-from oracles import LONGDOUBLE_EXTENDED, full_grids_and_means, kept_modes_per_alpha, modeling_oracle
+from oracles import (LONGDOUBLE_EXTENDED, full_grids_and_means, kept_modes_per_alpha,
+                     modeling_oracle)
 
 ROOT = Path(__file__).resolve().parent.parent
 
