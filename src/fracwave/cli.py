@@ -5,7 +5,8 @@ error vs time step, one CSV per alpha), `table2` (Galerkin error vs mesh
 width, one CSV per beta), `spectrum` (discrete fractional Laplacian
 eigenvalues), `stability` (homogeneous decay/continuity diagnostics).
 
-Exit codes: 0 success, 1 usage error, 2 domain error, 3 I/O error.
+Exit codes: 0 success, 1 usage error, 2 domain error, 3 I/O error (a
+worker process that died is one).
 Output directory resolution: --out flag, else $FRACWAVE_OUT, else the
 working directory.  A config file (flat `key = value` TOML, read by
 `tomllib`) may set any `table1` or `table2` setting of `_SETTINGS`, with

@@ -18,21 +18,22 @@ carry more than a 1e-14 share of its exact mean, and adds the exact mean
 of the rest to every sample: a control variate with a known mean, so the
 estimate stays unbiased.
 
-Each run forks at most one pool (`_pool`).  Only indices, per-trajectory
-or per-batch errors and the modeling error's drawn-mode counts and tails
-cross its pipes: the Galerkin workers inherit the FEM products built
-before the fork, and a modeling-error worker builds one alpha's weight
-grids and exact means, writes only the rows the batches read to
-anonymous shared mappings made before the fork, and then runs batches on
-them.
+Work is spread over fork children one phase at a time (`_fork_map`), each
+phase with its own worker count, and a phase of at most one item runs in
+this process.  Only per-trajectory or per-batch errors and the modeling
+error's drawn-mode counts and tails cross the pipes.  The Galerkin
+children inherit the FEM products built before the fork.  The modeling
+error runs two phases: a set-up child builds its alphas' weight grids and
+exact means and writes only the rows the batches read to anonymous shared
+mappings made before the fork; the batch children, forked after the
+set-up, inherit those rows.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import multiprocessing
+import multiprocessing.connection
 import os
 import reprlib
 import subprocess
@@ -90,7 +91,7 @@ class ExperimentConfig:
     m_traj >= 1, base_seed in [0, 2^64), the seeds that `trajectory_seed`
     tells apart, and by `NoiseSpec` n_fine, n_cutoff and the k_modes x
     n_fine noise matrix against the entry cap.  Each grid is checked by the
-    experiment that reads it, before any grid, spectrum or pool: dt_list by
+    experiment that reads it, before any grid, spectrum or fork: dt_list by
     `coarse_steps` and `_modeling_weights`, h_list by `meshes`.  Both ask
     `noise._step_count` whether a step is T/n.
     """
@@ -234,50 +235,57 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_size(n_workers: int, n_tasks: int) -> int:
-    """Workers for a run whose largest phase has n_tasks tasks: at most
-    n_workers, one per task and one per core; <= 1 means no fork."""
-    return min(n_workers, n_tasks, _cores())
+def _fork_map(fn, items, n_workers: int) -> list:
+    """[fn(x) for x in items], for a sequence items, in this process when
+    min(n_workers, len(items), cores) is <= 1, else on that many fork
+    children.
 
-
-@contextlib.contextmanager
-def _pool(fn, n_workers: int):
-    """Yields map(items) -> [fn(x) for x in items]; every call of it runs on
-    one pool of n_workers fork workers, or in this process when n_workers
-    is <= 1.
-
-    Results come back in item order whatever the worker count.  fn reaches
-    the workers as an initializer argument, which a forked worker inherits
-    without pickling, so fn may be any callable, bound to arrays of any size
-    or to shared mappings made before the fork; only the items and the
-    results are pickled.  An exception of fn reaches the caller, and the
-    workers are stopped when the block ends.
+    Child w runs items w, w + n, ... of the n children.  Its target closes
+    over fn, which the fork passes on without pickling, so fn may be bound
+    to arrays of any size or to shared mappings made before the fork.  A
+    child sends back its list of results, or fn's exception, through a
+    one-way pipe; the results come back in item order whatever the worker
+    count.  A child that ends before it sends is a ChildProcessError that
+    names it.  Every child is killed and joined before this returns.
     """
-    if n_workers <= 1:
-        yield lambda items: [fn(x) for x in items]
-        return
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=n_workers, initializer=_set_worker_fn, initargs=(fn,)) as pool:
-        yield lambda items: pool.map(_call_worker_fn, items, chunksize=1)
+    n = min(n_workers, len(items), _cores())
+    if n <= 1:
+        return [fn(x) for x in items]
 
+    def child(w, send):
+        try:
+            send.send([fn(x) for x in items[w::n]])
+        except Exception as exc:  # of fn, or a result that cannot be pickled
+            send.send(exc)
 
-_worker_fn = None  # the callable of `_pool`, set only inside its workers
-
-
-def _set_worker_fn(fn) -> None:
-    """Pool initializer: keeps the callable of `_pool` in the worker."""
-    global _worker_fn
-    _worker_fn = fn
-
-
-def _call_worker_fn(x):
-    return _worker_fn(x)
+    ctx, children, readers, results = multiprocessing.get_context("fork"), [], {}, [None] * n
+    try:
+        for w in range(n):  # each pipe made just before its child, so no other child holds it
+            recv, send = ctx.Pipe(duplex=False)
+            children.append(ctx.Process(target=child, args=(w, send)))
+            children[-1].start()
+            send.close()  # now only the child holds it, so its end is EOF here
+            readers[recv] = w
+        while readers:  # in the order the children finish
+            w = readers.pop(recv := multiprocessing.connection.wait(list(readers))[0])
+            try:
+                results[w] = recv.recv()
+            except EOFError:
+                raise ChildProcessError(f"worker {w} of {n} (pid {children[w].pid}) ended before "
+                                        "it sent its results") from None
+            if isinstance(results[w], Exception):
+                raise results[w]
+        return [results[i % n][i // n] for i in range(len(items))]
+    finally:
+        for c in children:
+            c.kill()
+            c.join()
 
 
 def _require_sweep(where: str, m_traj: int, orders, grid_name: str, grid) -> None:
     """A DomainError for an empty list of orders or of grids, or for an
     (m_traj, orders, grid) sample array above the entry cap, raised before
-    any grid, spectrum or pool."""
+    any grid, spectrum or fork."""
     for what, items in (("sweep of fractional orders", orders), (grid_name, grid)):
         if not len(items):
             raise DomainError(f"{where}: the {what} is empty")
@@ -312,58 +320,51 @@ def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int, 
     for its means, then the `_modeling_traj` errors of the batch that
     starts at each trajectory index in firsts.
 
-    Before any grid or pool, each step of cfg.dt_list is checked
+    Before any grid or fork, each step of cfg.dt_list is checked
     (`ExperimentConfig.coarse_steps`), and no two may give the same number
     of steps: the row would be computed twice, with no rate between.
 
-    Two phases run on one `_pool` of min(n_workers, cores, largest phase)
-    workers: one task per alpha, then the batches.  An alpha task builds
-    that alpha's grids (`_alpha_grids`), so the weights are the same bits at
-    any worker count; it computes the alpha's exact per-mode means
-    (`_mode_means`) and from them its drawn modes K* and tails, keeps rows
-    1..K* of each grid and returns (K*, tails).  The parent hands every
-    alpha's cut to every batch, which reads the kept rows alone.  On one
-    worker the kept rows are copies, made grid by grid as each full grid
-    goes, or the grid itself when every row is kept.  On more workers each
-    grid is a full-size `_shared_array` made before the fork: its alpha task
-    writes the kept rows there and no other, so pages past them are never
-    touched, and only indices, cuts and per-batch errors cross the pipes;
-    the parent never reads the grids.
+    Two phases run, each one `_fork_map` with its own worker count.  First
+    `cut(a)` for each alpha: it builds that alpha's grids (`_alpha_grids`),
+    so the weights are the same bits at any worker count, computes its exact
+    per-mode means (`_mode_means`) and from them its drawn modes K* and
+    tails, keeps rows 1..K* of each grid and returns (K*, tails).  When this
+    phase runs in this process, the kept rows are copies, made grid by grid
+    as each full grid goes, or the grid itself when every row is kept.  When
+    it forks, each grid is a full-size `_shared_array` made before the fork:
+    its alpha's child writes the kept rows there and no other, so pages past
+    them are never touched, and only the cuts cross the pipes; the parent
+    never reads the grids.  Then the batches: the batch children are forked
+    after the cut, so they inherit every alpha's kept rows, cuts and tails,
+    and only indices and per-batch errors cross their pipes.
     """
     steps = [cfg.coarse_steps(dt)[0] for dt in cfg.dt_list]
     if len(set(steps)) < len(steps):
         raise DomainError(f"ExperimentConfig: two dt_list entries give one grid {steps}")
     factors = [cfg.n_fine // s for s in steps]
-    spec, k_modes = cfg.noise_spec(), cfg.k_modes
-    n_workers = _pool_size(n_workers, max(len(orders), len(firsts)))
-    shared = n_workers > 1
-    grids = [[_shared_array((k_modes, n)) for n in (cfg.n_fine, *steps)] if shared else None
+    shared = min(n_workers, len(orders), _cores()) > 1  # as `_fork_map` decides to fork
+    grids = [[_shared_array((cfg.k_modes, n)) for n in (cfg.n_fine, *steps)] if shared else None
              for _ in orders]
 
-    def split(kept):
-        rows = [[g[:k] for g in gs] for gs, k in zip(grids, kept)]
-        return [r[0] for r in rows], [r[1:] for r in rows]
-
-    def task(item):
-        i, *cut = item
-        if cut:  # the batch that starts at trajectory i
-            return _modeling_traj(spec, cfg.base_seed, cfg.m_traj, factors, *split(cut[0]), *cut, i)
-        full = _alpha_grids(cfg, orders[i], rule)
+    def cut(a):
+        full = _alpha_grids(cfg, orders[a], rule)
         k, tails = _kept_modes(_mode_means(cfg.dt_fine, factors, full))
         for g, w in enumerate(full):
             if shared:
-                grids[i][g][:k] = w[:k]  # seen by the parent and every worker
-            elif k < k_modes:
+                grids[a][g][:k] = w[:k]  # seen by the parent and every later child
+            elif k < cfg.k_modes:
                 full[g] = w[:k].copy()  # the full grid goes with the next w
         if not shared:
-            grids[i] = full  # in this process
+            grids[a] = full  # in this process
         return k, tails
 
-    with _pool(task, n_workers) as run:
-        cuts = run([(a,) for a in range(len(orders))])
-        kept, tails = tuple(k for k, _ in cuts), np.array([t for _, t in cuts])
-        errors = run([(first, kept, tails) for first in firsts])
-    return (*split(kept), kept, tails, errors)
+    cuts = _fork_map(cut, range(len(orders)), n_workers)
+    kept, tails = tuple(k for k, _ in cuts), np.array([t for _, t in cuts])
+    rows = [[g[:k] for g in gs] for gs, k in zip(grids, kept)]
+    w_ref, w_coarse = [r[0] for r in rows], [r[1:] for r in rows]
+    traj = functools.partial(_modeling_traj, cfg.noise_spec(), cfg.base_seed, cfg.m_traj, factors,
+                             w_ref, w_coarse, kept, tails)
+    return w_ref, w_coarse, kept, tails, _fork_map(traj, firsts, n_workers)
 
 
 #: Trajectories per batch of a modeling-error run: batch q holds trajectories
@@ -486,7 +487,7 @@ def modeling_error_samples(cfg: ExperimentConfig, orders, rule: str = "exact",
     One noise draw per trajectory feeds every column and every coarse grid,
     so all comparisons are coupled to the same Brownian paths.  The weight
     grids of each alpha and then the batches of `_BATCH` trajectories run
-    on one pool of at most n_workers workers (`_modeling_weights`).
+    on at most n_workers fork children each (`_modeling_weights`).
     """
     _require_sweep("modeling_error_samples", cfg.m_traj, orders, "dt_list", cfg.dt_list)
     errors = _modeling_weights(cfg, orders, rule, n_workers, range(0, cfg.m_traj, _BATCH))[-1]
@@ -533,7 +534,7 @@ def fem_error_samples(cfg: ExperimentConfig, orders, n_workers: int = 1) -> np.n
 
     Runs at the noise step T/n_fine, with no coarsening; cfg.dt_list is
     table 1's and is not read.  The meshes of cfg.h_list are checked
-    (`ExperimentConfig.meshes`) before any spectrum or pool.  One noise draw
+    (`ExperimentConfig.meshes`) before any spectrum or fork.  One noise draw
     per trajectory feeds every column: the same increments drive the
     spectral solution and, through the mode projections, every mesh.  Each
     mesh is built once, before any trajectory, and applied per trajectory
@@ -560,8 +561,7 @@ def fem_error_samples(cfg: ExperimentConfig, orders, n_workers: int = 1) -> np.n
                         convolution_weights(o, spec, dt, steps, rule="exact", truncated=True),
                         fem_meshes))
     traj = functools.partial(_fem_traj, spec, cfg.base_seed, sig, columns)
-    with _pool(traj, _pool_size(n_workers, cfg.m_traj)) as run:
-        return np.stack(run(range(cfg.m_traj)), axis=0)
+    return np.stack(_fork_map(traj, range(cfg.m_traj), n_workers))
 
 
 def fem_error_tables(cfg: ExperimentConfig, orders, n_workers: int = 1) -> list[RateTable]:

@@ -103,24 +103,24 @@ def _alpha2_integer_beta(beta_int: int, z: np.ndarray) -> np.ndarray:
     neg = z < 0
     pos = ~neg
     y = np.sqrt(np.abs(z))
-    if beta_int == 1:
-        out[neg] = np.cos(y[neg])
-        out[pos] = np.cosh(y[pos])
-        return out
-    if beta_int == 2:
-        with np.errstate(invalid="ignore"):
+    # cosh and sinh are inf past the largest double; 0/0 at y = 0 is set after
+    with np.errstate(over="ignore", invalid="ignore"):
+        if beta_int == 1:
+            out[neg] = np.cos(y[neg])
+            out[pos] = np.cosh(y[pos])
+            return out
+        if beta_int == 2:
             out[neg] = np.sin(y[neg]) / y[neg]
             out[pos] = np.sinh(y[pos]) / y[pos]
-        out[y == 0.0] = 1.0
-        return out
-    if beta_int == 3:
-        # (1 - cos y)/y^2 without cancellation
-        with np.errstate(invalid="ignore"):
+            out[y == 0.0] = 1.0
+            return out
+        if beta_int == 3:
+            # (1 - cos y)/y^2 without cancellation
             half = 0.5 * y
             out[neg] = 2.0 * np.sin(half[neg]) ** 2 / (y[neg] ** 2)
             out[pos] = (np.cosh(y[pos]) - 1.0) / (y[pos] ** 2)
-        out[y == 0.0] = 0.5
-        return out
+            out[y == 0.0] = 0.5
+            return out
     # recurrence E_{2,m}(z) = (E_{2,m-2}(z) - 1/Gamma(m-2)) / z, only |z| > 1 here
     prior = _alpha2_integer_beta(beta_int - 2, z)
     return (prior - float(rgamma(beta_int - 2))) / z
@@ -336,8 +336,8 @@ def _routing_keys(alpha: float, z: np.ndarray, r: np.ndarray) -> tuple[np.ndarra
     counts = np.zeros(_N_KEYS, dtype=np.int64)
     for lo in range(0, z.size, _BLOCK):
         zc, rc = z[lo : lo + _BLOCK], r[lo : lo + _BLOCK]
-        rc[...] = np.abs(zc) ** (1.0 / alpha)
-        with np.errstate(divide="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):  # r = inf past the largest double
+            rc[...] = np.abs(zc) ** (1.0 / alpha)
             ids = np.log2(rc)
         np.floor(ids, out=ids)
         np.minimum(ids, 1025.0, out=ids)
@@ -376,9 +376,9 @@ def _bucket_values(alpha: float, beta: float, z: np.ndarray, idx: np.ndarray, k:
 def _elementary_values(alpha: float, beta_int: int, z: np.ndarray) -> np.ndarray:
     """E_{1,1}, E_{1,2} and E_{2,m} (m = 1..6) by their closed forms."""
     if alpha == 1.0:
-        if beta_int == 1:
-            return np.exp(z)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf past the largest double
+            if beta_int == 1:
+                return np.exp(z)
             out = np.expm1(z) / z
         out[z == 0.0] = 1.0
         return out

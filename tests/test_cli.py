@@ -52,6 +52,17 @@ def test_ml_overflow_prints_inf(capsys, alpha, z):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("alpha, beta, z", [("1", "1", "800"), ("0.3", "1", "1e200"),
+                                           ("2", "1", "1e6"), ("2", "2", "1e6"),
+                                           ("2", "3", "1e6"), ("2", "4", "1e6")])
+def test_ml_closed_form_overflow_prints_inf_and_nothing_else(alpha, beta, z):
+    """Where a closed form (alpha 1 or 2) or the pole radius overflows, the
+    value is inf: the command prints it and writes nothing to stderr."""
+    argv = ["ml", "--alpha", alpha, "--beta", beta, "--z", z]
+    done = _python(f"import sys; from fracwave.cli import main; sys.exit(main({argv!r}))")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "inf\n", "")
+
+
 def test_ml_domain_error_exit_code(capsys):
     code, _, err = run(["ml", "--alpha", "0", "--beta", "1", "--z", "0"], capsys)
     assert code == 2
@@ -216,9 +227,9 @@ def test_wrong_type_config_value_is_domain_error(tmp_path, capsys, monkeypatch, 
 
 
 #: The first units of work of each table function: table 1's shared grid
-#: mappings, pool and weight grids, table 2's FEM spectra, weight grids and pool.
-_FIRST_WORK = {"modeling_error_tables": ("_shared_array", "_pool", "convolution_weights"),
-               "fem_error_tables": ("discrete_spectra", "convolution_weights", "_pool")}
+#: mappings, forks and weight grids, table 2's FEM spectra, weight grids and fork.
+_FIRST_WORK = {"modeling_error_tables": ("_shared_array", "_fork_map", "convolution_weights"),
+               "fem_error_tables": ("discrete_spectra", "convolution_weights", "_fork_map")}
 
 
 def _record_first_work(monkeypatch, target: str, calls: list) -> None:
@@ -416,16 +427,23 @@ def test_empty_alpha_list_runs_nothing(tmp_path, capsys, monkeypatch):
     assert calls == [] and not any((tmp_path / "o").iterdir())
 
 
-def _run_python(code: str, env=None) -> str:
-    """Standard output of `python -c code` in a fresh process on this source tree."""
+def _python(code: str, env=None):
+    """`python -c code` in a fresh process on this source tree, its output
+    captured; it is stopped after 120 s."""
     import subprocess
 
     import fracwave
 
     src = os.path.dirname(os.path.dirname(fracwave.__file__))
     env = dict(os.environ, **(env or {}), PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def _run_python(code: str, env=None) -> str:
+    """Standard output of `python -c code` in a fresh process on this source tree."""
+    done = _python(code, env)
+    done.check_returncode()
     return done.stdout.strip()
 
 
@@ -582,8 +600,9 @@ def test_table1_outputs_and_determinism(tmp_path, capsys):
 
 
 def test_table1_two_batches_same_bytes_on_two_workers(tmp_path, capsys, monkeypatch):
-    """m_traj 40 is two batches: on two fork workers, one pool runs the
-    weight grids and both batches, and writes the bytes of one worker."""
+    """m_traj 40 is two batches: on two fork workers, the weight grids of
+    the two alphas and then the two batches each fork two children, and the
+    run writes the bytes of one worker."""
     import multiprocessing
 
     from fracwave import experiments
@@ -602,6 +621,23 @@ def test_table1_two_batches_same_bytes_on_two_workers(tmp_path, capsys, monkeypa
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     assert multiprocessing.active_children() == []
+
+
+def test_table1_killed_worker_exits_3(tmp_path):
+    """A batch child killed by SIGKILL ends the run: exit 3 with an i/o error
+    that names the worker, and no child left.  A hang would stop the parent,
+    so the run is a fresh process with a time limit."""
+    argv = ["table1", "--config", _tiny_cfg(tmp_path), "--m-traj", "40",
+            "--out", str(tmp_path / "out"), "--threads", "2"]
+    done = _python("import multiprocessing, os, signal, sys\n"
+                   "from fracwave import cli, experiments\n"
+                   "experiments._cores = lambda: 2\n"
+                   "experiments._modeling_traj = lambda *a: os.kill(os.getpid(), signal.SIGKILL)\n"
+                   f"code = cli.main({argv!r})\n"
+                   "print(code, multiprocessing.active_children())\n")
+    assert done.stdout == "3 []\n", done.stderr
+    assert done.stderr.startswith("i/o error: worker ")
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 @pytest.mark.parametrize("command, target", [("table1", "modeling_error_tables"),
@@ -630,13 +666,13 @@ def test_seed_outside_64_bits_exits_2_before_any_work(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("command", ["table1", "table2"])
 def test_sample_array_above_cap_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
     """--m-traj 10^10 gives a sample array far above the entry cap: exit 2,
-    not a MemoryError traceback, before any grid, spectrum or pool."""
+    not a MemoryError traceback, before any grid, spectrum or fork."""
     from fracwave import experiments
 
     def forbidden(*args, **kwargs):
         raise AssertionError("work started for an oversized sample array")
 
-    for name in ("_pool", "_modeling_weights", "discrete_spectra", "convolution_weights"):
+    for name in ("_fork_map", "_modeling_weights", "discrete_spectra", "convolution_weights"):
         monkeypatch.setattr(experiments, name, forbidden)
     out = tmp_path / "never"
     code, _, err = run([command, "--m-traj", str(10**10), "--out", str(out)], capsys)

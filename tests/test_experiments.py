@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -127,11 +128,11 @@ def test_each_table_reads_only_its_own_grid():
 ])
 def test_bad_grid_rejected_before_any_work(samples, kw, match, monkeypatch):
     """A grid that its table cannot run is a DomainError, raised before any
-    weight grid, FEM spectrum or pool of that table."""
+    weight grid, FEM spectrum or fork of that table."""
     def forbidden(*args, **kwargs):
         raise AssertionError("work started for a bad grid")
 
-    for name in ("_pool", "convolution_weights", "discrete_spectra", "sine_products"):
+    for name in ("_fork_map", "convolution_weights", "discrete_spectra", "sine_products"):
         monkeypatch.setattr(experiments, name, forbidden)
     with pytest.raises(DomainError, match=match):
         samples(_cfg(**kw), [ORDERS])
@@ -166,12 +167,12 @@ def test_mesh_width_within_relative_tolerance():
         "fem_error_samples-kw3"])
 def test_empty_sweep_rejected_before_any_work(samples, kw, orders, monkeypatch):
     """An empty list of orders, or of the sampler's time steps or mesh
-    widths, is a DomainError, raised before any pool, weight grid or FEM
+    widths, is a DomainError, raised before any fork, weight grid or FEM
     spectrum."""
     def forbidden(*args, **kwargs):
         raise AssertionError("work started for an empty sweep")
 
-    for name in ("_pool", "convolution_weights", "discrete_spectra", "sine_products",
+    for name in ("_fork_map", "convolution_weights", "discrete_spectra", "sine_products",
                  "homogeneous_solution", "_modeling_weights"):
         monkeypatch.setattr(experiments, name, forbidden)
     with pytest.raises(DomainError, match="empty"):
@@ -184,12 +185,12 @@ def test_empty_sweep_rejected_before_any_work(samples, kw, orders, monkeypatch):
 ], ids=["modeling_error_samples", "fem_error_samples"])
 def test_sample_array_above_cap_rejected_before_any_work(samples, kw, n_grid, monkeypatch):
     """An (m_traj, orders, grid) sample array above the entry cap is a
-    DomainError, raised before any pool, weight grid or FEM spectrum; one
+    DomainError, raised before any fork, weight grid or FEM spectrum; one
     at the cap passes the check."""
     def forbidden(*args, **kwargs):
         raise AssertionError("work started for an oversized sample array")
 
-    for name in ("_pool", "convolution_weights", "discrete_spectra", "sine_products",
+    for name in ("_fork_map", "convolution_weights", "discrete_spectra", "sine_products",
                  "homogeneous_solution", "_modeling_weights", "generate"):
         monkeypatch.setattr(experiments, name, forbidden)
     at_cap = noise._DEFAULT_ENTRY_CAP // (2 * n_grid)  # two orders
@@ -219,96 +220,96 @@ def test_modeling_error_reproducible_and_worker_invariant():
 
 
 class _RecordingContext:
-    """Stands in for a multiprocessing context: its Pool records the worker
-    count and the callable handed to the initializer when it starts, runs
-    the initializer, and maps in this process, keeping each map's results."""
+    """Stands in for the fork context of one `_fork_map` phase: it appends
+    the list of that phase's children to phases, and each child records its
+    index and runs its target in this process when it starts, over a real
+    pipe."""
 
-    def __init__(self, calls, results=None):
-        self.calls = calls
-        self.results = [] if results is None else results
+    Pipe = staticmethod(multiprocessing.Pipe)
 
-    def Pool(self, processes, initializer, initargs):
-        self.calls.append((processes, initargs[0]))
-        initializer(*initargs)
-        results = self.results
+    def __init__(self, phases):
+        self.children = []
+        phases.append(self.children)
 
-        class _Pool:
-            def __enter__(self):
-                return self
+    def Process(self, target, args):
+        children = self.children
 
-            def __exit__(self, *exc):
-                return False
+        class _Child:
+            pid = os.getpid()
 
-            def map(self, fn, items, chunksize=1):
-                results.append([fn(x) for x in items])
-                return results[-1]
+            def start(self):
+                children.append(args[0])
+                target(*args)
 
-        return _Pool()
+            def kill(self):
+                pass
 
+            def join(self):
+                pass
 
-def _run_pool(fn, items, n_workers: int) -> list:
-    """[fn(x) for x in items] on one `_pool` of `_pool_size` workers, as table 2
-    runs its trajectories."""
-    items = list(items)
-    with experiments._pool(fn, experiments._pool_size(n_workers, len(items))) as run:
-        return run(items)
+        return _Child()
 
 
 def test_pool_map_caps_workers_without_starting_processes(monkeypatch):
-    calls, results = [], []
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: _RecordingContext(calls, results))
-    monkeypatch.setattr(experiments, "_worker_fn", None)
-    assert _run_pool(abs, range(3), 10**5) == [0, 1, 2]
+    """Each `_fork_map` forks min(n_workers, items, cores) children, and
+    none where that is <= 1."""
+    phases, results = [], []
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: _RecordingContext(phases))
+    assert experiments._fork_map(abs, range(3), 10**5) == [0, 1, 2]
     cap = min(3, experiments._cores())
-    assert calls == ([(cap, abs)] if cap > 1 else [])
+    assert phases == ([list(range(cap))] if cap > 1 else [])
 
-    calls.clear()
+    phases.clear()
     monkeypatch.setattr(experiments, "_cores", lambda: 64)
-    assert _run_pool(abs, range(-3, 0), 10**5) == [3, 2, 1]
-    assert _run_pool(abs, range(5), 0) == list(range(5))
-    assert _run_pool(abs, range(5), -4) == list(range(5))
-    assert calls == [(3, abs)]
+    assert experiments._fork_map(abs, range(-3, 0), 10**5) == [3, 2, 1]
+    assert experiments._fork_map(abs, range(5), 0) == list(range(5))
+    assert experiments._fork_map(abs, range(5), -4) == list(range(5))
+    assert experiments._fork_map(abs, [-7], 10**5) == [7]
+    assert phases == [[0, 1, 2]]
     monkeypatch.setattr(experiments, "_cores", lambda: 2)
-    _run_pool(abs, range(5), 10**5)
-    assert calls[-1] == (2, abs)
+    assert experiments._fork_map(abs, range(-5, 0), 10**5) == [5, 4, 3, 2, 1]
+    assert phases[-1] == [0, 1]
 
-    # table 1: one pool per run, of min(n_workers, cores, largest phase)
-    # workers; its alpha tasks write the kept rows of their shared grids and
-    # return that alpha's drawn modes and tails, and its batch tasks return
-    # the errors, equal to a serial run's
+    # table 1: two phases, each of min(n_workers, cores, its items) children;
+    # the set-up children write the kept rows of their shared grids and
+    # return their alphas' drawn modes and tails, and the batch children
+    # return the errors, equal to a serial run's
+    real = experiments._fork_map
+    monkeypatch.setattr(experiments, "_fork_map",
+                        lambda fn, items, n: results.append(real(fn, items, n)) or results[-1])
     monkeypatch.setattr(experiments, "_cores", lambda: 64)
     orders = [ORDERS, FracOrders(2.0, 0.75)]
-    for m_traj, n_workers, size in ((1, 10**5, 2), (6 * 32, 10**5, 6), (6 * 32, 3, 3)):
-        calls.clear()
+    for m_traj, n_workers, sizes in ((1, 10**5, [2]), (6 * 32, 10**5, [2, 6]),
+                                     (6 * 32, 3, [2, 3])):
+        phases.clear()
         results.clear()
         cfg = _cfg(m_traj=m_traj)
         samples = modeling_error_samples(cfg, orders, n_workers=n_workers)
-        assert len(calls) == 1 and calls[0][0] == size
+        assert [len(p) for p in phases] == sizes
         cuts, batches = results
         kept, tails = kept_modes_per_alpha(full_grids_and_means(cfg, orders)[3])
         assert [k for k, _ in cuts] == list(kept)
         assert np.array_equal([t for _, t in cuts], tails)
         assert [b.shape for b in batches] == [(min(32, m_traj), 2, 3)] * -(-m_traj // 32)
-        calls.clear()
+        phases.clear()
         np.testing.assert_array_equal(samples, modeling_error_samples(cfg, orders))
-        assert calls == []
-    # a one-alpha sweep builds its grids on one worker, and its batches run on more
-    calls.clear()
+        assert phases == []
+    # a one-alpha sweep builds its grids in this process, and its batches fork
+    phases.clear()
     results.clear()
     modeling_error_samples(_cfg(m_traj=2 * 32), [ORDERS], n_workers=10**5)
-    assert calls[0][0] == 2 and [len(r) for r in results] == [1, 2]
+    assert [len(p) for p in phases] == [2] and [len(r) for r in results] == [1, 2]
 
 
 def test_cores_counts_the_cpu_affinity(monkeypatch):
     """A process confined to one CPU of 64 runs its work in-process."""
-    calls = []
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: _RecordingContext(calls))
+    phases = []
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: _RecordingContext(phases))
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert experiments._cores() == 1
-    assert _run_pool(abs, range(-5, 0), 10**5) == [5, 4, 3, 2, 1]
-    assert calls == []
+    assert experiments._fork_map(abs, range(-5, 0), 10**5) == [5, 4, 3, 2, 1]
+    assert phases == []
     monkeypatch.delattr(os, "sched_getaffinity")  # a platform without affinity
     assert experiments._cores() == 64
     monkeypatch.setattr(os, "cpu_count", lambda: None)
@@ -328,16 +329,59 @@ def _shifted(holder, x):
 
 
 def test_pool_map_fork_workers_inherit_the_callable(monkeypatch):
-    """Two real fork workers run a callable bound to an object that cannot
-    be pickled: the callable reaches them by inheritance, not by pickle."""
+    """Two real fork children run a callable bound to an object that cannot
+    be pickled: the callable reaches them by inheritance, not by pickle.
+    Items w, w + 2, ... run on child w, and the run leaves the module's
+    names as they were: no worker context is kept."""
     monkeypatch.setattr(experiments, "_cores", lambda: 2)
     fn = functools.partial(_shifted, _Unpicklable(10))
     with pytest.raises(TypeError):
         pickle.dumps(fn)
-    out = _run_pool(fn, range(6), 2)
+    before = dict(vars(experiments))
+    out = experiments._fork_map(fn, range(6), 2)
     assert [v for v, _ in out] == list(range(10, 16))
-    assert os.getpid() not in {pid for _, pid in out}
-    assert experiments._worker_fn is None  # the parent keeps no worker context
+    pids = [pid for _, pid in out]
+    assert os.getpid() not in pids and pids[0::2] == [pids[0]] * 3 and pids[1::2] == [pids[1]] * 3
+    assert pids[0] != pids[1]
+    assert vars(experiments) == before
+    assert multiprocessing.active_children() == []
+
+
+#: Runs `_fork_map` on two children: item 0 sleeps for 60 s, and item 1 kills
+#: its own child.  Prints the exception, the seconds it took and the children
+#: left.
+_KILL_ONE_CHILD = """
+import multiprocessing, os, signal, time
+from fracwave import experiments
+
+def fn(x):
+    if x == 0:
+        time.sleep(60)
+    if x == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x
+
+experiments._cores = lambda: 2
+start = time.perf_counter()
+try:
+    experiments._fork_map(fn, range(4), 2)
+except ChildProcessError as exc:
+    print(repr(exc), time.perf_counter() - start, multiprocessing.active_children())
+"""
+
+
+def test_fork_map_killed_child_raises_child_process_error():
+    """A child that SIGKILL ends before it sends its results is a
+    ChildProcessError that names it, raised within 5 s though the other
+    child is still busy, and no child is left.  A hang would stop the
+    parent, so the run is a fresh process with a time limit."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", _KILL_ONE_CHILD], env=env, capture_output=True,
+                          text=True, timeout=50)
+    assert done.stdout.count(" ") >= 2, done.stderr
+    error, seconds, children = done.stdout.rsplit(" ", 2)
+    assert error.startswith("ChildProcessError('worker 1 of 2 (pid "), done.stderr
+    assert float(seconds) < 5.0 and children == "[]\n"
 
 
 def _fail_in_worker(real, pos, bad, *args):
@@ -349,17 +393,18 @@ def _fail_in_worker(real, pos, bad, *args):
 
 
 @pytest.mark.parametrize("target, pos, bad", [
-    ("convolution_weights", 3, 20),  # the grid task of the 20-step coarse grid
+    ("convolution_weights", 3, 20),  # the set-up of the 20-step coarse grid
     ("_modeling_traj", -1, 32),  # the second batch
 ])
 def test_pool_task_domain_error_reaches_the_caller(monkeypatch, target, pos, bad):
-    """A DomainError of a grid task or of a batch, raised in a real fork
-    worker, reaches the caller as a DomainError, and no worker is left."""
+    """A DomainError of a set-up or of a batch, raised in a real fork child,
+    reaches the caller as a DomainError, and no child is left.  The sweep
+    has two alphas, so the set-up phase forks too."""
     monkeypatch.setattr(experiments, "_cores", lambda: 2)
     real = getattr(experiments, target)
     monkeypatch.setattr(experiments, target, functools.partial(_fail_in_worker, real, pos, bad))
     with pytest.raises(DomainError, match=f"task {bad} failed") as info:
-        modeling_error_samples(_cfg(m_traj=40), [ORDERS], n_workers=2)
+        modeling_error_samples(_cfg(m_traj=40), [ORDERS, FracOrders(2.0, 0.75)], n_workers=2)
     assert int(str(info.value).split()[-1]) != os.getpid()
     assert multiprocessing.active_children() == []
 

@@ -1,5 +1,7 @@
-"""tools/code_lines.py, which counts every code-line target of the project."""
+"""tools/code_lines.py, which counts every code-line target of the project,
+and source checks that parse the package."""
 
+import ast
 import importlib.util
 import subprocess
 import sys
@@ -53,3 +55,15 @@ def test_code_lines_prints_each_module_then_the_total():
     modules = sorted(str(p.relative_to(ROOT)) for p in (ROOT / "src" / "fracwave").rglob("*.py"))
     assert sorted(path for _, path in rows[:-1]) == modules
     assert rows[-1] == [str(sum(int(count) for count, _ in rows[:-1])), "total"]
+
+
+def test_package_has_no_global_statement():
+    """No function under src/fracwave rebinds a module global: state such as
+    a worker's callable travels in arguments and closures, not in module
+    variables."""
+    found = []
+    for path in sorted((ROOT / "src" / "fracwave").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Global)]
+    assert found == []
