@@ -336,7 +336,7 @@ def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int, 
     them are never touched, and only the cuts cross the pipes; the parent
     never reads the grids.  Then the batches: the batch children are forked
     after the cut, so they inherit every alpha's kept rows, cuts and tails,
-    and only indices and per-batch errors cross their pipes.
+    and only the per-batch errors cross their pipes.
     """
     steps = [cfg.coarse_steps(dt)[0] for dt in cfg.dt_list]
     if len(set(steps)) < len(steps):
