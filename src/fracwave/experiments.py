@@ -14,26 +14,27 @@ and the modeling-error batches are fixed by trajectory index, so results
 are byte-reproducible for any worker count.
 
 The modeling-error experiment draws, per alpha, only the noise modes that
-carry more than a 1e-14 share of its exact mean, and adds the exact mean
-of the rest to every sample: a control variate with a known mean, so the
-estimate stays unbiased.
+carry more than a 1e-14 share of its mean, and adds the mean of the rest
+to every sample: a control variate with a known mean, so the estimate
+stays unbiased.  It builds only the weight rows that choice needs; the
+means of the rows it does not build are interpolated (`_cut_grids`), so
+the added tail is within about 1% of the exact one, a 1e-16 share.
 
 Work is spread over fork children one phase at a time (`_fork_map`), each
 phase with its own worker count, and a phase of at most one item runs in
 this process.  Only per-trajectory or per-batch errors and the modeling
 error's drawn-mode counts and tails cross the pipes.  The Galerkin
 children inherit the FEM products built before the fork.  The modeling
-error runs two phases: a set-up child builds its alphas' weight grids and
-exact means and writes only the rows the batches read to anonymous shared
-mappings made before the fork; the batch children, forked after the
-set-up, inherit those rows.
+error runs two phases: a set-up child builds the rows of its alphas'
+weight grids that the cut needs and writes only the rows the batches read
+to anonymous shared mappings made before the fork; the batch children,
+forked after the set-up, inherit those rows.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import multiprocessing.connection
 import os
 import reprlib
 import subprocess
@@ -235,10 +236,15 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
+def _fork_count(n_workers: int, n_items: int) -> int:
+    """The fork children of a phase of n_items items: min(n_workers,
+    n_items, cores).  At most 1 runs the phase in this process."""
+    return min(n_workers, n_items, _cores())
+
+
 def _fork_map(fn, items, n_workers: int) -> list:
     """[fn(x) for x in items], for a sequence items, in this process when
-    min(n_workers, len(items), cores) is <= 1, else on that many fork
-    children.
+    `_fork_count` is <= 1, else on that many fork children.
 
     Child w runs items w, w + n, ... of the n children.  Its target closes
     over fn, which the fork passes on without pickling, so fn may be bound
@@ -248,9 +254,10 @@ def _fork_map(fn, items, n_workers: int) -> list:
     count.  A child that ends before it sends is a ChildProcessError that
     names it.  Every child is killed and joined before this returns.
     """
-    n = min(n_workers, len(items), _cores())
+    n = _fork_count(n_workers, len(items))
     if n <= 1:
         return [fn(x) for x in items]
+    import multiprocessing.connection  # loads only where a run forks, like `_shared_array`'s mmap
 
     def child(w, send):
         try:
@@ -301,37 +308,82 @@ def _shared_array(shape) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64).reshape(shape)
 
 
-def _alpha_grids(cfg: ExperimentConfig, orders: FracOrders, rule: str) -> list:
+def _alpha_grids(cfg: ExperimentConfig, orders: FracOrders, rule: str, rows=None) -> list:
     """[w_ref, *w_coarse]: the full K x n_steps weight grids of one entry of
-    a table-1 sweep, the fine left-rule grid and then the rule grid of each
-    step of cfg.dt_list, each one `convolution_weights` call.  The fine grid
-    comes first, so its kernel scratch, the largest, meets no finished grid
-    of its alpha."""
+    a table-1 sweep, or only their rows `rows`, the same bits: the fine
+    left-rule grid and then the rule grid of each step of cfg.dt_list, each
+    one `convolution_weights` call.  The fine grid comes first, so its
+    kernel scratch, the largest, meets no finished grid of its alpha."""
     spec = cfg.noise_spec()
-    return [convolution_weights(orders, spec, cfg.dt_fine, cfg.n_fine, "left", False),
-            *(convolution_weights(orders, spec, dt, cfg.coarse_steps(dt)[0], rule, True)
+    return [convolution_weights(orders, spec, cfg.dt_fine, cfg.n_fine, "left", False, rows),
+            *(convolution_weights(orders, spec, dt, cfg.coarse_steps(dt)[0], rule, True, rows)
               for dt in cfg.dt_list)]
+
+
+#: A table-1 cut (`_cut_grids`) takes the exact means of rows 1.._HEAD_ROWS,
+#: samples every _SAMPLE_STRIDE-th row after them, and evaluates
+#: _KEPT_MARGIN rows past each estimate of K*.
+_HEAD_ROWS, _SAMPLE_STRIDE, _KEPT_MARGIN = 64, 16, 16
+
+
+def _cut_grids(cfg: ExperimentConfig, orders: FracOrders, rule: str,
+               factors: list) -> tuple[int, np.ndarray, list]:
+    """(K*, tails, pieces) of one entry of a table-1 sweep, from only the
+    grid rows it needs: pieces is a list of (first row, [w_ref, *w_coarse]
+    of rows first, first + 1, ...), which together cover rows 1..K* in
+    order.
+
+    The exact means (`_mode_means`) of rows 1.._HEAD_ROWS, of every
+    _SAMPLE_STRIDE-th row after them and of the last row come first; every
+    other row's mean is interpolated, log(mean) linear in log k per column
+    (0 next to a zero mean).  `_kept_modes` of those means estimates K*,
+    and the rows after the evaluated ones up to that estimate plus
+    _KEPT_MARGIN are evaluated and their means made exact.  This repeats
+    until K* lies within the evaluated rows, so every kept row is evaluated,
+    never guessed; K* and the tails count the exact means where a row was
+    evaluated and the interpolated ones elsewhere.  With K <= _HEAD_ROWS
+    every mean is exact.
+    """
+    k_all = cfg.k_modes
+    head = min(_HEAD_ROWS, k_all)
+    sampled = np.unique(np.r_[:head, head + _SAMPLE_STRIDE - 1 : k_all : _SAMPLE_STRIDE, k_all - 1])
+    grids = _alpha_grids(cfg, orders, rule, sampled)
+    exact = _mode_means(cfg.dt_fine, factors, grids)
+    ln_k = np.log(np.arange(1.0, k_all + 1))
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(0) = -inf, then nan
+        means = np.exp([np.interp(ln_k, ln_k[sampled], np.log(col)) for col in exact.T]).T
+    means[np.isnan(means)] = 0.0
+    means[sampled] = exact
+    pieces, done = [(0, [w[:head] for w in grids])], head
+    while True:
+        k, tails = _kept_modes(means)
+        if k <= done:
+            return k, tails, pieces
+        hi = min(k_all, k + _KEPT_MARGIN)
+        pieces.append((done, _alpha_grids(cfg, orders, rule, slice(done, hi))))
+        means[done:hi] = _mode_means(cfg.dt_fine, factors, pieces[-1][1])
+        done = hi
 
 
 def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int, firsts=()):
     """(w_ref, w_coarse, kept, tails, errors): per entry a of orders, rows
     1..kept[a] of its fine left-rule grid and of its coarse grids, kept[a]
-    and tails[a], the drawn modes and exact tails that `_kept_modes` gives
-    for its means, then the `_modeling_traj` errors of the batch that
-    starts at each trajectory index in firsts.
+    and tails[a], the drawn modes and tails that `_cut_grids` gives, then
+    the `_modeling_traj` errors of the batch that starts at each trajectory
+    index in firsts.
 
     Before any grid or fork, each step of cfg.dt_list is checked
     (`ExperimentConfig.coarse_steps`), and no two may give the same number
     of steps: the row would be computed twice, with no rate between.
 
     Two phases run, each one `_fork_map` with its own worker count.  First
-    `cut(a)` for each alpha: it builds that alpha's grids (`_alpha_grids`),
-    so the weights are the same bits at any worker count, computes its exact
-    per-mode means (`_mode_means`) and from them its drawn modes K* and
-    tails, keeps rows 1..K* of each grid and returns (K*, tails).  When this
-    phase runs in this process, the kept rows are copies, made grid by grid
-    as each full grid goes, or the grid itself when every row is kept.  When
-    it forks, each grid is a full-size `_shared_array` made before the fork:
+    `cut(a)` for each alpha: it builds only the rows of that alpha's grids
+    that `_cut_grids` needs to find its drawn modes K* and tails, each row
+    the same bits as the full grid's at any worker count, joins rows 1..K*
+    of each grid and returns (K*, tails).  When this phase runs in this
+    process, the kept rows are new arrays, joined grid by grid as each
+    grid's evaluated rows go.  When it forks, each grid is a full-size
+    `_shared_array` made before the fork:
     its alpha's child writes the kept rows there and no other, so pages past
     them are never touched, and only the cuts cross the pipes; the parent
     never reads the grids.  Then the batches: the batch children are forked
@@ -342,20 +394,17 @@ def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int, 
     if len(set(steps)) < len(steps):
         raise DomainError(f"ExperimentConfig: two dt_list entries give one grid {steps}")
     factors = [cfg.n_fine // s for s in steps]
-    shared = min(n_workers, len(orders), _cores()) > 1  # as `_fork_map` decides to fork
-    grids = [[_shared_array((cfg.k_modes, n)) for n in (cfg.n_fine, *steps)] if shared else None
+    shared = _fork_count(n_workers, len(orders)) > 1
+    grids = [[_shared_array((cfg.k_modes, n)) if shared else None for n in (cfg.n_fine, *steps)]
              for _ in orders]
 
     def cut(a):
-        full = _alpha_grids(cfg, orders[a], rule)
-        k, tails = _kept_modes(_mode_means(cfg.dt_fine, factors, full))
-        for g, w in enumerate(full):
-            if shared:
-                grids[a][g][:k] = w[:k]  # seen by the parent and every later child
-            elif k < cfg.k_modes:
-                full[g] = w[:k].copy()  # the full grid goes with the next w
-        if not shared:
-            grids[a] = full  # in this process
+        k, tails, pieces = _cut_grids(cfg, orders[a], rule, factors)
+        for g, dest in enumerate(grids[a]):  # shared rows are seen by the parent and later children
+            grids[a][g] = np.concatenate([p[g][: k - first] for first, p in pieces if first < k],
+                                         out=None if dest is None else dest[:k])
+            for _, p in pieces:
+                p[g] = None  # grid g's evaluated rows go before the next grid's are joined
         return k, tails
 
     cuts = _fork_map(cut, range(len(orders)), n_workers)
@@ -394,28 +443,32 @@ def _block_shape(k_modes: int, batch: int, n_dt: int) -> tuple[int, int, int]:
 
 
 def _mode_means(dt_fine: float, factors: list, grids: list) -> np.ndarray:
-    """Exact means of every mode of one alpha's squared modeling error, shape
-    (K, n_dt), from its full grids [w_ref, *w_coarse] (`_alpha_grids`).
+    """Exact means of the modes of one alpha's squared modeling error, shape
+    (rows, n_dt), from the same rows of its grids [w_ref, *w_coarse]
+    (`_alpha_grids`).
 
     Mode k's error in column j is sum_i D[k, i] xi[k, i], with D as in
     `_modeling_traj` and independent xi ~ N(0, dt_fine), so its mean is
     m_k = dt_fine ||D_k||^2.  The errors of different modes are independent
     centred normals, so a sample's mean is sum_k m_k and its variance
-    2 sum_k m_k^2.  D is built `_MODE_BLOCK` rows at a time, so its scratch
-    stays at one block.
+    2 sum_k m_k^2.  D is built `_MODE_BLOCK` rows at a time, by one
+    subtraction on (rows, coarse steps, factor) views, so its scratch stays
+    at one block.
     """
     w_ref = grids[0]
     out = np.empty((w_ref.shape[0], len(factors)))
     for lo in range(0, w_ref.shape[0], _MODE_BLOCK):
-        rows = slice(lo, lo + _MODE_BLOCK)
+        ref = w_ref[lo : lo + _MODE_BLOCK]
         for j, f in enumerate(factors):
-            d = w_ref[rows] - np.repeat(grids[1 + j][rows], f, axis=1)
-            out[rows, j] = np.einsum("ki,ki->k", d, d)
+            d = ref.reshape(len(ref), -1, f) - grids[1 + j][lo : lo + _MODE_BLOCK, :, None]
+            d = d.reshape(len(ref), -1)
+            out[lo : lo + _MODE_BLOCK, j] = np.einsum("ki,ki->k", d, d)
     return dt_fine * out
 
 
 def _kept_modes(means: np.ndarray) -> tuple[int, np.ndarray]:
-    """(K*, tails) from one alpha's exact per-mode means, shape (K, n_dt).
+    """(K*, tails) from one alpha's per-mode means, shape (K, n_dt), exact or
+    in part interpolated (`_cut_grids`).
 
     K* is the least count >= 1 at which the means of modes K* + 1..K add up
     to at most `_TAIL_SHARE` of the total in every column; a column whose
@@ -442,7 +495,7 @@ def _modeling_traj(spec: NoiseSpec, base_seed: int, m_traj: int, factors: list,
     its fine increments with row k of D = w_ref[a] - repeat(w_coarse[a][j],
     factors[j]), a difference of weights that does not cancel against the
     size of the solutions.  Column (a, j) adds the squares of modes
-    1..kept[a] and then tails[a, j], the exact mean of the rest
+    1..kept[a] and then tails[a, j], the mean of the rest
     (`_kept_modes`).  Per block of modes up to max(kept), each trajectory's
     rows are drawn once from its own `_ModeStreams`; then per alpha, D is
     built from that alpha's kept rows of the block, one matmul per mode
@@ -468,8 +521,9 @@ def _modeling_traj(spec: NoiseSpec, base_seed: int, m_traj: int, factors: list,
                 for j0 in range(0, n_dt if hi > lo else 0, cb):
                     j1 = min(j0 + cb, n_dt)
                     for j in range(j0, j1):
-                        np.subtract(w_ref[a][lo:hi], np.repeat(w_coarse[a][j][lo:hi], factors[j],
-                                                               axis=1), out=d[: hi - lo, j - j0])
+                        shape = (hi - lo, -1, factors[j])  # (modes, coarse steps, factor) views
+                        np.subtract(w_ref[a][lo:hi].reshape(shape), w_coarse[a][j][lo:hi, :, None],
+                                    out=d[: hi - lo, j - j0].reshape(shape))
                     err = np.matmul(x[: hi - lo, :rows], d[: hi - lo, : j1 - j0].transpose(0, 2, 1))
                     out[t0 : t0 + rows, a, j0:j1] += np.square(err).sum(axis=0)
     bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))

@@ -23,6 +23,7 @@ the fractional wave propagators) live here as well, in scalar
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -348,12 +349,19 @@ def _routing_keys(alpha: float, z: np.ndarray, r: np.ndarray) -> tuple[np.ndarra
     return key, counts
 
 
+def _asymptotic(alpha: float, k: int) -> bool:
+    """Whether routing key k takes the asymptotic series: z < 0, pole radius
+    >= 2^_ASYMPTOTIC_BUCKET and 1 < alpha < 2."""
+    return 1.0 < alpha < 2.0 and 1 + _ASYMPTOTIC_BUCKET <= k < _POSITIVE_KEY
+
+
 def _bucket_values(alpha: float, beta: float, z: np.ndarray, idx: np.ndarray, k: int,
-                   out: np.ndarray) -> None:
+                   out: np.ndarray, extents: dict | None) -> None:
     """out[idx] for the arguments z[idx] of routing key k, in _BLOCK chunks.
 
     On entry out[idx] holds the pole radii from `_routing_keys`; each chunk's
-    values overwrite its radii.
+    values overwrite its radii.  A contour bucket takes (r_lo, r_hi) from
+    extents[k] when extents is given, else from its own radii.
     """
     chunks = [idx[lo : lo + _BLOCK] for lo in range(0, idx.size, _BLOCK)]
     if k == 0:
@@ -361,14 +369,13 @@ def _bucket_values(alpha: float, beta: float, z: np.ndarray, idx: np.ndarray, k:
             out[s] = _series_values(alpha, beta, z[s])
         return
     positive = k >= _POSITIVE_KEY
-    bucket = k - (_POSITIVE_KEY if positive else 1)
-    if not positive and 1.0 < alpha < 2.0 and bucket >= _ASYMPTOTIC_BUCKET:
-        coef = _asymptotic_coefficients(alpha, beta, bucket)
+    if _asymptotic(alpha, k):
+        coef = _asymptotic_coefficients(alpha, beta, k - 1)
         for s in chunks:
             out[s] = _asymptotic_values(alpha, beta, z[s], out[s], coef)
         return
-    r_lo = min(float(out[s].min()) for s in chunks)
-    r_hi = max(float(out[s].max()) for s in chunks)
+    r_lo, r_hi = extents[k] if extents is not None else (
+        min(float(out[s].min()) for s in chunks), max(float(out[s].max()) for s in chunks))
     for s in chunks:
         out[s] = _contour_values(alpha, beta, z[s], out[s], positive, r_lo, r_hi)
 
@@ -392,10 +399,19 @@ def _elementary_values(alpha: float, beta_int: int, z: np.ndarray) -> np.ndarray
     return out
 
 
-def ml_values(alpha: float, beta: float, z) -> np.ndarray:
+def _elementary(alpha: float, beta: float) -> bool:
+    """Whether `ml_values` takes the closed forms of `_elementary_values`."""
+    return alpha == 1.0 and beta in (1, 2) or alpha == 2.0 and beta in range(1, 7)
+
+
+def ml_values(alpha: float, beta: float, z, extents: dict | None = None) -> np.ndarray:
     """Evaluate E_{alpha,beta} on an array of finite real arguments.
 
     The result has the shape of z, except that a scalar z gives shape (1,).
+    When z holds some rows of a kernel grid, extents, the `_grid_extents`
+    of the whole grid, gives each contour bucket the grid's least and
+    largest pole radius there, so every value equals the whole grid's call
+    bit for bit.
 
     beta must lie in [-4, 6] (`_BETA_RANGE`); any other beta is a
     DomainError, raised before any evaluation.  Accurate to ~1e-13 relative
@@ -425,8 +441,9 @@ def ml_values(alpha: float, beta: float, z) -> np.ndarray:
     Each negative group from 6 on (1 < alpha < 2) takes the asymptotic
     series, whose value depends on (alpha, beta, z) alone; every other
     group shares one contour, set by the group's least and largest pole
-    radius.  The contour kernel forms a block of arguments' node terms at a
-    time and adds each argument's row with numpy's own row sum, so its
+    radius, or by the extents given.  The contour kernel forms a block of
+    arguments' node terms at a time and adds each argument's row with
+    numpy's own row sum, so its
     values are those of the straightforward (arguments x nodes) evaluation,
     bit for bit.  Both strategies skip the negative-axis residues too small
     to change a bit of the value (see `_add_negative_residues`).
@@ -449,16 +466,44 @@ def ml_values(alpha: float, beta: float, z) -> np.ndarray:
         raise DomainError("ml: argument z must be finite")
     out = np.empty_like(z)
 
-    if (alpha == 1.0 and beta in (1.0, 2.0)
-            or alpha == 2.0 and beta == round(beta) and 1 <= beta <= 6):
+    if _elementary(alpha, beta):
         for lo in range(0, z.size, _BLOCK):
             out[lo : lo + _BLOCK] = _elementary_values(alpha, int(beta), z[lo : lo + _BLOCK])
         return out.reshape(shape)
 
     key, counts = _routing_keys(alpha, z, out)
     for k in np.flatnonzero(counts).tolist():
-        _bucket_values(alpha, beta, z, np.flatnonzero(key == k), k, out)
+        _bucket_values(alpha, beta, z, np.flatnonzero(key == k), k, out, extents)
     return out.reshape(shape)
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_extents(alpha: float, lam: bytes, targ: bytes) -> dict:
+    """{routing key: (r_lo, r_hi)}: the least and largest pole radius that
+    `ml_values` finds in each contour bucket of the grid z = -outer(lam,
+    targ), for the float64 buffers lam and targ.
+
+    A routing-only pass over blocks of rows, so no full-size array is made.
+    Only 1 < |z| reaches a contour, and for 1 < alpha < 2 only pole radii
+    below 2^_ASYMPTOTIC_BUCKET, so |z| < 128^alpha, a loose bound; the
+    exact `_routing_keys` of the arguments that pass computes their radii
+    and keys as the full call does.  Cached, so that the row sets of one
+    grid, and the kinds of `kernel_weights` that share its tau^alpha, make
+    the pass once.
+    """
+    lam, targ = np.frombuffer(lam), np.frombuffer(targ)
+    top = 2.0 ** ((_ASYMPTOTIC_BUCKET + 1) * alpha) if 1.0 < alpha < 2.0 else math.inf
+    step, out = max(1, 4 * _BLOCK // max(1, targ.size)), {}
+    for lo in range(0, lam.size, step):
+        az = np.outer(lam[lo : lo + step], targ)
+        z = -az[(_SERIES_RADIUS < az) & (az < top)]
+        r = np.empty_like(z)
+        key, counts = _routing_keys(alpha, z, r)
+        for k in np.flatnonzero(counts).tolist():
+            if not _asymptotic(alpha, k):
+                rk, (r_lo, r_hi) = r[key == k], out.get(k, (math.inf, -math.inf))
+                out[k] = (min(r_lo, float(rk.min())), max(r_hi, float(rk.max())))
+    return out
 
 
 def ml(alpha: float, beta: float, z: float) -> float:
@@ -527,8 +572,13 @@ _KERNEL_PARAMS = {
 KERNEL_KINDS = tuple(_KERNEL_PARAMS)
 
 
-def kernel_weights(alpha: float, kind: str, lam: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Kernel factor on the grid lam x tau, shape (len(lam), len(tau)).
+def kernel_weights(alpha: float, kind: str, lam: np.ndarray, tau: np.ndarray,
+                   rows=None) -> np.ndarray:
+    """Kernel factor on the grid lam x tau, shape (len(lam), len(tau)), or
+    only its rows `rows` (a slice or index array of lam), which equal the
+    full grid's rows bit for bit: the contour buckets take the full grid's
+    extents (`_grid_extents`), and every other value depends on its own
+    argument alone.
 
     lam holds finite nonnegative spatial eigenvalues already raised to the
     fractional Laplacian power; tau holds finite nonnegative times, and the
@@ -551,7 +601,12 @@ def kernel_weights(alpha: float, kind: str, lam: np.ndarray, tau: np.ndarray) ->
     if not float(lam.max(initial=0.0)) * float(targ.max(initial=0.0)) < math.inf:
         raise DomainError(f"kernel_weights: lam * tau^alpha overflows (lam up to "
                           f"{float(lam.max())!r}, tau up to {float(tau.max())!r})")
-    evals = ml_values(alpha, beta, -np.outer(lam, targ))
+    if rows is None or _elementary(alpha, beta):
+        evals = ml_values(alpha, beta, -np.outer(lam if rows is None else lam[rows], targ))
+    else:
+        _validate_params(alpha, beta)  # before the extents pass divides by alpha
+        evals = ml_values(alpha, beta, -np.outer(lam[rows], targ),
+                          _grid_extents(alpha, lam.tobytes(), targ.tobytes()))
     with np.errstate(divide="ignore", invalid="ignore"):
         tfac = np.where(tau > 0.0, tau**power, 1.0 if power == 0.0 else 0.0)
     evals *= tfac

@@ -124,11 +124,12 @@ def _homogeneous(alpha: float, lam: np.ndarray, t: float, c1: np.ndarray,
 
 def convolution_weights(orders: FracOrders, spec: NoiseSpec, dt: float,
                         t_index: int, rule: str = "exact",
-                        truncated: bool = True) -> np.ndarray:
+                        truncated: bool = True, rows=None) -> np.ndarray:
     """Weights applied to raw increments in the stochastic convolution.
 
     Returns W of shape (K_modes, t_index) such that the convolution
-    coefficients at t = t_index*dt are sum_i W[k, i] * increment[k, i].
+    coefficients at t = t_index*dt are sum_i W[k, i] * increment[k, i], or
+    only its rows `rows`, the same bits (`kernel_weights`).
 
     rule = "exact": the impulse kernel is integrated exactly over each
     subinterval through its antiderivative, so W[k, i] =
@@ -142,25 +143,28 @@ def convolution_weights(orders: FracOrders, spec: NoiseSpec, dt: float,
         raise DomainError("convolution_weights: t_index must be >= 1")
     lam = fractional_eigenvalues(orders.beta, spec.K_modes)
     sig = spec.sigma_matrix(dt * np.arange(t_index), truncated=truncated)
-    return _time_weights(orders.alpha, lam, sig, t_index * dt, dt, t_index, rule)
+    if rows is not None:  # a sigma that does not vary by mode has one row
+        sig = np.broadcast_to(sig, np.broadcast_shapes(sig.shape, (spec.K_modes, 1)))[rows]
+    return _time_weights(orders.alpha, lam, sig, t_index * dt, dt, t_index, rule, rows)
 
 
 def _time_weights(alpha: float, lam: np.ndarray, amp, t: float, dt: float,
-                  n_steps: int, rule: str) -> np.ndarray:
-    """The weights of `convolution_weights` with amplitudes amp, for any lam.
+                  n_steps: int, rule: str, rows=None) -> np.ndarray:
+    """The weights of `convolution_weights` with amplitudes amp, for any lam,
+    or only their rows `rows` (amp then holds those rows alone).
 
     The exact rule rounds (amp * (G(t - t_i) - G(t - t_{i+1}))) / dt in that
     order, so amp = 1.0 gives the bits of the plain kernel differences / dt.
     """
     if rule == "left":
         tau = t - dt * np.arange(n_steps)
-        w = kernel_weights(alpha, "impulse", lam, tau)
+        w = kernel_weights(alpha, "impulse", lam, tau, rows)
         w *= amp
         return w
     if rule == "exact":
         tau_all = t - dt * np.arange(n_steps + 1)
         tau_all[-1] = 0.0  # guard rounding at the evaluation node
-        prim = kernel_weights(alpha, "impulse_primitive", lam, tau_all)
+        prim = kernel_weights(alpha, "impulse_primitive", lam, tau_all, rows)
         w = prim[:, :-1] - prim[:, 1:]
         w *= amp
         w /= dt

@@ -640,6 +640,19 @@ def test_table1_killed_worker_exits_3(tmp_path):
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
+def test_one_worker_runs_leave_out_multiprocessing(tmp_path):
+    """One-worker table1 and table2 runs never fork, so they never load
+    multiprocessing: `_fork_map` imports it only in the branch that forks."""
+    table2 = tmp_path / "table2.cfg"
+    table2.write_text("m_traj = 2\nk_modes = 32\nh_list = [0.5, 0.25]\n")
+    code = "import sys\nfrom fracwave import cli\n"
+    for argv in (["table1", "--config", _tiny_cfg(tmp_path)], ["table2", "--config", str(table2)]):
+        argv += ["--out", str(tmp_path / "out"), "--threads", "1"]
+        code += f"assert cli.main({argv!r}) == 0\n"
+    code += "print('multiprocessing.connection' in sys.modules)\n"
+    assert _run_python(code).splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("command, target", [("table1", "modeling_error_tables"),
                                              ("table2", "fem_error_tables")])
 @pytest.mark.parametrize("flag, line", [(["--seed", "18446744073709551617"], ""),

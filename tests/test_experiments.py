@@ -488,8 +488,10 @@ def test_kept_modes_at_the_paper_shapes(monkeypatch):
     A one-worker run at m_traj 1 retains rows 1..K* of each grid alone, the
     same bits as the full grid's, and its traced peak stays below 60% of the
     bytes of all 30 full grids (a set-up that held every full grid peaked at
-    103%).  At 2 workers, K*, the tails, the retained rows and the errors
-    equal the serial run's.
+    103%).  Its tails lie within 1% of the full grids' exact tails: the cut
+    builds only the rows it needs and interpolates the means of the others
+    (`_cut_grids`).  At 2 workers, K*, the tails, the retained rows and the
+    errors equal the serial run's.
     """
     cfg = ExperimentConfig(m_traj=40, base_seed=1)
     orders = [FracOrders(a, 0.75) for a in (1.1, 1.25, 1.5, 1.75, 2.0)]
@@ -513,7 +515,8 @@ def test_kept_modes_at_the_paper_shapes(monkeypatch):
     assert np.array_equal(serial, modeling_error_samples(one, orders, "exact", 2))
     (ref_rows, coarse_rows, *cut, errors), pooled = runs
     assert cut[0] == pooled[2] == kept
-    assert np.array_equal(cut[1], tails) and np.array_equal(pooled[3], tails)
+    np.testing.assert_allclose(cut[1], tails, rtol=1e-2, atol=0.0)
+    assert np.array_equal(pooled[3], cut[1])
     assert all(np.array_equal(e, p) for e, p in zip(errors, pooled[4]))
     for a, k in enumerate(kept):
         retained = [ref_rows[a], *coarse_rows[a]]
@@ -537,6 +540,23 @@ def test_kept_modes_at_the_paper_shapes(monkeypatch):
                                          for x in (cut, whole))):
                 np.testing.assert_allclose(t_cut.errors, t_whole.errors, rtol=1e-13, atol=0.0)
                 np.testing.assert_allclose(t_cut.stderrs, t_whole.stderrs, rtol=1e-13, atol=0.0)
+
+
+def test_cut_grids_keeps_only_evaluated_rows(monkeypatch):
+    """`_cut_grids` keeps no row it has not evaluated.  Here the rows it
+    samples after row 64 have means e^(-k/10) and every other row 0, so the
+    interpolated means overstate the total about 16 times; the exact rows
+    lower it, which moves K* past the rows evaluated, and a third pass
+    follows.  The pieces cover rows 1..K* in order, each once."""
+    cfg = ExperimentConfig(m_traj=1, base_seed=1)
+    k = np.arange(1, cfg.k_modes + 1)
+    true = np.where((k > 64) & ((k % 16 == 0) | (k == k[-1])), np.exp(-0.1 * k), 0.0)[:, None]
+    monkeypatch.setattr(experiments, "_alpha_grids", lambda cfg, o, rule, rows: [k[rows] - 1])
+    monkeypatch.setattr(experiments, "_mode_means", lambda dt, factors, grids: true[grids[0]])
+    kept, tails, pieces = experiments._cut_grids(cfg, ORDERS, "exact", [1])
+    assert len(pieces) == 3 and 64 < kept < cfg.k_modes and tails.shape == (1,)
+    rows = np.concatenate([p[0][: kept - first] for first, p in pieces if first < kept])
+    assert np.array_equal(rows, np.arange(kept))
 
 
 @pytest.mark.parametrize("m_traj", (1, 31, 32, 33, 65))

@@ -319,6 +319,59 @@ def test_kernel_weights_grid_shape_and_consistency():
                 kernel_weights(a, "impulse", np.array(big_lam), np.array(big_tau))
 
 
+def _time_grids(n_steps):
+    """The left-rule times of an n-step grid on [0, 1] and the exact rule's
+    n + 1 primitive times, as `spectral._time_weights` builds them."""
+    left = 1.0 - np.arange(n_steps) / n_steps
+    exact = 1.0 - np.arange(n_steps + 1) / n_steps
+    exact[-1] = 0.0
+    return left, exact
+
+
+@pytest.mark.parametrize("alpha", (1.1, 1.5, 1.75, 2.0))
+def test_kernel_weights_rows_equal_the_full_grid_rows(alpha):
+    """kernel_weights(..., rows) is the full grid's rows bit for bit, for
+    every kind on table 1's fine and coarse grids and on a 64-mode grid,
+    with row sets whose own pole radii would give some contour bucket other
+    parameters: below alpha = 2, ml_values on the rows alone, without the
+    full grid's extents, changes bits."""
+    paper = fractional_eigenvalues(0.75, 1000)
+    grids = [(paper, _time_grids(1000)[0]), (paper, _time_grids(25)[1]),
+             (paper, _time_grids(200)[1]), (fractional_eigenvalues(0.75, 64), _time_grids(200)[0])]
+    moved = False
+    for kind in KERNEL_KINDS:
+        beta = mittag_leffler._KERNEL_PARAMS[kind](alpha)[0]
+        for lam, tau in grids:
+            full = kernel_weights(alpha, kind, lam, tau)
+            for rows in (slice(40, 300), np.arange(0, lam.size, 16), np.array([3, lam.size - 1]),
+                         slice(lam.size // 2, None)):
+                assert np.array_equal(kernel_weights(alpha, kind, lam, tau, rows), full[rows])
+            if lam.size == 64:
+                alone = ml_values(alpha, beta, -np.outer(lam[40:], tau**alpha))
+                moved |= not np.array_equal(alone, ml_values(alpha, beta,
+                                                             -np.outer(lam, tau**alpha))[40:])
+    assert moved == (alpha < 2.0)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.8, 1.0), (1.1, 1.1), (1.5, 2.5), (1.75, 1.0),
+                                         (2.0, 1.5)])
+def test_grid_extents_equal_the_bucket_extents_of_a_full_call(alpha, beta, monkeypatch):
+    """`_grid_extents` gives each contour bucket the least and largest pole
+    radius that one ml_values call on the whole grid takes there."""
+    taken = {}
+
+    def record(alpha, beta, z, r, positive, r_lo, r_hi, _f=mittag_leffler._contour_values):
+        key = (mittag_leffler._POSITIVE_KEY if positive else 1) + int(np.floor(np.log2(r[0])))
+        assert taken.setdefault(key, (r_lo, r_hi)) == (r_lo, r_hi)
+        return _f(alpha, beta, z, r, positive, r_lo, r_hi)
+
+    lam = fractional_eigenvalues(0.75, 300)
+    targ = _time_grids(1000)[0] ** alpha
+    monkeypatch.setattr(mittag_leffler, "_contour_values", record)
+    ml_values(alpha, beta, -np.outer(lam, targ))
+    assert taken and mittag_leffler._grid_extents(alpha, lam.tobytes(), targ.tobytes()) == taken
+
+
 @pytest.mark.parametrize("alpha, kind", [(1.1, "impulse_primitive"), (1.75, "impulse"),
                                          (2.0, "impulse")])
 def test_kernel_weights_memory_per_argument(alpha, kind):
