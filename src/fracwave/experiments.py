@@ -322,46 +322,51 @@ def _alpha_grids(cfg: ExperimentConfig, orders: FracOrders, rule: str, rows=None
 
 #: A table-1 cut (`_cut_grids`) takes the exact means of rows 1.._HEAD_ROWS,
 #: samples every _SAMPLE_STRIDE-th row after them, and evaluates
-#: _KEPT_MARGIN rows past each estimate of K*.
-_HEAD_ROWS, _SAMPLE_STRIDE, _KEPT_MARGIN = 64, 16, 16
+#: _KEPT_MARGIN rows past each estimate of K*, at most _CUT_BLOCK rows per
+#: `_alpha_grids` call.
+_HEAD_ROWS, _SAMPLE_STRIDE, _KEPT_MARGIN, _CUT_BLOCK = 64, 16, 16, 128
 
 
 def _cut_grids(cfg: ExperimentConfig, orders: FracOrders, rule: str,
                factors: list) -> tuple[int, np.ndarray, list]:
     """(K*, tails, pieces) of one entry of a table-1 sweep, from only the
-    grid rows it needs: pieces is a list of (first row, [w_ref, *w_coarse]
-    of rows first, first + 1, ...), which together cover rows 1..K* in
-    order.
+    grid rows it needs: pieces is a list of (rows, [w_ref, *w_coarse] of
+    those rows), each rows an ascending index array; no row is in two
+    pieces, and together they hold rows 1..K* and the other rows evaluated.
 
     The exact means (`_mode_means`) of rows 1.._HEAD_ROWS, of every
     _SAMPLE_STRIDE-th row after them and of the last row come first; every
     other row's mean is interpolated, log(mean) linear in log k per column
     (0 next to a zero mean).  `_kept_modes` of those means estimates K*,
     and the rows after the evaluated ones up to that estimate plus
-    _KEPT_MARGIN are evaluated and their means made exact.  This repeats
-    until K* lies within the evaluated rows, so every kept row is evaluated,
-    never guessed; K* and the tails count the exact means where a row was
+    _KEPT_MARGIN that no earlier piece holds are evaluated, _CUT_BLOCK rows
+    per piece, and their means made exact.  This repeats until K* lies
+    within the evaluated rows, so every kept row is evaluated once, never
+    guessed; K* and the tails count the exact means where a row was
     evaluated and the interpolated ones elsewhere.  With K <= _HEAD_ROWS
     every mean is exact.
     """
     k_all = cfg.k_modes
     head = min(_HEAD_ROWS, k_all)
     sampled = np.unique(np.r_[:head, head + _SAMPLE_STRIDE - 1 : k_all : _SAMPLE_STRIDE, k_all - 1])
-    grids = _alpha_grids(cfg, orders, rule, sampled)
-    exact = _mode_means(cfg.dt_fine, factors, grids)
+    pieces = [(sampled, _alpha_grids(cfg, orders, rule, sampled))]
+    exact = _mode_means(cfg.dt_fine, factors, pieces[0][1])
     ln_k = np.log(np.arange(1.0, k_all + 1))
     with np.errstate(divide="ignore", invalid="ignore"):  # log(0) = -inf, then nan
         means = np.exp([np.interp(ln_k, ln_k[sampled], np.log(col)) for col in exact.T]).T
     means[np.isnan(means)] = 0.0
     means[sampled] = exact
-    pieces, done = [(0, [w[:head] for w in grids])], head
+    done = head
     while True:
         k, tails = _kept_modes(means)
         if k <= done:
             return k, tails, pieces
         hi = min(k_all, k + _KEPT_MARGIN)
-        pieces.append((done, _alpha_grids(cfg, orders, rule, slice(done, hi))))
-        means[done:hi] = _mode_means(cfg.dt_fine, factors, pieces[-1][1])
+        missing = np.setdiff1d(np.arange(done, hi), sampled)
+        for lo in range(0, missing.size, _CUT_BLOCK):
+            rows = missing[lo : lo + _CUT_BLOCK]
+            pieces.append((rows, _alpha_grids(cfg, orders, rule, rows)))
+            means[rows] = _mode_means(cfg.dt_fine, factors, pieces[-1][1])
         done = hi
 
 
@@ -380,9 +385,11 @@ def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int, 
     `cut(a)` for each alpha: it builds only the rows of that alpha's grids
     that `_cut_grids` needs to find its drawn modes K* and tails, each row
     the same bits as the full grid's at any worker count, joins rows 1..K*
-    of each grid and returns (K*, tails).  When this phase runs in this
-    process, the kept rows are new arrays, joined grid by grid as each
-    grid's evaluated rows go.  When it forks, each grid is a full-size
+    of each grid and returns (K*, tails).  The join copies each piece's rows
+    of a grid below K* to their place and drops them before the next piece,
+    so it holds one grid's kept rows beside what is left of the pieces.  When
+    this phase runs in this process, the kept rows of each grid are a new
+    array of exactly K* rows.  When it forks, each grid is a full-size
     `_shared_array` made before the fork:
     its alpha's child writes the kept rows there and no other, so pages past
     them are never touched, and only the cuts cross the pipes; the parent
@@ -401,10 +408,12 @@ def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int, 
     def cut(a):
         k, tails, pieces = _cut_grids(cfg, orders[a], rule, factors)
         for g, dest in enumerate(grids[a]):  # shared rows are seen by the parent and later children
-            grids[a][g] = np.concatenate([p[g][: k - first] for first, p in pieces if first < k],
-                                         out=None if dest is None else dest[:k])
-            for _, p in pieces:
-                p[g] = None  # grid g's evaluated rows go before the next grid's are joined
+            out = np.empty((k, pieces[0][1][g].shape[1])) if dest is None else dest[:k]
+            for rows, p in pieces:
+                n = int(np.searchsorted(rows, k))
+                out[rows[:n]] = p[g][:n]
+                p[g] = None  # each piece's rows go once joined
+            grids[a][g] = out
         return k, tails
 
     cuts = _fork_map(cut, range(len(orders)), n_workers)

@@ -71,8 +71,16 @@ def _validate_params(alpha: float, beta: float, where: str = "ml") -> None:
 # power series, double precision, |z| <= 1
 # ---------------------------------------------------------------------------
 
+def _frozen(table: np.ndarray) -> np.ndarray:
+    """table, made read-only, so that a cached table cannot be changed."""
+    table.flags.writeable = False
+    return table
+
+
+@functools.cache
 def _series_coefficients(alpha: float, beta: float) -> np.ndarray:
-    """1/Gamma(alpha*k + beta) until the tail is negligible on |z| <= 1."""
+    """1/Gamma(alpha*k + beta) until the tail is negligible on |z| <= 1;
+    cached and read-only, like the other coefficient tables."""
     coeffs = []
     k = 0
     while k < _MAX_SERIES_TERMS:
@@ -83,7 +91,7 @@ def _series_coefficients(alpha: float, beta: float) -> np.ndarray:
         k += 1
     else:
         raise ConvergenceError("series coefficients did not decay within term cap")
-    return np.asarray(coeffs)
+    return _frozen(np.asarray(coeffs))
 
 
 def _series_values(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
@@ -168,13 +176,17 @@ def _contour_params(alpha: float, r_lo: float, r_hi: float, positive: bool):
     return mu, h, n_side, residues
 
 
+# The contours of one alpha's table-1 grids need 27 node tables, reused by each
+# row block; table 2 reuses almost none, and kept them all (270 at the paper's
+# shapes, 0.9 MB) through its trajectories when unbounded.
+@functools.lru_cache(maxsize=32)
 def _node_coefficients(alpha: float, beta: float, mu: float, h: float, n_side: int):
     """Per-node rows (ar, ai^2, wi, wr*ai) of the symmetrized trapezoid sum.
 
     Node u_k = k*h on s(u) = mu*(1+iu)^2 has weight w = e^s s^(alpha-beta) s'(u)
     (halved at u = 0) and pole factor s^alpha = ar + i*ai.  Each row is a
     contiguous array of the n_side + 1 nodes, so it broadcasts against a
-    column of z.
+    column of z.  Cached and read-only.
     """
     u = h * np.arange(n_side + 1)
     s = mu * (1.0 + 1j * u) ** 2
@@ -182,7 +194,7 @@ def _node_coefficients(alpha: float, beta: float, mu: float, h: float, n_side: i
     w[0] *= 0.5  # u = 0 node counted once in the symmetrized sum
     sa = s**alpha
     ai = sa.imag
-    return sa.real.copy(), ai * ai, w.imag.copy(), w.real * ai
+    return tuple(map(_frozen, (sa.real.copy(), ai * ai, w.imag.copy(), w.real * ai)))
 
 
 def _add_negative_residues(alpha: float, beta: float, r: np.ndarray, out: np.ndarray) -> None:
@@ -265,6 +277,7 @@ def _contour_values(alpha: float, beta: float, z: np.ndarray, r: np.ndarray,
 # inverse-power asymptotic series, z < 0 with pole radius >= 2^_ASYMPTOTIC_BUCKET
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _asymptotic_coefficients(alpha: float, beta: float, bucket: int) -> np.ndarray:
     """-1/Gamma(beta - alpha k), k = 1..n, for pole radii in [2^bucket, 2^(bucket+1)).
 
@@ -289,7 +302,7 @@ def _asymptotic_coefficients(alpha: float, beta: float, bucket: int) -> np.ndarr
         envelope = (math.lgamma(x) - math.log(math.pi) - alpha * (n + 1) * ln_r_lo
                     if x > 0.0 else math.inf)
         if envelope <= ln_target or last <= envelope < math.inf:
-            return -rgamma(beta - alpha * np.arange(1, n + 1))
+            return _frozen(-rgamma(beta - alpha * np.arange(1, n + 1)))
         last = envelope
 
 
@@ -477,7 +490,7 @@ def ml_values(alpha: float, beta: float, z, extents: dict | None = None) -> np.n
     return out.reshape(shape)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=8)
 def _grid_extents(alpha: float, lam: bytes, targ: bytes) -> dict:
     """{routing key: (r_lo, r_hi)}: the least and largest pole radius that
     `ml_values` finds in each contour bucket of the grid z = -outer(lam,
@@ -489,7 +502,8 @@ def _grid_extents(alpha: float, lam: bytes, targ: bytes) -> dict:
     exact `_routing_keys` of the arguments that pass computes their radii
     and keys as the full call does.  Cached, so that the row sets of one
     grid, and the kinds of `kernel_weights` that share its tau^alpha, make
-    the pass once.
+    the pass once; the 8 entries hold one alpha's six table-1 grids, and
+    each keeps its 16 kB of key bytes.
     """
     lam, targ = np.frombuffer(lam), np.frombuffer(targ)
     top = 2.0 ** ((_ASYMPTOTIC_BUCKET + 1) * alpha) if 1.0 < alpha < 2.0 else math.inf
@@ -585,6 +599,12 @@ def kernel_weights(alpha: float, kind: str, lam: np.ndarray, tau: np.ndarray,
     largest lam * tau^alpha must be finite too, checked on the largest lam
     and tau alone.  tau = 0 follows the continuous limit (1, 0, 0, 0 for
     the four kinds, alpha > 1).
+
+    The arguments z = -lam tau^alpha are one array, outer(-lam, tau^alpha):
+    negation commutes with rounding, so it holds the bits of
+    -outer(lam, tau^alpha), signed zeros included, without a second
+    full-size copy.  So a call holds its arguments, its values and the
+    `ml_values` scratch.
     """
     if kind not in KERNEL_KINDS:
         raise DomainError(f"unknown kernel kind {kind!r}")
@@ -601,12 +621,12 @@ def kernel_weights(alpha: float, kind: str, lam: np.ndarray, tau: np.ndarray,
     if not float(lam.max(initial=0.0)) * float(targ.max(initial=0.0)) < math.inf:
         raise DomainError(f"kernel_weights: lam * tau^alpha overflows (lam up to "
                           f"{float(lam.max())!r}, tau up to {float(tau.max())!r})")
+    z = np.outer(-(lam if rows is None else lam[rows]), targ)
     if rows is None or _elementary(alpha, beta):
-        evals = ml_values(alpha, beta, -np.outer(lam if rows is None else lam[rows], targ))
+        evals = ml_values(alpha, beta, z)
     else:
         _validate_params(alpha, beta)  # before the extents pass divides by alpha
-        evals = ml_values(alpha, beta, -np.outer(lam[rows], targ),
-                          _grid_extents(alpha, lam.tobytes(), targ.tobytes()))
+        evals = ml_values(alpha, beta, z, _grid_extents(alpha, lam.tobytes(), targ.tobytes()))
     with np.errstate(divide="ignore", invalid="ignore"):
         tfac = np.where(tau > 0.0, tau**power, 1.0 if power == 0.0 else 0.0)
     evals *= tfac

@@ -353,6 +353,64 @@ def test_kernel_weights_rows_equal_the_full_grid_rows(alpha):
     assert moved == (alpha < 2.0)
 
 
+def _negated_outer_weights(alpha, kind, lam, tau, rows):
+    """`kernel_weights` evaluated on -outer(lam, tau^alpha), the negated copy
+    of the product grid, with its extents and time factors."""
+    beta, power = mittag_leffler._KERNEL_PARAMS[kind](alpha)
+    targ = tau**alpha
+    extents = (None if rows is None or mittag_leffler._elementary(alpha, beta)
+               else mittag_leffler._grid_extents(alpha, lam.tobytes(), targ.tobytes()))
+    evals = ml_values(alpha, beta, -np.outer(lam if rows is None else lam[rows], targ), extents)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return evals * np.where(tau > 0.0, tau**power, 1.0 if power == 0.0 else 0.0)
+
+
+@pytest.mark.parametrize("alpha", (0.8, 1.1, 1.5, 2.0))
+def test_kernel_weights_argument_grid_is_the_negated_outer_product(alpha, monkeypatch):
+    """kernel_weights hands ml_values outer(-lam, tau^alpha), which has the
+    bits of -outer(lam, tau^alpha), signed zeros at lam = 0 and tau = 0
+    included, and its values equal those of the negated form for every
+    kind, on the whole grid and on row subsets."""
+    seen, real = [], mittag_leffler.ml_values
+    monkeypatch.setattr(mittag_leffler, "ml_values",
+                        lambda a, b, z, *rest: seen.append(z.copy()) or real(a, b, z, *rest))
+    lam = np.r_[0.0, fractional_eigenvalues(0.75, 63)]
+    for tau in _time_grids(50):
+        want_z = -np.outer(lam, tau**alpha)
+        assert np.signbit(want_z[0]).all() and (tau[-1] > 0.0 or np.signbit(want_z[:, -1]).all())
+        for kind in KERNEL_KINDS:
+            for rows in (None, slice(10, 40), np.array([0, 5, 33, 63])):
+                got = kernel_weights(alpha, kind, lam, tau, rows)
+                sub = want_z if rows is None else want_z[rows]
+                assert np.array_equal(seen[-1].view(np.uint64), sub.view(np.uint64))
+                assert np.array_equal(got, _negated_outer_weights(alpha, kind, lam, tau, rows))
+
+
+def test_coefficient_tables_are_cached_and_read_only(monkeypatch):
+    """The series, asymptotic and contour-node tables are cached, so a
+    repeated parameter set gets the same table, and cannot be written;
+    ml_values over every strategy's range equals the uncached tables'
+    values bit for bit."""
+    mu, h, n_side, _ = mittag_leffler._contour_params(1.5, 2.0, 3.0, False)
+    tables = [(mittag_leffler._series_coefficients, (1.5, 1.5)),
+              (mittag_leffler._asymptotic_coefficients, (1.5, 1.5, 7)),
+              (mittag_leffler._node_coefficients, (1.5, 1.5, mu, h, n_side))]
+    for fn, args in tables:
+        first = fn(*args)
+        assert fn(*args) is first
+        for table in first if isinstance(first, tuple) else (first,):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+    z = np.concatenate([-np.geomspace(1e-3, 1e6, 400), np.geomspace(1e-3, 300.0, 100), [0.0]])
+    params = [(a, b) for a in (0.8, 1.1, 1.5, 1.75, 1.95, 2.0) for b in (0.75, 1.0, a, a + 1.0)]
+    cached = [ml_values(a, b, z) for a, b in params]
+    for fn, _ in tables:
+        monkeypatch.setattr(mittag_leffler, fn.__name__, fn.__wrapped__)
+    for (a, b), want in zip(params, cached):
+        assert np.array_equal(ml_values(a, b, z), want), (a, b)
+
+
 @pytest.mark.parametrize("alpha, beta", [(0.8, 1.0), (1.1, 1.1), (1.5, 2.5), (1.75, 1.0),
                                          (2.0, 1.5)])
 def test_grid_extents_equal_the_bucket_extents_of_a_full_call(alpha, beta, monkeypatch):
