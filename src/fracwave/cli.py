@@ -8,16 +8,19 @@ eigenvalues), `stability` (homogeneous decay/continuity diagnostics).
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 I/O error (a
 worker process that died is one).
 Output directory resolution: --out flag, else $FRACWAVE_OUT, else the
-working directory.  A config file (flat `key = value` TOML, read by
-`tomllib`) may set any `table1` or `table2` setting of `_SETTINGS`, with
-its default's TOML type; flags override it.  One file can serve both
-subcommands; a key neither takes is a domain error.
+working directory, checked before any work (`_out_dir`).  A config file
+(flat `key = value` TOML, read by `tomllib`) may set any `table1` or
+`table2` setting of `_SETTINGS`, with its default's TOML type; flags
+override it.  One file can serve both subcommands; a key neither takes is
+a domain error.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
+import gc
 import math
 import os
 import re
@@ -172,8 +175,15 @@ def _settings(args) -> dict:
 
 
 def _out_dir(args) -> str:
+    """The output directory, checked before any work and not yet created:
+    an existing path must be a directory, and otherwise its nearest existing
+    ancestor must be, or the command would fail only when it writes."""
     out = args.out or os.environ.get("FRACWAVE_OUT") or "."
-    os.makedirs(out, exist_ok=True)
+    path = out
+    while path and not os.path.lexists(path):
+        path = os.path.dirname(path.rstrip(os.sep))
+    if path and not os.path.isdir(path):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
     return out
 
 
@@ -197,16 +207,18 @@ def _cmd_ml(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    out = _out_dir(args)
     s = _settings(args)
     alphas = _sweep("alpha_list", "table1_alpha", s["alpha_list"])
     cfg = ExperimentConfig(m_traj=s["m_traj"], base_seed=s["seed"], n_fine=s["n_fine"],
                            k_modes=s["k_modes"], n_cutoff=s["n_cutoff"], dt_list=s["dt_list"])
     orders = [FracOrders(alpha, s["beta"]) for alpha in alphas]
     tables = modeling_error_tables(cfg, orders, n_workers=s["threads"]) if orders else []
-    return _write_tables(args, "table1_alpha", alphas, tables, "modeling-error")
+    return _write_tables(out, "table1_alpha", alphas, tables, "modeling-error")
 
 
 def _cmd_table2(args) -> int:
+    out = _out_dir(args)
     s = _settings(args)
     betas = _sweep("beta_list", "table2_beta", s["beta_list"])
     cfg = ExperimentConfig(m_traj=s["m_traj"], base_seed=s["seed"],
@@ -214,12 +226,13 @@ def _cmd_table2(args) -> int:
                            k_modes=s["k_modes"], n_cutoff=s["n_cutoff"], h_list=s["h_list"])
     orders = [FracOrders(s["alpha"], beta) for beta in betas]
     tables = fem_error_tables(cfg, orders, n_workers=s["threads"]) if orders else []
-    return _write_tables(args, "table2_beta", betas, tables, "Galerkin-error")
+    return _write_tables(out, "table2_beta", betas, tables, "Galerkin-error")
 
 
-def _write_tables(args, stem: str, values: tuple[float, ...], tables: list, kind: str) -> int:
-    """Write the table of each sweep value to its `_table_file`."""
-    out = _out_dir(args)
+def _write_tables(out: str, stem: str, values: tuple[float, ...], tables: list,
+                  kind: str) -> int:
+    """Write the table of each sweep value to its `_table_file` in out."""
+    os.makedirs(out, exist_ok=True)
     for value, table in zip(values, tables):
         write_rate_table(table, os.path.join(out, _table_file(stem, value)))
     print(f"wrote {len(tables)} {kind} tables to {out}")
@@ -227,11 +240,12 @@ def _write_tables(args, stem: str, values: tuple[float, ...], tables: list, kind
 
 
 def _cmd_spectrum(args) -> int:
+    out = _out_dir(args)
     spectrum = discrete_spectrum(FemMesh(args.n), args.beta)
     lam_frac = fractional_eigenvalues(args.beta, args.n)
     rows = [",".join([str(j + 1), _fmt(spectrum.eigenvalues[j]), _fmt(lam_frac[j])])
             for j in range(args.n)]
-    out = _out_dir(args)
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, f"spectrum_n{args.n}_beta{args.beta:g}.csv")
     _write_csv(path, [f"n_interior = {args.n}", f"beta = {args.beta}"],
                "j,lambda_h,lambda_frac", rows)
@@ -240,12 +254,13 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    out = _out_dir(args)
     rep = stability_report(FracOrders(args.alpha, args.beta))
     rows = [f"decay,{_fmt(t)},{_fmt(v)}"
             for t, v in zip(rep["decay_t"], rep["decay_values"])]
     rows += [f"continuity,{_fmt(t)},{_fmt(v)}"
              for t, v in zip(rep["continuity_t"], rep["continuity_errors"])]
-    out = _out_dir(args)
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, f"stability_alpha{args.alpha:g}_beta{args.beta:g}.csv")
     _write_csv(path, [f"alpha = {args.alpha}", f"beta = {args.beta}",
                       f"fitted_exponent = {rep['fitted_exponent']}",
@@ -318,5 +333,18 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> int:
+    """The `fracwave` command: `main` on the process's own arguments.
+
+    It first freezes the heap (`gc.freeze`), so the collection at
+    interpreter exit does not walk numpy, scipy and the rest of the import;
+    the handlers of `atexit` and the flushes of the standard streams still
+    run.  `main`, which tests call in process, leaves the caller's collector
+    alone.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -429,9 +429,10 @@ def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int, 
 #: [32 q, min(32 q + 32, m_traj)), so every result depends on the seed, the
 #: trajectory index and m_traj alone, never on the worker count.
 _BATCH = 32
-#: Most modes in one block of a batch: at the paper's shapes a block's draws
-#: (16 x 32 x 1000) and one alpha's weight differences (16 x 5 x 1000) take
-#: 3.9 and 0.6 MiB.
+#: Most modes in one block of a batch, the unit in which squared errors are
+#: summed.  A block is drawn and multiplied half at a time: at the paper's
+#: shapes a half's draws (8 x 32 x 1000) and one alpha's weight differences
+#: (8 x 5 x 1000) take 2 and 0.3 MiB.
 _MODE_BLOCK = 16
 #: Largest share of a column's exact mean left to the modes that are not
 #: drawn.  It lies below the rounding of a 1000-term sum of the means.
@@ -505,36 +506,53 @@ def _modeling_traj(spec: NoiseSpec, base_seed: int, m_traj: int, factors: list,
     factors[j]), a difference of weights that does not cancel against the
     size of the solutions.  Column (a, j) adds the squares of modes
     1..kept[a] and then tails[a, j], the mean of the rest
-    (`_kept_modes`).  Per block of modes up to max(kept), each trajectory's
-    rows are drawn once from its own `_ModeStreams`; then per alpha, D is
-    built from that alpha's kept rows of the block, one matmul per mode
-    gives every (trajectory, step) error, and the squares are added over
-    ascending mode blocks.  No product mixes alphas, and its shape comes
-    from the batch, n_fine, n_dt and the configured K, so a column's bits
-    depend on its own alpha alone, whatever the BLAS.
+    (`_kept_modes`).  Per block of modes up to max(kept), and within it per
+    half block, each trajectory's rows are drawn once from its own
+    `_ModeStreams`; then per alpha, D is built from that alpha's kept rows
+    of the half, and one matmul per mode gives every (trajectory, step)
+    error.  A block's squares are summed in ascending mode order, the
+    second half continuing the first half's sum, and the block sums are
+    added over ascending blocks, so halving the buffers keeps the bits of
+    a whole-block draw.  No product mixes alphas, and its shape comes from
+    the batch, n_fine, n_dt and the configured K, so a column's bits depend
+    on its own alpha alone, whatever the BLAS.
     """
     seeds = [trajectory_seed(base_seed, l) for l in range(first, min(first + _BATCH, m_traj))]
     n_dt, k_max = len(factors), max(kept)
     mb, tb, cb = _block_shape(spec.K_modes, len(seeds), n_dt)
+    half = -(-mb // 2)
     streams = [_ModeStreams(seed) for seed in seeds]
-    x = np.empty((mb, tb, spec.N_fine))
-    d = np.empty((mb, cb, spec.N_fine))
+    x = np.empty((half, tb, spec.N_fine))
+    d = np.empty((half, cb, spec.N_fine))
+    part = np.empty((tb, len(w_ref), n_dt))  # one block's sums
     out = np.zeros((len(seeds), len(w_ref), n_dt))
     for lo in range(0, k_max, mb):
         for t0 in range(0, len(seeds), tb):
             rows = min(tb, len(seeds) - t0)
-            for t, stream in enumerate(streams[t0 : t0 + tb]):
-                stream.draw(lo + 1, x[: min(mb, k_max - lo), t], np.sqrt(spec.dt_fine))
+            for m0 in range(lo, min(lo + mb, k_max), half):
+                for t, stream in enumerate(streams[t0 : t0 + tb]):
+                    stream.draw(m0 + 1, x[: min(half, k_max - m0), t], np.sqrt(spec.dt_fine))
+                for a, k in enumerate(kept):
+                    hi = min(m0 + half, lo + mb, k)
+                    for j0 in range(0, n_dt if hi > m0 else 0, cb):
+                        j1 = min(j0 + cb, n_dt)
+                        for j in range(j0, j1):
+                            shape = (hi - m0, -1, factors[j])  # (modes, coarse steps, factor) views
+                            np.subtract(w_ref[a][m0:hi].reshape(shape),
+                                        w_coarse[a][j][m0:hi, :, None],
+                                        out=d[: hi - m0, j - j0].reshape(shape))
+                        err = np.matmul(x[: hi - m0, :rows],
+                                        d[: hi - m0, : j1 - j0].transpose(0, 2, 1))
+                        np.square(err, out=err)
+                        sums = part[:rows, a, j0:j1]
+                        if m0 == lo:
+                            np.add.reduce(err, axis=0, out=sums)
+                        else:  # continue the block's ascending-mode sum
+                            for e in err:
+                                sums += e
             for a, k in enumerate(kept):
-                hi = min(lo + mb, k)
-                for j0 in range(0, n_dt if hi > lo else 0, cb):
-                    j1 = min(j0 + cb, n_dt)
-                    for j in range(j0, j1):
-                        shape = (hi - lo, -1, factors[j])  # (modes, coarse steps, factor) views
-                        np.subtract(w_ref[a][lo:hi].reshape(shape), w_coarse[a][j][lo:hi, :, None],
-                                    out=d[: hi - lo, j - j0].reshape(shape))
-                    err = np.matmul(x[: hi - lo, :rows], d[: hi - lo, : j1 - j0].transpose(0, 2, 1))
-                    out[t0 : t0 + rows, a, j0:j1] += np.square(err).sum(axis=0)
+                if k > lo:
+                    out[t0 : t0 + rows, a] += part[:rows, a]
     bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
     if bad.size:
         l = first + int(bad[0])

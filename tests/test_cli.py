@@ -275,6 +275,36 @@ def test_bad_grid_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("command, target", [("table1", "modeling_error_tables"),
+                                             ("table2", "fem_error_tables"),
+                                             ("spectrum", "discrete_spectrum"),
+                                             ("stability", "stability_report")])
+@pytest.mark.parametrize("under", ("", "sub"), ids=["file", "under-file"])
+def test_out_not_a_directory_exits_3_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                                     target, under):
+    """An --out that is a file, or a path under one, exits 3 before any work
+    and creates nothing: an existing path must be a directory, and otherwise
+    its nearest existing ancestor must be."""
+    import fracwave.cli as cli
+
+    calls = []
+    if target in _FIRST_WORK:
+        _record_first_work(monkeypatch, target, calls)
+    else:
+        monkeypatch.setattr(cli, target, lambda *a: calls.append(target))
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / under if under else blocker
+    argv = {"table1": ["table1", "--m-traj", "64"], "table2": ["table2", "--m-traj", "2"],
+            "spectrum": ["spectrum", "--n", "3", "--beta", "1.0"],
+            "stability": ["stability", "--alpha", "1.5", "--beta", "0.75"]}[command]
+    code, _, err = run([*argv, "--out", str(out)], capsys)
+    assert code == 3
+    assert err == f"i/o error: [Errno 20] Not a directory: {str(blocker)!r}\n"
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept\n"
+
+
 def test_dense_mesh_above_cap_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
     """A mesh whose N x N matrices exceed the entry cap (here lowered to
     400, N <= 20) exits 2 before any matrix is built.  One mode and one
@@ -445,6 +475,37 @@ def _run_python(code: str, env=None) -> str:
     done = _python(code, env)
     done.check_returncode()
     return done.stdout.strip()
+
+
+def test_main_leaves_the_callers_collector_alone(tmp_path, capsys):
+    """In-process `main` freezes no object: only the `fracwave` command
+    (`cli.run`) does."""
+    import gc
+
+    frozen = gc.get_freeze_count()
+    for argv in (["ml", "--alpha", "1", "--beta", "1", "--z", "0"],
+                 ["spectrum", "--n", "3", "--beta", "1.0", "--out", str(tmp_path)]):
+        assert run(argv, capsys)[0] == 0
+        assert gc.get_freeze_count() == frozen
+
+
+def test_command_exits_with_a_frozen_heap(tmp_path):
+    """`python -m fracwave.cli` freezes the heap before it runs, so the
+    collection at exit skips it; an `atexit` handler still runs after the
+    command, and the command's output is flushed before it."""
+    import subprocess
+
+    import fracwave
+
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, gc\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n")
+    src = os.path.dirname(os.path.dirname(fracwave.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(tmp_path)]))
+    done = subprocess.run([sys.executable, "-m", "fracwave.cli", "ml", "--alpha", "1", "--beta",
+                           "1", "--z", "0"], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{_sci17(1.0)}\nfrozen True\n"
 
 
 def test_cli_import_leaves_out_mpmath():

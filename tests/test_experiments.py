@@ -638,6 +638,58 @@ def test_modeling_block_shape_bounds_scratch(k_modes):
         assert (np.abs(samples - oracle) <= bound).all()
 
 
+def _whole_block_traj(spec, base_seed, m_traj, factors, w_ref, w_coarse, kept, tails, first):
+    """`experiments._modeling_traj` as it was before it drew half a block at
+    a time: each block of `_MODE_BLOCK` modes drawn whole, one matmul per
+    (block, alpha) and the block's squares summed by one `sum(axis=0)`.
+    Written for shapes where a block spans the batch and an alpha's steps."""
+    seeds = [trajectory_seed(base_seed, l)
+             for l in range(first, min(first + experiments._BATCH, m_traj))]
+    streams = [noise._ModeStreams(seed) for seed in seeds]
+    mb, k_max = experiments._MODE_BLOCK, max(kept)
+    out = np.zeros((len(seeds), len(w_ref), len(factors)))
+    for lo in range(0, k_max, mb):
+        x = np.empty((min(mb, k_max - lo), len(seeds), spec.N_fine))
+        for t, stream in enumerate(streams):
+            stream.draw(lo + 1, x[:, t], np.sqrt(spec.dt_fine))
+        for a, k in enumerate(kept):
+            n = min(lo + mb, k) - lo
+            if n > 0:
+                d = np.stack([(w_ref[a][lo : lo + n].reshape(n, -1, f)
+                               - w_coarse[a][j][lo : lo + n, :, None]).reshape(n, -1)
+                              for j, f in enumerate(factors)], axis=1)
+                out[:, a] += np.square(np.matmul(x[:n], d.transpose(0, 2, 1))).sum(axis=0)
+    return out + tails
+
+
+def test_modeling_traj_draws_half_blocks_at_the_paper_shapes():
+    """At the paper's shapes a batch draws and multiplies half a mode block
+    at a time, and its errors keep the bits of whole-block draws: the kept
+    counts (237, 232, 295, 257, 468) cut blocks inside either half and at
+    the half, and the other cuts add one- and nine-mode blocks and a cut
+    after one mode of a half.  One batch of 32 trajectories peaks below
+    3 MiB of traced memory (2.45 MiB; whole-block draws took 4.71 MiB)."""
+    cfg = ExperimentConfig(m_traj=33, base_seed=4)
+    orders = [FracOrders(a, 0.75) for a in (1.1, 1.25, 1.5, 1.75, 2.0)]
+    w_ref, w_coarse, kept, tails, _ = experiments._modeling_weights(cfg, orders, "exact", 1, [])
+    assert kept == (237, 232, 295, 257, 468)
+    assert experiments._block_shape(cfg.k_modes, experiments._BATCH, 5) == (16, 32, 5)
+    factors = [cfg.n_fine // cfg.coarse_steps(dt)[0] for dt in cfg.dt_list]
+    args = (cfg.noise_spec(), cfg.base_seed, cfg.m_traj, factors, w_ref, w_coarse)
+    tracemalloc.start()
+    try:
+        got = experiments._modeling_traj(*args, kept, tails, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20, peak / 2**20
+    assert got.shape == (32, 5, 5)
+    assert np.array_equal(got, _whole_block_traj(*args, kept, tails, 0))
+    for cut in ((1, 9, 17, 24, 25), kept):
+        assert np.array_equal(experiments._modeling_traj(*args, cut, tails, 32),
+                              _whole_block_traj(*args, cut, tails, 32))
+
+
 def test_rectangle_rule_degeneration_is_exact_zero():
     # u_n configured to the reference's own rectangle rule on the fine grid
     # with full mode cutoff: per-trajectory squared error is bitwise zero;

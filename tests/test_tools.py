@@ -5,6 +5,7 @@ import ast
 import importlib.util
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,3 +68,18 @@ def test_package_has_no_global_statement():
         found += [f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Global)]
     assert found == []
+
+
+def test_pyproject_script_is_the_entry_main_runs():
+    """The `fracwave` script and `python -m fracwave.cli` run one entry: the
+    function that the `__main__` block of `fracwave.cli` passes to sys.exit."""
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    tree = ast.parse((ROOT / "src" / "fracwave" / "cli.py").read_text())
+    blocks = [node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert len(blocks) == 1 and len(blocks[0].body) == 1
+    call = blocks[0].body[0].value
+    assert ast.unparse(call.func) == "sys.exit" and len(call.args) == 1
+    entry = call.args[0]
+    assert isinstance(entry, ast.Call) and not entry.args and not entry.keywords
+    assert scripts == {"fracwave": f"fracwave.cli:{ast.unparse(entry.func)}"}
