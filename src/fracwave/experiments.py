@@ -533,16 +533,15 @@ def _modeling_traj(spec: NoiseSpec, base_seed: int, m_traj: int, factors: list,
                 for t, stream in enumerate(streams[t0 : t0 + tb]):
                     stream.draw(m0 + 1, x[: min(half, k_max - m0), t], np.sqrt(spec.dt_fine))
                 for a, k in enumerate(kept):
-                    hi = min(m0 + half, lo + mb, k)
-                    for j0 in range(0, n_dt if hi > m0 else 0, cb):
+                    n = min(m0 + half, lo + mb, k) - m0  # the half's modes of alpha a
+                    for j0 in range(0, n_dt if n > 0 else 0, cb):
                         j1 = min(j0 + cb, n_dt)
                         for j in range(j0, j1):
-                            shape = (hi - m0, -1, factors[j])  # (modes, coarse steps, factor) views
-                            np.subtract(w_ref[a][m0:hi].reshape(shape),
-                                        w_coarse[a][j][m0:hi, :, None],
-                                        out=d[: hi - m0, j - j0].reshape(shape))
-                        err = np.matmul(x[: hi - m0, :rows],
-                                        d[: hi - m0, : j1 - j0].transpose(0, 2, 1))
+                            shape = (n, -1, factors[j])  # (modes, coarse steps, factor) views
+                            np.subtract(w_ref[a][m0 : m0 + n].reshape(shape),
+                                        w_coarse[a][j][m0 : m0 + n, :, None],
+                                        out=d[:n, j - j0].reshape(shape))
+                        err = np.matmul(x[:n, :rows], d[:n, : j1 - j0].transpose(0, 2, 1))
                         np.square(err, out=err)
                         sums = part[:rows, a, j0:j1]
                         if m0 == lo:
