@@ -179,9 +179,9 @@ def _out_dir(args) -> str:
     an existing path must be a directory, and otherwise its nearest existing
     ancestor must be, or the command would fail only when it writes."""
     out = args.out or os.environ.get("FRACWAVE_OUT") or "."
-    path = out
+    path = out.rstrip(os.sep) or out  # "file/" names the file
     while path and not os.path.lexists(path):
-        path = os.path.dirname(path.rstrip(os.sep))
+        path = os.path.dirname(path)
     if path and not os.path.isdir(path):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
     return out

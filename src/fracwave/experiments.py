@@ -530,10 +530,11 @@ def _modeling_traj(spec: NoiseSpec, base_seed: int, m_traj: int, factors: list,
         for t0 in range(0, len(seeds), tb):
             rows = min(tb, len(seeds) - t0)
             for m0 in range(lo, min(lo + mb, k_max), half):
+                m1 = min(m0 + half, lo + mb, k_max)  # the half's modes: m0 + 1..m1
                 for t, stream in enumerate(streams[t0 : t0 + tb]):
-                    stream.draw(m0 + 1, x[: min(half, k_max - m0), t], np.sqrt(spec.dt_fine))
+                    stream.draw(m0 + 1, x[: m1 - m0, t], np.sqrt(spec.dt_fine))
                 for a, k in enumerate(kept):
-                    n = min(m0 + half, lo + mb, k) - m0  # the half's modes of alpha a
+                    n = min(m1, k) - m0  # the half's modes of alpha a
                     for j0 in range(0, n_dt if n > 0 else 0, cb):
                         j1 = min(j0 + cb, n_dt)
                         for j in range(j0, j1):

@@ -279,12 +279,14 @@ def test_bad_grid_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command
                                              ("table2", "fem_error_tables"),
                                              ("spectrum", "discrete_spectrum"),
                                              ("stability", "stability_report")])
-@pytest.mark.parametrize("under", ("", "sub"), ids=["file", "under-file"])
+@pytest.mark.parametrize("suffix", ("", os.sep + "sub", os.sep),
+                         ids=["file", "under-file", "file-slash"])
 def test_out_not_a_directory_exits_3_before_any_work(tmp_path, capsys, monkeypatch, command,
-                                                     target, under):
-    """An --out that is a file, or a path under one, exits 3 before any work
-    and creates nothing: an existing path must be a directory, and otherwise
-    its nearest existing ancestor must be."""
+                                                     target, suffix):
+    """An --out that is a file, written with or without a trailing slash, or
+    a path under a file exits 3 before any work and creates nothing: an
+    existing path must be a directory, and otherwise its nearest existing
+    ancestor must be."""
     import fracwave.cli as cli
 
     calls = []
@@ -294,11 +296,10 @@ def test_out_not_a_directory_exits_3_before_any_work(tmp_path, capsys, monkeypat
         monkeypatch.setattr(cli, target, lambda *a: calls.append(target))
     blocker = tmp_path / "file"
     blocker.write_text("kept\n")
-    out = blocker / under if under else blocker
     argv = {"table1": ["table1", "--m-traj", "64"], "table2": ["table2", "--m-traj", "2"],
             "spectrum": ["spectrum", "--n", "3", "--beta", "1.0"],
             "stability": ["stability", "--alpha", "1.5", "--beta", "0.75"]}[command]
-    code, _, err = run([*argv, "--out", str(out)], capsys)
+    code, _, err = run([*argv, "--out", str(blocker) + suffix], capsys)
     assert code == 3
     assert err == f"i/o error: [Errno 20] Not a directory: {str(blocker)!r}\n"
     assert calls == []

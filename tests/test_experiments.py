@@ -690,6 +690,30 @@ def test_modeling_traj_draws_half_blocks_at_the_paper_shapes():
                               _whole_block_traj(*args, cut, tails, 32))
 
 
+@pytest.mark.parametrize("k_modes, block", ((64, 2), (100, 3), (288, 9)))
+def test_modeling_traj_draws_each_mode_once(monkeypatch, k_modes, block):
+    """Each trajectory of a batch draws modes 1..max(kept) once each, in
+    ascending order, also where a block has an odd number of modes and its
+    second half is one mode short of the first."""
+    cfg = _cfg(m_traj=32, base_seed=2, k_modes=k_modes, n_cutoff=k_modes)
+    orders = [FracOrders(1.5, 0.75), FracOrders(2.0, 0.75)]
+    w_ref, w_coarse, kept, tails, _ = experiments._modeling_weights(cfg, orders, "exact", 1, [])
+    factors = [cfg.n_fine // cfg.coarse_steps(dt)[0] for dt in cfg.dt_list]
+    assert experiments._block_shape(k_modes, 32, len(factors))[0] == block
+    drawn = collections.defaultdict(list)
+    draw = noise._ModeStreams.draw
+
+    def spy(self, first_mode, out, scale):
+        drawn[id(self)] += range(first_mode, first_mode + len(out))
+        draw(self, first_mode, out, scale)
+
+    monkeypatch.setattr(noise._ModeStreams, "draw", spy)
+    experiments._modeling_traj(cfg.noise_spec(), cfg.base_seed, cfg.m_traj, factors, w_ref,
+                               w_coarse, kept, tails, 0)
+    assert len(drawn) == 32
+    assert all(modes == list(range(1, max(kept) + 1)) for modes in drawn.values())
+
+
 def test_rectangle_rule_degeneration_is_exact_zero():
     # u_n configured to the reference's own rectangle rule on the fine grid
     # with full mode cutoff: per-trajectory squared error is bitwise zero;
