@@ -327,8 +327,8 @@ def _alpha_grids(cfg: ExperimentConfig, orders: FracOrders, rule: str, rows=None
 _HEAD_ROWS, _SAMPLE_STRIDE, _KEPT_MARGIN, _CUT_BLOCK = 64, 16, 16, 128
 
 
-def _cut_grids(cfg: ExperimentConfig, orders: FracOrders, rule: str,
-               factors: list) -> tuple[int, np.ndarray, list]:
+def _cut_grids(cfg: ExperimentConfig, orders: FracOrders,
+               rule: str) -> tuple[int, np.ndarray, list]:
     """(K*, tails, pieces) of one entry of a table-1 sweep, from only the
     grid rows it needs: pieces is a list of (rows, [w_ref, *w_coarse] of
     those rows), each rows an ascending index array; no row is in two
@@ -350,7 +350,7 @@ def _cut_grids(cfg: ExperimentConfig, orders: FracOrders, rule: str,
     head = min(_HEAD_ROWS, k_all)
     sampled = np.unique(np.r_[:head, head + _SAMPLE_STRIDE - 1 : k_all : _SAMPLE_STRIDE, k_all - 1])
     pieces = [(sampled, _alpha_grids(cfg, orders, rule, sampled))]
-    exact = _mode_means(cfg.dt_fine, factors, pieces[0][1])
+    exact = _mode_means(cfg.dt_fine, pieces[0][1])
     ln_k = np.log(np.arange(1.0, k_all + 1))
     with np.errstate(divide="ignore", invalid="ignore"):  # log(0) = -inf, then nan
         means = np.exp([np.interp(ln_k, ln_k[sampled], np.log(col)) for col in exact.T]).T
@@ -366,47 +366,40 @@ def _cut_grids(cfg: ExperimentConfig, orders: FracOrders, rule: str,
         for lo in range(0, missing.size, _CUT_BLOCK):
             rows = missing[lo : lo + _CUT_BLOCK]
             pieces.append((rows, _alpha_grids(cfg, orders, rule, rows)))
-            means[rows] = _mode_means(cfg.dt_fine, factors, pieces[-1][1])
+            means[rows] = _mode_means(cfg.dt_fine, pieces[-1][1])
         done = hi
 
 
-def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int, firsts=()):
-    """(w_ref, w_coarse, kept, tails, errors): per entry a of orders, rows
-    1..kept[a] of its fine left-rule grid and of its coarse grids, kept[a]
-    and tails[a], the drawn modes and tails that `_cut_grids` gives, then
-    the `_modeling_traj` errors of the batch that starts at each trajectory
-    index in firsts.
+def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int):
+    """(w_ref, w_coarse, tails): per entry a of orders, rows 1..K* of its
+    fine left-rule grid and of its coarse grids, and tails[a], for the
+    drawn modes K* and the tails that `_cut_grids` gives.
 
     Before any grid or fork, each step of cfg.dt_list is checked
     (`ExperimentConfig.coarse_steps`), and no two may give the same number
     of steps: the row would be computed twice, with no rate between.
 
-    Two phases run, each one `_fork_map` with its own worker count.  First
-    `cut(a)` for each alpha: it builds only the rows of that alpha's grids
-    that `_cut_grids` needs to find its drawn modes K* and tails, each row
-    the same bits as the full grid's at any worker count, joins rows 1..K*
-    of each grid and returns (K*, tails).  The join copies each piece's rows
-    of a grid below K* to their place and drops them before the next piece,
-    so it holds one grid's kept rows beside what is left of the pieces.  When
-    this phase runs in this process, the kept rows of each grid are a new
-    array of exactly K* rows.  When it forks, each grid is a full-size
-    `_shared_array` made before the fork:
-    its alpha's child writes the kept rows there and no other, so pages past
-    them are never touched, and only the cuts cross the pipes; the parent
-    never reads the grids.  Then the batches: the batch children are forked
-    after the cut, so they inherit every alpha's kept rows, cuts and tails,
-    and only the per-batch errors cross their pipes.
+    `cut(a)` runs for each alpha in one `_fork_map`: it builds only the rows
+    of that alpha's grids that `_cut_grids` needs to find its K* and tails,
+    each row the same bits as the full grid's at any worker count, joins
+    rows 1..K* of each grid and returns (K*, tails).  The join copies each
+    piece's rows of a grid below K* to their place and drops them before the
+    next piece, so it holds one grid's kept rows beside what is left of the
+    pieces.  When this runs in this process, the kept rows of each grid are
+    a new array of exactly K* rows.  When it forks, each grid is a full-size
+    `_shared_array` made before the fork: its alpha's child writes the kept
+    rows there and no other, so pages past them are never touched, and only
+    the cuts cross the pipes; the parent never reads the grids.
     """
     steps = [cfg.coarse_steps(dt)[0] for dt in cfg.dt_list]
     if len(set(steps)) < len(steps):
         raise DomainError(f"ExperimentConfig: two dt_list entries give one grid {steps}")
-    factors = [cfg.n_fine // s for s in steps]
     shared = _fork_count(n_workers, len(orders)) > 1
     grids = [[_shared_array((cfg.k_modes, n)) if shared else None for n in (cfg.n_fine, *steps)]
              for _ in orders]
 
     def cut(a):
-        k, tails, pieces = _cut_grids(cfg, orders[a], rule, factors)
+        k, tails, pieces = _cut_grids(cfg, orders[a], rule)
         for g, dest in enumerate(grids[a]):  # shared rows are seen by the parent and later children
             out = np.empty((k, pieces[0][1][g].shape[1])) if dest is None else dest[:k]
             for rows, p in pieces:
@@ -417,12 +410,8 @@ def _modeling_weights(cfg: ExperimentConfig, orders, rule: str, n_workers: int, 
         return k, tails
 
     cuts = _fork_map(cut, range(len(orders)), n_workers)
-    kept, tails = tuple(k for k, _ in cuts), np.array([t for _, t in cuts])
-    rows = [[g[:k] for g in gs] for gs, k in zip(grids, kept)]
-    w_ref, w_coarse = [r[0] for r in rows], [r[1:] for r in rows]
-    traj = functools.partial(_modeling_traj, cfg.noise_spec(), cfg.base_seed, cfg.m_traj, factors,
-                             w_ref, w_coarse, kept, tails)
-    return w_ref, w_coarse, kept, tails, _fork_map(traj, firsts, n_workers)
+    rows = [[g[:k] for g in gs] for gs, (k, _) in zip(grids, cuts)]
+    return [r[0] for r in rows], [r[1:] for r in rows], np.array([t for _, t in cuts])
 
 
 #: Trajectories per batch of a modeling-error run: batch q holds trajectories
@@ -452,7 +441,20 @@ def _block_shape(k_modes: int, batch: int, n_dt: int) -> tuple[int, int, int]:
     return modes, min(batch, k_modes // modes), min(n_dt, k_modes // modes)
 
 
-def _mode_means(dt_fine: float, factors: list, grids: list) -> np.ndarray:
+def _differences(ref: np.ndarray, coarse: np.ndarray, out=None) -> np.ndarray:
+    """D = ref - repeat(coarse, f, axis=1) for rows of a fine grid, shape
+    (rows, n_fine), and the same rows of a coarse grid of n_fine / f steps,
+    by one subtraction on (rows, coarse steps, f) views.  It is written to
+    out when given, a (rows, n_fine) array of any strides: splitting its
+    last axis is always a view, and `copy=False` refuses a copy that would
+    leave out unfilled."""
+    shape = (len(ref), coarse.shape[1], ref.shape[1] // coarse.shape[1])
+    out = np.empty(ref.shape) if out is None else out
+    np.subtract(ref.reshape(shape), coarse[:, :, None], out=out.reshape(shape, copy=False))
+    return out
+
+
+def _mode_means(dt_fine: float, grids: list) -> np.ndarray:
     """Exact means of the modes of one alpha's squared modeling error, shape
     (rows, n_dt), from the same rows of its grids [w_ref, *w_coarse]
     (`_alpha_grids`).
@@ -461,17 +463,13 @@ def _mode_means(dt_fine: float, factors: list, grids: list) -> np.ndarray:
     `_modeling_traj` and independent xi ~ N(0, dt_fine), so its mean is
     m_k = dt_fine ||D_k||^2.  The errors of different modes are independent
     centred normals, so a sample's mean is sum_k m_k and its variance
-    2 sum_k m_k^2.  D is built `_MODE_BLOCK` rows at a time, by one
-    subtraction on (rows, coarse steps, factor) views, so its scratch stays
-    at one block.
+    2 sum_k m_k^2.  D is built `_MODE_BLOCK` rows at a time
+    (`_differences`), so its scratch stays at one block.
     """
-    w_ref = grids[0]
-    out = np.empty((w_ref.shape[0], len(factors)))
-    for lo in range(0, w_ref.shape[0], _MODE_BLOCK):
-        ref = w_ref[lo : lo + _MODE_BLOCK]
-        for j, f in enumerate(factors):
-            d = ref.reshape(len(ref), -1, f) - grids[1 + j][lo : lo + _MODE_BLOCK, :, None]
-            d = d.reshape(len(ref), -1)
+    out = np.empty((len(grids[0]), len(grids) - 1))
+    for lo in range(0, len(out), _MODE_BLOCK):
+        for j, coarse in enumerate(grids[1:]):
+            d = _differences(grids[0][lo : lo + _MODE_BLOCK], coarse[lo : lo + _MODE_BLOCK])
             out[lo : lo + _MODE_BLOCK, j] = np.einsum("ki,ki->k", d, d)
     return dt_fine * out
 
@@ -494,65 +492,61 @@ def _kept_modes(means: np.ndarray) -> tuple[int, np.ndarray]:
     return kept, np.array([math.fsum(col) for col in means[kept:].T])
 
 
-def _modeling_traj(spec: NoiseSpec, base_seed: int, m_traj: int, factors: list,
-                   w_ref: list, w_coarse: list, kept: tuple, tails: np.ndarray,
+def _modeling_traj(cfg: ExperimentConfig, w_ref: list, w_coarse: list, tails: np.ndarray,
                    first: int) -> np.ndarray:
     """Squared errors of the batch of trajectories [first, min(first + _BATCH,
-    m_traj)), shape (B, n_alpha, n_dt) for the B trajectories of the batch.
+    cfg.m_traj)), shape (B, n_alpha, n_dt) for the B trajectories of the
+    batch, from rows 1..K*_a of each alpha's grids (`_modeling_weights`):
+    K*_a is len(w_ref[a]), and a coarse grid's factor is n_fine over its
+    number of steps.
 
     The homogeneous parts of the reference and the regularized solution
     cancel exactly, so in column (a, j) mode k's error is the dot product of
-    its fine increments with row k of D = w_ref[a] - repeat(w_coarse[a][j],
-    factors[j]), a difference of weights that does not cancel against the
-    size of the solutions.  Column (a, j) adds the squares of modes
-    1..kept[a] and then tails[a, j], the mean of the rest
-    (`_kept_modes`).  Per block of modes up to max(kept), and within it per
-    half block, each trajectory's rows are drawn once from its own
-    `_ModeStreams`; then per alpha, D is built from that alpha's kept rows
-    of the half, and one matmul per mode gives every (trajectory, step)
-    error.  A block's squares are summed in ascending mode order, the
-    second half continuing the first half's sum, and the block sums are
-    added over ascending blocks, so halving the buffers keeps the bits of
-    a whole-block draw.  No product mixes alphas, and its shape comes from
-    the batch, n_fine, n_dt and the configured K, so a column's bits depend
-    on its own alpha alone, whatever the BLAS.
+    its fine increments with row k of D = w_ref[a] - repeat(w_coarse[a][j]),
+    a difference of weights that does not cancel against the size of the
+    solutions.  Column (a, j) adds the squares of modes 1..K*_a and then
+    tails[a, j], the mean of the rest (`_kept_modes`).  Per block of modes
+    up to the largest K*, and within it per half block, each trajectory's
+    rows are drawn once from its own `_ModeStreams`; then per alpha, D is
+    built from that alpha's kept rows of the half (`_differences`), and one
+    matmul per mode gives every (trajectory, step) error.  A block's sums
+    start at zero and add each mode's squares in ascending mode order; then
+    the block sums are added over ascending blocks.  A sum of squares is
+    >= +0, so its first addition to zero is exact and an alpha with no mode
+    in the block adds +0: halving the buffers keeps the bits of a
+    whole-block draw.  No product mixes alphas, and its shape comes from the
+    batch, n_fine, n_dt and the configured K, so a column's bits depend on
+    its own alpha alone, whatever the BLAS.
     """
-    seeds = [trajectory_seed(base_seed, l) for l in range(first, min(first + _BATCH, m_traj))]
-    n_dt, k_max = len(factors), max(kept)
-    mb, tb, cb = _block_shape(spec.K_modes, len(seeds), n_dt)
+    batch = range(first, min(first + _BATCH, cfg.m_traj))
+    seeds = [trajectory_seed(cfg.base_seed, l) for l in batch]
+    n_dt, k_max = len(w_coarse[0]), max(map(len, w_ref))
+    mb, tb, cb = _block_shape(cfg.k_modes, len(seeds), n_dt)
     half = -(-mb // 2)
     streams = [_ModeStreams(seed) for seed in seeds]
-    x = np.empty((half, tb, spec.N_fine))
-    d = np.empty((half, cb, spec.N_fine))
+    x = np.empty((half, tb, cfg.n_fine))
+    d = np.empty((half, cb, cfg.n_fine))
     part = np.empty((tb, len(w_ref), n_dt))  # one block's sums
     out = np.zeros((len(seeds), len(w_ref), n_dt))
     for lo in range(0, k_max, mb):
         for t0 in range(0, len(seeds), tb):
             rows = min(tb, len(seeds) - t0)
+            part[:rows] = 0.0
             for m0 in range(lo, min(lo + mb, k_max), half):
                 m1 = min(m0 + half, lo + mb, k_max)  # the half's modes: m0 + 1..m1
                 for t, stream in enumerate(streams[t0 : t0 + tb]):
-                    stream.draw(m0 + 1, x[: m1 - m0, t], np.sqrt(spec.dt_fine))
-                for a, k in enumerate(kept):
-                    n = min(m1, k) - m0  # the half's modes of alpha a
+                    stream.draw(m0 + 1, x[: m1 - m0, t], np.sqrt(cfg.dt_fine))
+                for a, (ref, coarse) in enumerate(zip(w_ref, w_coarse)):
+                    n = min(m1, len(ref)) - m0  # the half's modes of alpha a
                     for j0 in range(0, n_dt if n > 0 else 0, cb):
                         j1 = min(j0 + cb, n_dt)
                         for j in range(j0, j1):
-                            shape = (n, -1, factors[j])  # (modes, coarse steps, factor) views
-                            np.subtract(w_ref[a][m0 : m0 + n].reshape(shape),
-                                        w_coarse[a][j][m0 : m0 + n, :, None],
-                                        out=d[:n, j - j0].reshape(shape))
+                            _differences(ref[m0 : m0 + n], coarse[j][m0 : m0 + n], d[:n, j - j0])
                         err = np.matmul(x[:n, :rows], d[:n, : j1 - j0].transpose(0, 2, 1))
                         np.square(err, out=err)
-                        sums = part[:rows, a, j0:j1]
-                        if m0 == lo:
-                            np.add.reduce(err, axis=0, out=sums)
-                        else:  # continue the block's ascending-mode sum
-                            for e in err:
-                                sums += e
-            for a, k in enumerate(kept):
-                if k > lo:
-                    out[t0 : t0 + rows, a] += part[:rows, a]
+                        for e in err:  # ascending modes
+                            part[:rows, a, j0:j1] += e
+            out[t0 : t0 + rows] += part[:rows]
     bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
     if bad.size:
         l = first + int(bad[0])
@@ -566,13 +560,16 @@ def modeling_error_samples(cfg: ExperimentConfig, orders, rule: str = "exact",
     (m_traj, len(orders), n_dt), column i at the fractional orders orders[i].
 
     One noise draw per trajectory feeds every column and every coarse grid,
-    so all comparisons are coupled to the same Brownian paths.  The weight
-    grids of each alpha and then the batches of `_BATCH` trajectories run
-    on at most n_workers fork children each (`_modeling_weights`).
+    so all comparisons are coupled to the same Brownian paths.  Two phases
+    run, each one `_fork_map` on at most n_workers fork children: the
+    weight grids of each alpha (`_modeling_weights`), then the batches of
+    `_BATCH` trajectories (`_modeling_traj`).  The batch children are forked
+    after the set-up, so they inherit every alpha's kept rows and tails,
+    and only the per-batch errors cross their pipes.
     """
     _require_sweep("modeling_error_samples", cfg.m_traj, orders, "dt_list", cfg.dt_list)
-    errors = _modeling_weights(cfg, orders, rule, n_workers, range(0, cfg.m_traj, _BATCH))[-1]
-    return np.concatenate(errors, axis=0)
+    traj = functools.partial(_modeling_traj, cfg, *_modeling_weights(cfg, orders, rule, n_workers))
+    return np.concatenate(_fork_map(traj, range(0, cfg.m_traj, _BATCH), n_workers), axis=0)
 
 
 def modeling_error_tables(cfg: ExperimentConfig, orders, rule: str = "exact",
@@ -718,9 +715,16 @@ def write_rate_table(table: RateTable, filename) -> None:
 
 def _write_csv(path, comments: list[str], header: str, rows: list[str]) -> None:
     """Write comments (each after '# '), header and rows, one per line,
-    through a temporary file and os.replace, so a reader never sees a partly
-    written file."""
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join([*(f"# {c}" for c in comments), header, *rows]) + "\n")
-    os.replace(tmp, str(path))
+    through a temporary file of this process, `<path>.<pid>.tmp`, and
+    os.replace, so a reader never sees a partly written file and two runs
+    into one directory never share a temporary file.  A write or replace
+    that fails removes the temporary file before its error goes on."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("\n".join([*(f"# {c}" for c in comments), header, *rows]) + "\n")
+        os.replace(tmp, str(path))
+    except BaseException:
+        if os.path.lexists(tmp):
+            os.remove(tmp)
+        raise

@@ -94,12 +94,18 @@ def _series_coefficients(alpha: float, beta: float) -> np.ndarray:
     return _frozen(np.asarray(coeffs))
 
 
+def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] x^k by Horner's rule, one rounded multiply and one
+    rounded add per term, in a new array of x's shape."""
+    out = np.full(x.shape, coef[-1])
+    for c in coef[-2::-1]:
+        out *= x
+        out += c
+    return out
+
+
 def _series_values(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    c = _series_coefficients(alpha, beta)
-    acc = np.full(z.shape, c[-1])
-    for ck in c[-2::-1]:
-        acc = acc * z + ck
-    return acc
+    return _horner(_series_coefficients(alpha, beta), z)
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +326,7 @@ def _asymptotic_values(alpha: float, beta: float, z: np.ndarray, r: np.ndarray,
     (alpha, beta, z) alone, not on the other arguments.
     """
     w = 1.0 / z
-    out = np.full_like(z, coef[-1])
-    for c in coef[-2::-1]:
-        out *= w
-        out += c
+    out = _horner(coef, w)
     out *= w
     _add_negative_residues(alpha, beta, r, out)
     return out

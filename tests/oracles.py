@@ -292,7 +292,7 @@ def full_grids_and_means(cfg, orders, rule: str = "exact"):
     `_mode_means`."""
     factors = [cfg.coarse_steps(dt)[1] for dt in cfg.dt_list]
     grids = [experiments._alpha_grids(cfg, o, rule) for o in orders]
-    means = np.stack([experiments._mode_means(cfg.dt_fine, factors, g) for g in grids], axis=1)
+    means = np.stack([experiments._mode_means(cfg.dt_fine, g) for g in grids], axis=1)
     return factors, [g[0] for g in grids], [g[1:] for g in grids], means
 
 

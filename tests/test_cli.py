@@ -867,6 +867,20 @@ def test_spectrum_csv_matches_closed_form(tmp_path, capsys):
     assert (np.diff(lam_h) > 0.0).all()
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["spectrum", "--n", "3", "--beta", "0.5"], "spectrum_n3_beta0.5.csv"),
+    (["table1", "--m-traj", "2", "--threads", "1"], "table1_alpha1.5.csv"),
+], ids=["spectrum", "table1"])
+def test_failed_csv_write_exits_3_and_leaves_no_temp_file(tmp_path, capsys, argv, name):
+    """A CSV whose path is a directory cannot replace it: exit 3, and the
+    temporary file the CSV was written to is removed."""
+    (tmp_path / name).mkdir()
+    extra = ["--config", _tiny_cfg(tmp_path)] if argv[0] == "table1" else []
+    code, _, err = run([*argv, *extra, "--out", str(tmp_path)], capsys)
+    assert code == 3 and "Traceback" not in err
+    assert (tmp_path / name).is_dir() and list(tmp_path.rglob("*.tmp")) == []
+
+
 def test_stability_csv(tmp_path, capsys):
     code, _, _ = run(["stability", "--alpha", "1.5", "--beta", "0.75",
                       "--out", str(tmp_path)], capsys)

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import importlib.util
 import math
@@ -509,18 +510,17 @@ def test_kept_modes_at_the_paper_shapes(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    factors, w_ref, w_coarse, means = full_grids_and_means(cfg, orders)
+    _, w_ref, w_coarse, means = full_grids_and_means(cfg, orders)
     full_bytes = sum(w.nbytes for a in range(len(orders)) for w in (w_ref[a], *w_coarse[a]))
     assert full_bytes == 8 * 1000 * (1000 + 500) * len(orders)
     assert peak < 0.4 * full_bytes, peak / full_bytes
     kept, tails = kept_modes_per_alpha(means)
     assert kept == (237, 232, 295, 257, 468)
     assert np.array_equal(serial, modeling_error_samples(one, orders, "exact", 2))
-    (ref_rows, coarse_rows, *cut, errors), pooled = runs
-    assert cut[0] == pooled[2] == kept
-    np.testing.assert_allclose(cut[1], tails, rtol=1e-2, atol=0.0)
-    assert np.array_equal(pooled[3], cut[1])
-    assert all(np.array_equal(e, p) for e, p in zip(errors, pooled[4]))
+    (ref_rows, coarse_rows, cut_tails), pooled = runs
+    assert tuple(map(len, ref_rows)) == tuple(map(len, pooled[0])) == kept
+    np.testing.assert_allclose(cut_tails, tails, rtol=1e-2, atol=0.0)
+    assert np.array_equal(pooled[2], cut_tails)
     for a, k in enumerate(kept):
         retained = [ref_rows[a], *coarse_rows[a]]
         assert len(retained) == 1 + len(cfg.dt_list)
@@ -529,16 +529,16 @@ def test_kept_modes_at_the_paper_shapes(monkeypatch):
             assert got.shape == (k, full.shape[1])
             assert np.array_equal(got, full[:k]) and np.array_equal(shared, got)
     assert (tails <= experiments._TAIL_SHARE * means.sum(axis=0)).all() and (tails > 0).all()
-    full = ((cfg.k_modes,) * len(orders), np.zeros_like(tails))
-    one = [experiments._modeling_traj(cfg.noise_spec(), 1, 1, factors, w_ref, w_coarse, kept, t, 0)
-           for t in (tails, np.zeros_like(tails))]
-    assert np.array_equal(one[0], one[1] + tails)  # each column adds its exact tail
+    cut_grids = _kept_rows(w_ref, w_coarse, kept)
+    full = (w_ref, w_coarse, np.zeros_like(tails))
+    tailed, untailed = (experiments._modeling_traj(one, *cut_grids, t, 0) for t in (tails, full[2]))
+    assert np.array_equal(tailed, untailed + tails)  # each column adds its exact tail
     for seed in (1, 9):
         for m_traj in (1, 40):
-            cut, whole = (np.concatenate([
-                experiments._modeling_traj(cfg.noise_spec(), seed, m_traj, factors, w_ref,
-                                           w_coarse, *c, first)
-                for first in range(0, m_traj, experiments._BATCH)]) for c in ((kept, tails), full))
+            run = dataclasses.replace(cfg, base_seed=seed, m_traj=m_traj)
+            cut, whole = (np.concatenate([experiments._modeling_traj(run, *c, first)
+                                          for first in range(0, m_traj, experiments._BATCH)])
+                          for c in ((*cut_grids, tails), full))
             for t_cut, t_whole in zip(*(experiments._rate_tables(cfg, orders, x, cfg.dt_list)
                                          for x in (cut, whole))):
                 np.testing.assert_allclose(t_cut.errors, t_whole.errors, rtol=1e-13, atol=0.0)
@@ -559,8 +559,8 @@ def test_cut_grids_keeps_only_evaluated_rows(monkeypatch):
     monkeypatch.setattr(experiments, "_kept_modes",
                         lambda means: estimates.append(real(means)) or estimates[-1])
     monkeypatch.setattr(experiments, "_alpha_grids", lambda cfg, o, rule, rows: [k[rows] - 1])
-    monkeypatch.setattr(experiments, "_mode_means", lambda dt, factors, grids: true[grids[0]])
-    kept, tails, pieces = experiments._cut_grids(cfg, ORDERS, "exact", [1])
+    monkeypatch.setattr(experiments, "_mode_means", lambda dt, grids: true[grids[0]])
+    kept, tails, pieces = experiments._cut_grids(cfg, ORDERS, "exact")
     assert len(estimates) == 3 and 64 < kept < cfg.k_modes and tails.shape == (1,)
     assert all(np.array_equal(p[0], rows) for rows, p in pieces)
     rows = np.concatenate([rows for rows, _ in pieces])
@@ -578,11 +578,10 @@ def test_cut_grids_build_each_row_once_at_the_paper_shapes(monkeypatch):
     built, real = [], experiments._alpha_grids
     monkeypatch.setattr(experiments, "_alpha_grids",
                         lambda cfg, o, rule, rows: built.append(rows) or real(cfg, o, rule, rows))
-    factors = [cfg.n_fine // cfg.coarse_steps(dt)[0] for dt in cfg.dt_list]
     later = {1.1: 178, 1.25: 173, 1.5: 232, 1.75: 196, 2.0: 394}
     for (alpha, n_later), want in zip(later.items(), (237, 232, 295, 257, 468)):
         built.clear()
-        kept, _, pieces = experiments._cut_grids(cfg, FracOrders(alpha, 0.75), "exact", factors)
+        kept, _, pieces = experiments._cut_grids(cfg, FracOrders(alpha, 0.75), "exact")
         assert kept == want
         assert len(pieces) == len(built) and all(r is b for (r, _), b in zip(pieces, built))
         assert len(built[0]) == 123 and built[0][-1] == cfg.k_modes - 1
@@ -638,20 +637,47 @@ def test_modeling_block_shape_bounds_scratch(k_modes):
         assert (np.abs(samples - oracle) <= bound).all()
 
 
-def _whole_block_traj(spec, base_seed, m_traj, factors, w_ref, w_coarse, kept, tails, first):
+@pytest.mark.parametrize("factor", (1, 5, 40))
+def test_differences_match_repeat_into_strided_out(factor):
+    """`_differences` gives ref - repeat(coarse, f, axis=1) bit for bit, as a
+    new array and written through a strided out: a row slice of a larger
+    scratch, as `_modeling_traj` passes, or a transposed array.  The out is
+    filled in place, never through a copy that leaves it unfilled."""
+    rng = np.random.default_rng(factor)
+    ref, coarse = rng.standard_normal((7, 200)), rng.standard_normal((7, 200 // factor))
+    want = ref - np.repeat(coarse, factor, axis=1)
+    assert np.array_equal(experiments._differences(ref, coarse), want)
+    d = np.full((9, 3, 200), np.nan)
+    assert experiments._differences(ref, coarse, d[:7, 1]).base is d
+    assert np.array_equal(d[:7, 1], want)
+    assert np.isnan(d[:7, [0, 2]]).all() and np.isnan(d[7:]).all()
+    column_strided = np.full((200, 7), np.nan)
+    experiments._differences(ref, coarse, column_strided.T)
+    assert np.array_equal(column_strided.T, want)
+
+
+def _kept_rows(w_ref, w_coarse, kept):
+    """(w_ref, w_coarse) cut to rows 1..kept[a] of each alpha's grids."""
+    return ([w[:k] for w, k in zip(w_ref, kept)],
+            [[w[:k] for w in ws] for ws, k in zip(w_coarse, kept)])
+
+
+def _whole_block_traj(cfg, w_ref, w_coarse, tails, first):
     """`experiments._modeling_traj` as it was before it drew half a block at
     a time: each block of `_MODE_BLOCK` modes drawn whole, one matmul per
     (block, alpha) and the block's squares summed by one `sum(axis=0)`.
     Written for shapes where a block spans the batch and an alpha's steps."""
-    seeds = [trajectory_seed(base_seed, l)
-             for l in range(first, min(first + experiments._BATCH, m_traj))]
+    seeds = [trajectory_seed(cfg.base_seed, l)
+             for l in range(first, min(first + experiments._BATCH, cfg.m_traj))]
     streams = [noise._ModeStreams(seed) for seed in seeds]
+    kept = [len(w) for w in w_ref]
+    factors = [cfg.coarse_steps(dt)[1] for dt in cfg.dt_list]
     mb, k_max = experiments._MODE_BLOCK, max(kept)
     out = np.zeros((len(seeds), len(w_ref), len(factors)))
     for lo in range(0, k_max, mb):
-        x = np.empty((min(mb, k_max - lo), len(seeds), spec.N_fine))
+        x = np.empty((min(mb, k_max - lo), len(seeds), cfg.n_fine))
         for t, stream in enumerate(streams):
-            stream.draw(lo + 1, x[:, t], np.sqrt(spec.dt_fine))
+            stream.draw(lo + 1, x[:, t], np.sqrt(cfg.dt_fine))
         for a, k in enumerate(kept):
             n = min(lo + mb, k) - lo
             if n > 0:
@@ -671,23 +697,23 @@ def test_modeling_traj_draws_half_blocks_at_the_paper_shapes():
     3 MiB of traced memory (2.45 MiB; whole-block draws took 4.71 MiB)."""
     cfg = ExperimentConfig(m_traj=33, base_seed=4)
     orders = [FracOrders(a, 0.75) for a in (1.1, 1.25, 1.5, 1.75, 2.0)]
-    w_ref, w_coarse, kept, tails, _ = experiments._modeling_weights(cfg, orders, "exact", 1, [])
+    w_ref, w_coarse, tails = experiments._modeling_weights(cfg, orders, "exact", 1)
+    kept = tuple(map(len, w_ref))
     assert kept == (237, 232, 295, 257, 468)
     assert experiments._block_shape(cfg.k_modes, experiments._BATCH, 5) == (16, 32, 5)
-    factors = [cfg.n_fine // cfg.coarse_steps(dt)[0] for dt in cfg.dt_list]
-    args = (cfg.noise_spec(), cfg.base_seed, cfg.m_traj, factors, w_ref, w_coarse)
     tracemalloc.start()
     try:
-        got = experiments._modeling_traj(*args, kept, tails, 0)
+        got = experiments._modeling_traj(cfg, w_ref, w_coarse, tails, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 2**20, peak / 2**20
     assert got.shape == (32, 5, 5)
-    assert np.array_equal(got, _whole_block_traj(*args, kept, tails, 0))
+    assert np.array_equal(got, _whole_block_traj(cfg, w_ref, w_coarse, tails, 0))
     for cut in ((1, 9, 17, 24, 25), kept):
-        assert np.array_equal(experiments._modeling_traj(*args, cut, tails, 32),
-                              _whole_block_traj(*args, cut, tails, 32))
+        grids = _kept_rows(w_ref, w_coarse, cut)
+        assert np.array_equal(experiments._modeling_traj(cfg, *grids, tails, 32),
+                              _whole_block_traj(cfg, *grids, tails, 32))
 
 
 @pytest.mark.parametrize("k_modes, block", ((64, 2), (100, 3), (288, 9)))
@@ -697,9 +723,8 @@ def test_modeling_traj_draws_each_mode_once(monkeypatch, k_modes, block):
     second half is one mode short of the first."""
     cfg = _cfg(m_traj=32, base_seed=2, k_modes=k_modes, n_cutoff=k_modes)
     orders = [FracOrders(1.5, 0.75), FracOrders(2.0, 0.75)]
-    w_ref, w_coarse, kept, tails, _ = experiments._modeling_weights(cfg, orders, "exact", 1, [])
-    factors = [cfg.n_fine // cfg.coarse_steps(dt)[0] for dt in cfg.dt_list]
-    assert experiments._block_shape(k_modes, 32, len(factors))[0] == block
+    w_ref, w_coarse, tails = experiments._modeling_weights(cfg, orders, "exact", 1)
+    assert experiments._block_shape(k_modes, 32, len(cfg.dt_list))[0] == block
     drawn = collections.defaultdict(list)
     draw = noise._ModeStreams.draw
 
@@ -708,10 +733,9 @@ def test_modeling_traj_draws_each_mode_once(monkeypatch, k_modes, block):
         draw(self, first_mode, out, scale)
 
     monkeypatch.setattr(noise._ModeStreams, "draw", spy)
-    experiments._modeling_traj(cfg.noise_spec(), cfg.base_seed, cfg.m_traj, factors, w_ref,
-                               w_coarse, kept, tails, 0)
+    experiments._modeling_traj(cfg, w_ref, w_coarse, tails, 0)
     assert len(drawn) == 32
-    assert all(modes == list(range(1, max(kept) + 1)) for modes in drawn.values())
+    assert all(modes == list(range(1, max(map(len, w_ref)) + 1)) for modes in drawn.values())
 
 
 def test_rectangle_rule_degeneration_is_exact_zero():
