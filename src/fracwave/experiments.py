@@ -33,6 +33,7 @@ forked after the set-up, inherit those rows.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -446,11 +447,10 @@ def _differences(ref: np.ndarray, coarse: np.ndarray, out=None) -> np.ndarray:
     (rows, n_fine), and the same rows of a coarse grid of n_fine / f steps,
     by one subtraction on (rows, coarse steps, f) views.  It is written to
     out when given, a (rows, n_fine) array of any strides: splitting its
-    last axis is always a view, and `copy=False` refuses a copy that would
-    leave out unfilled."""
+    last axis is always a view, so out itself is filled."""
     shape = (len(ref), coarse.shape[1], ref.shape[1] // coarse.shape[1])
     out = np.empty(ref.shape) if out is None else out
-    np.subtract(ref.reshape(shape), coarse[:, :, None], out=out.reshape(shape, copy=False))
+    np.subtract(ref.reshape(shape), coarse[:, :, None], out=out.reshape(shape))
     return out
 
 
@@ -718,13 +718,14 @@ def _write_csv(path, comments: list[str], header: str, rows: list[str]) -> None:
     through a temporary file of this process, `<path>.<pid>.tmp`, and
     os.replace, so a reader never sees a partly written file and two runs
     into one directory never share a temporary file.  A write or replace
-    that fails removes the temporary file before its error goes on."""
+    that fails removes the temporary file, if it can, before its error goes
+    on; a failed removal never hides that error."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
             fh.write("\n".join([*(f"# {c}" for c in comments), header, *rows]) + "\n")
         os.replace(tmp, str(path))
     except BaseException:
-        if os.path.lexists(tmp):
+        with contextlib.suppress(OSError):
             os.remove(tmp)
         raise

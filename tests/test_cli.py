@@ -881,6 +881,20 @@ def test_failed_csv_write_exits_3_and_leaves_no_temp_file(tmp_path, capsys, argv
     assert (tmp_path / name).is_dir() and list(tmp_path.rglob("*.tmp")) == []
 
 
+def test_failed_temp_removal_keeps_the_write_error(tmp_path, monkeypatch):
+    """If removing the temporary file fails too, the error of the failed
+    replace, not that of the removal, is the one raised."""
+    from fracwave import experiments
+
+    def refuse(path):
+        raise PermissionError(path)
+
+    (tmp_path / "t.csv").mkdir()
+    monkeypatch.setattr(experiments.os, "remove", refuse)
+    with pytest.raises(IsADirectoryError):
+        experiments._write_csv(tmp_path / "t.csv", [], "x", ["1"])
+
+
 def test_stability_csv(tmp_path, capsys):
     code, _, _ = run(["stability", "--alpha", "1.5", "--beta", "0.75",
                       "--out", str(tmp_path)], capsys)
